@@ -6,7 +6,6 @@
 #include <set>
 
 #include "common/contracts.hpp"
-#include "common/parallel.hpp"
 #include "hslb/gather.hpp"
 #include "hslb/registry.hpp"
 
@@ -128,24 +127,7 @@ class CesmApplication final : public Application, public BaselineReporter {
     runner_->install(solution_.nodes);
   }
 
-  EpochOutcome execute_epoch(std::size_t) override {
-    const auto chunk = runner_->step();
-    EpochOutcome out;
-    out.done = chunk.done;
-    out.failure_detected = chunk.failure;
-    out.epoch_seconds = chunk.epoch_seconds;
-    out.imbalance = chunk.imbalance;
-    out.epochs_remaining = chunk.epochs_remaining;
-    // Each completed interval slice, scaled back to a full-run observation
-    // so it is commensurable with the fitted models.
-    const double scale = static_cast<double>(options_.coupling_intervals);
-    for (const auto& s : chunk.slices) {
-      out.observations.push_back({to_string(s.component),
-                                  static_cast<double>(s.nodes),
-                                  s.seconds * scale, 0});
-    }
-    return out;
-  }
+  EpochOutcome execute_epoch(std::size_t) override { return runner_->step(); }
 
   ResolveOutcome resolve(
       const std::vector<std::pair<std::string, perf::FitResult>>& fits,
@@ -280,41 +262,7 @@ class CesmApplication final : public Application, public BaselineReporter {
     }
     out.allocation.predicted_total = s.predicted_total;
     out.predicted_total = s.predicted_total;
-    out.solver.status = minlp::to_string(s.stats.status);
-    out.solver.nodes = s.stats.nodes;
-    out.solver.cuts = s.stats.cuts;
-    out.solver.gap = s.stats.gap;
-    out.solver.rel_gap = s.stats.rel_gap;
-    out.solver.seconds = s.stats.seconds;
-    out.solver.threads = options_.bnb.solver_threads == 0
-                             ? ThreadPool::hardware_threads()
-                             : options_.bnb.solver_threads;
-    out.solver.lp_solves = s.stats.lp_solves;
-    out.solver.lp_pivots = s.stats.lp_pivots;
-    out.solver.warm_solves = s.stats.warm_solves;
-    out.solver.waves = s.stats.waves;
-    out.solver.eta_nnz = s.stats.lp_stats.eta_nnz;
-    out.solver.eta_dense_nnz = s.stats.lp_stats.eta_dense_nnz;
-    out.solver.eta_compression = s.stats.lp_stats.eta_compression();
-    out.solver.flop_reduction = s.stats.lp_stats.flop_reduction();
-    out.solver.refactorizations = s.stats.lp_stats.refactorizations;
-    out.solver.basis_nnz = s.stats.lp_stats.basis_nnz;
-    out.solver.lu_fill = s.stats.lp_stats.lu_fill;
-    out.solver.ft_updates = s.stats.lp_stats.ft_updates;
-    out.solver.ft_fill_nnz = s.stats.lp_stats.ft_fill_nnz;
-    out.solver.refactor_interval_hits = s.stats.lp_stats.refactor_interval_hits;
-    out.solver.refactor_fill_hits = s.stats.lp_stats.refactor_fill_hits;
-    out.solver.refactor_drift_hits = s.stats.lp_stats.refactor_drift_hits;
-    out.solver.dual_pivots = s.stats.lp_stats.dual_pivots;
-    out.solver.phase1_pivots = s.stats.lp_stats.phase1_pivots;
-    out.solver.dual_phase1_avoided = s.stats.lp_stats.dual_phase1_avoided;
-    out.solver.presolve_rows_removed = s.stats.lp_stats.presolve_rows_removed;
-    out.solver.presolve_cols_removed = s.stats.lp_stats.presolve_cols_removed;
-    out.solver.bounds_tightened = s.stats.bounds_tightened;
-    out.solver.nodes_propagated_infeasible =
-        s.stats.nodes_propagated_infeasible;
-    out.solver.cuts_retired = s.stats.cuts_retired;
-    out.solver.cuts_reactivated = s.stats.cuts_reactivated;
+    out.solver = SolverStats::from_bnb(s.stats, options_.bnb.solver_threads);
     // The CESM layout model is compute-only: one aggregate term.
     out.term_predictions.push_back({"compute", s.predicted_total, 0.0});
     return out;

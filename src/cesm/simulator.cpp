@@ -219,73 +219,32 @@ CoupledChunkRunner::CoupledChunkRunner(const Simulator& sim, Layout layout,
       layout_(layout),
       intervals_(intervals),
       chunk_(intervals_per_epoch),
-      mach_(std::move(machine)),
-      perturb_(std::move(perturb)) {
+      core_(machine, std::move(perturb),
+            static_cast<long long>(machine.nodes)) {
   HSLB_EXPECTS(intervals_ >= 1);
   HSLB_EXPECTS(chunk_ >= 1);
-  HSLB_EXPECTS(mach_.nodes >= 1);
-  seg_count_ = mach_.nodes;
   pending_.assign(static_cast<std::size_t>(intervals_),
                   std::array<char, 4>{1, 1, 1, 1});
-  out_.trace.machine = mach_.name;
-  out_.trace.nodes = mach_.nodes;
-  out_.trace.cores_per_node = mach_.cores_per_node;
-}
-
-long long CoupledChunkRunner::budget() const {
-  return std::min<long long>(static_cast<long long>(mach_.nodes),
-                             static_cast<long long>(seg_count_));
 }
 
 void CoupledChunkRunner::install(const std::array<long long, 4>& nodes) {
   HSLB_EXPECTS(Simulator::layout_width(layout_, nodes) <= budget());
   nodes_ = nodes;
-  blocks_ = Simulator::blocks_for(layout_, nodes, seg_first_);
+  blocks_ = Simulator::blocks_for(layout_, nodes, core_.segment().first);
   installed_ = true;
 }
 
-/// Shrinks the world to the largest contiguous segment of surviving nodes
-/// and advances the clock past all in-flight work. Returns false when the
-/// survivors fall below the pipeline's minimum partition.
-bool CoupledChunkRunner::handle_failure(const sim::EpochState& state) {
-  failed_ = true;
-  const auto fn = static_cast<std::size_t>(perturb_.fail_node);
-  const std::size_t end = seg_first_ + seg_count_;
-  HSLB_ASSERT(fn >= seg_first_ && fn < end);
-  // Larger of the two halves either side of the failed node (ties keep the
-  // low half, so layouts stay anchored at the machine front).
-  const std::size_t left = fn - seg_first_;
-  const std::size_t right = end - fn - 1;
-  if (left >= right) {
-    seg_count_ = left;
-  } else {
-    seg_first_ = fn + 1;
-    seg_count_ = right;
-  }
-  for (std::size_t n = seg_first_; n < seg_first_ + seg_count_; ++n)
-    clock_ = std::max(clock_, state.node_free[n]);
-  // gather_plan's floor: a partition under 8 nodes cannot host a re-solved
-  // CESM layout.
-  if (budget() < 8) {
-    unrecoverable_ = true;
-    done_ = true;
-    out_.completed = false;
-    return false;
-  }
-  return true;
-}
-
-CoupledChunkRunner::ChunkReport CoupledChunkRunner::step() {
+EpochOutcome CoupledChunkRunner::step() {
   HSLB_EXPECTS(installed_);
-  ChunkReport r;
+  EpochOutcome r;
   if (done_) {
     r.done = true;
     return r;
   }
-  const double epoch_start = clock_;
+  const double epoch_start = core_.clock();
   const int end_k = std::min(cursor_ + chunk_, intervals_);
 
-  sim::Runtime rt(mach_);
+  sim::Runtime rt(core_.machine());
   const double inv = 1.0 / static_cast<double>(intervals_);
   std::vector<std::tuple<std::size_t, Component, int>> placed;
   std::vector<std::size_t> barrier;
@@ -304,25 +263,20 @@ CoupledChunkRunner::ChunkReport CoupledChunkRunner::step() {
     for (Component c : kComponents)
       if (ids[index(c)] != kNone) placed.emplace_back(ids[index(c)], c, k);
   }
-
-  sim::EpochOptions eo;
-  eo.initial_node_free.assign(mach_.nodes, clock_);
-  eo.stop_on_failure = true;
-  sim::EpochState state;
-  const auto rr = rt.run(perturb_, eo, &state);
-  out_.trace.append(rr.trace);
-  out_.restarts += rr.restarts;
+  const auto epoch = core_.run(rt);
 
   // Per-(interval, component) completed durations, for the block paths.
   std::vector<std::array<double, 4>> dur(
       static_cast<std::size_t>(end_k - cursor_), std::array<double, 4>{});
   for (const auto& [id, c, k] : placed) {
-    if (!state.ran[id]) continue;
-    const auto& ts = rr.tasks[id];
+    if (!epoch.state.ran[id]) continue;
+    const auto& ts = epoch.result.tasks[id];
     const double t = ts.end - ts.start;
     out_.component_seconds[index(c)] += t;
     pending_[static_cast<std::size_t>(k)][index(c)] = 0;
-    r.slices.push_back({c, nodes_[index(c)], t, k});
+    r.observations.push_back({to_string(c),
+                              static_cast<double>(nodes_[index(c)]),
+                              t * static_cast<double>(intervals_), 0});
     dur[static_cast<std::size_t>(k - cursor_)][index(c)] = t;
   }
 
@@ -331,15 +285,21 @@ CoupledChunkRunner::ChunkReport CoupledChunkRunner::step() {
                      static_cast<double>(chunk_));
   };
 
-  if (rr.failure_paused) {
-    r.failure = true;
-    r.done = !handle_failure(state);
+  if (epoch.result.failure_paused) {
+    r.failure_detected = true;
+    // gather_plan's floor: a partition under 8 nodes cannot host a
+    // re-solved CESM layout.
+    if (budget() < 8) {
+      unrecoverable_ = true;
+      done_ = true;
+      out_.completed = false;
+      r.done = true;
+    }
     r.epochs_remaining = chunks_left(cursor_);
-    r.epoch_seconds = clock_ - epoch_start;
+    r.epoch_seconds = core_.clock() - epoch_start;
     return r;
   }
 
-  clock_ = rr.makespan;
   cursor_ = end_k;
   if (cursor_ >= intervals_) done_ = true;
 
@@ -362,29 +322,20 @@ CoupledChunkRunner::ChunkReport CoupledChunkRunner::step() {
 
   r.done = done_;
   r.epochs_remaining = chunks_left(cursor_);
-  r.epoch_seconds = clock_ - epoch_start;
+  r.epoch_seconds = core_.clock() - epoch_start;
   return r;
-}
-
-double CoupledChunkRunner::migrate(double volume_gb) {
-  const double stall = mach_.migration_seconds(volume_gb);
-  if (stall > 0.0) {
-    out_.trace.events.push_back({"migrate", "rebalance", seg_first_,
-                                 seg_count_, clock_, clock_ + stall, false});
-    clock_ += stall;
-  }
-  return stall;
 }
 
 double CoupledChunkRunner::migration_volume(
     const std::array<long long, 4>& next, double gb_per_node) const {
   HSLB_EXPECTS(installed_);
   if (gb_per_node <= 0.0) return 0.0;
-  const auto moved = Simulator::blocks_for(layout_, next, seg_first_);
+  const auto moved =
+      Simulator::blocks_for(layout_, next, core_.segment().first);
   double volume = 0.0;
   for (Component c : kComponents) {
     const std::size_t i = index(c);
-    if (moved[i].first != blocks_[i].first || moved[i].count != blocks_[i].count)
+    if (moved[i] != blocks_[i])
       volume += gb_per_node * static_cast<double>(moved[i].count);
   }
   return volume;
@@ -392,7 +343,9 @@ double CoupledChunkRunner::migration_volume(
 
 Simulator::CoupledRun CoupledChunkRunner::finish() {
   out_.intervals = intervals_;
-  out_.total_seconds = clock_;
+  out_.trace = core_.trace();
+  out_.restarts = core_.restarts();
+  out_.total_seconds = core_.clock();
   out_.events = out_.trace.events.size();
   out_.coupling_loss_seconds =
       out_.total_seconds - layout_total(layout_, out_.component_seconds);

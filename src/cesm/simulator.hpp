@@ -14,6 +14,8 @@
 
 #include "cesm/data.hpp"
 #include "cesm/layouts.hpp"
+#include "hslb/pipeline.hpp"
+#include "sim/epoch.hpp"
 #include "sim/machine.hpp"
 #include "sim/noise.hpp"
 #include "sim/runtime.hpp"
@@ -104,42 +106,19 @@ class Simulator {
 };
 
 /// Epoch-by-epoch coupled run for the closed-loop controller: each step()
-/// runs a chunk of coupling intervals on a fresh sim::Runtime whose node
-/// clocks all start at the previous coupler barrier — the barrier joins
-/// every node, so a run that never rebalances reproduces run_coupled's
-/// schedule, trace and accounting bit-identically (per-interval durations
-/// are keyed by the absolute interval index, which the chunk split
-/// preserves).
+/// runs a chunk of coupling intervals on a sim::EpochCore — the coupler
+/// barrier joins every node, so a run that never rebalances reproduces
+/// run_coupled's schedule, trace and accounting bit-identically
+/// (per-interval durations are keyed by the absolute interval index, which
+/// the chunk split preserves).
 ///
-/// On a permanent node failure the chunk pauses (failure = true): the
+/// On a permanent node failure the chunk pauses (failure_detected): the
 /// caller re-solves the layout over budget() — the largest contiguous
 /// surviving segment — installs the new allocation, charges the stall
 /// (migrate), and the next step() re-runs only the component intervals the
 /// failure left unfinished, with blocks packed inside the segment.
 class CoupledChunkRunner {
  public:
-  /// One completed component interval: `seconds` is the noisy slice time
-  /// (the full-run time divided by the interval count).
-  struct Slice {
-    Component component = Component::Lnd;
-    long long nodes = 0;
-    double seconds = 0.0;
-    int interval = 0;
-  };
-
-  /// What one step() reported (mirrors hslb::EpochOutcome).
-  struct ChunkReport {
-    bool done = false;     ///< all coupling intervals have run
-    bool failure = false;  ///< a permanent failure paused this chunk
-    double epoch_seconds = 0.0;  ///< run-clock time this chunk consumed
-    /// max/mean - 1 over the layout's two parallel block paths (the
-    /// atmosphere-group chain vs the ocean); 0 for the fully sequential
-    /// layout, which has no parallel blocks to imbalance.
-    double imbalance = 0.0;
-    double epochs_remaining = 0.0;  ///< chunks left, this one included
-    std::vector<Slice> slices;      ///< completed intervals this chunk
-  };
-
   /// `machine` is the partition the run occupies (machine_for, optionally
   /// with finite link bandwidth so migration has a price); `perturb` adds
   /// stragglers / fail-stop exactly as run_coupled would.
@@ -152,13 +131,17 @@ class CoupledChunkRunner {
   /// step() and after every accepted rebalance.
   void install(const std::array<long long, 4>& nodes);
 
-  /// Runs the next chunk (or re-runs what a failure left unfinished).
-  ChunkReport step();
+  /// Runs the next chunk (or re-runs what a failure left unfinished). Its
+  /// imbalance is max/mean - 1 over the layout's two parallel block paths
+  /// (the atmosphere-group chain vs the ocean; 0 for the fully sequential
+  /// layout); each completed component interval is observed scaled back to
+  /// a full-run time, commensurable with the fitted models.
+  EpochOutcome step();
 
   /// Charges a mid-run migration of `volume_gb` to the run clock and
   /// records a "migrate" trace event over the surviving segment. Returns
   /// the stall in seconds.
-  double migrate(double volume_gb);
+  double migrate(double volume_gb) { return core_.migrate(volume_gb); }
 
   /// Data volume (GB) a switch to `next` would move: `gb_per_node` for
   /// every node of a component whose processor block would change.
@@ -167,38 +150,30 @@ class CoupledChunkRunner {
 
   /// Nodes available for re-solving: the machine, clipped to the largest
   /// contiguous segment a permanent failure left.
-  long long budget() const;
+  long long budget() const { return core_.budget(); }
 
-  const sim::Machine& machine() const { return mach_; }
+  const sim::Machine& machine() const { return core_.machine(); }
 
   /// Finalizes accounting (same shape run_coupled returns). Call once,
   /// after step() reported done.
   Simulator::CoupledRun finish();
 
  private:
-  bool handle_failure(const sim::EpochState& state);
-
   const Simulator* sim_;
   Layout layout_;
   int intervals_;
   int chunk_;
-  sim::Machine mach_;
-  sim::Perturbation perturb_;
+  sim::EpochCore core_;
 
   std::array<long long, 4> nodes_{};
   std::array<sim::NodeSet, 4> blocks_{};
   bool installed_ = false;
-
-  std::size_t seg_first_ = 0;  ///< surviving contiguous segment
-  std::size_t seg_count_ = 0;
-  bool failed_ = false;
 
   int cursor_ = 0;  ///< first interval not yet fully completed
   std::vector<std::array<char, 4>> pending_;  ///< [interval][component]
   bool done_ = false;
   bool unrecoverable_ = false;
 
-  double clock_ = 0.0;
   Simulator::CoupledRun out_;
 };
 

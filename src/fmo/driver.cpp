@@ -38,59 +38,6 @@ std::vector<BudgetTask> make_budget_tasks(
 
 namespace {
 
-/// Copies branch-and-bound diagnostics into the report row shape.
-void copy_bnb_stats(SolverStats& out, const minlp::BnbResult& bnb,
-                    std::size_t solver_threads) {
-  out.status = minlp::to_string(bnb.status);
-  out.nodes = bnb.nodes;
-  out.cuts = bnb.cuts;
-  out.gap = bnb.gap;
-  out.rel_gap = bnb.rel_gap;
-  out.seconds = bnb.seconds;
-  out.threads =
-      solver_threads == 0 ? ThreadPool::hardware_threads() : solver_threads;
-  out.lp_solves = bnb.lp_solves;
-  out.lp_pivots = bnb.lp_pivots;
-  out.warm_solves = bnb.warm_solves;
-  out.waves = bnb.waves;
-  out.eta_nnz = bnb.lp_stats.eta_nnz;
-  out.eta_dense_nnz = bnb.lp_stats.eta_dense_nnz;
-  out.eta_compression = bnb.lp_stats.eta_compression();
-  out.flop_reduction = bnb.lp_stats.flop_reduction();
-  out.refactorizations = bnb.lp_stats.refactorizations;
-  out.basis_nnz = bnb.lp_stats.basis_nnz;
-  out.lu_fill = bnb.lp_stats.lu_fill;
-  out.ft_updates = bnb.lp_stats.ft_updates;
-  out.ft_fill_nnz = bnb.lp_stats.ft_fill_nnz;
-  out.refactor_interval_hits = bnb.lp_stats.refactor_interval_hits;
-  out.refactor_fill_hits = bnb.lp_stats.refactor_fill_hits;
-  out.refactor_drift_hits = bnb.lp_stats.refactor_drift_hits;
-  out.dual_pivots = bnb.lp_stats.dual_pivots;
-  out.phase1_pivots = bnb.lp_stats.phase1_pivots;
-  out.dual_phase1_avoided = bnb.lp_stats.dual_phase1_avoided;
-  out.presolve_rows_removed = bnb.lp_stats.presolve_rows_removed;
-  out.presolve_cols_removed = bnb.lp_stats.presolve_cols_removed;
-  out.bounds_tightened = bnb.bounds_tightened;
-  out.nodes_propagated_infeasible = bnb.nodes_propagated_infeasible;
-  out.cuts_retired = bnb.cuts_retired;
-  out.cuts_reactivated = bnb.cuts_reactivated;
-}
-
-/// Fitted parameters of every task's cost model, concatenated — equality
-/// means the MINLP's nonlinear constraints are unchanged, which is the
-/// validity condition for reusing a previous solve's cut pool verbatim.
-std::vector<double> flatten_fit_params(
-    const std::vector<std::pair<std::string, perf::FitResult>>& fits) {
-  std::vector<double> out;
-  for (const auto& [name, fit] : fits) {
-    for (std::size_t i = 0; i < fit.cost.num_terms(); ++i) {
-      const auto p = fit.cost.params(i);
-      out.insert(out.end(), p.begin(), p.end());
-    }
-  }
-  return out;
-}
-
 /// The FMO substrate behind the hslb::Pipeline engine. Probe noise is
 /// derived per (fragment, node count, repetition) so Gather parallelizes
 /// with identical results for every thread count; stream indices
@@ -99,7 +46,15 @@ class FmoApplication final : public Application, public BaselineReporter {
  public:
   FmoApplication(const System& sys, const CostModel& cost, long long nodes,
                  const PipelineOptions& options)
-      : sys_(sys), cost_(cost), nodes_(nodes), options_(options) {
+      : sys_(sys),
+        cost_(cost),
+        nodes_(nodes),
+        options_(options),
+        // The predicted SCC loop runs one wave of all fragments per
+        // iteration.
+        solver_(options.objective, options.solve_with_minlp, options.bnb,
+                static_cast<double>(options.run.scc_iterations),
+                options.run.sync_overhead) {
     hi_ = probe_ceiling(sys, nodes);
     counts_ = geometric_node_counts(1, hi_, options.fit_points);
     truth_.reserve(sys.num_fragments());
@@ -132,75 +87,11 @@ class FmoApplication final : public Application, public BaselineReporter {
 
   SolveOutcome solve(const std::vector<std::pair<std::string, perf::FitResult>>&
                          fits) override {
-    SolveOutcome out;
     auto tasks = make_budget_tasks(sys_, fits, hi_);
     add_machine_terms(tasks);
-    if (options_.solve_with_minlp) {
-      const auto model = build_budget_minlp(tasks, nodes_, options_.objective);
-      minlp::BnbOptions bnb_opt = options_.bnb;
-      // Cross-instance warm seeding (same idiom as resolve()'s closed-loop
-      // seeds, but the donor is a *previous pipeline* found by the
-      // allocation service): the donor allocation clamped into this
-      // instance's boxes becomes the candidate incumbent and a fresh
-      // linearization point; the donor optimum is re-linearized too; the
-      // donor cut pool is reused only when the fits are bitwise equal.
-      const SolveSeed& seed = options_.solve_seed;
-      if (!seed.empty() &&
-          (options_.objective == Objective::MinMax ||
-           options_.objective == Objective::MinSum)) {
-        if (seed.nodes_by_task.size() == tasks.size()) {
-          std::vector<long long> warm_nodes = seed.nodes_by_task;
-          for (std::size_t f = 0; f < tasks.size(); ++f) {
-            warm_nodes[f] = std::clamp(warm_nodes[f], tasks[f].min_nodes,
-                                       tasks[f].max_nodes);
-          }
-          bnb_opt.seed_incumbent =
-              minlp_warm_start(tasks, warm_nodes, options_.objective);
-          bnb_opt.seed_points.push_back(bnb_opt.seed_incumbent);
-        }
-        if (!seed.x.empty()) bnb_opt.seed_points.push_back(seed.x);
-        if (!seed.cuts.empty() &&
-            seed.fit_params == flatten_fit_params(fits))
-          bnb_opt.seed_cuts = seed.cuts;
-      }
-      const auto bnb = minlp::solve(model, bnb_opt);
-      out.allocation = allocation_from_minlp(tasks, bnb.x, options_.objective);
-      copy_bnb_stats(out.solver, bnb, options_.bnb.solver_threads);
-      seed_accepted_ = bnb.seed_accepted;
-      // Remember what the search learned for closed-loop warm re-solves.
-      last_x_ = bnb.x;
-      last_pool_ = bnb.pool_cuts;
-      last_fit_params_ = flatten_fit_params(fits);
-    } else {
-      out.allocation = solve_budget(tasks, nodes_, options_.objective);
-      out.solver.status = to_string(options_.objective) + " exact greedy";
-    }
-    // Predicted SCC loop: every iteration runs one wave of all fragments.
-    double wave = 0.0;
-    for (const auto& t : out.allocation.tasks)
-      wave = std::max(wave, t.predicted_seconds);
-    predicted_scc_seconds_ =
-        static_cast<double>(options_.run.scc_iterations) *
-        (wave + options_.run.sync_overhead);
-    out.predicted_total = predicted_scc_seconds_;
-    // Term-wise predicted task-seconds over the SCC loop (allocation
-    // entries are in task order for both solver paths).
-    const double iters = static_cast<double>(options_.run.scc_iterations);
-    for (std::size_t f = 0; f < tasks.size(); ++f) {
-      const double n = static_cast<double>(out.allocation.tasks[f].nodes);
-      const auto& m = tasks[f].model;
-      for (std::size_t i = 0; i < m.num_terms(); ++i) {
-        const std::string& tn = m.term(i).name();
-        auto it = std::find_if(
-            out.term_predictions.begin(), out.term_predictions.end(),
-            [&](const TermReport& r) { return r.term == tn; });
-        if (it == out.term_predictions.end()) {
-          out.term_predictions.push_back({tn, 0.0, 0.0});
-          it = std::prev(out.term_predictions.end());
-        }
-        it->predicted_seconds += iters * m.term_seconds(i, n);
-      }
-    }
+    SolveOutcome out = solver_.solve(tasks, nodes_, fits, options_.solve_seed);
+    seed_accepted_ = solver_.seed_accepted();
+    predicted_scc_seconds_ = out.predicted_total;
     return out;
   }
 
@@ -255,18 +146,7 @@ class FmoApplication final : public Application, public BaselineReporter {
     runner_->install(solution.allocation);
   }
 
-  EpochOutcome execute_epoch(std::size_t epoch) override {
-    (void)epoch;
-    EpochRunner::EpochReport er = runner_->step();
-    EpochOutcome eo;
-    eo.done = er.done;
-    eo.failure_detected = er.failure;
-    eo.epoch_seconds = er.epoch_seconds;
-    eo.imbalance = er.imbalance;
-    eo.epochs_remaining = er.epochs_remaining;
-    eo.observations = std::move(er.observations);
-    return eo;
-  }
+  EpochOutcome execute_epoch(std::size_t) override { return runner_->step(); }
 
   ResolveOutcome resolve(
       const std::vector<std::pair<std::string, perf::FitResult>>& fits,
@@ -274,53 +154,10 @@ class FmoApplication final : public Application, public BaselineReporter {
     const long long budget = runner_->budget();
     auto tasks = make_budget_tasks(sys_, fits, std::min(hi_, budget));
     add_machine_terms(tasks);
-    std::vector<long long> inc_nodes;
-    inc_nodes.reserve(tasks.size());
-    for (const auto& t : tasks)
-      inc_nodes.push_back(incumbent.allocation.find(t.name).nodes);
-
-    SolveOutcome out;
-    if (options_.solve_with_minlp) {
-      const auto model = build_budget_minlp(tasks, budget, options_.objective);
-      minlp::BnbOptions bnb_opt = options_.bnb;
-      // Warm seeding: the running allocation lifted into the new variable
-      // space (candidate incumbent + fresh linearization point), the
-      // previous optimum re-linearized under the refitted models, and —
-      // when the models are unchanged (pure budget/bounds change, e.g. a
-      // node failure before any observation) — the previous cut pool
-      // verbatim.
-      bnb_opt.seed_incumbent =
-          minlp_warm_start(tasks, inc_nodes, options_.objective);
-      bnb_opt.seed_points.push_back(bnb_opt.seed_incumbent);
-      if (!last_x_.empty()) bnb_opt.seed_points.push_back(last_x_);
-      if (!last_pool_.empty() && flatten_fit_params(fits) == last_fit_params_)
-        bnb_opt.seed_cuts = last_pool_;
-      const auto bnb = minlp::solve(model, bnb_opt);
-      out.allocation = allocation_from_minlp(tasks, bnb.x, options_.objective);
-      copy_bnb_stats(out.solver, bnb, options_.bnb.solver_threads);
-      last_x_ = bnb.x;
-      last_pool_ = bnb.pool_cuts;
-      last_fit_params_ = flatten_fit_params(fits);
-    } else {
-      out.allocation = solve_budget(tasks, budget, options_.objective);
-      out.solver.status =
-          to_string(options_.objective) + " exact greedy (warm)";
-    }
-    resolve_stats_.push_back(out.solver);
-
-    // Per-epoch predictions for the accept test: one wave plus its sync.
-    std::vector<long long> new_nodes;
-    new_nodes.reserve(out.allocation.tasks.size());
-    for (const auto& t : out.allocation.tasks) new_nodes.push_back(t.nodes);
-    ResolveOutcome rr;
-    out.predicted_total =
-        evaluate_objective(tasks, new_nodes, options_.objective) +
-        options_.run.sync_overhead;
-    rr.incumbent_predicted =
-        evaluate_objective(tasks, inc_nodes, options_.objective) +
-        options_.run.sync_overhead;
-    rr.solution = std::move(out);
-    return rr;
+    ResolveOutcome out =
+        solver_.resolve(tasks, budget, fits, incumbent.allocation);
+    resolve_stats_.push_back(out.solution.solver);
+    return out;
   }
 
   double migration_cost(const SolveOutcome& from,
@@ -359,11 +196,7 @@ class FmoApplication final : public Application, public BaselineReporter {
   std::vector<SolverStats> resolve_stats_;
   bool seed_accepted_ = false;
 
-  const std::vector<double>& last_x() const { return last_x_; }
-  const std::vector<minlp::Cut>& last_pool() const { return last_pool_; }
-  const std::vector<double>& last_fit_params() const {
-    return last_fit_params_;
-  }
+  const SolveSeed& learned() const { return solver_.learned(); }
 
  private:
   /// Extends each fragment's fitted model with pinned machine terms: comm
@@ -480,11 +313,8 @@ class FmoApplication final : public Application, public BaselineReporter {
   std::vector<perf::Model> truth_;
   std::vector<std::string> names_;
   std::unordered_map<std::string, std::size_t> index_of_;
-  // Closed-loop state.
-  std::unique_ptr<EpochRunner> runner_;
-  std::vector<double> last_x_;         ///< previous MINLP optimum
-  std::vector<minlp::Cut> last_pool_;  ///< previous solve's cut pool
-  std::vector<double> last_fit_params_;
+  BudgetSolver solver_;
+  std::unique_ptr<EpochRunner> runner_;  ///< closed-loop execution
 };
 
 }  // namespace
@@ -548,11 +378,9 @@ PipelineResult run_pipeline(const System& sys, const CostModel& cost,
     // Export what the search learned so a later run can start warm (the
     // allocation service caches this next to the allocation). Node counts
     // come from the final allocation, in task order.
+    out.solve_export = app.learned();
     for (const auto& t : out.allocation.tasks)
       out.solve_export.nodes_by_task.push_back(t.nodes);
-    out.solve_export.x = app.last_x();
-    out.solve_export.cuts = app.last_pool();
-    out.solve_export.fit_params = app.last_fit_params();
   }
   return out;
 }

@@ -26,30 +26,6 @@
 
 namespace hslb::fmo {
 
-/// What one MINLP solve learned, exported for seeding a *later* pipeline's
-/// Solve step (the allocation service's cross-instance warm starts). The
-/// same idiom the closed-loop resolve() uses between epochs, lifted across
-/// pipeline runs: the donor's node counts become the candidate incumbent,
-/// its optimum a re-linearization point, and its cut pool is reused
-/// verbatim only when the fitted parameters match exactly.
-struct SolveSeed {
-  /// Donor allocation, one node count per task in task order (empty = no
-  /// incumbent seed). Clamped to the new instance's per-task bounds.
-  std::vector<long long> nodes_by_task;
-  /// Donor MINLP optimum in its variable space — re-linearized against the
-  /// new model (valid by convexity even when the fits moved).
-  std::vector<double> x;
-  /// Donor cut pool — applied only when `fit_params` equals the new
-  /// instance's flattened fit parameters (the validity condition for
-  /// reusing OA cuts verbatim).
-  std::vector<minlp::Cut> cuts;
-  std::vector<double> fit_params;
-
-  bool empty() const {
-    return nodes_by_task.empty() && x.empty() && cuts.empty();
-  }
-};
-
 struct PipelineOptions {
   /// Gather: node counts per fragment (geometric between 1 and the
   /// per-fragment probe ceiling) and repeated measurements per count.

@@ -10,6 +10,7 @@
 #include "common/contracts.hpp"
 #include "common/stats.hpp"
 #include "hslb/budget.hpp"
+#include "sim/epoch.hpp"
 #include "sim/runtime.hpp"
 
 namespace hslb::fmo {
@@ -63,6 +64,12 @@ sim::Perturbation make_perturbation(const RunOptions& options,
   p.fail_time = options.fail_time;
   p.fail_downtime = options.fail_downtime;
   return p;
+}
+
+sim::EpochCore epoch_core(const RunOptions& options, long long total_nodes) {
+  sim::Machine machine = run_machine(options, total_nodes);
+  sim::Perturbation perturb = make_perturbation(options, machine.nodes);
+  return sim::EpochCore(std::move(machine), std::move(perturb), total_nodes);
 }
 
 /// Records a fixed full-machine overhead event (sync barrier, ES tail).
@@ -413,18 +420,17 @@ ExecutionResult run_hslb(const System& sys, const CostModel& cost,
 }
 
 // ---------------------------------------------------------------------------
-// EpochRunner: run_hslb's DAG, executed one barrier-aligned epoch at a time.
+// EpochRunner: run_hslb's DAG, executed one barrier-aligned epoch at a time
+// on the shared sim::EpochCore.
 
 struct EpochRunner::Impl {
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
   const System& sys;
   const CostModel& cost;
-  const long long total_nodes;
   const DimerPredictions dimers;
   const RunOptions options;
-  const sim::Machine mach;
-  const sim::Perturbation perturb;
+  sim::EpochCore core;
 
   std::vector<perf::Model> monomers;
   std::vector<std::size_t> pairs;
@@ -434,11 +440,6 @@ struct EpochRunner::Impl {
   std::vector<sim::NodeSet> frag_nodes;
   bool installed = false;
 
-  // Surviving contiguous node segment (shrinks on permanent failure).
-  std::size_t seg_first = 0;
-  std::size_t seg_count = 0;
-  bool failed = false;
-
   // Progress cursors.
   int iter = 0;  ///< next (or in-flight) SCC iteration
   bool in_dimer = false;
@@ -447,27 +448,19 @@ struct EpochRunner::Impl {
   std::vector<char> pending_monomers;  ///< current iteration's open wave
   std::vector<char> pending_dimers;
 
-  double clock = 0.0;
   ExecutionResult out;
   std::vector<char> monomer_energy_added;
   std::vector<char> dimer_energy_added;
 
   Impl(const System& s, const CostModel& c, long long nodes,
        const DimerPredictions& d, const RunOptions& o)
-      : sys(s),
-        cost(c),
-        total_nodes(nodes),
-        dimers(d),
-        options(o),
-        mach(run_machine(o, nodes)),
-        perturb(make_perturbation(o, mach.nodes)) {
+      : sys(s), cost(c), dimers(d), options(o), core(epoch_core(o, nodes)) {
     HSLB_EXPECTS(!sys.fragments.empty());
     HSLB_EXPECTS(options.scc_iterations >= 1);
     HSLB_EXPECTS(dimers.models.empty() ||
                  dimers.models.size() == sys.scf_dimers.size());
     HSLB_EXPECTS(options.task_scale.empty() ||
                  options.task_scale.size() == sys.fragments.size());
-    seg_count = mach.nodes;
     monomers.reserve(sys.fragments.size());
     for (const auto& f : sys.fragments) monomers.push_back(cost.monomer(f));
     const auto counts = sys.scf_neighbor_counts();
@@ -478,186 +471,113 @@ struct EpochRunner::Impl {
     dimer_energy_added.assign(sys.scf_dimers.size(), 0);
     out.scc_iterations = options.scc_iterations;
     out.group_busy.assign(sys.fragments.size(), 0.0);
-    out.trace.machine = mach.name;
-    out.trace.nodes = mach.nodes;
-    out.trace.cores_per_node = mach.cores_per_node;
   }
 
-  long long budget() const {
-    return std::min<long long>(total_nodes, static_cast<long long>(seg_count));
-  }
-
-  /// Barriers span the whole machine until a failure confines the run to
-  /// the surviving segment.
-  sim::NodeSet barrier_set() const {
-    if (failed) return {seg_first, seg_count};
-    return {0, mach.nodes};
+  /// Node count per fragment, in fragment order.
+  std::vector<long long> nodes_of(const Allocation& allocation) const {
+    HSLB_EXPECTS(allocation.tasks.size() == sys.fragments.size());
+    std::vector<long long> nodes;
+    nodes.reserve(sys.fragments.size());
+    for (const auto& frag : sys.fragments)
+      nodes.push_back(allocation.find(frag.name).nodes);
+    return nodes;
   }
 
   void install(const Allocation& allocation) {
-    HSLB_EXPECTS(allocation.tasks.size() == sys.fragments.size());
-    HSLB_EXPECTS(allocation.total_nodes() <= budget());
-    group_nodes.resize(sys.fragments.size());
-    frag_nodes.resize(sys.fragments.size());
-    std::size_t offset = seg_first;
-    for (std::size_t f = 0; f < sys.fragments.size(); ++f) {
-      const auto& entry = allocation.find(sys.fragments[f].name);
-      HSLB_EXPECTS(entry.nodes >= 1);
-      group_nodes[f] = entry.nodes;
-      frag_nodes[f] = {offset, static_cast<std::size_t>(entry.nodes)};
-      offset += static_cast<std::size_t>(entry.nodes);
-    }
+    group_nodes = nodes_of(allocation);
+    frag_nodes = core.pack(group_nodes);
     out.group_nodes = group_nodes;
     installed = true;
   }
 
-  /// One epoch on a fresh runtime: every node's clock starts at the
-  /// current barrier time, so the schedule continues run_hslb's exactly.
-  sim::RunResult run_epoch(const sim::Runtime& rt, sim::EpochState* state) {
-    sim::EpochOptions eo;
-    eo.initial_node_free.assign(mach.nodes, clock);
-    eo.stop_on_failure = true;
-    return rt.run(perturb, eo, state);
+  /// After a failure pause: false, and the run marked incomplete, when the
+  /// survivors cannot host one node per fragment.
+  bool survives() {
+    if (core.budget() >= static_cast<long long>(sys.fragments.size()))
+      return true;
+    unrecoverable = true;
+    done = true;
+    out.completed = false;
+    return false;
   }
 
-  void fold(const sim::RunResult& rr) {
-    out.trace.append(rr.trace);
-    out.restarts += rr.restarts;
-    out.comm_seconds += rr.comm_seconds;
-    out.page_seconds += rr.page_seconds;
-  }
-
-  /// Shrinks the world to the largest contiguous segment of surviving
-  /// nodes and advances the clock past all in-flight work. Returns false
-  /// when the survivors cannot host one node per fragment.
-  bool handle_failure(const sim::EpochState& state) {
-    failed = true;
-    const auto fn = static_cast<std::size_t>(options.fail_node);
-    const std::size_t end = seg_first + seg_count;
-    HSLB_ASSERT(fn >= seg_first && fn < end);
-    // Larger of the two halves either side of the failed node (ties keep
-    // the low half, so layouts stay anchored at the machine front).
-    const std::size_t left = fn - seg_first;
-    const std::size_t right = end - fn - 1;
-    if (left >= right) {
-      seg_count = left;
-    } else {
-      seg_first = fn + 1;
-      seg_count = right;
-    }
-    for (std::size_t n = seg_first; n < seg_first + seg_count; ++n)
-      clock = std::max(clock, state.node_free[n]);
-    if (budget() < static_cast<long long>(sys.fragments.size())) {
-      unrecoverable = true;
-      done = true;
-      out.completed = false;
-      return false;
-    }
-    return true;
-  }
-
-  EpochReport step() {
+  EpochOutcome step() {
     HSLB_EXPECTS(installed);
-    EpochReport r;
     if (done) {
+      EpochOutcome r;
       r.done = true;
       return r;
     }
     return in_dimer ? run_dimer_unit() : run_scc_unit();
   }
 
-  EpochReport run_scc_unit() {
-    EpochReport r;
-    const double epoch_start = clock;
-    sim::Runtime rt(mach);
-    const std::string phase = "scc" + std::to_string(iter);
-    std::vector<std::size_t> ids(sys.fragments.size(), kNone);
-    std::vector<std::size_t> wave;
+  EpochOutcome run_scc_unit() {
+    const double epoch_start = core.clock();
+    std::vector<sim::WaveSlot> wave;
     for (std::size_t f = 0; f < sys.fragments.size(); ++f) {
       if (!pending_monomers[f]) continue;
-      ids[f] = rt.add_task(
-          sys.fragments[f].name,
-          monomers[f].eval(static_cast<double>(group_nodes[f])) *
-              drift_scale(options, f, iter),
-          frag_nodes[f], {}, phase, false,
-          {sys.fragments[f].halo_gb * static_cast<double>(pairs[f]),
-           sys.fragments[f].memory_gb});
-      wave.push_back(ids[f]);
+      const auto& frag = sys.fragments[f];
+      wave.push_back({f, frag.name,
+                      monomers[f].eval(static_cast<double>(group_nodes[f])) *
+                          drift_scale(options, f, iter),
+                      frag_nodes[f],
+                      {frag.halo_gb * static_cast<double>(pairs[f]),
+                       frag.memory_gb}});
       // Converged densities: the final iteration records monomer energies
       // (at build, as the static scheduler does; flags stop a re-run after
       // a failure from double-counting).
       if (iter + 1 == options.scc_iterations && !monomer_energy_added[f]) {
-        out.energy.monomer += monomer_energy(sys.fragments[f]);
+        out.energy.monomer += monomer_energy(frag);
         monomer_energy_added[f] = 1;
       }
     }
-    const std::size_t sync_id = rt.add_task(
-        "sync", options.sync_overhead, barrier_set(), std::move(wave), phase,
-        true);
-
-    sim::EpochState state;
-    const auto rr = run_epoch(rt, &state);
-    fold(rr);
-
-    std::vector<double> durations;
-    for (std::size_t f = 0; f < sys.fragments.size(); ++f) {
-      if (ids[f] == kNone || !state.ran[ids[f]]) continue;
-      const auto& ts = rr.tasks[ids[f]];
-      const double t = ts.end - ts.start;
+    const sim::WaveRun w = core.run_wave(wave, "scc" + std::to_string(iter),
+                                         options.sync_overhead);
+    for (const auto& [f, t] : w.ran) {
       out.group_busy[f] += t;
       out.busy_node_seconds += t * static_cast<double>(group_nodes[f]);
       out.monomer_task_seconds += t;
-      durations.push_back(t);
       pending_monomers[f] = 0;
     }
-    for (const auto& [id, seconds] : state.observed) {
-      for (std::size_t f = 0; f < sys.fragments.size(); ++f) {
-        if (ids[f] != id) continue;
-        r.observations.push_back({sys.fragments[f].name,
-                                  static_cast<double>(group_nodes[f]), seconds,
-                                  0});
-        break;
-      }
+    EpochOutcome r;
+    for (const auto& [f, seconds] : w.observed) {
+      r.observations.push_back({sys.fragments[f].name,
+                                static_cast<double>(group_nodes[f]), seconds,
+                                0});
     }
-
-    if (rr.failure_paused) {
-      r.failure = true;
-      r.done = !handle_failure(state);
-      r.epochs_remaining =
-          static_cast<double>(options.scc_iterations - iter) + 1.0;
-      r.epoch_seconds = clock - epoch_start;
-      return r;
+    if (w.failure) {
+      r.failure_detected = true;
+      r.done = !survives();
+    } else {
+      out.scc_seconds = core.clock();
+      ++iter;
+      pending_monomers.assign(sys.fragments.size(), 1);
+      if (iter >= options.scc_iterations) in_dimer = true;
+      r.imbalance = w.imbalance;
     }
-
-    clock = rr.tasks[sync_id].end;
-    out.scc_seconds = clock;
-    ++iter;
-    pending_monomers.assign(sys.fragments.size(), 1);
-    if (iter >= options.scc_iterations) in_dimer = true;
-    r.imbalance = durations.empty() ? 0.0 : stats::imbalance(durations);
     r.epochs_remaining =
         static_cast<double>(options.scc_iterations - iter) + 1.0;
-    r.epoch_seconds = clock - epoch_start;
+    r.epoch_seconds = core.clock() - epoch_start;
     return r;
   }
 
-  EpochReport run_dimer_unit() {
-    EpochReport r;
-    const double epoch_start = clock;
-    sim::Runtime rt(mach);
+  EpochOutcome run_dimer_unit() {
+    const double epoch_start = core.clock();
+    sim::Runtime rt(core.machine());
+    const long long budget = core.budget();
 
     std::vector<std::size_t> active;
     for (std::size_t d = 0; d < pending_dimers.size(); ++d)
       if (pending_dimers[d]) active.push_back(d);
 
     std::vector<std::pair<std::size_t, std::size_t>> built;  // (id, d)
-    std::vector<long long> built_nodes;   // wave path: group size per task
+    std::vector<long long> built_nodes;   // group size per task
     std::vector<std::size_t> built_group; // ECT path: monomer group (kNone = wave)
     std::vector<std::size_t> dimer_ids;
     if (!active.empty()) {
       const bool can_repartition =
           !dimers.models.empty() &&
-          static_cast<long long>(active.size()) <= budget();
+          static_cast<long long>(active.size()) <= budget;
       if (can_repartition) {
         // GDDI re-split: min-max wave over the pending dimers' predicted
         // models, blocks packed from the segment start.
@@ -665,10 +585,10 @@ struct EpochRunner::Impl {
         tasks.reserve(active.size());
         for (std::size_t d : active) {
           tasks.push_back(BudgetTask{"d" + std::to_string(d),
-                                     dimers.models[d], 1, budget()});
+                                     dimers.models[d], 1, budget});
         }
-        const auto wave_alloc = solve_min_max(tasks, budget());
-        std::size_t offset = seg_first;
+        const auto wave_alloc = solve_min_max(tasks, budget);
+        std::size_t offset = core.segment().first;
         for (std::size_t k = 0; k < active.size(); ++k) {
           const std::size_t d = active[k];
           const auto& pair = sys.scf_dimers[d];
@@ -734,81 +654,60 @@ struct EpochRunner::Impl {
         dimer_energy_added[d] = 1;
       }
     }
-    // Aggregated ES dimers: analytic tail over the barrier span. After a
-    // failure the tail is re-scaled to the surviving budget.
-    const double es =
-        cost.es_dimer_time(sys, failed ? budget() : total_nodes);
+    // Aggregated ES dimers: analytic tail over the barrier span, scaled to
+    // the surviving budget after a failure.
     const std::size_t es_id =
-        rt.add_task("es-dimers", es, barrier_set(), std::move(dimer_ids),
-                    "dimer", true);
+        rt.add_task("es-dimers", cost.es_dimer_time(sys, budget),
+                    core.segment(), std::move(dimer_ids), "dimer", true);
 
-    sim::EpochState state;
-    const auto rr = run_epoch(rt, &state);
-    fold(rr);
-
+    const auto epoch = core.run(rt, es_id);
     for (std::size_t k = 0; k < built.size(); ++k) {
       const auto [id, d] = built[k];
-      if (!state.ran[id]) continue;
-      const auto& ts = rr.tasks[id];
+      if (!epoch.state.ran[id]) continue;
+      const auto& ts = epoch.result.tasks[id];
       const double t = ts.end - ts.start;
-      if (built_group[k] == kNone) {
-        out.busy_node_seconds += t * static_cast<double>(built_nodes[k]);
-      } else {
-        out.group_busy[built_group[k]] += t;
-        out.busy_node_seconds += t * static_cast<double>(built_nodes[k]);
-      }
+      if (built_group[k] != kNone) out.group_busy[built_group[k]] += t;
+      out.busy_node_seconds += t * static_cast<double>(built_nodes[k]);
       pending_dimers[d] = 0;
     }
 
-    if (rr.failure_paused) {
-      r.failure = true;
-      r.done = !handle_failure(state);
+    EpochOutcome r;
+    if (epoch.result.failure_paused) {
+      r.failure_detected = true;
+      r.done = !survives();
       r.epochs_remaining = 1.0;
-      r.epoch_seconds = clock - epoch_start;
-      return r;
+    } else {
+      done = true;
+      r.done = true;
     }
-
-    clock = rr.tasks[es_id].end;
-    done = true;
-    r.done = true;
-    r.epoch_seconds = clock - epoch_start;
+    r.epoch_seconds = core.clock() - epoch_start;
     return r;
   }
 
   double migration_volume(const Allocation& next) const {
     HSLB_EXPECTS(installed);
-    HSLB_EXPECTS(next.tasks.size() == sys.fragments.size());
+    const auto blocks = core.pack(nodes_of(next));
     double volume = 0.0;
-    std::size_t offset = seg_first;
     for (std::size_t f = 0; f < sys.fragments.size(); ++f) {
       const auto& frag = sys.fragments[f];
-      const auto n =
-          static_cast<std::size_t>(next.find(frag.name).nodes);
-      if (offset != frag_nodes[f].first || n != frag_nodes[f].count) {
+      if (blocks[f] != frag_nodes[f]) {
         volume += frag.memory_gb > 0.0
                       ? frag.memory_gb
                       : 8e-9 * static_cast<double>(frag.basis_functions) *
                             static_cast<double>(frag.basis_functions);
       }
-      offset += n;
     }
     return volume;
   }
 
-  double migrate(double volume_gb) {
-    const double stall = mach.migration_seconds(volume_gb);
-    if (stall > 0.0) {
-      out.trace.events.push_back({"migrate", "rebalance", seg_first, seg_count,
-                                  clock, clock + stall, false});
-      clock += stall;
-    }
-    return stall;
-  }
-
   ExecutionResult finish() {
+    out.trace = core.trace();
+    out.restarts = core.restarts();
+    out.comm_seconds = core.comm_seconds();
+    out.page_seconds = core.page_seconds();
     out.energy.es_dimer = fmo2_energy(sys).es_dimer;
-    out.total_seconds = clock;
-    if (unrecoverable && !in_dimer) out.scc_seconds = clock;
+    out.total_seconds = core.clock();
+    if (unrecoverable && !in_dimer) out.scc_seconds = core.clock();
     out.dimer_seconds = out.total_seconds - out.scc_seconds;
     out.completed = !unrecoverable;
     return std::move(out);
@@ -826,17 +725,21 @@ void EpochRunner::install(const Allocation& allocation) {
   impl_->install(allocation);
 }
 
-EpochRunner::EpochReport EpochRunner::step() { return impl_->step(); }
+EpochOutcome EpochRunner::step() { return impl_->step(); }
 
-double EpochRunner::migrate(double volume_gb) { return impl_->migrate(volume_gb); }
+double EpochRunner::migrate(double volume_gb) {
+  return impl_->core.migrate(volume_gb);
+}
 
 double EpochRunner::migration_volume(const Allocation& next) const {
   return impl_->migration_volume(next);
 }
 
-long long EpochRunner::budget() const { return impl_->budget(); }
+long long EpochRunner::budget() const { return impl_->core.budget(); }
 
-const sim::Machine& EpochRunner::machine() const { return impl_->mach; }
+const sim::Machine& EpochRunner::machine() const {
+  return impl_->core.machine();
+}
 
 ExecutionResult EpochRunner::finish() { return impl_->finish(); }
 

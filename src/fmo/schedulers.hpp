@@ -29,6 +29,7 @@
 #include "fmo/fragment.hpp"
 #include "fmo/gddi.hpp"
 #include "hslb/allocation.hpp"
+#include "hslb/pipeline.hpp"
 #include "perf/fit.hpp"
 #include "perf/model.hpp"
 #include "sim/machine.hpp"
@@ -140,32 +141,17 @@ ExecutionResult run_hslb(const System& sys, const CostModel& cost,
 
 /// Epoch-by-epoch HSLB execution for the closed-loop controller: each
 /// step() runs one SCC iteration (one concurrent wave + its sync barrier),
-/// and the final step runs the dimer phase plus the ES tail. Each epoch is
-/// a fresh sim::Runtime whose node clocks start at the previous barrier's
-/// end, so a run that never rebalances reproduces run_hslb's schedule —
-/// trace, accounting and energy — bit-identically (noise draws are keyed
-/// by (phase, task, attempt), which the epoch split preserves).
+/// and the final step runs the dimer phase plus the ES tail. Epochs run on
+/// a sim::EpochCore, so a run that never rebalances reproduces run_hslb's
+/// schedule — trace, accounting and energy — bit-identically.
 ///
-/// On a permanent node failure the epoch pauses (failure = true): the
+/// On a permanent node failure the epoch pauses (failure_detected): the
 /// caller re-solves over budget() — the largest contiguous surviving node
 /// segment — installs the new allocation (install), charges the stall
 /// (migrate), and the next step() re-runs only the work the failure left
 /// unfinished, with barriers packed inside the surviving segment.
 class EpochRunner {
  public:
-  /// What one epoch reported (mirrors hslb::EpochOutcome).
-  struct EpochReport {
-    bool done = false;     ///< the run (incl. dimer phase) is finished
-    bool failure = false;  ///< a permanent failure paused this epoch
-    double epoch_seconds = 0.0;  ///< run-clock time this epoch consumed
-    double imbalance = 0.0;      ///< fragment busy imbalance (max/mean - 1)
-    double epochs_remaining = 0.0;
-    /// Observed monomer compute seconds, machine charges excluded:
-    /// (fragment name, nodes, seconds); the epoch stamp is left to the
-    /// controller.
-    std::vector<perf::Observed> observations;
-  };
-
   EpochRunner(const System& sys, const CostModel& cost, long long total_nodes,
               const DimerPredictions& dimers, const RunOptions& options);
   ~EpochRunner();
@@ -177,7 +163,9 @@ class EpochRunner {
   void install(const Allocation& allocation);
 
   /// Runs the next epoch (or re-runs what a failure left unfinished).
-  EpochReport step();
+  /// Observations are monomer compute seconds, machine charges excluded;
+  /// the epoch stamp is left to the controller.
+  EpochOutcome step();
 
   /// Charges a mid-run migration of `volume_gb` to the run clock
   /// (sim::Machine::migration_seconds) and records a fixed "migrate" trace

@@ -335,4 +335,101 @@ Allocation allocation_from_minlp(std::span<const BudgetTask> tasks,
   return out;
 }
 
+void seed_bnb_options(minlp::BnbOptions& bnb,
+                      std::span<const BudgetTask> tasks, Objective objective,
+                      const SolveSeed& seed,
+                      const std::vector<double>& fit_params) {
+  if (seed.nodes_by_task.size() == tasks.size()) {
+    std::vector<long long> warm = seed.nodes_by_task;
+    for (std::size_t f = 0; f < tasks.size(); ++f)
+      warm[f] = std::clamp(warm[f], tasks[f].min_nodes, tasks[f].max_nodes);
+    bnb.seed_incumbent = minlp_warm_start(tasks, warm, objective);
+    bnb.seed_points.push_back(bnb.seed_incumbent);
+  }
+  if (!seed.x.empty()) bnb.seed_points.push_back(seed.x);
+  if (!seed.cuts.empty() && seed.fit_params == fit_params)
+    bnb.seed_cuts = seed.cuts;
+}
+
+BudgetSolver::BudgetSolver(Objective objective, bool minlp,
+                           minlp::BnbOptions bnb, double waves, double sync)
+    : objective_(objective),
+      minlp_(minlp),
+      bnb_(std::move(bnb)),
+      waves_(waves),
+      sync_(sync) {}
+
+SolveOutcome BudgetSolver::search(std::span<const BudgetTask> tasks,
+                                  long long budget, const Fits& fits,
+                                  const SolveSeed& seed) {
+  SolveOutcome out;
+  if (!minlp_) {
+    out.allocation = solve_budget(tasks, budget, objective_);
+    // A seeded greedy solve is a closed-loop re-solve; the seed itself
+    // only warms branch-and-bound.
+    out.solver.status = to_string(objective_) + " exact greedy" +
+                        (seed.nodes_by_task.empty() ? "" : " (warm)");
+    return out;
+  }
+  const auto model = build_budget_minlp(tasks, budget, objective_);
+  std::vector<double> fit_params =
+      flatten_params(fits, [](const auto& fit) -> const perf::CostModel& {
+        return fit.second.cost;
+      });
+  minlp::BnbOptions options = bnb_;
+  seed_bnb_options(options, tasks, objective_, seed, fit_params);
+  const auto bnb = minlp::solve(model, options);
+  out.allocation = allocation_from_minlp(tasks, bnb.x, objective_);
+  out.solver = SolverStats::from_bnb(bnb, bnb_.solver_threads);
+  seed_accepted_ = bnb.seed_accepted;
+  learned_ = {{}, bnb.x, bnb.pool_cuts, std::move(fit_params)};
+  return out;
+}
+
+SolveOutcome BudgetSolver::solve(std::span<const BudgetTask> tasks,
+                                 long long budget, const Fits& fits,
+                                 const SolveSeed& seed) {
+  SolveOutcome out = search(tasks, budget, fits, seed);
+  double slowest = 0.0;
+  for (const auto& t : out.allocation.tasks)
+    slowest = std::max(slowest, t.predicted_seconds);
+  out.predicted_total = waves_ * (slowest + sync_);
+  // Term-wise predicted task-seconds over all waves (allocation entries
+  // are in task order for both solver paths).
+  for (std::size_t f = 0; f < tasks.size(); ++f) {
+    const double n = static_cast<double>(out.allocation.tasks[f].nodes);
+    const auto& m = tasks[f].model;
+    for (std::size_t i = 0; i < m.num_terms(); ++i) {
+      const std::string& term = m.term(i).name();
+      auto it = std::find_if(
+          out.term_predictions.begin(), out.term_predictions.end(),
+          [&](const TermReport& r) { return r.term == term; });
+      if (it == out.term_predictions.end()) {
+        out.term_predictions.push_back({term, 0.0, 0.0});
+        it = std::prev(out.term_predictions.end());
+      }
+      it->predicted_seconds += waves_ * m.term_seconds(i, n);
+    }
+  }
+  return out;
+}
+
+ResolveOutcome BudgetSolver::resolve(std::span<const BudgetTask> tasks,
+                                     long long budget, const Fits& fits,
+                                     const Allocation& incumbent) {
+  SolveSeed seed = learned_;
+  for (const auto& t : tasks)
+    seed.nodes_by_task.push_back(incumbent.find(t.name).nodes);
+  ResolveOutcome out;
+  out.solution = search(tasks, budget, fits, seed);
+  std::vector<long long> nodes;
+  nodes.reserve(out.solution.allocation.tasks.size());
+  for (const auto& t : out.solution.allocation.tasks) nodes.push_back(t.nodes);
+  out.solution.predicted_total =
+      evaluate_objective(tasks, nodes, objective_) + sync_;
+  out.incumbent_predicted =
+      evaluate_objective(tasks, seed.nodes_by_task, objective_) + sync_;
+  return out;
+}
+
 }  // namespace hslb

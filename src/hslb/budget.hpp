@@ -18,12 +18,20 @@
 // build_budget_minlp() expresses the same problem as a general MINLP so the
 // branch-and-bound path can cross-check the specialized solvers
 // (bench/fmo_solver_crosscheck and the property tests do exactly that).
+//
+// BudgetSolver is the Solve step built on top: greedy or branch-and-bound,
+// warm-seeded from what an earlier search learned (SolveSeed).
 #pragma once
 
 #include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "hslb/allocation.hpp"
 #include "hslb/objective.hpp"
+#include "hslb/pipeline.hpp"
+#include "minlp/bnb.hpp"
 #include "minlp/model.hpp"
 #include "perf/terms.hpp"
 
@@ -90,5 +98,90 @@ std::vector<double> minlp_warm_start(std::span<const BudgetTask> tasks,
 double evaluate_objective(std::span<const BudgetTask> tasks,
                           std::span<const long long> nodes,
                           Objective objective);
+
+/// What one MINLP solve learned, for seeding a later solve of a related
+/// instance: the next closed-loop re-solve of the same run, or — through
+/// the allocation service — another pipeline's Solve step. Seeding never
+/// changes the optimum (an infeasible incumbent is rejected by the B&B
+/// audit, stale cuts by the parameter check); it only prunes the tree.
+struct SolveSeed {
+  /// One node count per task in task order (empty = no incumbent seed).
+  std::vector<long long> nodes_by_task;
+  /// The MINLP optimum, re-linearized against the new model (valid by
+  /// convexity even when the models moved).
+  std::vector<double> x;
+  /// The cut pool, reused verbatim only when `fit_params` equals the new
+  /// instance's flatten_params — the validity condition for OA cuts.
+  std::vector<minlp::Cut> cuts;
+  std::vector<double> fit_params;
+};
+
+/// Every item's cost-model parameters, concatenated in order (`cost_of`
+/// maps an item to its perf::CostModel). Equal vectors mean the MINLP's
+/// nonlinear constraints are unchanged.
+template <typename Items, typename CostOf>
+std::vector<double> flatten_params(const Items& items, CostOf cost_of) {
+  std::vector<double> out;
+  for (const auto& item : items) {
+    const perf::CostModel& model = cost_of(item);
+    for (std::size_t i = 0; i < model.num_terms(); ++i) {
+      const auto p = model.params(i);
+      out.insert(out.end(), p.begin(), p.end());
+    }
+  }
+  return out;
+}
+
+/// Seeds `bnb` for the build_budget_minlp model of `tasks`: the seed's node
+/// counts, clamped into the tasks' boxes, become the candidate incumbent
+/// and a linearization point; its optimum a second linearization point;
+/// its cuts carry over only when `fit_params` equals the seed's.
+void seed_bnb_options(minlp::BnbOptions& bnb,
+                      std::span<const BudgetTask> tasks, Objective objective,
+                      const SolveSeed& seed,
+                      const std::vector<double>& fit_params);
+
+/// The Solve step of substrates whose tasks run as barrier-closed waves
+/// (the FMO SCC loop, hslb::WaveApplication): the exact greedy, or
+/// branch-and-bound warm-seeded from a SolveSeed. It keeps what its last
+/// search learned, so a closed-loop re-solve starts warm.
+class BudgetSolver {
+ public:
+  using Fits = std::vector<std::pair<std::string, perf::FitResult>>;
+
+  /// `minlp` selects branch-and-bound (with `bnb`) over the greedy. A run
+  /// is predicted as `waves` waves, each its slowest task plus `sync`.
+  BudgetSolver(Objective objective, bool minlp, minlp::BnbOptions bnb,
+               double waves, double sync);
+
+  /// Solves `tasks` (fitted as `fits`) within `budget`: allocation, solver
+  /// stats, waves x (slowest + sync) prediction, and term-wise predicted
+  /// task-seconds. `seed` warms the branch-and-bound.
+  SolveOutcome solve(std::span<const BudgetTask> tasks, long long budget,
+                     const Fits& fits, const SolveSeed& seed = {});
+
+  /// Closed-loop warm re-solve: seeded with the incumbent's node counts and
+  /// the last search's optimum, pool and parameters. Predictions are per
+  /// epoch (objective + sync), for the proposal and for the incumbent.
+  ResolveOutcome resolve(std::span<const BudgetTask> tasks, long long budget,
+                         const Fits& fits, const Allocation& incumbent);
+
+  /// What the last branch-and-bound search learned (no node counts).
+  const SolveSeed& learned() const { return learned_; }
+  /// True when the last search started from its seed incumbent.
+  bool seed_accepted() const { return seed_accepted_; }
+
+ private:
+  SolveOutcome search(std::span<const BudgetTask> tasks, long long budget,
+                      const Fits& fits, const SolveSeed& seed);
+
+  Objective objective_;
+  bool minlp_;
+  minlp::BnbOptions bnb_;
+  double waves_;
+  double sync_;
+  SolveSeed learned_;
+  bool seed_accepted_ = false;
+};
 
 }  // namespace hslb

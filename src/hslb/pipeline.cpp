@@ -7,6 +7,7 @@
 #include "common/parallel.hpp"
 #include "common/strings.hpp"
 #include "hslb/controller.hpp"
+#include "minlp/bnb.hpp"
 
 namespace hslb {
 
@@ -18,6 +19,46 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }
 
 }  // namespace
+
+SolverStats SolverStats::from_bnb(const minlp::BnbResult& bnb,
+                                  std::size_t solver_threads) {
+  SolverStats out;
+  out.status = minlp::to_string(bnb.status);
+  out.nodes = bnb.nodes;
+  out.cuts = bnb.cuts;
+  out.gap = bnb.gap;
+  out.rel_gap = bnb.rel_gap;
+  out.seconds = bnb.seconds;
+  out.threads =
+      solver_threads == 0 ? ThreadPool::hardware_threads() : solver_threads;
+  out.lp_solves = bnb.lp_solves;
+  out.lp_pivots = bnb.lp_pivots;
+  out.warm_solves = bnb.warm_solves;
+  out.waves = bnb.waves;
+  const lp::SolveStats& lp = bnb.lp_stats;
+  out.eta_nnz = lp.eta_nnz;
+  out.eta_dense_nnz = lp.eta_dense_nnz;
+  out.eta_compression = lp.eta_compression();
+  out.flop_reduction = lp.flop_reduction();
+  out.refactorizations = lp.refactorizations;
+  out.basis_nnz = lp.basis_nnz;
+  out.lu_fill = lp.lu_fill;
+  out.ft_updates = lp.ft_updates;
+  out.ft_fill_nnz = lp.ft_fill_nnz;
+  out.refactor_interval_hits = lp.refactor_interval_hits;
+  out.refactor_fill_hits = lp.refactor_fill_hits;
+  out.refactor_drift_hits = lp.refactor_drift_hits;
+  out.dual_pivots = lp.dual_pivots;
+  out.phase1_pivots = lp.phase1_pivots;
+  out.dual_phase1_avoided = lp.dual_phase1_avoided;
+  out.presolve_rows_removed = lp.presolve_rows_removed;
+  out.presolve_cols_removed = lp.presolve_cols_removed;
+  out.bounds_tightened = bnb.bounds_tightened;
+  out.nodes_propagated_infeasible = bnb.nodes_propagated_infeasible;
+  out.cuts_retired = bnb.cuts_retired;
+  out.cuts_reactivated = bnb.cuts_reactivated;
+  return out;
+}
 
 double PipelineReport::total_seconds() const {
   return gather_seconds + fit_seconds + solve_seconds + execute_seconds;
@@ -99,7 +140,7 @@ std::string PipelineReport::str() const {
     out += strings::format(
         "           runtime: makespan %.3f s, %zu events, occupancy %.1f%% "
         "(imbalance %.3f), %zu restart%s%s\n",
-        exec_makespan, exec_events, 100.0 * exec_efficiency, exec_imbalance,
+        exec.makespan, exec_events, 100.0 * exec.efficiency, exec.imbalance,
         exec_restarts, exec_restarts == 1 ? "" : "s",
         exec_completed ? "" : ", INCOMPLETE");
   }
@@ -110,7 +151,7 @@ std::string PipelineReport::str() const {
         "           adaptive: %zu epochs, %zu rebalance%s, migration "
         "%.3f s, percent imbalance %.1f%%\n",
         epochs, rebalances, rebalances == 1 ? "" : "s", migration_seconds,
-        exec_percent_imbalance);
+        exec.percent_imbalance);
   }
   if (!terms.empty()) {
     out += "           terms (task-seconds):";
@@ -166,13 +207,13 @@ std::string PipelineReport::csv_row() const {
       solver.cuts_reactivated, predicted_total, actual_total);
   HSLB_ASSERT(machine.find(',') == std::string::npos);
   row += strings::format(",%s,%.6f,%.6f,%.6f,%.6f,%zu,%zu,%d", machine.c_str(),
-                         exec_makespan, exec_busy_node_seconds, exec_efficiency,
-                         exec_imbalance, exec_events, exec_restarts,
+                         exec.makespan, exec.busy_unit_seconds, exec.efficiency,
+                         exec.imbalance, exec_events, exec_restarts,
                          exec_completed ? 1 : 0);
   row += strings::format(",%.6f,%.6f,%.6f,%.6f", term_predicted("comm"),
                          term_actual("comm"), term_predicted("memory"),
                          term_actual("memory"));
-  row += strings::format(",%.6f,%zu,%zu,%.6f", exec_percent_imbalance, epochs,
+  row += strings::format(",%.6f,%zu,%zu,%.6f", exec.percent_imbalance, epochs,
                          rebalances, migration_seconds);
   return row;
 }
@@ -266,15 +307,7 @@ PipelineRun Pipeline::run(Application& app, ThreadPool& pool) const {
   }
   if (const sim::Trace* trace = app.execution_trace()) {
     out.trace = *trace;
-    // One shared metric definition: the report's exec_* scalars are copies
-    // of the Metrics members (bit-identical to the old per-field reads —
-    // from_trace delegates to the trace's own accessors).
     out.report.exec = Metrics::from_trace(*trace);
-    out.report.exec_makespan = out.report.exec.makespan;
-    out.report.exec_busy_node_seconds = out.report.exec.busy_unit_seconds;
-    out.report.exec_efficiency = out.report.exec.efficiency;
-    out.report.exec_imbalance = out.report.exec.imbalance;
-    out.report.exec_percent_imbalance = out.report.exec.percent_imbalance;
     out.report.exec_events = trace->events.size();
     for (const auto& e : trace->events)
       if (e.aborted) ++out.report.exec_restarts;

@@ -28,6 +28,10 @@
 #include "sim/machine.hpp"
 #include "sim/trace.hpp"
 
+namespace hslb::minlp {
+struct BnbResult;
+}
+
 namespace hslb {
 
 /// Per-task benchmark node counts, in the order tasks are fitted/reported.
@@ -75,6 +79,12 @@ struct SolverStats {
   std::size_t nodes_propagated_infeasible = 0;  ///< nodes pruned pre-LP
   std::size_t cuts_retired = 0;           ///< pool cuts aged out of node LPs
   std::size_t cuts_reactivated = 0;       ///< retired cuts pulled back
+
+  /// A branch-and-bound run in report shape — the one conversion every
+  /// substrate's MINLP path uses. `solver_threads` is the BnbOptions value
+  /// the search ran with (0 = hardware concurrency).
+  static SolverStats from_bnb(const minlp::BnbResult& bnb,
+                              std::size_t solver_threads);
 };
 
 /// Predicted-vs-actual seconds attributed to one cost term (powerlaw /
@@ -167,20 +177,8 @@ struct PipelineReport {
   std::string machine;
   /// Shared execution metrics (hslb::Metrics) derived from the
   /// application's trace — the one place the optimal-LB criteria of
-  /// arXiv:2104.01688 are computed. The exec_* scalar fields below are
-  /// copies of its members, kept so existing consumers (CSV rows, benches,
-  /// parity tests) read the classic layout unchanged.
+  /// arXiv:2104.01688 are computed (zeros when no trace is exposed).
   Metrics exec;
-  /// Execution-runtime metrics, derived from the application's trace
-  /// (zeros when no trace is exposed).
-  double exec_makespan = 0.0;
-  double exec_busy_node_seconds = 0.0;  ///< node occupancy incl. overheads
-  double exec_efficiency = 0.0;
-  double exec_imbalance = 0.0;
-  /// Percent imbalance lambda = (max node busy / mean over ALL nodes - 1)
-  /// x 100 (arXiv:2104.01688) — unlike exec_imbalance its mean includes
-  /// idle nodes, so unallocated capacity counts against the schedule.
-  double exec_percent_imbalance = 0.0;
   std::size_t exec_events = 0;
   std::size_t exec_restarts = 0;  ///< attempts aborted by a fail-stop
   bool exec_completed = true;     ///< false when a failure wedged the run

@@ -1,11 +1,9 @@
 #include "hslb/waveapp.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "perf/terms.hpp"
 #include "sim/noise.hpp"
 
@@ -13,38 +11,39 @@ namespace hslb {
 
 namespace {
 
-/// B&B diagnostics copied into the report row (the headline subset; wave
-/// substrates are solver consumers, not solver benches).
-void copy_bnb_stats(SolverStats& out, const minlp::BnbResult& bnb) {
-  out.status = minlp::to_string(bnb.status);
-  out.nodes = bnb.nodes;
-  out.cuts = bnb.cuts;
-  out.gap = bnb.gap;
-  out.rel_gap = bnb.rel_gap;
-  out.seconds = bnb.seconds;
-  out.lp_solves = bnb.lp_solves;
-  out.lp_pivots = bnb.lp_pivots;
-  out.warm_solves = bnb.warm_solves;
-  out.waves = bnb.waves;
+sim::Machine wave_machine(const WaveOptions& options, long long nodes) {
+  if (options.machine.nodes == 0)
+    return sim::Machine{"cluster", static_cast<std::size_t>(nodes), 1};
+  HSLB_EXPECTS(options.machine.nodes >= static_cast<std::size_t>(nodes));
+  return options.machine;
 }
 
-std::vector<double> flatten_fit_params(
-    const std::vector<std::pair<std::string, perf::FitResult>>& fits) {
-  std::vector<double> out;
-  for (const auto& [name, fit] : fits) {
-    for (std::size_t i = 0; i < fit.cost.num_terms(); ++i) {
-      const auto p = fit.cost.params(i);
-      out.insert(out.end(), p.begin(), p.end());
-    }
-  }
-  return out;
+sim::Perturbation wave_perturbation(const WaveOptions& options,
+                                    std::size_t machine_nodes) {
+  sim::Perturbation p;
+  p.noise_cv = options.noise_cv;
+  p.seed = options.seed;
+  if (options.straggler_cv > 0.0)
+    p.node_slowdown = sim::Perturbation::stragglers(
+        machine_nodes, options.straggler_cv, options.seed);
+  p.fail_node = options.fail_node;
+  p.fail_time = options.fail_time;
+  p.fail_downtime = options.fail_downtime;
+  return p;
 }
 
 }  // namespace
 
 WaveApplication::WaveApplication(WaveWorkload workload, long long nodes,
                                  WaveOptions options)
-    : workload_(std::move(workload)), nodes_(nodes), options_(std::move(options)) {
+    : workload_(std::move(workload)),
+      nodes_(nodes),
+      options_(std::move(options)),
+      mach_(wave_machine(options_, nodes_)),
+      perturb_(wave_perturbation(options_, mach_.nodes)),
+      solver_(options_.objective, options_.solve_with_minlp, options_.bnb,
+              static_cast<double>(workload_.waves), workload_.sync_overhead),
+      core_(mach_, perturb_, nodes_) {
   const auto tasks = static_cast<long long>(workload_.tasks.size());
   HSLB_EXPECTS(tasks >= 1);
   HSLB_EXPECTS(nodes_ >= tasks);
@@ -56,20 +55,6 @@ WaveApplication::WaveApplication(WaveWorkload workload, long long nodes,
   hi_ = std::max<long long>(8, std::min(nodes_ - tasks + 1, 8 * fair));
   counts_ = geometric_node_counts(
       1, hi_, static_cast<std::size_t>(options_.fit_points));
-  if (options_.machine.nodes == 0) {
-    mach_ = sim::Machine{"cluster", static_cast<std::size_t>(nodes_), 1};
-  } else {
-    HSLB_EXPECTS(options_.machine.nodes >= static_cast<std::size_t>(nodes_));
-    mach_ = options_.machine;
-  }
-  perturb_.noise_cv = options_.noise_cv;
-  perturb_.seed = options_.seed;
-  if (options_.straggler_cv > 0.0)
-    perturb_.node_slowdown = sim::Perturbation::stragglers(
-        mach_.nodes, options_.straggler_cv, options_.seed);
-  perturb_.fail_node = options_.fail_node;
-  perturb_.fail_time = options_.fail_time;
-  perturb_.fail_downtime = options_.fail_downtime;
   for (std::size_t t = 0; t < workload_.tasks.size(); ++t)
     index_of_[workload_.tasks[t].name] = t;
   HSLB_EXPECTS(index_of_.size() == workload_.tasks.size());
@@ -131,91 +116,34 @@ std::vector<BudgetTask> WaveApplication::budget_tasks(
 
 SolveOutcome WaveApplication::solve(
     const std::vector<std::pair<std::string, perf::FitResult>>& fits) {
-  SolveOutcome out;
-  const auto tasks = budget_tasks(fits, hi_);
-  if (options_.solve_with_minlp) {
-    const auto model = build_budget_minlp(tasks, nodes_, options_.objective);
-    const auto bnb = minlp::solve(model, options_.bnb);
-    out.allocation = allocation_from_minlp(tasks, bnb.x, options_.objective);
-    copy_bnb_stats(out.solver, bnb);
-    last_x_ = bnb.x;
-    last_pool_ = bnb.pool_cuts;
-    last_fit_params_ = flatten_fit_params(fits);
-  } else {
-    out.allocation = solve_budget(tasks, nodes_, options_.objective);
-    out.solver.status = to_string(options_.objective) + " exact greedy";
-  }
-  double wave = 0.0;
-  for (const auto& t : out.allocation.tasks)
-    wave = std::max(wave, t.predicted_seconds);
-  out.predicted_total = static_cast<double>(workload_.waves) *
-                        (wave + workload_.sync_overhead);
-  // Term-wise predicted task-seconds over all waves (allocation entries
-  // are in task order for both solver paths).
-  const double waves = static_cast<double>(workload_.waves);
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    const double n = static_cast<double>(out.allocation.tasks[t].nodes);
-    const auto& m = tasks[t].model;
-    for (std::size_t i = 0; i < m.num_terms(); ++i) {
-      const std::string& tn = m.term(i).name();
-      auto it = std::find_if(
-          out.term_predictions.begin(), out.term_predictions.end(),
-          [&](const TermReport& r) { return r.term == tn; });
-      if (it == out.term_predictions.end()) {
-        out.term_predictions.push_back({tn, 0.0, 0.0});
-        it = std::prev(out.term_predictions.end());
-      }
-      it->predicted_seconds += waves * m.term_seconds(i, n);
-    }
-  }
-  return out;
+  return solver_.solve(budget_tasks(fits, hi_), nodes_, fits);
 }
 
-long long WaveApplication::budget() const {
-  return std::min<long long>(nodes_, static_cast<long long>(seg_count_));
-}
-
-sim::NodeSet WaveApplication::barrier_set() const {
-  if (failed_) return {seg_first_, seg_count_};
-  return {0, mach_.nodes};
+std::vector<long long> WaveApplication::nodes_of(
+    const Allocation& allocation) const {
+  HSLB_EXPECTS(allocation.tasks.size() == workload_.tasks.size());
+  std::vector<long long> nodes;
+  nodes.reserve(workload_.tasks.size());
+  for (const auto& t : workload_.tasks)
+    nodes.push_back(allocation.find(t.name).nodes);
+  return nodes;
 }
 
 void WaveApplication::reset_run_state() {
-  seg_first_ = 0;
-  seg_count_ = mach_.nodes;
-  failed_ = false;
+  core_ = sim::EpochCore(mach_, perturb_, nodes_);
   wave_ = 0;
   done_ = false;
   pending_.assign(workload_.tasks.size(), 1);
-  clock_ = 0.0;
   completed_ = true;
-  trace_ = {};
-  trace_.machine = mach_.name;
-  trace_.nodes = mach_.nodes;
-  trace_.cores_per_node = mach_.cores_per_node;
-  task_busy_.assign(workload_.tasks.size(), 0.0);
   task_seconds_ = 0.0;
-  comm_seconds_ = 0.0;
-  page_seconds_ = 0.0;
-  restarts_ = 0;
   hslb_total_ = 0.0;
   dlb_ran_ = false;
   installed_ = false;
 }
 
 void WaveApplication::install(const Allocation& allocation) {
-  HSLB_EXPECTS(allocation.tasks.size() == workload_.tasks.size());
-  HSLB_EXPECTS(allocation.total_nodes() <= budget());
-  alloc_nodes_.resize(workload_.tasks.size());
-  blocks_.resize(workload_.tasks.size());
-  std::size_t offset = seg_first_;
-  for (std::size_t t = 0; t < workload_.tasks.size(); ++t) {
-    const auto& entry = allocation.find(workload_.tasks[t].name);
-    HSLB_EXPECTS(entry.nodes >= 1);
-    alloc_nodes_[t] = entry.nodes;
-    blocks_[t] = {offset, static_cast<std::size_t>(entry.nodes)};
-    offset += static_cast<std::size_t>(entry.nodes);
-  }
+  alloc_nodes_ = nodes_of(allocation);
+  blocks_ = core_.pack(alloc_nodes_);
   installed_ = true;
 }
 
@@ -224,162 +152,67 @@ void WaveApplication::begin_epochs(const SolveOutcome& solution) {
   install(solution.allocation);
 }
 
-EpochOutcome WaveApplication::execute_epoch(std::size_t epoch) {
-  (void)epoch;
+EpochOutcome WaveApplication::execute_epoch(std::size_t) {
   HSLB_EXPECTS(installed_);
   EpochOutcome r;
   if (done_) {
     r.done = true;
     return r;
   }
-  const double epoch_start = clock_;
-  sim::Runtime rt(mach_);
-  const std::string phase = "wave" + std::to_string(wave_);
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> ids(workload_.tasks.size(), kNone);
-  std::vector<std::size_t> wave_ids;
+  const double epoch_start = core_.clock();
+  std::vector<sim::WaveSlot> wave;
   for (std::size_t t = 0; t < workload_.tasks.size(); ++t) {
     if (!pending_[t]) continue;
-    ids[t] = rt.add_task(
-        workload_.tasks[t].name,
-        workload_.tasks[t].truth.eval(static_cast<double>(alloc_nodes_[t])),
-        blocks_[t], {}, phase, false, {0.0, workload_.tasks[t].memory_gb});
-    wave_ids.push_back(ids[t]);
+    const auto& task = workload_.tasks[t];
+    wave.push_back({t, task.name,
+                    task.truth.eval(static_cast<double>(alloc_nodes_[t])),
+                    blocks_[t], {0.0, task.memory_gb}});
   }
-  const std::size_t sync_id =
-      rt.add_task("sync", workload_.sync_overhead, barrier_set(),
-                  std::move(wave_ids), phase, true);
-
-  sim::EpochOptions eo;
-  eo.initial_node_free.assign(mach_.nodes, clock_);
-  eo.stop_on_failure = true;
-  sim::EpochState state;
-  const auto rr = rt.run(perturb_, eo, &state);
-  trace_.append(rr.trace);
-  restarts_ += rr.restarts;
-  comm_seconds_ += rr.comm_seconds;
-  page_seconds_ += rr.page_seconds;
-
-  std::vector<double> durations;
-  for (std::size_t t = 0; t < workload_.tasks.size(); ++t) {
-    if (ids[t] == kNone || !state.ran[ids[t]]) continue;
-    const double secs = rr.tasks[ids[t]].end - rr.tasks[ids[t]].start;
-    task_busy_[t] += secs;
-    task_seconds_ += secs;
-    durations.push_back(secs);
+  const sim::WaveRun w = core_.run_wave(wave, "wave" + std::to_string(wave_),
+                                        workload_.sync_overhead);
+  for (const auto& [t, seconds] : w.ran) {
+    task_seconds_ += seconds;
     pending_[t] = 0;
   }
-  for (const auto& [id, seconds] : state.observed) {
-    for (std::size_t t = 0; t < workload_.tasks.size(); ++t) {
-      if (ids[t] != id) continue;
-      r.observations.push_back({workload_.tasks[t].name,
-                                static_cast<double>(alloc_nodes_[t]), seconds,
-                                0});
-      break;
-    }
+  for (const auto& [t, seconds] : w.observed) {
+    r.observations.push_back({workload_.tasks[t].name,
+                              static_cast<double>(alloc_nodes_[t]), seconds,
+                              0});
   }
-
-  if (rr.failure_paused) {
-    // Shrink the world to the larger contiguous half either side of the
-    // failed node (ties keep the low half) and advance the clock past all
-    // in-flight work, exactly like fmo::EpochRunner.
+  if (w.failure) {
     r.failure_detected = true;
-    failed_ = true;
-    const auto fn = static_cast<std::size_t>(options_.fail_node);
-    const std::size_t end = seg_first_ + seg_count_;
-    HSLB_ASSERT(fn >= seg_first_ && fn < end);
-    const std::size_t left = fn - seg_first_;
-    const std::size_t right = end - fn - 1;
-    if (left >= right) {
-      seg_count_ = left;
-    } else {
-      seg_first_ = fn + 1;
-      seg_count_ = right;
-    }
-    for (std::size_t n = seg_first_; n < seg_first_ + seg_count_; ++n)
-      clock_ = std::max(clock_, state.node_free[n]);
-    if (budget() < static_cast<long long>(workload_.tasks.size())) {
+    if (core_.budget() < static_cast<long long>(workload_.tasks.size())) {
       // Survivors cannot host one node per task: unrecoverable.
       done_ = true;
       completed_ = false;
       r.done = true;
     }
-    r.epochs_remaining = static_cast<double>(workload_.waves - wave_);
-    r.epoch_seconds = clock_ - epoch_start;
-    return r;
+  } else {
+    ++wave_;
+    pending_.assign(workload_.tasks.size(), 1);
+    if (wave_ >= workload_.waves) done_ = true;
+    r.done = done_;
+    r.imbalance = w.imbalance;
   }
-
-  clock_ = rr.tasks[sync_id].end;
-  ++wave_;
-  pending_.assign(workload_.tasks.size(), 1);
-  if (wave_ >= workload_.waves) done_ = true;
-  r.done = done_;
-  r.imbalance = durations.empty() ? 0.0 : stats::imbalance(durations);
   r.epochs_remaining = static_cast<double>(workload_.waves - wave_);
-  r.epoch_seconds = clock_ - epoch_start;
+  r.epoch_seconds = core_.clock() - epoch_start;
   return r;
 }
 
 ResolveOutcome WaveApplication::resolve(
     const std::vector<std::pair<std::string, perf::FitResult>>& fits,
     const SolveOutcome& incumbent) {
-  const long long nodes = budget();
-  auto tasks = budget_tasks(fits, std::min(hi_, nodes));
-  std::vector<long long> inc_nodes;
-  inc_nodes.reserve(tasks.size());
-  for (const auto& t : tasks)
-    inc_nodes.push_back(incumbent.allocation.find(t.name).nodes);
-
-  SolveOutcome out;
-  if (options_.solve_with_minlp) {
-    const auto model = build_budget_minlp(tasks, nodes, options_.objective);
-    minlp::BnbOptions bnb_opt = options_.bnb;
-    // Warm seeding from the running allocation and the previous search
-    // (same closed-loop idiom as the FMO substrate).
-    std::vector<long long> warm = inc_nodes;
-    for (std::size_t t = 0; t < tasks.size(); ++t)
-      warm[t] = std::clamp(warm[t], tasks[t].min_nodes, tasks[t].max_nodes);
-    bnb_opt.seed_incumbent = minlp_warm_start(tasks, warm, options_.objective);
-    bnb_opt.seed_points.push_back(bnb_opt.seed_incumbent);
-    if (!last_x_.empty()) bnb_opt.seed_points.push_back(last_x_);
-    if (!last_pool_.empty() && flatten_fit_params(fits) == last_fit_params_)
-      bnb_opt.seed_cuts = last_pool_;
-    const auto bnb = minlp::solve(model, bnb_opt);
-    out.allocation = allocation_from_minlp(tasks, bnb.x, options_.objective);
-    copy_bnb_stats(out.solver, bnb);
-    last_x_ = bnb.x;
-    last_pool_ = bnb.pool_cuts;
-    last_fit_params_ = flatten_fit_params(fits);
-  } else {
-    out.allocation = solve_budget(tasks, nodes, options_.objective);
-    out.solver.status = to_string(options_.objective) + " exact greedy (warm)";
-  }
-
-  std::vector<long long> new_nodes;
-  new_nodes.reserve(out.allocation.tasks.size());
-  for (const auto& t : out.allocation.tasks) new_nodes.push_back(t.nodes);
-  ResolveOutcome rr;
-  out.predicted_total =
-      evaluate_objective(tasks, new_nodes, options_.objective) +
-      workload_.sync_overhead;
-  rr.incumbent_predicted =
-      evaluate_objective(tasks, inc_nodes, options_.objective) +
-      workload_.sync_overhead;
-  rr.solution = std::move(out);
-  return rr;
+  const long long nodes = core_.budget();
+  return solver_.resolve(budget_tasks(fits, std::min(hi_, nodes)), nodes,
+                         fits, incumbent.allocation);
 }
 
 double WaveApplication::migration_volume(const Allocation& next) const {
+  const auto moved = core_.pack(nodes_of(next));
   double volume = 0.0;
-  std::size_t offset = seg_first_;
-  for (std::size_t t = 0; t < workload_.tasks.size(); ++t) {
-    const auto& entry = next.find(workload_.tasks[t].name);
-    const sim::NodeSet block{offset, static_cast<std::size_t>(entry.nodes)};
-    offset += block.count;
-    if (!installed_ || block.first != blocks_[t].first ||
-        block.count != blocks_[t].count)
+  for (std::size_t t = 0; t < workload_.tasks.size(); ++t)
+    if (!installed_ || moved[t] != blocks_[t])
       volume += workload_.tasks[t].memory_gb;
-  }
   return volume;
 }
 
@@ -390,19 +223,13 @@ double WaveApplication::migration_cost(const SolveOutcome& from,
 }
 
 double WaveApplication::apply_allocation(const SolveOutcome& solution) {
-  const double stall =
-      mach_.migration_seconds(migration_volume(solution.allocation));
-  if (stall > 0.0) {
-    trace_.events.push_back({"migrate", "rebalance", seg_first_, seg_count_,
-                             clock_, clock_ + stall, false});
-    clock_ += stall;
-  }
+  const double stall = core_.migrate(migration_volume(solution.allocation));
   install(solution.allocation);
   return stall;
 }
 
 double WaveApplication::finish_epochs() {
-  hslb_total_ = clock_;
+  hslb_total_ = core_.clock();
   return hslb_total_;
 }
 
@@ -480,10 +307,11 @@ void WaveApplication::run_dlb_baseline() {
 std::vector<std::pair<std::string, double>>
 WaveApplication::execution_term_seconds() const {
   std::vector<std::pair<std::string, double>> out;
-  out.emplace_back("powerlaw",
-                   task_seconds_ - comm_seconds_ - page_seconds_);
-  if (mach_.models_communication()) out.emplace_back("comm", comm_seconds_);
-  if (mach_.models_memory()) out.emplace_back("memory", page_seconds_);
+  out.emplace_back("powerlaw", task_seconds_ - core_.comm_seconds() -
+                                   core_.page_seconds());
+  if (mach_.models_communication())
+    out.emplace_back("comm", core_.comm_seconds());
+  if (mach_.models_memory()) out.emplace_back("memory", core_.page_seconds());
   return out;
 }
 

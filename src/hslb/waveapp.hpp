@@ -32,6 +32,7 @@
 #include "minlp/bnb.hpp"
 #include "perf/fit.hpp"
 #include "perf/model.hpp"
+#include "sim/epoch.hpp"
 #include "sim/machine.hpp"
 #include "sim/runtime.hpp"
 
@@ -99,7 +100,7 @@ class WaveApplication final : public Application, public BaselineReporter {
                          fits) override;
   double execute(const SolveOutcome& solution) override;
   sim::Machine machine() const override { return mach_; }
-  const sim::Trace* execution_trace() const override { return &trace_; }
+  const sim::Trace* execution_trace() const override { return &core_.trace(); }
   bool execution_completed() const override { return completed_; }
   std::vector<std::pair<std::string, double>> execution_term_seconds()
       const override;
@@ -128,9 +129,8 @@ class WaveApplication final : public Application, public BaselineReporter {
       long long max_nodes) const;
   double noisy(double true_seconds, std::size_t stream, long long n,
                std::uint64_t rep) const;
-  /// Nodes currently allocatable (total, clipped to the surviving segment).
-  long long budget() const;
-  sim::NodeSet barrier_set() const;
+  /// Node count per task, in task order.
+  std::vector<long long> nodes_of(const Allocation& allocation) const;
   void install(const Allocation& allocation);
   /// Working-set GB moved if `next` were installed now.
   double migration_volume(const Allocation& next) const;
@@ -145,6 +145,7 @@ class WaveApplication final : public Application, public BaselineReporter {
   long long hi_ = 0;
   std::vector<long long> counts_;
   std::unordered_map<std::string, std::size_t> index_of_;
+  BudgetSolver solver_;
 
   // Installed layout: contiguous task blocks from the segment start.
   std::vector<long long> alloc_nodes_;
@@ -152,29 +153,16 @@ class WaveApplication final : public Application, public BaselineReporter {
   bool installed_ = false;
 
   // Run state (reset by begin_epochs).
-  std::size_t seg_first_ = 0;
-  std::size_t seg_count_ = 0;
-  bool failed_ = false;
+  sim::EpochCore core_;
   long long wave_ = 0;
   bool done_ = false;
   std::vector<char> pending_;
-  double clock_ = 0.0;
   bool completed_ = true;
-  sim::Trace trace_;
-  std::vector<double> task_busy_;
   double task_seconds_ = 0.0;
-  double comm_seconds_ = 0.0;
-  double page_seconds_ = 0.0;
-  std::size_t restarts_ = 0;
 
   double hslb_total_ = 0.0;
   bool dlb_ran_ = false;
   double dlb_total_ = 0.0;
-
-  // Warm-resolve state (MINLP path).
-  std::vector<double> last_x_;
-  std::vector<minlp::Cut> last_pool_;
-  std::vector<double> last_fit_params_;
 };
 
 }  // namespace hslb

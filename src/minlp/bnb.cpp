@@ -536,62 +536,6 @@ class Solver {
     out.children.push_back(std::move(up));
   }
 
-  /// Strong branching with warm probes: evaluates the most fractional
-  /// candidates by solving both child LPs warm from the node basis (a few
-  /// dual-simplex pivots each) and picks the variable whose worse child
-  /// moves the bound the most — the classic plateau breaker. Returns
-  /// nullopt when no candidate actually moves the bound.
-  std::optional<std::size_t> strong_branch(const lp::Model& relax,
-                                           const std::vector<double>& x,
-                                           const lp::Basis& basis,
-                                           Outcome& out) const {
-    const std::size_t kCandidates = opt_.strong_branch_candidates;
-    // Most fractional first, index ascending among ties (determinism).
-    std::vector<std::pair<double, std::size_t>> frac;
-    for (const std::size_t v : int_vars_) {
-      const double f = x[v] - std::floor(x[v]);
-      const double dist = std::min(f, 1.0 - f);
-      if (dist > opt_.int_tol) frac.emplace_back(-dist, v);
-    }
-    std::sort(frac.begin(), frac.end());
-    if (frac.size() > kCandidates) frac.resize(kCandidates);
-
-    std::optional<std::size_t> best;
-    double best_score = -lp::kInf;
-    for (const auto& [neg_dist, v] : frac) {
-      double worse_gain = lp::kInf;
-      for (const bool down : {true, false}) {
-        lp::Model child = relax;
-        if (down)
-          child.set_col_upper(v, std::floor(x[v]));
-        else
-          child.set_col_lower(v, std::ceil(x[v]));
-        lp::Options lp_opt = opt_.kelley.lp;
-        lp_opt.warm_start = &basis;
-        const lp::Solution sol = lp::solve(child, lp_opt);
-        ++out.lp_solves;
-        out.lp_pivots += sol.iterations;
-        out.lp_stats.merge(sol.stats);
-        if (sol.warm_started) ++out.warm_solves;
-        // An infeasible child is the best possible outcome: that side
-        // disappears outright.
-        const double gain = sol.status == lp::Status::Optimal
-                                ? sol.objective
-                                : lp::kInf;
-        worse_gain = std::min(worse_gain, gain);
-      }
-      // score = bound of the weaker child; kInf means both sides prune.
-      // First-wins on ties keeps the choice deterministic (candidate order
-      // is fixed: most fractional first, then index).
-      if (worse_gain > best_score + 1e-12) {
-        best_score = worse_gain;
-        best = v;
-      }
-      if (worse_gain == lp::kInf) break;  // cannot do better
-    }
-    return best;
-  }
-
   /// LP diving heuristic: starting from a fractional relaxation point,
   /// repeatedly fix the most fractional integer to its nearest value and
   /// warm re-solve (each step is a single bound change, so the dual-simplex
@@ -872,16 +816,7 @@ class Solver {
         if (sos) {
           branch_sos(*sos, sol.x, sol.objective, out);
         } else {
-          // On dual-degenerate models most-fractional branching can walk a
-          // plateau: the child LP re-optimizes to another vertex of the
-          // same optimal face and the bound never moves. Warm re-solves
-          // make probing the candidates nearly free, so look before
-          // branching when warm starts are on.
-          std::size_t var = *bv;
-          if (opt_.strong_branch_candidates > 0 && opt_.warm_start &&
-              !basis.empty())
-            var = strong_branch(relax, sol.x, basis, out).value_or(*bv);
-          branch_integer(var, sol.x, sol.objective, out);
+          branch_integer(*bv, sol.x, sol.objective, out);
         }
         out.child_basis = std::move(basis);
         // The basis's cut rows are the layout slots present in `relax`

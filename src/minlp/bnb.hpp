@@ -68,10 +68,6 @@ struct BnbOptions {
   /// still undercuts the incumbent (finds incumbents early on wide integer
   /// boxes where LP vertices are rarely integral).
   bool heuristic_dives = true;
-  /// Strong-branching candidates probed per fractional node (0 disables).
-  /// Probes solve both child LPs warm from the node basis, so this only
-  /// takes effect when `warm_start` is on.
-  std::size_t strong_branch_candidates = 0;
   /// Run the LP presolve (lp::Presolve) on cold solves: the root relaxation
   /// and every node LP whose warm start is rejected. Warm re-solves bypass
   /// it — their cost is a handful of dual pivots already.
@@ -123,7 +119,7 @@ struct BnbResult {
   std::size_t warm_solves = 0;     ///< LP solves that reused a prior basis
   std::size_t waves = 0;           ///< synchronized node waves executed
   /// Sparsity and presolve counters summed over every LP solve of the
-  /// search (root relaxation, node re-solves, dives, strong-branch probes).
+  /// search (root relaxation, node re-solves, dives).
   lp::SolveStats lp_stats;
   // Domain propagation and cut lifecycle counters.
   std::size_t bounds_tightened = 0;  ///< propagation bound improvements

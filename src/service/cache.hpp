@@ -2,7 +2,7 @@
 //
 // Keyed by the canonicalized instance signature (service/protocol.hpp).
 // Each entry stores the response payload (for exact-repeat hits, returned
-// byte-identically) AND what the solve learned (fmo::SolveSeed: the
+// byte-identically) AND what the solve learned (SolveSeed: the
 // allocation, the MINLP optimum, the cut pool, the fit parameters) so a
 // *different* instance can seed its branch-and-bound from the nearest
 // cached neighbor (cross-instance warm starts).
@@ -18,7 +18,7 @@
 #include <list>
 #include <unordered_map>
 
-#include "fmo/driver.hpp"
+#include "hslb/budget.hpp"
 #include "service/protocol.hpp"
 
 namespace hslb::service {
@@ -27,7 +27,7 @@ struct CacheEntry {
   Request request;  ///< canonicalized
   std::uint64_t signature = 0;
   Response response;    ///< payload of the solve that populated the entry
-  fmo::SolveSeed seed;  ///< donor data for warm-starting neighbors
+  SolveSeed seed;  ///< donor data for warm-starting neighbors
 };
 
 class SolutionCache {

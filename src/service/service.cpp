@@ -7,6 +7,7 @@
 #include "common/contracts.hpp"
 #include "common/strings.hpp"
 #include "fmo/cost.hpp"
+#include "fmo/driver.hpp"
 #include "fmo/molecule.hpp"
 #include "hslb/budget.hpp"
 #include "sim/machine.hpp"
@@ -18,20 +19,6 @@ namespace {
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-/// Flattened parameters of every task's cost model — equality with a
-/// donor's vector is the validity condition for reusing its cut pool
-/// verbatim (same rule as the fmo driver's flatten_fit_params).
-std::vector<double> flatten_task_params(std::span<const BudgetTask> tasks) {
-  std::vector<double> out;
-  for (const auto& t : tasks) {
-    for (std::size_t i = 0; i < t.model.num_terms(); ++i) {
-      const auto p = t.model.params(i);
-      out.insert(out.end(), p.begin(), p.end());
-    }
-  }
-  return out;
 }
 
 /// Percent imbalance lambda = (max node busy / mean over ALL nodes - 1) x
@@ -49,25 +36,6 @@ double predicted_percent_imbalance(std::span<const double> times,
   const double mean = busy / static_cast<double>(budget);
   if (mean <= 0.0) return 0.0;
   return (worst / mean - 1.0) * 100.0;
-}
-
-/// Applies a donor's seed to the B&B options — the cross-instance version
-/// of the closed-loop resolve() idiom: donor allocation clamped into the
-/// new boxes as candidate incumbent + linearization point, donor optimum
-/// re-linearized, donor cuts only on exact fit-parameter match.
-void apply_seed(minlp::BnbOptions& bnb, std::span<const BudgetTask> tasks,
-                Objective objective, const fmo::SolveSeed& seed,
-                const std::vector<double>& fit_params) {
-  if (seed.nodes_by_task.size() == tasks.size()) {
-    std::vector<long long> warm = seed.nodes_by_task;
-    for (std::size_t f = 0; f < tasks.size(); ++f)
-      warm[f] = std::clamp(warm[f], tasks[f].min_nodes, tasks[f].max_nodes);
-    bnb.seed_incumbent = minlp_warm_start(tasks, warm, objective);
-    bnb.seed_points.push_back(bnb.seed_incumbent);
-  }
-  if (!seed.x.empty()) bnb.seed_points.push_back(seed.x);
-  if (!seed.cuts.empty() && seed.fit_params == fit_params)
-    bnb.seed_cuts = seed.cuts;
 }
 
 fmo::System build_system(const Request& r) {
@@ -153,9 +121,14 @@ AllocationService::Solved AllocationService::solve_kind_solve(
     const auto model =
         build_budget_minlp(tasks, canonical.budget, canonical.objective);
     minlp::BnbOptions bnb_opt = opt_.bnb;
-    const std::vector<double> fit_params = flatten_task_params(tasks);
-    if (donor != nullptr)
-      apply_seed(bnb_opt, tasks, canonical.objective, donor->seed, fit_params);
+    std::vector<double> fit_params = flatten_params(
+        tasks, [](const BudgetTask& t) -> const perf::CostModel& {
+          return t.model;
+        });
+    if (donor != nullptr) {
+      seed_bnb_options(bnb_opt, tasks, canonical.objective, donor->seed,
+                       fit_params);
+    }
     const auto bnb = minlp::solve(model, bnb_opt);
     resp.status = minlp::to_string(bnb.status);
     resp.bnb_nodes = bnb.nodes;
@@ -166,7 +139,7 @@ AllocationService::Solved AllocationService::solve_kind_solve(
         allocation_from_minlp(tasks, bnb.x, canonical.objective);
     out.seed.x = bnb.x;
     out.seed.cuts = bnb.pool_cuts;
-    out.seed.fit_params = fit_params;
+    out.seed.fit_params = std::move(fit_params);
   }
 
   for (std::size_t f = 0; f < tasks.size(); ++f)
@@ -220,7 +193,7 @@ AllocationService::Solved AllocationService::solve_kind_fmo(
   resp.warm_seeded = res.seed_accepted;
   resp.predicted_total = res.predicted_scc_seconds;
   resp.actual_total = res.hslb.scc_seconds;
-  resp.percent_imbalance = res.report.exec_percent_imbalance;
+  resp.percent_imbalance = res.report.exec.percent_imbalance;
   std::vector<double> times;
   times.reserve(res.allocation.tasks.size());
   for (const auto& t : res.allocation.tasks) times.push_back(t.predicted_seconds);

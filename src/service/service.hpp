@@ -101,7 +101,7 @@ class AllocationService {
  private:
   struct Solved {
     Response response;
-    fmo::SolveSeed seed;  ///< what the solve learned (cached for donors)
+    SolveSeed seed;  ///< what the solve learned (cached for donors)
   };
 
   /// Solves one canonicalized request, seeded from `donor` (nullptr =

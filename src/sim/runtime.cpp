@@ -103,6 +103,11 @@ std::uint64_t hash_name(const std::string& s) {
 
 }  // namespace
 
+bool NodeSet::overlaps(const NodeSet& other) const {
+  if (count == 0 || other.count == 0) return false;
+  return first < other.end() && other.first < end();
+}
+
 bool Perturbation::hits(const NodeSet& nodes) const {
   if (!fails()) return false;
   const auto f = static_cast<std::size_t>(fail_node);

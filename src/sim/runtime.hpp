@@ -25,10 +25,55 @@
 #include <vector>
 
 #include "sim/machine.hpp"
-#include "sim/taskgraph.hpp"
 #include "sim/trace.hpp"
 
 namespace hslb::sim {
+
+/// Contiguous range of node indices [first, first + count).
+struct NodeSet {
+  std::size_t first = 0;
+  std::size_t count = 0;
+
+  std::size_t end() const { return first + count; }
+  bool overlaps(const NodeSet& other) const;
+  bool operator==(const NodeSet&) const = default;
+};
+
+/// Communication and memory footprint of one task — what the extended cost
+/// terms model and sim::Machine charges for. Zero (the default) keeps the
+/// task purely compute: no charge, no feasibility check, bit-identical to
+/// the demand-free runtime.
+struct TaskDemand {
+  /// GB of halo data each of the task's nodes must receive from off-node
+  /// neighbours per execution (charged via Machine::comm_seconds).
+  double comm_gb = 0.0;
+  /// GB of working set the task spreads across its node span (checked and
+  /// charged via Machine::memory_feasible / page_seconds).
+  double memory_gb = 0.0;
+};
+
+/// A task occupies a contiguous range of machine nodes for `duration`
+/// seconds and starts once its dependencies completed and its nodes are
+/// free.
+struct Task {
+  std::string name;
+  double duration = 0.0;
+  NodeSet nodes;
+  std::vector<std::size_t> deps;  ///< indices of prerequisite tasks
+  /// `phase` keys the noise draw and labels trace events; `fixed` exempts
+  /// the task from noise and straggler slowdowns (synchronization
+  /// barriers, analytic phases).
+  std::string phase;
+  bool fixed = false;
+  /// Per-execution communication and memory demand.
+  double comm_gb = 0.0;
+  double memory_gb = 0.0;
+};
+
+struct ScheduledTask {
+  double start = 0.0;
+  double end = 0.0;
+};
 
 /// What can go wrong between benchmarking and the production run.
 struct Perturbation {

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "cesm/pipeline.hpp"
+#include "pinned_run.hpp"
 
 namespace hslb::cesm {
 namespace {
@@ -31,8 +32,8 @@ TEST(CesmAdaptive, OneEpochParityWithStatic) {
 
   EXPECT_EQ(a.report.predicted_total, b.report.predicted_total);
   EXPECT_EQ(a.report.actual_total, b.report.actual_total);
-  EXPECT_EQ(a.report.exec_makespan, b.report.exec_makespan);
-  EXPECT_EQ(a.report.exec_percent_imbalance, b.report.exec_percent_imbalance);
+  EXPECT_EQ(a.report.exec.makespan, b.report.exec.makespan);
+  EXPECT_EQ(a.report.exec.percent_imbalance, b.report.exec.percent_imbalance);
   EXPECT_EQ(a.report.epochs, 1u);
   EXPECT_EQ(b.report.epochs, 1u);
   EXPECT_EQ(b.report.rebalances, 0u);
@@ -104,6 +105,26 @@ TEST(CesmAdaptive, DecisionsDeterministicAcrossThreads) {
   EXPECT_EQ(t1.report.rebalances, t4.report.rebalances);
   EXPECT_EQ(t1.report.migration_seconds, t4.report.migration_seconds);
   EXPECT_EQ(t1.coupled.completed, t4.coupled.completed);
+}
+
+// ADPT-C5: the fail-stop recovery of ADPT-C3 pinned to captured values —
+// rebalances, restarts, trace events, the B&B nodes of every re-solve, the
+// final layout, and the makespan.
+TEST(CesmAdaptive, PinnedFailStopRun) {
+  PipelineOptions opt;
+  opt.fail_node = 0;
+  opt.fail_time = 0.3 * run_pipeline(Resolution::Deg1, 128, {}).actual_total;
+  opt.link_gb_per_s = 1.0;
+  opt.migrate_gb_per_node = 0.5;
+  RebalancePolicy policy;
+  policy.adaptive = true;
+  const pinning::Pinned want{1, 1, 98, 9,
+                             {5, 5},
+                             {14, 91, 105, 22},
+                             535.9089971748399};
+  pinning::expect_pinned("cesm_failstop",
+                         make_application(Resolution::Deg1, 128, opt),
+                         policy, want);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "fmm/workload.hpp"
 #include "hslb/pipeline.hpp"
 #include "hslb/registry.hpp"
+#include "pinned_run.hpp"
 #include "substrates/registry_builtins.hpp"
 
 namespace hslb {
@@ -53,12 +54,8 @@ TEST(FmmPipeline, FullPipelineEndToEnd) {
   }
   EXPECT_LE(used, spec.nodes);
 
-  // The shared optimal-LB metrics are populated and mirrored into the
-  // legacy scalar fields.
+  // The shared optimal-LB metrics are populated.
   EXPECT_GT(run.report.exec.makespan, 0.0);
-  EXPECT_EQ(run.report.exec.makespan, run.report.exec_makespan);
-  EXPECT_EQ(run.report.exec.percent_imbalance,
-            run.report.exec_percent_imbalance);
   EXPECT_GT(run.report.exec.efficiency, 0.0);
   EXPECT_LE(run.report.exec.efficiency, 1.0);
 }
@@ -97,7 +94,7 @@ TEST(FmmPipeline, UntriggeredAdaptiveIsBitIdenticalToStatic) {
   EXPECT_EQ(adaptive.report.rebalances, 0u);
   EXPECT_EQ(adaptive.trace.to_csv(), fixed.trace.to_csv());
   EXPECT_EQ(adaptive.report.actual_total, fixed.report.actual_total);
-  EXPECT_EQ(adaptive.report.exec_makespan, fixed.report.exec_makespan);
+  EXPECT_EQ(adaptive.report.exec.makespan, fixed.report.exec.makespan);
 }
 
 TEST(FmmPipeline, AdaptiveRunRidesOutStragglers) {
@@ -168,6 +165,48 @@ TEST(FmmWorkload, VariantsAndValidation) {
 
   opt.variant = "fractal";
   EXPECT_THROW(fmm::tree_workload(opt), std::invalid_argument);
+}
+
+// Triggered and static runs through the MINLP path, pinned to captured
+// values. The wave engine's static path has no independent reference, so
+// it is pinned too.
+// The MINLP path reports the full solver stats row, LP factorization
+// counters included, like the FMO and CESM substrates.
+TEST(FmmPipeline, MinlpReportCarriesLpCounters) {
+  auto spec = base_spec();
+  spec.minlp = true;
+  const auto run = run_spec(spec);
+  ASSERT_GT(run.report.solver.lp_solves, 0u);
+  EXPECT_GT(run.report.solver.refactorizations, 0u);
+  EXPECT_GT(run.report.solver.basis_nnz, 0u);
+  EXPECT_GT(run.report.solver.lu_fill, 0u);
+}
+
+TEST(FmmPipeline, PinnedStaticRun) {
+  auto spec = base_spec();
+  spec.minlp = true;
+  const pinning::Pinned want{0, 0, 56, 7,
+                             {},
+                             {1, 5, 5, 1, 12, 6},
+                             3627.9960362371557};
+  pinning::expect_pinned("fmm_static",
+                         SubstrateRegistry::instance().make(spec),
+                         spec.rebalance, want);
+}
+
+TEST(FmmPipeline, PinnedFailStopRun) {
+  auto spec = base_spec();
+  spec.minlp = true;
+  spec.rebalance.adaptive = true;
+  spec.fail_node = 0;
+  spec.fail_time = 0.5;
+  const pinning::Pinned want{1, 1, 57, 7,
+                             {3, 5, 7, 5, 5, 5, 7, 5},
+                             {1, 5, 5, 1, 11, 6},
+                             3646.6787473661834};
+  pinning::expect_pinned("fmm_failstop",
+                         SubstrateRegistry::instance().make(spec),
+                         spec.rebalance, want);
 }
 
 }  // namespace

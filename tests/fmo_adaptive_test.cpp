@@ -4,6 +4,7 @@
 
 #include "fmo/driver.hpp"
 #include "fmo/molecule.hpp"
+#include "pinned_run.hpp"
 
 namespace hslb::fmo {
 namespace {
@@ -48,10 +49,10 @@ TEST(FmoAdaptive, OneEpochParityWithStatic) {
   // report exactly one epoch, zero rebalances, zero migration.
   EXPECT_EQ(a.report.predicted_total, b.report.predicted_total);
   EXPECT_EQ(a.report.actual_total, b.report.actual_total);
-  EXPECT_EQ(a.report.exec_makespan, b.report.exec_makespan);
-  EXPECT_EQ(a.report.exec_busy_node_seconds, b.report.exec_busy_node_seconds);
-  EXPECT_EQ(a.report.exec_imbalance, b.report.exec_imbalance);
-  EXPECT_EQ(a.report.exec_percent_imbalance, b.report.exec_percent_imbalance);
+  EXPECT_EQ(a.report.exec.makespan, b.report.exec.makespan);
+  EXPECT_EQ(a.report.exec.busy_unit_seconds, b.report.exec.busy_unit_seconds);
+  EXPECT_EQ(a.report.exec.imbalance, b.report.exec.imbalance);
+  EXPECT_EQ(a.report.exec.percent_imbalance, b.report.exec.percent_imbalance);
   EXPECT_EQ(a.report.epochs, 1u);
   EXPECT_EQ(b.report.epochs, 1u);
   EXPECT_EQ(b.report.rebalances, 0u);
@@ -149,6 +150,65 @@ TEST(FmoAdaptive, DriftTriggersRebalance) {
   // (beyond the migration stalls it chose to pay).
   EXPECT_LE(res.hslb.total_seconds,
             stat.hslb.total_seconds + res.report.migration_seconds + 1e-9);
+}
+
+// ADPT-6..8: triggered closed-loop runs through the MINLP path, pinned to
+// captured values — rebalances, restarts, trace events, the B&B nodes of
+// every warm re-solve, the final allocation, and the makespan.
+PipelineOptions pinned_options() {
+  PipelineOptions opt;
+  opt.solve_with_minlp = true;
+  return opt;
+}
+
+RebalancePolicy adaptive_policy() {
+  RebalancePolicy policy;
+  policy.adaptive = true;
+  return policy;
+}
+
+TEST(FmoAdaptive, PinnedStragglerRun) {
+  PipelineOptions opt = pinned_options();
+  opt.run.straggler_cv = 0.4;
+  const pinning::Pinned want{7, 0, 131, 19,
+                             {17, 3, 11, 3, 5, 5, 7, 9, 7, 11},
+                             {2, 1, 1, 1, 37, 1, 2, 1, 1, 1},
+                             8.8730732102380507};
+  pinning::expect_pinned(
+      "fmo_straggler", make_application(small_system(55), CostModel{}, 64, opt),
+      adaptive_policy(), want);
+}
+
+TEST(FmoAdaptive, PinnedDriftRun) {
+  const auto sys = small_system(54);
+  PipelineOptions opt = pinned_options();
+  opt.run.task_scale.assign(sys.fragments.size(), 1.0);
+  opt.run.task_scale[0] = opt.run.task_scale[1] = opt.run.task_scale[2] = 4.0;
+  opt.run.drift_onset = 3;
+  RebalancePolicy policy = adaptive_policy();
+  policy.imbalance_threshold = 0.15;
+  const pinning::Pinned want{6, 0, 132, 13,
+                             {9, 7, 7, 5, 19, 13, 19, 5, 7, 11},
+                             {12, 10, 1, 1, 5, 1, 5, 1, 2, 1},
+                             24.062621780669534};
+  pinning::expect_pinned("fmo_drift",
+                         make_application(sys, CostModel{}, 64, opt),
+                         policy, want);
+}
+
+TEST(FmoAdaptive, PinnedFailStopRun) {
+  PipelineOptions opt = pinned_options();
+  opt.run.fail_node = 0;
+  opt.run.fail_time = 1.0;
+  opt.run.machine = sim::Machine{"intrepid", 64, 4};
+  opt.run.machine.link_gb_per_s = 0.425;
+  const pinning::Pinned want{1, 1, 132, 5,
+                             {3},
+                             {1, 7, 1, 1, 1, 24, 25, 1, 1, 1},
+                             5.7191427420670147};
+  pinning::expect_pinned(
+      "fmo_failstop", make_application(small_system(52), CostModel{}, 64, opt),
+      adaptive_policy(), want);
 }
 
 }  // namespace

@@ -64,16 +64,6 @@ TEST_F(RegistryTest, UnknownVariantThrows) {
                std::invalid_argument);
 }
 
-/// The exec Metrics struct and its legacy scalar copies must be the same
-/// values — the parity contract that lets old consumers read either.
-void expect_metrics_copies_equal(const PipelineReport& r) {
-  EXPECT_EQ(r.exec.makespan, r.exec_makespan);
-  EXPECT_EQ(r.exec.busy_unit_seconds, r.exec_busy_node_seconds);
-  EXPECT_EQ(r.exec.efficiency, r.exec_efficiency);
-  EXPECT_EQ(r.exec.imbalance, r.exec_imbalance);
-  EXPECT_EQ(r.exec.percent_imbalance, r.exec_percent_imbalance);
-}
-
 /// Byte-identical report/trace comparison between a registry-built run and
 /// a classic driver run.
 void expect_reports_identical(const PipelineReport& a,
@@ -82,11 +72,11 @@ void expect_reports_identical(const PipelineReport& a,
   EXPECT_EQ(a.predicted_total, b.predicted_total);
   EXPECT_EQ(a.actual_total, b.actual_total);
   EXPECT_EQ(a.probes, b.probes);
-  EXPECT_EQ(a.exec_makespan, b.exec_makespan);
-  EXPECT_EQ(a.exec_busy_node_seconds, b.exec_busy_node_seconds);
-  EXPECT_EQ(a.exec_efficiency, b.exec_efficiency);
-  EXPECT_EQ(a.exec_imbalance, b.exec_imbalance);
-  EXPECT_EQ(a.exec_percent_imbalance, b.exec_percent_imbalance);
+  EXPECT_EQ(a.exec.makespan, b.exec.makespan);
+  EXPECT_EQ(a.exec.busy_unit_seconds, b.exec.busy_unit_seconds);
+  EXPECT_EQ(a.exec.efficiency, b.exec.efficiency);
+  EXPECT_EQ(a.exec.imbalance, b.exec.imbalance);
+  EXPECT_EQ(a.exec.percent_imbalance, b.exec.percent_imbalance);
   EXPECT_EQ(a.exec_events, b.exec_events);
   EXPECT_EQ(a.solver.nodes, b.solver.nodes);
   EXPECT_EQ(a.solver.cuts, b.solver.cuts);
@@ -96,8 +86,6 @@ void expect_reports_identical(const PipelineReport& a,
     EXPECT_EQ(a.fits[i].task, b.fits[i].task);
     EXPECT_EQ(a.fits[i].r2, b.fits[i].r2);
   }
-  expect_metrics_copies_equal(a);
-  expect_metrics_copies_equal(b);
 }
 
 fmo::PipelineOptions small_fmo_options() {

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "common/contracts.hpp"
-#include "sim/taskgraph.hpp"
+#include "common/rng.hpp"
 #include "sim/trace.hpp"
 
 namespace hslb::sim {
@@ -25,25 +25,78 @@ Runtime diamond_runtime() {
   return rt;
 }
 
-TEST(Runtime, UnperturbedMatchesTaskGraph) {
-  TaskGraph g(4);
-  const auto a = g.add_task("a", 2.0, {0, 2});
-  const auto b = g.add_task("b", 3.0, {2, 2});
-  const auto c = g.add_task("c", 1.0, {0, 4}, {a, b});
-  g.add_task("d", 2.0, {1, 2}, {c});
-  const Schedule s = g.run();
+TEST(NodeSet, OverlapDetection) {
+  EXPECT_TRUE((NodeSet{0, 4}).overlaps(NodeSet{3, 2}));
+  EXPECT_FALSE((NodeSet{0, 4}).overlaps(NodeSet{4, 2}));
+  EXPECT_TRUE((NodeSet{2, 1}).overlaps(NodeSet{0, 8}));
+  EXPECT_FALSE((NodeSet{0, 0}).overlaps(NodeSet{0, 8}));
+}
 
-  const RunResult r = diamond_runtime().run();
-  ASSERT_EQ(r.tasks.size(), s.tasks.size());
-  for (std::size_t t = 0; t < r.tasks.size(); ++t) {
-    EXPECT_DOUBLE_EQ(r.tasks[t].start, s.tasks[t].start);
-    EXPECT_DOUBLE_EQ(r.tasks[t].end, s.tasks[t].end);
+struct HandTask {
+  const char* name;
+  double duration;
+  NodeSet nodes;
+  std::vector<std::size_t> deps = {};
+};
+
+/// An unperturbed schedule worked out by hand: every task's start and the
+/// makespan.
+struct HandSchedule {
+  const char* what;
+  std::size_t nodes;
+  std::vector<HandTask> tasks;
+  std::vector<double> starts;
+  double makespan;
+};
+
+TEST(Runtime, UnperturbedSchedulesMatchHandComputed) {
+  const std::vector<HandSchedule> cases = {
+      {"independent tasks run concurrently", 8,
+       {{"a", 5.0, {0, 4}}, {"b", 3.0, {4, 4}}},
+       {0.0, 0.0},
+       5.0},
+      {"shared nodes serialize", 4,
+       {{"a", 2.0, {0, 4}}, {"b", 3.0, {0, 2}}},
+       {0.0, 2.0},
+       5.0},
+      {"dependencies hold across node sets", 8,
+       {{"a", 2.0, {0, 4}}, {"b", 1.0, {4, 4}, {0}}},
+       {0.0, 2.0},
+       3.0},
+      // CESM layout 1: ice || lnd on atm's block [0, 8), then atm; ocn on
+      // [8, 12) alongside, so T = max(max(ice, lnd) + atm, ocn) = 40.
+      {"layout-1 semantics", 12,
+       {{"ice", 10.0, {0, 5}},
+        {"lnd", 6.0, {5, 3}},
+        {"atm", 30.0, {0, 8}, {0, 1}},
+        {"ocn", 36.0, {8, 4}}},
+       {0.0, 0.0, 10.0, 0.0},
+       40.0},
+      {"diamond (diamond_runtime)", 4,
+       {{"a", 2.0, {0, 2}},
+        {"b", 3.0, {2, 2}},
+        {"c", 1.0, {0, 4}, {0, 1}},
+        {"d", 2.0, {1, 2}, {2}}},
+       {0.0, 0.0, 3.0, 4.0},
+       6.0},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    Runtime rt(Machine::workstation(c.nodes));
+    for (const auto& t : c.tasks)
+      rt.add_task(t.name, t.duration, t.nodes, t.deps);
+    const RunResult r = rt.run();
+    ASSERT_EQ(r.tasks.size(), c.starts.size());
+    for (std::size_t t = 0; t < c.starts.size(); ++t) {
+      EXPECT_DOUBLE_EQ(r.tasks[t].start, c.starts[t]);
+      EXPECT_DOUBLE_EQ(r.tasks[t].end, c.starts[t] + c.tasks[t].duration);
+    }
+    EXPECT_DOUBLE_EQ(r.makespan, c.makespan);
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.restarts, 0u);
+    EXPECT_EQ(r.trace.events.size(), c.tasks.size());
+    EXPECT_DOUBLE_EQ(r.trace.makespan(), r.makespan);
   }
-  EXPECT_DOUBLE_EQ(r.makespan, s.makespan);
-  EXPECT_TRUE(r.completed);
-  EXPECT_EQ(r.restarts, 0u);
-  EXPECT_EQ(r.trace.events.size(), 4u);
-  EXPECT_DOUBLE_EQ(r.trace.makespan(), r.makespan);
 }
 
 /// Schedule invariants that must hold under any perturbation: tasks on
@@ -78,6 +131,55 @@ TEST(Runtime, PerturbedScheduleKeepsInvariants) {
     EXPECT_TRUE(r.completed);
     expect_valid_schedule(rt, r);
   }
+}
+
+TEST(Runtime, RandomGraphsKeepInvariants) {
+  Rng rng(17);
+  for (int trial = 0; trial < 20; ++trial) {
+    Runtime rt(Machine::workstation(16));
+    const int n = static_cast<int>(rng.uniform_int(1, 12));
+    for (int t = 0; t < n; ++t) {
+      const auto first = static_cast<std::size_t>(rng.uniform_int(0, 12));
+      const auto count = static_cast<std::size_t>(rng.uniform_int(1, 4));
+      std::vector<std::size_t> deps;
+      if (t > 0 && rng.uniform() < 0.5)
+        deps.push_back(static_cast<std::size_t>(rng.uniform_int(0, t - 1)));
+      rt.add_task("t" + std::to_string(t), rng.uniform(0.1, 5.0),
+                  {first, count}, deps);
+    }
+    const RunResult r = rt.run();
+    EXPECT_TRUE(r.completed);
+    double max_end = 0.0;
+    for (const auto& st : r.tasks) max_end = std::max(max_end, st.end);
+    EXPECT_DOUBLE_EQ(r.makespan, max_end);
+    expect_valid_schedule(rt, r);
+  }
+}
+
+TEST(Runtime, GanttHandlesZeroDurationAndEmptyCharts) {
+  Runtime rt(Machine::workstation(4));
+  rt.add_task("work", 2.0, {0, 2});
+  rt.add_task("marker", 0.0, {2, 2});       // instantaneous event
+  rt.add_task("tail", 0.0, {0, 4}, {0, 1});  // zero-duration at the makespan
+  const RunResult r = rt.run();
+  EXPECT_DOUBLE_EQ(r.tasks[1].end, r.tasks[1].start);
+  EXPECT_DOUBLE_EQ(r.tasks[2].start, r.makespan);
+  const std::string chart = r.trace.gantt();
+  for (const char* name : {"work", "marker", "tail"})
+    EXPECT_NE(chart.find(name), std::string::npos) << name;
+  EXPECT_NE(chart.find('#'), std::string::npos);
+
+  Runtime zero(Machine::workstation(2));
+  zero.add_task("a", 0.0, {0, 1});
+  zero.add_task("b", 0.0, {1, 1});
+  const RunResult z = zero.run();
+  EXPECT_DOUBLE_EQ(z.makespan, 0.0);
+  EXPECT_NE(z.trace.gantt().find('a'), std::string::npos);
+
+  Trace empty;
+  empty.nodes = 4;
+  EXPECT_DOUBLE_EQ(empty.makespan(), 0.0);
+  EXPECT_NO_THROW(empty.gantt());
 }
 
 TEST(Runtime, NoiseIsKeyedNotOrdered) {
