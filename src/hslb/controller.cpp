@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "common/contracts.hpp"
+#include "common/parallel.hpp"
 #include "perf/terms.hpp"
 
 namespace hslb {
@@ -45,7 +46,7 @@ Controller::Controller(RebalancePolicy policy, perf::FitOptions fit_options,
 AdaptiveResult Controller::run(
     Application& app, const perf::BenchTable& bench,
     const std::vector<std::pair<std::string, perf::FitResult>>& fits,
-    const SolveOutcome& solution) const {
+    const SolveOutcome& solution, ThreadPool& pool) const {
   AdaptiveResult out;
   out.solution = solution;
   out.fits = fits;
@@ -93,25 +94,23 @@ AdaptiveResult Controller::run(
     // Tasks with fresh observations are refitted warm from their previous
     // parameters; the rest keep their models, so an isolated straggler
     // only perturbs the fragments it actually slowed.
-    auto new_fits = out.fits;
-    bool refitted = false;
-    for (auto& [task, fit] : new_fits) {
-      const bool has_obs =
-          std::any_of(window.begin(), window.end(),
-                      [&task = task](const perf::Observed& o) {
-                        return o.task == task;
-                      });
-      if (!has_obs) continue;
+    std::vector<std::size_t> stale;
+    for (std::size_t i = 0; i < out.fits.size(); ++i) {
+      const std::string& task = out.fits[i].first;
+      if (std::any_of(window.begin(), window.end(),
+                      [&](const perf::Observed& o) { return o.task == task; }))
+        stale.push_back(i);
+    }
+    pool.parallel_for(stale.size(), [&](std::size_t s) {
+      auto& [task, fit] = out.fits[stale[s]];
       const auto it = gathered.find(task);
       HSLB_ASSERT(it != gathered.end());
       const perf::SampleSet samples = perf::fold_observations(
           *it->second, window, task, epoch, policy_.refit_window,
           policy_.observation_weight);
       fit = perf::refit_cost(samples, spec_, fit, fit_options_);
-      refitted = true;
-    }
-    if (refitted) ++out.refits;
-    out.fits = std::move(new_fits);
+    });
+    if (!stale.empty()) ++out.refits;
 
     // -- Warm re-solve + accept test -----------------------------------------
     const ResolveOutcome proposal = app.resolve(out.fits, out.solution);

@@ -27,6 +27,8 @@
 
 namespace hslb {
 
+class ThreadPool;
+
 /// What a closed-loop run did, for reports and benches.
 struct AdaptiveResult {
   std::size_t epochs = 0;      ///< epochs executed
@@ -52,11 +54,14 @@ class Controller {
 
   /// Runs `app` epoch by epoch from the initial Solve outputs. `bench` and
   /// `fits` are the Gather/Fit stage outputs (refits fold observations into
-  /// the gathered samples); `solution` is the initial allocation.
+  /// the gathered samples); `solution` is the initial allocation. A
+  /// trigger's refits are independent per task and run on `pool`, each
+  /// writing its own task's slot, so the run is identical for every pool
+  /// size. The application's hooks are only called from this thread.
   AdaptiveResult run(Application& app, const perf::BenchTable& bench,
                      const std::vector<std::pair<std::string, perf::FitResult>>&
                          fits,
-                     const SolveOutcome& solution) const;
+                     const SolveOutcome& solution, ThreadPool& pool) const;
 
  private:
   RebalancePolicy policy_;

@@ -281,12 +281,13 @@ PipelineRun Pipeline::run(Application& app, ThreadPool& pool) const {
   // The adaptive path routes execution through the closed-loop controller;
   // one-shot execute() is the degenerate no-rebalance case of the same
   // machinery, and an adaptive run whose monitor never trips produces a
-  // byte-identical report.
+  // byte-identical report. The pool is idle here, so the controller runs
+  // each trigger's refits on it.
   t0 = std::chrono::steady_clock::now();
   if (options_.rebalance.adaptive && app.supports_epochs()) {
     const Controller controller(options_.rebalance, fit_opt, app.fit_spec());
     const AdaptiveResult adaptive =
-        controller.run(app, out.bench, out.fits, out.solution);
+        controller.run(app, out.bench, out.fits, out.solution, pool);
     out.actual_total = adaptive.actual_total;
     out.report.rebalances = adaptive.rebalances;
     out.report.epochs = adaptive.rebalances + 1;

@@ -349,7 +349,9 @@ struct RebalancePolicy {
 };
 
 struct PipelineOptions {
-  std::size_t threads = 1;  ///< worker threads; 0 = hardware concurrency
+  /// Worker threads for Gather, Fit and the closed loop's refits; 0 =
+  /// hardware concurrency.
+  std::size_t threads = 1;
   std::size_t gather_repetitions = 1;  ///< timed runs per (task, node count)
   /// Closed-loop rebalancing policy. Takes effect only when
   /// `rebalance.adaptive` is set AND the application supports epochs; a

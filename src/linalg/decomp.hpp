@@ -24,13 +24,23 @@ class Cholesky {
  public:
   static std::optional<Cholesky> factor(const Matrix& a);
 
+  /// An empty factorization for refactor() to fill.
+  Cholesky() = default;
+
+  /// Factors `a` into this object's storage, reusing it when the order is
+  /// unchanged. Returns false (leaving the factor unusable) if `a` is not
+  /// (numerically) positive definite.
+  bool refactor(const Matrix& a);
+
   /// Solves A x = b.
   Vector solve(std::span<const double> b) const;
+
+  /// In-place form: writes the solution into `x` (b.size() entries).
+  void solve(std::span<const double> b, std::span<double> x) const;
 
   const Matrix& lower() const { return l_; }
 
  private:
-  explicit Cholesky(Matrix l) : l_(std::move(l)) {}
   Matrix l_;
 };
 

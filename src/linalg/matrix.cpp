@@ -1,5 +1,6 @@
 #include "linalg/matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -36,13 +37,20 @@ Vector Matrix::mul(std::span<const double> x) const {
 }
 
 Vector Matrix::mul_transpose(std::span<const double> y) const {
+  Vector x(cols_);
+  mul_transpose(y, x);
+  return x;
+}
+
+void Matrix::mul_transpose(std::span<const double> y,
+                           std::span<double> out) const {
   HSLB_EXPECTS(y.size() == rows_);
-  Vector x(cols_, 0.0);
+  HSLB_EXPECTS(out.size() == cols_);
+  std::fill(out.begin(), out.end(), 0.0);
   for (std::size_t r = 0; r < rows_; ++r) {
     const auto rr = row(r);
-    for (std::size_t c = 0; c < cols_; ++c) x[c] += rr[c] * y[r];
+    for (std::size_t c = 0; c < cols_; ++c) out[c] += rr[c] * y[r];
   }
-  return x;
 }
 
 Matrix Matrix::mul(const Matrix& other) const {
@@ -60,7 +68,15 @@ Matrix Matrix::mul(const Matrix& other) const {
 }
 
 Matrix Matrix::gram() const {
-  Matrix g(cols_, cols_);
+  Matrix g;
+  gram(g);
+  return g;
+}
+
+void Matrix::gram(Matrix& g) const {
+  HSLB_EXPECTS(&g != this);
+  g.rows_ = g.cols_ = cols_;
+  g.data_.assign(cols_ * cols_, 0.0);
   for (std::size_t r = 0; r < rows_; ++r) {
     const auto rr = row(r);
     for (std::size_t i = 0; i < cols_; ++i) {
@@ -70,7 +86,6 @@ Matrix Matrix::gram() const {
   }
   for (std::size_t i = 0; i < cols_; ++i)
     for (std::size_t j = 0; j < i; ++j) g(i, j) = g(j, i);
-  return g;
 }
 
 double Matrix::frobenius_norm() const {

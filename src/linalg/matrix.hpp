@@ -60,11 +60,18 @@ class Matrix {
   /// Transpose-matrix-vector product A^T y; y.size() must equal rows().
   Vector mul_transpose(std::span<const double> y) const;
 
+  /// In-place form: writes A^T y into `out` (cols() entries).
+  void mul_transpose(std::span<const double> y, std::span<double> out) const;
+
   /// Matrix-matrix product; this->cols() must equal other.rows().
   Matrix mul(const Matrix& other) const;
 
   /// A^T A (Gram matrix), used to form normal equations.
   Matrix gram() const;
+
+  /// In-place form: writes A^T A into `g` (not *this), reusing its storage
+  /// when it already holds cols() x cols() entries.
+  void gram(Matrix& g) const;
 
   /// Frobenius norm.
   double frobenius_norm() const;

@@ -15,13 +15,17 @@
 
 namespace hslb::nlsq {
 
-/// Residual function r(p) with an optional analytic Jacobian dr/dp.
-/// When `jacobian` is empty, central finite differences are used.
+/// Residual function r(p) with an optional analytic Jacobian dr/dp, both
+/// writing into caller-owned buffers: `residuals(p, r)` fills the
+/// num_residuals entries of r, `jacobian(p, jac)` every entry of the
+/// num_residuals x num_params matrix jac. When `jacobian` is empty, central
+/// finite differences are used.
 struct Problem {
   std::size_t num_params = 0;
   std::size_t num_residuals = 0;
-  std::function<linalg::Vector(std::span<const double>)> residuals;
-  std::function<linalg::Matrix(std::span<const double>)> jacobian;  // optional
+  std::function<void(std::span<const double>, std::span<double>)> residuals;
+  std::function<void(std::span<const double>, linalg::Matrix&)>
+      jacobian;  // optional
 
   /// Box bounds; empty means unbounded in that direction.
   linalg::Vector lower, upper;  // sized num_params, +-inf allowed
@@ -48,7 +52,10 @@ struct LevMarResult {
   bool converged = false;
 };
 
-/// Runs LM from `start` (projected into the box first).
+/// Runs LM from `start` (projected into the box first). With an analytic
+/// Jacobian every workspace is allocated once per call. The residuals of an
+/// accepted step are reused at the next iterate, so each iterate's residuals
+/// are evaluated once.
 LevMarResult minimize(const Problem& problem, std::span<const double> start,
                       const LevMarOptions& options = {});
 

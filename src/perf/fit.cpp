@@ -53,36 +53,69 @@ struct FitProblem {
   linalg::Vector start_lo, start_hi;
 };
 
+/// For each sample, the index of the first sample with the same node count
+/// (itself for a first appearance). Gather repetitions and replicated
+/// observations share node counts, so the model is evaluated once per
+/// distinct count and copied to the rest.
+std::vector<std::size_t> first_of_node_count(const SampleSet& samples) {
+  std::vector<std::size_t> first(samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    std::size_t j = 0;
+    while (samples[j].nodes != samples[i].nodes) ++j;
+    first[i] = j;
+  }
+  return first;
+}
+
 FitProblem build_problem(const SampleSet& samples, const CostModelSpec& spec,
                          const FitScales& scales, std::size_t num_params) {
   FitProblem fp;
   nlsq::Problem& problem = fp.problem;
   problem.num_params = num_params;
   problem.num_residuals = samples.size();
-  problem.residuals = [&samples, &spec](std::span<const double> p) {
-    const CostModel m = bind_params(spec, p);
-    linalg::Vector r(samples.size());
-    for (std::size_t i = 0; i < samples.size(); ++i)
-      r[i] = samples[i].seconds - m.eval(samples[i].nodes);
-    return r;
-  };
-  problem.jacobian = [&samples, &spec,
-                      num_params](std::span<const double> p) {
-    linalg::Matrix jac(samples.size(), num_params);
-    std::vector<double> g(num_params);
+  // Both callbacks evaluate the terms on their slices of p in spec order —
+  // the float operations of CostModel::eval and of the term gradients — once
+  // per distinct node count, in first-appearance order.
+  const std::vector<std::size_t> first = first_of_node_count(samples);
+  problem.residuals = [&samples, &spec, first](std::span<const double> p,
+                                               std::span<double> r) {
     for (std::size_t i = 0; i < samples.size(); ++i) {
+      if (first[i] != i) continue;
+      double v = 0.0;
+      std::size_t off = 0;
+      for (const auto& term : spec) {
+        const std::size_t k = term->num_params();
+        v += term->eval(p.subspan(off, k), samples[i].nodes);
+        off += k;
+      }
+      r[i] = v;
+    }
+    // r[first[i]] holds the model value at sample i's node count until its
+    // own residual is formed; first[i] <= i, so a backward sweep forms that
+    // one last.
+    for (std::size_t i = samples.size(); i-- > 0;)
+      r[i] = samples[i].seconds - r[first[i]];
+  };
+  problem.jacobian = [&samples, &spec, first](std::span<const double> p,
+                                              linalg::Matrix& jac) {
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      const auto row = jac.row(i);
+      if (first[i] != i) {
+        const auto src = jac.row(first[i]);
+        std::copy(src.begin(), src.end(), row.begin());
+        continue;
+      }
       std::size_t off = 0;
       for (const auto& term : spec) {
         const std::size_t k = term->num_params();
         if (k > 0) {
           term->grad_params(p.subspan(off, k), samples[i].nodes,
-                            std::span<double>(g).subspan(off, k));
+                            row.subspan(off, k));
         }
         off += k;
       }
-      for (std::size_t j = 0; j < num_params; ++j) jac(i, j) = -g[j];
+      for (double& v : row) v = -v;
     }
-    return jac;
   };
 
   // Positivity constraints (Table II, line 11) and each term's own bound

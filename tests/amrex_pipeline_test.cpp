@@ -173,7 +173,9 @@ TEST(AmrexPipeline, PinnedStaticRun) {
                              {9, 11, 4, 2, 2, 2},
                              0.87333773973160234};
   pinning::expect_pinned("amrex_static",
-                         SubstrateRegistry::instance().make(spec),
+                         [&] {
+                           return SubstrateRegistry::instance().make(spec);
+                         },
                          spec.rebalance, want);
 }
 
@@ -188,7 +190,9 @@ TEST(AmrexPipeline, PinnedFailStopRun) {
                              {8, 11, 4, 2, 2, 2},
                              0.87539777042456091};
   pinning::expect_pinned("amrex_failstop",
-                         SubstrateRegistry::instance().make(spec),
+                         [&] {
+                           return SubstrateRegistry::instance().make(spec);
+                         },
                          spec.rebalance, want);
 }
 

@@ -122,9 +122,10 @@ TEST(CesmAdaptive, PinnedFailStopRun) {
                              {5, 5},
                              {14, 91, 105, 22},
                              535.9089971748399};
-  pinning::expect_pinned("cesm_failstop",
-                         make_application(Resolution::Deg1, 128, opt),
-                         policy, want);
+  pinning::expect_pinned(
+      "cesm_failstop",
+      [&] { return make_application(Resolution::Deg1, 128, opt); }, policy,
+      want);
 }
 
 }  // namespace

@@ -85,6 +85,71 @@ TEST(CostModelParity, FitCostEqualsClassicFit) {
     EXPECT_EQ(generic.cost.eval(n), classic.model.eval(n));
 }
 
+/// A controller refit's sample shape: a gather sweep with two repetitions
+/// per node count, plus one task's epoch observations folded in at weight 4,
+/// so node counts repeat across gather repetitions and observation replicas.
+perf::SampleSet folded_samples() {
+  const perf::Model truth{5000.0, 2e-4, 1.3, 12.0};
+  perf::SampleSet gathered;
+  for (long long n : {1, 4, 16, 64, 256}) {
+    for (std::uint64_t rep = 0; rep < 2; ++rep) {
+      sim::NoiseModel noise(0.03, derive_seed(21 + rep, n));
+      gathered.push_back({static_cast<double>(n),
+                          noise.perturb(truth.eval(static_cast<double>(n)))});
+    }
+  }
+  // A straggler slowed "t" on the nodes it ran on; "u" is another task.
+  const std::vector<perf::Observed> observed{
+      {"t", 16.0, 1.5 * truth.eval(16.0), 3},
+      {"t", 64.0, 1.3 * truth.eval(64.0), 3},
+      {"u", 4.0, 2.0 * truth.eval(4.0), 3},
+      {"t", 16.0, 1.4 * truth.eval(16.0), 4}};
+  return perf::fold_observations(gathered, observed, "t", 4, 4, 4.0);
+}
+
+TEST(CostModelParity, FoldedFitsAreBitIdenticalToSeed) {
+  const perf::SampleSet samples = folded_samples();
+  ASSERT_EQ(samples.size(), 22u);
+  const perf::SampleSet gathered(samples.begin(), samples.begin() + 10);
+  perf::FitOptions opt;
+  opt.seed = 21;
+
+  const perf::CostModelSpec classic{perf::power_law_term()};
+  const auto fit = perf::fit_cost(samples, classic, opt);
+  EXPECT_EQ(fit.model.a, 5008.2524159568402);
+  EXPECT_EQ(fit.model.b, 0.0);
+  EXPECT_EQ(fit.model.c, 1.109327207394424);
+  EXPECT_EQ(fit.model.d, 64.579896225968014);
+  EXPECT_EQ(fit.sse, 98226.193494209903);
+  EXPECT_EQ(fit.r2, 0.99767264661939359);
+  // The warm descent from the gather-only fit stalls at the iteration cap,
+  // so the refit falls back to the same multistart.
+  const auto refit = perf::refit_cost(
+      samples, classic, perf::fit_cost(gathered, classic, opt), opt);
+  EXPECT_EQ(refit.starts_tried, 24u);
+  EXPECT_EQ(refit.model.a, fit.model.a);
+  EXPECT_EQ(refit.model.c, fit.model.c);
+  EXPECT_EQ(refit.model.d, fit.model.d);
+  EXPECT_EQ(refit.sse, fit.sse);
+
+  // Two terms, each evaluated on its own parameter slice; here the warm
+  // descent converges.
+  const perf::CostModelSpec split{perf::compute_term(), perf::serial_term()};
+  const auto split_fit = perf::fit_cost(samples, split, opt);
+  EXPECT_EQ(split_fit.cost.params(0)[0], 5005.4203269467198);
+  EXPECT_EQ(split_fit.cost.params(0)[1], 0.9594245490058706);
+  EXPECT_EQ(split_fit.cost.params(1)[0], 47.894145699330124);
+  EXPECT_EQ(split_fit.sse, 87473.474902238682);
+  const auto split_refit = perf::refit_cost(
+      samples, split, perf::fit_cost(gathered, split, opt), opt);
+  EXPECT_EQ(split_refit.starts_tried, 1u);
+  EXPECT_EQ(split_refit.cost.params(0)[0], 5005.4203256719684);
+  EXPECT_EQ(split_refit.cost.params(0)[1], 0.95942455191427012);
+  EXPECT_EQ(split_refit.cost.params(1)[0], 47.894148003759597);
+  EXPECT_EQ(split_refit.sse, 87473.474902238697);
+  EXPECT_EQ(split_refit.r2, 0.99792741955801112);
+}
+
 class SolveParity : public ::testing::Test {
  protected:
   SolveParity()

@@ -190,7 +190,9 @@ TEST(FmmPipeline, PinnedStaticRun) {
                              {1, 5, 5, 1, 12, 6},
                              3627.9960362371557};
   pinning::expect_pinned("fmm_static",
-                         SubstrateRegistry::instance().make(spec),
+                         [&] {
+                           return SubstrateRegistry::instance().make(spec);
+                         },
                          spec.rebalance, want);
 }
 
@@ -205,7 +207,9 @@ TEST(FmmPipeline, PinnedFailStopRun) {
                              {1, 5, 5, 1, 11, 6},
                              3646.6787473661834};
   pinning::expect_pinned("fmm_failstop",
-                         SubstrateRegistry::instance().make(spec),
+                         [&] {
+                           return SubstrateRegistry::instance().make(spec);
+                         },
                          spec.rebalance, want);
 }
 

@@ -175,7 +175,8 @@ TEST(FmoAdaptive, PinnedStragglerRun) {
                              {2, 1, 1, 1, 37, 1, 2, 1, 1, 1},
                              8.8730732102380507};
   pinning::expect_pinned(
-      "fmo_straggler", make_application(small_system(55), CostModel{}, 64, opt),
+      "fmo_straggler",
+      [&] { return make_application(small_system(55), CostModel{}, 64, opt); },
       adaptive_policy(), want);
 }
 
@@ -191,9 +192,9 @@ TEST(FmoAdaptive, PinnedDriftRun) {
                              {9, 7, 7, 5, 19, 13, 19, 5, 7, 11},
                              {12, 10, 1, 1, 5, 1, 5, 1, 2, 1},
                              24.062621780669534};
-  pinning::expect_pinned("fmo_drift",
-                         make_application(sys, CostModel{}, 64, opt),
-                         policy, want);
+  pinning::expect_pinned(
+      "fmo_drift", [&] { return make_application(sys, CostModel{}, 64, opt); },
+      policy, want);
 }
 
 TEST(FmoAdaptive, PinnedFailStopRun) {
@@ -207,7 +208,8 @@ TEST(FmoAdaptive, PinnedFailStopRun) {
                              {1, 7, 1, 1, 1, 24, 25, 1, 1, 1},
                              5.7191427420670147};
   pinning::expect_pinned(
-      "fmo_failstop", make_application(small_system(52), CostModel{}, 64, opt),
+      "fmo_failstop",
+      [&] { return make_application(small_system(52), CostModel{}, 64, opt); },
       adaptive_policy(), want);
 }
 

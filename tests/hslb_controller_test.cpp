@@ -11,10 +11,15 @@
 #include <utility>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "perf/fit.hpp"
 
 namespace hslb {
 namespace {
+
+/// The decision logic is independent of the refit pool; a one-worker pool
+/// runs refits inline on the calling thread.
+ThreadPool serial(1);
 
 perf::SampleSet exact_samples(double a = 120.0, double d = 2.0) {
   perf::SampleSet s;
@@ -120,7 +125,7 @@ TEST(Controller, QuietRunNeverResolves) {
   app.script.resize(3);  // three quiet epochs
   const World w = make_world();
   const Controller ctl({.adaptive = true}, {});
-  const AdaptiveResult r = ctl.run(app, w.bench, w.fits, w.solution);
+  const AdaptiveResult r = ctl.run(app, w.bench, w.fits, w.solution, serial);
 
   EXPECT_EQ(r.triggers, 0u);
   EXPECT_EQ(r.rebalances, 0u);
@@ -142,7 +147,7 @@ TEST(Controller, ImbalanceAboveThresholdRebalances) {
   app.script[0].epochs_remaining = 5.0;
   const World w = make_world();
   const Controller ctl({.adaptive = true}, {});
-  const AdaptiveResult r = ctl.run(app, w.bench, w.fits, w.solution);
+  const AdaptiveResult r = ctl.run(app, w.bench, w.fits, w.solution, serial);
 
   EXPECT_EQ(r.triggers, 1u);
   EXPECT_EQ(r.rebalances, 1u);
@@ -157,7 +162,7 @@ TEST(Controller, ImbalanceBelowThresholdIsIgnored) {
   app.script[0].imbalance = 0.2;  // < default 0.25
   const World w = make_world();
   const Controller ctl({.adaptive = true}, {});
-  const AdaptiveResult r = ctl.run(app, w.bench, w.fits, w.solution);
+  const AdaptiveResult r = ctl.run(app, w.bench, w.fits, w.solution, serial);
   EXPECT_EQ(r.triggers, 0u);
   EXPECT_EQ(app.resolves, 0u);
   (void)r;
@@ -173,7 +178,7 @@ TEST(Controller, MigrationAwareAcceptRejectsUnprofitableMove) {
   app.migration_stall = 0.5;     // costs more than it saves
   const World w = make_world();
   const Controller ctl({.adaptive = true}, {});
-  const AdaptiveResult r = ctl.run(app, w.bench, w.fits, w.solution);
+  const AdaptiveResult r = ctl.run(app, w.bench, w.fits, w.solution, serial);
 
   EXPECT_EQ(r.triggers, 1u);
   EXPECT_EQ(app.resolves, 1u);
@@ -194,7 +199,7 @@ TEST(Controller, MigrationAwareOffAcceptsAnyImprovement) {
   RebalancePolicy policy{.adaptive = true};
   policy.migration_aware = false;
   const Controller ctl(policy, {});
-  const AdaptiveResult r = ctl.run(app, w.bench, w.fits, w.solution);
+  const AdaptiveResult r = ctl.run(app, w.bench, w.fits, w.solution, serial);
   EXPECT_EQ(r.rebalances, 1u);
   EXPECT_EQ(r.migration_seconds, 0.5);  // the stall is still charged
 }
@@ -210,7 +215,7 @@ TEST(Controller, FailureBypassesAcceptTest) {
   app.migration_stall = 10.0;
   const World w = make_world();
   const Controller ctl({.adaptive = true}, {});
-  const AdaptiveResult r = ctl.run(app, w.bench, w.fits, w.solution);
+  const AdaptiveResult r = ctl.run(app, w.bench, w.fits, w.solution, serial);
 
   EXPECT_EQ(r.rebalances, 1u);
   EXPECT_EQ(app.applies, 1u);
@@ -228,7 +233,7 @@ TEST(Controller, HysteresisGatesBothFirstAndRepeatTriggers) {
   RebalancePolicy policy{.adaptive = true};
   policy.min_epoch_gap = 3;
   const Controller ctl(policy, {});
-  const AdaptiveResult r = ctl.run(app, w.bench, w.fits, w.solution);
+  const AdaptiveResult r = ctl.run(app, w.bench, w.fits, w.solution, serial);
 
   // Epochs 0-5 all violate the threshold; the gap admits only epochs 2
   // (first allowed: epoch + 1 >= 3) and 5 (3 epochs after the accept).
@@ -247,7 +252,7 @@ TEST(Controller, MaxEpochsStopsMonitoringNotExecution) {
   RebalancePolicy policy{.adaptive = true};
   policy.max_epochs = 2;
   const Controller ctl(policy, {});
-  const AdaptiveResult r = ctl.run(app, w.bench, w.fits, w.solution);
+  const AdaptiveResult r = ctl.run(app, w.bench, w.fits, w.solution, serial);
 
   // Only epochs 0 and 1 are monitored; execution still runs to done.
   EXPECT_EQ(r.triggers, 2u);
@@ -267,7 +272,7 @@ TEST(Controller, DriftTriggersRefitAndResolvesUnderNewModels) {
   const World w = make_world();
   const double stale_pred8 = w.fits[0].second.cost.eval(8.0);
   const Controller ctl({.adaptive = true}, {});
-  const AdaptiveResult r = ctl.run(app, w.bench, w.fits, w.solution);
+  const AdaptiveResult r = ctl.run(app, w.bench, w.fits, w.solution, serial);
 
   EXPECT_GE(r.triggers, 1u);       // drift 1.0 > default 0.10
   EXPECT_GE(r.refits, 1u);
@@ -286,7 +291,7 @@ TEST(Controller, DecisionsArePureFunctionsOfTheScript) {
     app.script[1].imbalance = 0.5;
     app.script[2].failure = true;
     const Controller ctl({.adaptive = true}, {});
-    return ctl.run(app, w.bench, w.fits, w.solution);
+    return ctl.run(app, w.bench, w.fits, w.solution, serial);
   };
   const AdaptiveResult a = run_once();
   const AdaptiveResult b = run_once();

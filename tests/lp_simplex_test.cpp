@@ -502,8 +502,9 @@ TEST_P(SimplexBasisUpdateParity, FtAndEtaWalkTheSamePath) {
   // Each scheme's counters stay in its own lane.
   EXPECT_EQ(ft.stats.eta_nnz, 0u);
   EXPECT_EQ(eta.stats.ft_updates, 0u);
-  if (ft.stats.pivots > ft.stats.refactor_drift_hits)
+  if (ft.stats.pivots > ft.stats.refactor_drift_hits) {
     EXPECT_GT(ft.stats.ft_updates, 0u);
+  }
   // FT solves never bill more kernel work than the dense equivalent.
   EXPECT_LE(ft.stats.kernel_flops, ft.stats.kernel_dense_flops);
 }

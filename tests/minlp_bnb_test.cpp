@@ -433,7 +433,9 @@ TEST_P(BnbBasisUpdateParity, SameOptimumOnEtaBaseline) {
   // file, the baseline records no FT updates.
   EXPECT_EQ(ft.lp_stats.eta_nnz, 0u);
   EXPECT_EQ(eta.lp_stats.ft_updates, 0u);
-  if (ft.lp_stats.pivots > 0) EXPECT_GT(ft.lp_stats.ft_updates, 0u);
+  if (ft.lp_stats.pivots > 0) {
+    EXPECT_GT(ft.lp_stats.ft_updates, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, BnbBasisUpdateParity, ::testing::Range(0, 10));

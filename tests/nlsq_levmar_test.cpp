@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -17,10 +18,8 @@ Problem bowl(const linalg::Vector& target) {
   Problem p;
   p.num_params = target.size();
   p.num_residuals = target.size();
-  p.residuals = [target](std::span<const double> x) {
-    linalg::Vector r(target.size());
+  p.residuals = [target](std::span<const double> x, std::span<double> r) {
     for (std::size_t i = 0; i < r.size(); ++i) r[i] = x[i] - target[i];
-    return r;
   };
   return p;
 }
@@ -52,39 +51,77 @@ TEST(LevMar, StartOutsideBoxIsProjected) {
   EXPECT_NEAR(res.params[0], 0.5, 1e-8);
 }
 
-TEST(LevMar, RosenbrockConverges) {
-  // Rosenbrock as least squares: r1 = 10(y - x^2), r2 = 1 - x.
+/// Rosenbrock as least squares: r1 = 10(y - x^2), r2 = 1 - x.
+Problem rosenbrock() {
   Problem p;
   p.num_params = 2;
   p.num_residuals = 2;
-  p.residuals = [](std::span<const double> v) {
-    return linalg::Vector{10.0 * (v[1] - v[0] * v[0]), 1.0 - v[0]};
+  p.residuals = [](std::span<const double> v, std::span<double> r) {
+    r[0] = 10.0 * (v[1] - v[0] * v[0]);
+    r[1] = 1.0 - v[0];
   };
+  return p;
+}
+
+TEST(LevMar, RosenbrockConverges) {
   LevMarOptions opt;
   opt.max_iterations = 500;
-  const auto res = minimize(p, std::vector<double>{-1.2, 1.0}, opt);
+  const auto res = minimize(rosenbrock(), std::vector<double>{-1.2, 1.0}, opt);
   EXPECT_NEAR(res.params[0], 1.0, 1e-6);
   EXPECT_NEAR(res.params[1], 1.0, 1e-6);
 }
 
-TEST(LevMar, ExponentialCurveFit) {
-  // y = p0 * exp(p1 * t), synthetic exact data.
-  const std::vector<double> ts{0.0, 0.5, 1.0, 1.5, 2.0};
-  const double p0 = 2.0, p1 = -0.7;
-  std::vector<double> ys;
-  for (double t : ts) ys.push_back(p0 * std::exp(p1 * t));
+/// y = p0 * exp(p1 * t) against synthetic exact data from (2, -0.7).
+Problem exponential_fit() {
+  static const std::vector<double> ts{0.0, 0.5, 1.0, 1.5, 2.0};
   Problem p;
   p.num_params = 2;
   p.num_residuals = ts.size();
-  p.residuals = [&](std::span<const double> v) {
-    linalg::Vector r(ts.size());
+  p.residuals = [](std::span<const double> v, std::span<double> r) {
     for (std::size_t i = 0; i < ts.size(); ++i)
-      r[i] = ys[i] - v[0] * std::exp(v[1] * ts[i]);
-    return r;
+      r[i] = 2.0 * std::exp(-0.7 * ts[i]) - v[0] * std::exp(v[1] * ts[i]);
   };
-  const auto res = minimize(p, std::vector<double>{1.0, 0.0});
-  EXPECT_NEAR(res.params[0], p0, 1e-6);
-  EXPECT_NEAR(res.params[1], p1, 1e-6);
+  return p;
+}
+
+TEST(LevMar, ExponentialCurveFit) {
+  const auto res = minimize(exponential_fit(), std::vector<double>{1.0, 0.0});
+  EXPECT_NEAR(res.params[0], 2.0, 1e-6);
+  EXPECT_NEAR(res.params[1], -0.7, 1e-6);
+}
+
+TEST(LevMar, EvaluatesResidualsOnceAtEachJacobianPoint) {
+  // The residuals of an accepted trial are the residuals at the next
+  // iterate, so LM must reuse them instead of evaluating that point again.
+  struct Case {
+    Problem problem;
+    std::vector<double> start;
+  };
+  for (Case c : {Case{rosenbrock(), {-1.2, 1.0}},
+                 Case{exponential_fit(), {1.0, 0.0}}}) {
+    std::vector<std::vector<double>> residual_points, jacobian_points;
+    Problem p = c.problem;
+    p.residuals = [&, inner = c.problem](std::span<const double> v,
+                                         std::span<double> r) {
+      residual_points.emplace_back(v.begin(), v.end());
+      inner.residuals(v, r);
+    };
+    p.jacobian = [&, inner = c.problem](std::span<const double> v,
+                                        linalg::Matrix& jac) {
+      jacobian_points.emplace_back(v.begin(), v.end());
+      jac = numeric_jacobian(inner, v);
+    };
+    LevMarOptions opt;
+    opt.max_iterations = 500;
+    const auto res = minimize(p, c.start, opt);
+    EXPECT_TRUE(res.converged);
+    ASSERT_FALSE(jacobian_points.empty());
+    for (const auto& at : jacobian_points) {
+      EXPECT_EQ(std::count(residual_points.begin(), residual_points.end(), at),
+                1)
+          << "at (" << at[0] << ", " << at[1] << ")";
+    }
+  }
 }
 
 TEST(LevMar, NumericJacobianMatchesAnalytic) {
@@ -92,10 +129,8 @@ TEST(LevMar, NumericJacobianMatchesAnalytic) {
   p.num_params = 2;
   p.num_residuals = 3;
   const std::vector<double> ts{1.0, 2.0, 3.0};
-  p.residuals = [&](std::span<const double> v) {
-    linalg::Vector r(3);
+  p.residuals = [&](std::span<const double> v, std::span<double> r) {
     for (std::size_t i = 0; i < 3; ++i) r[i] = v[0] * ts[i] * ts[i] + v[1] / ts[i];
-    return r;
   };
   const std::vector<double> at{0.7, -1.3};
   const auto jac = numeric_jacobian(p, at);
@@ -110,9 +145,11 @@ TEST(LevMar, CostNeverIncreases) {
   Problem p;
   p.num_params = 2;
   p.num_residuals = 4;
-  p.residuals = [](std::span<const double> v) {
-    return linalg::Vector{v[0] - 1.0, v[1] + 2.0, v[0] * v[1] - 3.0,
-                          std::sin(v[0])};
+  p.residuals = [](std::span<const double> v, std::span<double> r) {
+    r[0] = v[0] - 1.0;
+    r[1] = v[1] + 2.0;
+    r[2] = v[0] * v[1] - 3.0;
+    r[3] = std::sin(v[0]);
   };
   const std::vector<double> start{5.0, 5.0};
   const double initial_cost = p.cost(start);
@@ -126,8 +163,8 @@ TEST(Multistart, EscapesLocalMinimum) {
   Problem p;
   p.num_params = 1;
   p.num_residuals = 1;
-  p.residuals = [](std::span<const double> v) {
-    return linalg::Vector{v[0] * v[0] - 4.0};
+  p.residuals = [](std::span<const double> v, std::span<double> r) {
+    r[0] = v[0] * v[0] - 4.0;
   };
   const linalg::Vector lo{0.1}, hi{10.0};
   const auto res = minimize_multistart(p, lo, hi);
@@ -140,8 +177,8 @@ TEST(Multistart, DeterministicForSeed) {
   Problem p;
   p.num_params = 1;
   p.num_residuals = 1;
-  p.residuals = [](std::span<const double> v) {
-    return linalg::Vector{std::cos(v[0]) + 0.1 * v[0]};
+  p.residuals = [](std::span<const double> v, std::span<double> r) {
+    r[0] = std::cos(v[0]) + 0.1 * v[0];
   };
   const linalg::Vector lo{0.5}, hi{20.0};
   MultistartOptions opt;
@@ -156,7 +193,9 @@ TEST(Multistart, RejectsInfiniteStartBox) {
   Problem p;
   p.num_params = 1;
   p.num_residuals = 1;
-  p.residuals = [](std::span<const double> v) { return linalg::Vector{v[0]}; };
+  p.residuals = [](std::span<const double> v, std::span<double> r) {
+    r[0] = v[0];
+  };
   const linalg::Vector lo{0.0};
   const linalg::Vector hi{std::numeric_limits<double>::infinity()};
   EXPECT_THROW(minimize_multistart(p, lo, hi), ContractViolation);

@@ -1,8 +1,8 @@
 // Test helper for pinned closed-loop runs: a forwarding hslb::Application
 // that records what the controller did to the wrapped substrate (the B&B
 // node count of every warm re-solve and the allocation left installed),
-// plus a checker that compares a run against values captured from a
-// reference build.
+// plus a checker that compares one-thread and four-thread runs against
+// values captured from a reference build.
 //
 // Set HSLB_TRACE_DIR to a directory to also write every pinned run's
 // execution trace there as <name>.csv, so two builds can be diffed byte
@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -101,47 +102,62 @@ struct Pinned {
   double makespan = 0.0;              ///< to 1e-12 relative
 };
 
-/// Runs `app` through the engine (closed loop when `policy.adaptive`),
-/// checks it against `want` and, when HSLB_TRACE_DIR is set, writes its
-/// trace to $HSLB_TRACE_DIR/<name>.csv. On a mismatch the failure message
+/// Runs a fresh application from `make` through the engine (closed loop
+/// when `policy.adaptive`) once with one worker thread and once with four,
+/// so Gather, Fit and the controller's refits run pooled, and checks both
+/// runs against `want`; the four-thread trace must equal the one-thread
+/// trace byte for byte. When HSLB_TRACE_DIR is set, the one-thread trace is
+/// written to $HSLB_TRACE_DIR/<name>.csv. On a mismatch the failure message
 /// carries the observed values in Pinned's field order.
-inline void expect_pinned(const std::string& name,
-                          std::shared_ptr<Application> app,
-                          const RebalancePolicy& policy, const Pinned& want) {
-  RecordingApp rec(std::move(app));
-  PipelineOptions opt;
-  opt.rebalance = policy;
-  const PipelineRun run = Pipeline(opt).run(rec);
+inline void expect_pinned(
+    const std::string& name,
+    const std::function<std::shared_ptr<Application>()>& make,
+    const RebalancePolicy& policy, const Pinned& want) {
+  std::string serial_trace;
+  for (std::size_t threads : {1u, 4u}) {
+    RecordingApp rec(make());
+    PipelineOptions opt;
+    opt.threads = threads;
+    opt.rebalance = policy;
+    const PipelineRun run = Pipeline(opt).run(rec);
 
-  Pinned got;
-  got.rebalances = run.report.rebalances;
-  got.restarts = run.report.exec_restarts;
-  got.events = run.report.exec_events;
-  got.solve_nodes = run.report.solver.nodes;
-  got.resolve_nodes = rec.resolve_nodes;
-  for (const auto& t : rec.installed.tasks) got.allocation.push_back(t.nodes);
-  got.makespan = run.report.exec.makespan;
+    Pinned got;
+    got.rebalances = run.report.rebalances;
+    got.restarts = run.report.exec_restarts;
+    got.events = run.report.exec_events;
+    got.solve_nodes = run.report.solver.nodes;
+    got.resolve_nodes = rec.resolve_nodes;
+    for (const auto& t : rec.installed.tasks) got.allocation.push_back(t.nodes);
+    got.makespan = run.report.exec.makespan;
 
-  std::ostringstream seen;
-  seen.precision(17);
-  seen << name << " observed {" << got.rebalances << ", " << got.restarts
-       << ", " << got.events << ", " << got.solve_nodes << ", {";
-  for (std::size_t n : got.resolve_nodes) seen << n << ",";
-  seen << "}, {";
-  for (long long n : got.allocation) seen << n << ",";
-  seen << "}, " << got.makespan << "}";
-  SCOPED_TRACE(seen.str());
+    std::ostringstream seen;
+    seen.precision(17);
+    seen << name << " (" << threads << " threads) observed {" << got.rebalances
+         << ", " << got.restarts << ", " << got.events << ", "
+         << got.solve_nodes << ", {";
+    for (std::size_t n : got.resolve_nodes) seen << n << ",";
+    seen << "}, {";
+    for (long long n : got.allocation) seen << n << ",";
+    seen << "}, " << got.makespan << "}";
+    SCOPED_TRACE(seen.str());
 
-  EXPECT_EQ(got.rebalances, want.rebalances);
-  EXPECT_EQ(got.restarts, want.restarts);
-  EXPECT_EQ(got.events, want.events);
-  EXPECT_EQ(got.solve_nodes, want.solve_nodes);
-  EXPECT_EQ(got.resolve_nodes, want.resolve_nodes);
-  EXPECT_EQ(got.allocation, want.allocation);
-  EXPECT_NEAR(got.makespan, want.makespan, 1e-12 * std::fabs(want.makespan));
+    EXPECT_EQ(got.rebalances, want.rebalances);
+    EXPECT_EQ(got.restarts, want.restarts);
+    EXPECT_EQ(got.events, want.events);
+    EXPECT_EQ(got.solve_nodes, want.solve_nodes);
+    EXPECT_EQ(got.resolve_nodes, want.resolve_nodes);
+    EXPECT_EQ(got.allocation, want.allocation);
+    EXPECT_NEAR(got.makespan, want.makespan, 1e-12 * std::fabs(want.makespan));
 
-  if (const char* dir = std::getenv("HSLB_TRACE_DIR"))
-    std::ofstream(std::string(dir) + "/" + name + ".csv") << run.trace.to_csv();
+    const std::string trace = run.trace.to_csv();
+    if (threads == 1) {
+      serial_trace = trace;
+      if (const char* dir = std::getenv("HSLB_TRACE_DIR"))
+        std::ofstream(std::string(dir) + "/" + name + ".csv") << trace;
+    } else {
+      EXPECT_EQ(trace, serial_trace);
+    }
+  }
 }
 
 }  // namespace hslb::pinning
