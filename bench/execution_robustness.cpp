@@ -10,9 +10,10 @@
 //     at several severities, shared between HSLB and DLB (common random
 //     numbers), recording each scheduler's makespan degradation over its
 //     own noise-free baseline;
-//   * a permanent node fail-stop — the static schedule wedges (tasks
-//     pinned to the dead node can never run) while the dynamic queue
-//     re-dispatches and completes;
+//   * a permanent node fail-stop — the static schedule has work pinned to
+//     the dead node and stops, incomplete, at the failure pause (no
+//     controller re-solves), while the dynamic queue re-dispatches and
+//     completes;
 //   * a trace round-trip gate — the CSV export must reproduce the exact
 //     makespan and busy node-seconds when parsed back (string round trip
 //     and save/load through a temp file).

@@ -381,9 +381,13 @@ int cmd_fmo(const Args& args) {
               res.hslb.total_seconds, res.hslb.scc_seconds,
               res.predicted_scc_seconds, res.hslb.dimer_seconds,
               res.hslb.efficiency(nodes));
-  std::printf("DLB : %.3f s total, efficiency %.3f  =>  HSLB speedup %.2fx\n",
-              res.dlb.total_seconds, res.dlb.efficiency(nodes),
-              res.dlb.total_seconds / res.hslb.total_seconds);
+  // A ratio against a run that did not finish is meaningless.
+  std::printf("DLB : %.3f s total, efficiency %.3f", res.dlb.total_seconds,
+              res.dlb.efficiency(nodes));
+  if (res.hslb.completed)
+    std::printf("  =>  HSLB speedup %.2fx",
+                res.dlb.total_seconds / res.hslb.total_seconds);
+  std::printf("\n");
   if (res.hslb.comm_seconds > 0.0 || res.hslb.page_seconds > 0.0) {
     std::printf("machine charges: comm %.3f s, paging %.3f s (task-seconds)\n",
                 res.hslb.comm_seconds, res.hslb.page_seconds);
@@ -461,8 +465,10 @@ int cmd_run(const Args& args) {
   if (auto* baseline = dynamic_cast<BaselineReporter*>(app.get())) {
     const double hslb = baseline->hslb_total_seconds();
     const double dlb = baseline->dlb_total_seconds();
-    std::printf("HSLB %.3f s vs DLB %.3f s  =>  speedup %.2fx\n", hslb, dlb,
-                dlb / hslb);
+    std::printf("HSLB %.3f s vs DLB %.3f s", hslb, dlb);
+    if (run.report.exec_completed)
+      std::printf("  =>  speedup %.2fx", dlb / hslb);
+    std::printf("\n");
   }
   if (!run.report.exec_completed)
     std::printf("WARNING: the run could not complete (permanent node "

@@ -134,8 +134,8 @@ class FmoApplication final : public Application, public BaselineReporter {
 
   // -- Adaptive execution (closed loop) -------------------------------------
   // One SCC iteration (wave + sync) per epoch, then one dimer-phase epoch,
-  // driven through fmo::EpochRunner so an untriggered adaptive run matches
-  // execute() bit-exactly.
+  // on the fmo::EpochRunner that execute() runs through run_hslb, so an
+  // untriggered adaptive run matches execute() by construction.
 
   bool supports_epochs() const override { return true; }
 

@@ -1,7 +1,6 @@
 #include "fmo/schedulers.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -219,209 +218,9 @@ ExecutionResult run_dlb(const System& sys, const CostModel& cost,
   return out;
 }
 
-ExecutionResult run_hslb(const System& sys, const CostModel& cost,
-                         const Allocation& allocation, long long total_nodes,
-                         const DimerPredictions& dimers,
-                         const RunOptions& options) {
-  HSLB_EXPECTS(!sys.fragments.empty());
-  HSLB_EXPECTS(allocation.tasks.size() == sys.fragments.size());
-  HSLB_EXPECTS(options.scc_iterations >= 1);
-  HSLB_EXPECTS(total_nodes >= allocation.total_nodes());
-  HSLB_EXPECTS(dimers.models.empty() ||
-               dimers.models.size() == sys.scf_dimers.size());
-  const sim::Machine machine = run_machine(options, total_nodes);
-  const sim::Perturbation perturb = make_perturbation(options, machine.nodes);
-
-  ExecutionResult out;
-  out.scc_iterations = options.scc_iterations;
-  out.group_busy.assign(sys.fragments.size(), 0.0);
-  out.group_nodes.resize(sys.fragments.size());
-
-  std::vector<perf::Model> monomers;
-  monomers.reserve(sys.fragments.size());
-  for (std::size_t f = 0; f < sys.fragments.size(); ++f) {
-    monomers.push_back(cost.monomer(sys.fragments[f]));
-    const auto& entry = allocation.find(sys.fragments[f].name);
-    HSLB_EXPECTS(entry.nodes >= 1);
-    out.group_nodes[f] = entry.nodes;
-  }
-
-  // Fragment groups occupy contiguous node blocks in fragment order.
-  std::vector<sim::NodeSet> frag_nodes(sys.fragments.size());
-  std::size_t offset = 0;
-  for (std::size_t f = 0; f < sys.fragments.size(); ++f) {
-    frag_nodes[f] = {offset, static_cast<std::size_t>(out.group_nodes[f])};
-    offset += static_cast<std::size_t>(out.group_nodes[f]);
-  }
-
-  sim::Runtime rt(machine);
-  const sim::NodeSet all{0, machine.nodes};
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  const auto pairs = sys.scf_neighbor_counts();
-
-  // SCC loop: one concurrent wave of fragment tasks per iteration, closed
-  // by a full-machine synchronization barrier (charge exchange).
-  std::vector<std::pair<std::size_t, std::size_t>> monomer_ids;  // (task, f)
-  std::size_t last_sync = kNone;
-  for (int iter = 0; iter < options.scc_iterations; ++iter) {
-    const std::string phase = "scc" + std::to_string(iter);
-    std::vector<std::size_t> wave;
-    wave.reserve(sys.fragments.size());
-    for (std::size_t f = 0; f < sys.fragments.size(); ++f) {
-      std::vector<std::size_t> deps;
-      if (last_sync != kNone) deps.push_back(last_sync);
-      const std::size_t id = rt.add_task(
-          sys.fragments[f].name,
-          monomers[f].eval(static_cast<double>(out.group_nodes[f])) *
-              drift_scale(options, f, iter),
-          frag_nodes[f], std::move(deps), phase, false,
-          {sys.fragments[f].halo_gb * static_cast<double>(pairs[f]),
-           sys.fragments[f].memory_gb});
-      monomer_ids.emplace_back(id, f);
-      wave.push_back(id);
-    }
-    last_sync = rt.add_task("sync", options.sync_overhead, all,
-                            std::move(wave), phase, true);
-    if (iter + 1 == options.scc_iterations) {
-      for (std::size_t f = 0; f < sys.fragments.size(); ++f)
-        out.energy.monomer += monomer_energy(sys.fragments[f]);
-    }
-  }
-
-  // Dimer phase.
-  std::vector<std::pair<std::size_t, long long>> wave_dimer_ids;  // (task, n)
-  std::vector<std::pair<std::size_t, std::size_t>> ect_dimer_ids;  // (task, g)
-  std::vector<std::size_t> dimer_ids;
-  if (!sys.scf_dimers.empty()) {
-    const bool can_repartition =
-        !dimers.models.empty() &&
-        static_cast<long long>(sys.scf_dimers.size()) <= total_nodes;
-    if (can_repartition) {
-      // GDDI re-split: a fresh min-max allocation runs every SCF dimer as
-      // one concurrent wave, sized by the *predicted* dimer models (the
-      // greedy caps each group at the predicted argmin, so communication
-      // growth is respected). Dimer groups occupy contiguous blocks in
-      // dimer-index order.
-      std::vector<BudgetTask> tasks;
-      tasks.reserve(sys.scf_dimers.size());
-      for (std::size_t d = 0; d < sys.scf_dimers.size(); ++d) {
-        tasks.push_back(BudgetTask{"d" + std::to_string(d), dimers.models[d],
-                                   1, total_nodes});
-      }
-      const auto wave_alloc = solve_min_max(tasks, total_nodes);
-      std::size_t dimer_offset = 0;
-      for (std::size_t d = 0; d < sys.scf_dimers.size(); ++d) {
-        const auto& pair = sys.scf_dimers[d];
-        const auto model =
-            cost.dimer(sys.fragments[pair.i], sys.fragments[pair.j]);
-        const long long n = wave_alloc.tasks[d].nodes;
-        const std::size_t id = rt.add_task(
-            dimer_name(sys, d), model.eval(static_cast<double>(n)),
-            {dimer_offset, static_cast<std::size_t>(n)}, {last_sync}, "dimer",
-            false);
-        dimer_offset += static_cast<std::size_t>(n);
-        wave_dimer_ids.emplace_back(id, n);
-        dimer_ids.push_back(id);
-        out.energy.scf_dimer += scf_dimer_correction(
-            sys.fragments[pair.i], sys.fragments[pair.j], pair.separation);
-      }
-    } else {
-      // Static earliest-completion-time assignment onto the monomer groups,
-      // longest dimer first, using predicted times when available and the
-      // (nbf^3 / nodes) size proxy otherwise. Each group's dimers form a
-      // chain after the last synchronization.
-      const auto order = descending_order(
-          sys.scf_dimers.size(), [&](std::size_t i) { return dimer_nbf(sys, i); });
-      const std::size_t groups = out.group_nodes.size();
-      std::vector<double> pred_finish(groups, 0.0);
-      std::vector<std::size_t> tail(groups, kNone);
-      for (std::size_t i : order) {
-        const auto& d = sys.scf_dimers[i];
-        // Static choice: group with the earliest predicted completion.
-        std::size_t best = 0;
-        double best_eta = std::numeric_limits<double>::infinity();
-        for (std::size_t g = 0; g < groups; ++g) {
-          const double ng = static_cast<double>(out.group_nodes[g]);
-          const double pred =
-              dimers.models.empty()
-                  ? dimer_nbf(sys, i) * dimer_nbf(sys, i) * dimer_nbf(sys, i) / ng
-                  : dimers.models[i].eval(ng);
-          const double eta = pred_finish[g] + pred;
-          if (eta < best_eta) {
-            best_eta = eta;
-            best = g;
-          }
-        }
-        pred_finish[best] = best_eta;
-        const auto model = cost.dimer(sys.fragments[d.i], sys.fragments[d.j]);
-        const std::size_t prev = tail[best] == kNone ? last_sync : tail[best];
-        const std::size_t id = rt.add_task(
-            dimer_name(sys, i),
-            model.eval(static_cast<double>(out.group_nodes[best])),
-            frag_nodes[best], {prev}, "dimer", false);
-        tail[best] = id;
-        ect_dimer_ids.emplace_back(id, best);
-        dimer_ids.push_back(id);
-        out.energy.scf_dimer += scf_dimer_correction(
-            sys.fragments[d.i], sys.fragments[d.j], d.separation);
-      }
-    }
-  }
-  // Aggregated ES dimers: an analytic full-machine tail after every SCF
-  // dimer (fixed: no noise, no stragglers).
-  const double es = cost.es_dimer_time(sys, total_nodes);
-  const std::size_t es_id =
-      rt.add_task("es-dimers", es, all,
-                  dimer_ids.empty() ? std::vector<std::size_t>{last_sync}
-                                    : dimer_ids,
-                  "dimer", true);
-  out.energy.es_dimer = fmo2_energy(sys).es_dimer;
-
-  const auto rr = rt.run(perturb);
-  out.trace = rr.trace;
-  out.completed = rr.completed;
-  out.restarts = rr.restarts;
-  out.comm_seconds = rr.comm_seconds;
-  out.page_seconds = rr.page_seconds;
-
-  // Reconstruct the work accounting from the placements; sync barriers and
-  // the ES tail occupy nodes but are overhead, not work. Tasks a permanent
-  // failure kept from running contribute nothing.
-  auto ran_for = [&](std::size_t id) {
-    const auto& s = rr.tasks[id];
-    return std::isfinite(s.end) ? s.end - s.start : 0.0;
-  };
-  for (const auto& [id, f] : monomer_ids) {
-    const double t = ran_for(id);
-    out.group_busy[f] += t;
-    out.busy_node_seconds += t * static_cast<double>(out.group_nodes[f]);
-    out.monomer_task_seconds += t;
-  }
-  for (const auto& [id, n] : wave_dimer_ids)
-    out.busy_node_seconds += ran_for(id) * static_cast<double>(n);
-  for (const auto& [id, g] : ect_dimer_ids) {
-    const double t = ran_for(id);
-    out.group_busy[g] += t;
-    out.busy_node_seconds += t * static_cast<double>(out.group_nodes[g]);
-  }
-
-  const double scc_end = rr.tasks[last_sync].end;
-  out.scc_seconds = std::isfinite(scc_end) ? scc_end : rr.makespan;
-  const double run_end = rr.tasks[es_id].end;
-  out.total_seconds = std::isfinite(run_end) ? run_end : rr.makespan;
-  out.dimer_seconds = out.total_seconds - out.scc_seconds;
-  return out;
-}
-
-ExecutionResult run_hslb(const System& sys, const CostModel& cost,
-                         const Allocation& allocation, long long total_nodes,
-                         const RunOptions& options) {
-  return run_hslb(sys, cost, allocation, total_nodes, DimerPredictions{}, options);
-}
-
 // ---------------------------------------------------------------------------
-// EpochRunner: run_hslb's DAG, executed one barrier-aligned epoch at a time
-// on the shared sim::EpochCore.
+// EpochRunner: the HSLB schedule, one barrier-aligned epoch at a time on the
+// shared sim::EpochCore. run_hslb is this runner with no controller.
 
 struct EpochRunner::Impl {
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
@@ -443,8 +242,7 @@ struct EpochRunner::Impl {
   // Progress cursors.
   int iter = 0;  ///< next (or in-flight) SCC iteration
   bool in_dimer = false;
-  bool done = false;
-  bool unrecoverable = false;
+  bool done = false;  ///< no epoch left to run (out.completed says why)
   std::vector<char> pending_monomers;  ///< current iteration's open wave
   std::vector<char> pending_dimers;
 
@@ -495,7 +293,6 @@ struct EpochRunner::Impl {
   bool survives() {
     if (core.budget() >= static_cast<long long>(sys.fragments.size()))
       return true;
-    unrecoverable = true;
     done = true;
     out.completed = false;
     return false;
@@ -524,8 +321,7 @@ struct EpochRunner::Impl {
                       {frag.halo_gb * static_cast<double>(pairs[f]),
                        frag.memory_gb}});
       // Converged densities: the final iteration records monomer energies
-      // (at build, as the static scheduler does; flags stop a re-run after
-      // a failure from double-counting).
+      // at build (flags stop a re-run after a failure from double-counting).
       if (iter + 1 == options.scc_iterations && !monomer_energy_added[f]) {
         out.energy.monomer += monomer_energy(frag);
         monomer_energy_added[f] = 1;
@@ -646,13 +442,8 @@ struct EpochRunner::Impl {
           dimer_ids.push_back(id);
         }
       }
-      for (std::size_t d : active) {
-        if (dimer_energy_added[d]) continue;
-        const auto& pair = sys.scf_dimers[d];
-        out.energy.scf_dimer += scf_dimer_correction(
-            sys.fragments[pair.i], sys.fragments[pair.j], pair.separation);
-        dimer_energy_added[d] = 1;
-      }
+      // Dimer corrections in build order (longest first on the ECT path).
+      for (const auto& b : built) add_dimer_energy(b.second);
     }
     // Aggregated ES dimers: analytic tail over the barrier span, scaled to
     // the surviving budget after a failure.
@@ -684,6 +475,14 @@ struct EpochRunner::Impl {
     return r;
   }
 
+  void add_dimer_energy(std::size_t d) {
+    if (dimer_energy_added[d]) return;
+    const auto& pair = sys.scf_dimers[d];
+    out.energy.scf_dimer += scf_dimer_correction(
+        sys.fragments[pair.i], sys.fragments[pair.j], pair.separation);
+    dimer_energy_added[d] = 1;
+  }
+
   double migration_volume(const Allocation& next) const {
     HSLB_EXPECTS(installed);
     const auto blocks = core.pack(nodes_of(next));
@@ -701,15 +500,22 @@ struct EpochRunner::Impl {
   }
 
   ExecutionResult finish() {
+    // A run stopped before it was done (by the caller, or for want of
+    // survivors) is incomplete but still reports the full FMO2 energy: the
+    // terms of work it never built are added here.
+    if (!done) out.completed = false;
+    for (std::size_t f = 0; f < sys.fragments.size(); ++f)
+      if (!monomer_energy_added[f])
+        out.energy.monomer += monomer_energy(sys.fragments[f]);
+    for (std::size_t d = 0; d < sys.scf_dimers.size(); ++d) add_dimer_energy(d);
+    out.energy.es_dimer = fmo2_energy(sys).es_dimer;
     out.trace = core.trace();
     out.restarts = core.restarts();
     out.comm_seconds = core.comm_seconds();
     out.page_seconds = core.page_seconds();
-    out.energy.es_dimer = fmo2_energy(sys).es_dimer;
     out.total_seconds = core.clock();
-    if (unrecoverable && !in_dimer) out.scc_seconds = core.clock();
+    if (!out.completed && !in_dimer) out.scc_seconds = core.clock();
     out.dimer_seconds = out.total_seconds - out.scc_seconds;
-    out.completed = !unrecoverable;
     return std::move(out);
   }
 };
@@ -742,5 +548,26 @@ const sim::Machine& EpochRunner::machine() const {
 }
 
 ExecutionResult EpochRunner::finish() { return impl_->finish(); }
+
+ExecutionResult run_hslb(const System& sys, const CostModel& cost,
+                         const Allocation& allocation, long long total_nodes,
+                         const DimerPredictions& dimers,
+                         const RunOptions& options) {
+  // The closed loop with no controller: with nothing to reallocate, a
+  // permanent-failure pause ends the run incomplete.
+  EpochRunner runner(sys, cost, total_nodes, dimers, options);
+  runner.install(allocation);
+  EpochOutcome epoch;
+  do {
+    epoch = runner.step();
+  } while (!epoch.done && !epoch.failure_detected);
+  return runner.finish();
+}
+
+ExecutionResult run_hslb(const System& sys, const CostModel& cost,
+                         const Allocation& allocation, long long total_nodes,
+                         const RunOptions& options) {
+  return run_hslb(sys, cost, allocation, total_nodes, DimerPredictions{}, options);
+}
 
 }  // namespace hslb::fmo

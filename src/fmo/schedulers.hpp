@@ -18,6 +18,11 @@
 // min-max allocation runs all SCF dimers as one concurrent wave; otherwise
 // dimers are statically assigned to the monomer groups by predicted
 // earliest completion time.
+//
+// The HSLB schedule exists once, in EpochRunner: the closed-loop
+// controller drives it epoch by epoch, and run_hslb is the same runner
+// with no controller (one allocation, stopped at a permanent-failure
+// pause), so static and adaptive runs share one schedule by construction.
 #pragma once
 
 #include <cstdint>
@@ -82,17 +87,19 @@ struct ExecutionResult {
   double busy_node_seconds = 0.0;
 
   /// FMO2 energy assembled *during execution* (monomer terms on the final
-  /// SCC iteration, dimer corrections as each dimer completes, ES tail at
-  /// the end). Load balancing must not change the chemistry: both
-  /// schedulers report the same energy as the pure fmo2_energy() reference
-  /// (up to floating-point summation order).
+  /// SCC iteration, dimer corrections as the dimer phase is built, ES tail
+  /// at the end; a run stopped early adds the terms it never built). Load
+  /// balancing must not change the chemistry: both schedulers report the
+  /// same energy as the pure fmo2_energy() reference (up to floating-point
+  /// summation order).
   EnergyBreakdown energy;
 
   /// Per-attempt execution trace over both phases. Synchronization events
   /// and the analytic ES-dimer tail appear in the trace but are excluded
   /// from group_busy / busy_node_seconds (they are overhead, not work).
   sim::Trace trace;
-  /// False when a permanent node failure left work that could never run.
+  /// False when a permanent node failure stopped the run before it was
+  /// done (the static schedule stops at the failure pause).
   bool completed = true;
   /// Attempts aborted by the fail-stop and re-run.
   std::size_t restarts = 0;
@@ -128,7 +135,8 @@ ExecutionResult run_dlb(const System& sys, const CostModel& cost,
 /// HSLB static execution on `total_nodes` nodes: `allocation` must contain
 /// one entry per fragment (task names = fragment names) giving its group's
 /// node count. `dimers` optionally carries predicted dimer models (see
-/// DimerPredictions).
+/// DimerPredictions). Runs an EpochRunner with no controller until it is
+/// done or a permanent failure pauses it; a paused run ends incomplete.
 ExecutionResult run_hslb(const System& sys, const CostModel& cost,
                          const Allocation& allocation, long long total_nodes,
                          const DimerPredictions& dimers,
@@ -139,11 +147,9 @@ ExecutionResult run_hslb(const System& sys, const CostModel& cost,
                          const Allocation& allocation, long long total_nodes,
                          const RunOptions& options);
 
-/// Epoch-by-epoch HSLB execution for the closed-loop controller: each
-/// step() runs one SCC iteration (one concurrent wave + its sync barrier),
-/// and the final step runs the dimer phase plus the ES tail. Epochs run on
-/// a sim::EpochCore, so a run that never rebalances reproduces run_hslb's
-/// schedule — trace, accounting and energy — bit-identically.
+/// Epoch-by-epoch HSLB execution: each step() runs one SCC iteration (one
+/// concurrent wave + its sync barrier), and the final step runs the dimer
+/// phase plus the ES tail, all on a sim::EpochCore.
 ///
 /// On a permanent node failure the epoch pauses (failure_detected): the
 /// caller re-solves over budget() — the largest contiguous surviving node
@@ -183,8 +189,10 @@ class EpochRunner {
 
   const sim::Machine& machine() const;
 
-  /// Finalizes accounting and returns the accumulated execution result
-  /// (same shape run_hslb returns). Call once, after step() reported done.
+  /// Finalizes accounting and returns the accumulated execution result.
+  /// Call once: after step() reported done, or to stop the run early (the
+  /// result is then incomplete, its scc_seconds the clock if it stopped in
+  /// the SCC phase, and its energy still the full FMO2 sum).
   ExecutionResult finish();
 
  private:

@@ -372,62 +372,6 @@ TermPtr make_memory_term(double memory_gb, double capacity_gb_per_node,
 }
 
 // ---------------------------------------------------------------------------
-// TermRegistry
-
-TermRegistry::TermRegistry() {
-  add("powerlaw", [](std::span<const double> args) {
-    HSLB_EXPECTS(args.empty());
-    return power_law_term();
-  });
-  add("compute", [](std::span<const double> args) {
-    HSLB_EXPECTS(args.empty());
-    return compute_term();
-  });
-  add("serial", [](std::span<const double> args) {
-    HSLB_EXPECTS(args.empty());
-    return serial_term();
-  });
-  add("comm", [](std::span<const double> args) {
-    HSLB_EXPECTS(args.size() == 1 || args.size() == 2);
-    return args.size() == 1 ? make_comm_term(args[0])
-                            : make_comm_term(args[0], args[1]);
-  });
-  add("memory", [](std::span<const double> args) {
-    HSLB_EXPECTS(args.size() == 2 || args.size() == 3);
-    return args.size() == 2 ? make_memory_term(args[0], args[1])
-                            : make_memory_term(args[0], args[1], args[2]);
-  });
-}
-
-TermRegistry& TermRegistry::instance() {
-  static TermRegistry registry;
-  return registry;
-}
-
-void TermRegistry::add(const std::string& name, Factory factory) {
-  HSLB_EXPECTS(!name.empty());
-  factories_[name] = std::move(factory);
-}
-
-bool TermRegistry::contains(const std::string& name) const {
-  return factories_.count(name) > 0;
-}
-
-TermPtr TermRegistry::make(const std::string& name,
-                           std::span<const double> args) const {
-  const auto it = factories_.find(name);
-  HSLB_EXPECTS(it != factories_.end());
-  return it->second(args);
-}
-
-std::vector<std::string> TermRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) out.push_back(name);
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // CostModel
 
 CostModel::CostModel(const Model& power_law) {

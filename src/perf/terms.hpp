@@ -3,7 +3,7 @@
 //
 //   T(n) = sum_k  term_k(params_k, n)
 //
-// Registered terms:
+// Bundled terms:
 //
 //   * powerlaw — the paper's full a/n + b*n^c + d (4 fitted params); with
 //     only this term every code path is bit-identical to the pre-refactor
@@ -26,8 +26,6 @@
 // parameters, preserving the branch-and-bound optimality argument (§III-E).
 #pragma once
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -128,27 +126,6 @@ TermPtr make_comm_term(double volume_gb, double beta_s_per_gb);
 TermPtr make_memory_term(double memory_gb, double capacity_gb_per_node);
 TermPtr make_memory_term(double memory_gb, double capacity_gb_per_node,
                          double gamma_s_per_gb);
-
-/// Named term factories, so specs can be assembled from text (CLI, tests).
-/// Factory args are the term's construction constants, e.g.
-/// make("comm", {volume_gb, beta}). Built-in names: powerlaw, compute,
-/// serial, comm, memory.
-class TermRegistry {
- public:
-  using Factory = std::function<TermPtr(std::span<const double> args)>;
-
-  static TermRegistry& instance();
-
-  void add(const std::string& name, Factory factory);
-  bool contains(const std::string& name) const;
-  TermPtr make(const std::string& name,
-               std::span<const double> args = {}) const;
-  std::vector<std::string> names() const;
-
- private:
-  TermRegistry();
-  std::map<std::string, Factory> factories_;
-};
 
 /// A performance model assembled from terms with bound parameter values.
 /// Implicitly constructible from the classic power law so every existing

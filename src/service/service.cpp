@@ -8,7 +8,7 @@
 #include "common/strings.hpp"
 #include "fmo/cost.hpp"
 #include "fmo/driver.hpp"
-#include "fmo/molecule.hpp"
+#include "fmo/scenario.hpp"
 #include "hslb/budget.hpp"
 #include "sim/machine.hpp"
 
@@ -36,20 +36,6 @@ double predicted_percent_imbalance(std::span<const double> times,
   const double mean = busy / static_cast<double>(budget);
   if (mean <= 0.0) return 0.0;
   return (worst / mean - 1.0) * 100.0;
-}
-
-fmo::System build_system(const Request& r) {
-  const auto n = static_cast<std::size_t>(r.fragments);
-  if (r.family == "peptide") {
-    return fmo::polypeptide({.residues = n,
-                             .scf_cutoff_angstrom = 6.0,
-                             .seed = r.system_seed});
-  }
-  if (r.family == "comm") return fmo::comm_cluster({.fragments = n, .seed = r.system_seed});
-  return fmo::water_cluster({.fragments = n,
-                             .merge_fraction = 0.4,
-                             .scf_cutoff_angstrom = 4.5,
-                             .seed = r.system_seed});
 }
 
 }  // namespace
@@ -180,7 +166,9 @@ AllocationService::Solved AllocationService::solve_kind_fmo(
   }
   if (donor != nullptr) popt.solve_seed = donor->seed;
 
-  const fmo::System sys = build_system(canonical);
+  const fmo::System sys = fmo::make_system(
+      canonical.family, static_cast<std::size_t>(canonical.fragments),
+      canonical.system_seed);
   const fmo::CostModel cost;
   const auto res = fmo::run_pipeline(sys, cost, canonical.budget, popt);
 

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "fmo/driver.hpp"
 #include "fmo/molecule.hpp"
+#include "fmo/scenario.hpp"
 #include "pinned_run.hpp"
+#include "sim/machine.hpp"
 
 namespace hslb::fmo {
 namespace {
@@ -14,50 +18,88 @@ System small_system(std::uint64_t seed = 50) {
                         .scf_cutoff_angstrom = 4.5, .seed = seed});
 }
 
+/// A static FMO setup: the dimer re-split path, the size-proxy ECT
+/// fallback (no dimer probes), and a machine that charges link bandwidth
+/// and paging (arXiv:2404.16793).
+struct StaticSetup {
+  std::string name;
+  System sys;
+  long long nodes = 0;
+  PipelineOptions options;
+};
+
+std::vector<StaticSetup> static_setups() {
+  PipelineOptions ect;
+  ect.dimer_probe_count = 0;
+  PipelineOptions charging;
+  charging.run.machine = sim::Machine::intrepid_partition(96);
+  charging.run.machine.link_gb_per_s = 0.425;
+  charging.run.machine.memory_gb_per_node = 2.0;
+  charging.run.machine.page_s_per_gb = 0.5;
+  return {{"resplit", small_system(), 80, {}},
+          {"ect", make_system("peptide", 12, 50), 96, ect},
+          {"charging", make_system("comm", 12, 50), 96, charging}};
+}
+
 // ADPT-1: an adaptive run whose monitor never trips is the static pipeline
-// — same schedule, same trace bytes, same accounting, same report fields.
+// — same schedule, same trace bytes, same accounting, same energy terms,
+// same report fields — on every dimer path and on a charging machine.
 TEST(FmoAdaptive, OneEpochParityWithStatic) {
-  const auto sys = small_system();
-  CostModel cost;
-  PipelineOptions stat;
-  PipelineOptions adap = stat;
-  adap.rebalance.adaptive = true;
-  adap.rebalance.imbalance_threshold = 1e9;  // never trigger
-  adap.rebalance.drift_threshold = 1e9;
+  for (const auto& setup : static_setups()) {
+    SCOPED_TRACE(setup.name);
+    CostModel cost;
+    const PipelineOptions& stat = setup.options;
+    PipelineOptions adap = stat;
+    adap.rebalance.adaptive = true;
+    adap.rebalance.imbalance_threshold = 1e9;  // never trigger
+    adap.rebalance.drift_threshold = 1e9;
 
-  const auto a = run_pipeline(sys, cost, 80, stat);
-  const auto b = run_pipeline(sys, cost, 80, adap);
+    const auto a = run_pipeline(setup.sys, cost, setup.nodes, stat);
+    const auto b = run_pipeline(setup.sys, cost, setup.nodes, adap);
 
-  // Execution: bit-identical trace and accounting.
-  EXPECT_EQ(a.hslb.trace.to_csv(), b.hslb.trace.to_csv());
-  EXPECT_EQ(a.hslb.total_seconds, b.hslb.total_seconds);
-  EXPECT_EQ(a.hslb.scc_seconds, b.hslb.scc_seconds);
-  EXPECT_EQ(a.hslb.dimer_seconds, b.hslb.dimer_seconds);
-  EXPECT_EQ(a.hslb.busy_node_seconds, b.hslb.busy_node_seconds);
-  EXPECT_EQ(a.hslb.group_busy, b.hslb.group_busy);
-  EXPECT_EQ(a.hslb.group_nodes, b.hslb.group_nodes);
-  EXPECT_EQ(a.hslb.energy.total(), b.hslb.energy.total());
-  EXPECT_EQ(a.hslb.comm_seconds, b.hslb.comm_seconds);
-  EXPECT_EQ(a.hslb.page_seconds, b.hslb.page_seconds);
-  EXPECT_EQ(a.hslb.monomer_task_seconds, b.hslb.monomer_task_seconds);
-  EXPECT_TRUE(a.hslb.completed && b.hslb.completed);
+    // Execution: bit-identical trace, accounting and chemistry.
+    EXPECT_EQ(a.hslb.trace.to_csv(), b.hslb.trace.to_csv());
+    EXPECT_EQ(a.hslb.total_seconds, b.hslb.total_seconds);
+    EXPECT_EQ(a.hslb.scc_seconds, b.hslb.scc_seconds);
+    EXPECT_EQ(a.hslb.dimer_seconds, b.hslb.dimer_seconds);
+    EXPECT_EQ(a.hslb.scc_iterations, b.hslb.scc_iterations);
+    EXPECT_EQ(a.hslb.busy_node_seconds, b.hslb.busy_node_seconds);
+    EXPECT_EQ(a.hslb.group_busy, b.hslb.group_busy);
+    EXPECT_EQ(a.hslb.group_nodes, b.hslb.group_nodes);
+    EXPECT_EQ(a.hslb.energy.monomer, b.hslb.energy.monomer);
+    EXPECT_EQ(a.hslb.energy.scf_dimer, b.hslb.energy.scf_dimer);
+    EXPECT_EQ(a.hslb.energy.es_dimer, b.hslb.energy.es_dimer);
+    EXPECT_EQ(a.hslb.comm_seconds, b.hslb.comm_seconds);
+    EXPECT_EQ(a.hslb.page_seconds, b.hslb.page_seconds);
+    EXPECT_EQ(a.hslb.monomer_task_seconds, b.hslb.monomer_task_seconds);
+    EXPECT_EQ(a.hslb.restarts, b.hslb.restarts);
+    EXPECT_TRUE(a.hslb.completed && b.hslb.completed);
 
-  // The DLB baseline is untouched by the adaptive flag.
-  EXPECT_EQ(a.dlb.trace.to_csv(), b.dlb.trace.to_csv());
+    // The DLB baseline is untouched by the adaptive flag.
+    EXPECT_EQ(a.dlb.trace.to_csv(), b.dlb.trace.to_csv());
 
-  // Report: every deterministic field matches; the closed-loop columns
-  // report exactly one epoch, zero rebalances, zero migration.
-  EXPECT_EQ(a.report.predicted_total, b.report.predicted_total);
-  EXPECT_EQ(a.report.actual_total, b.report.actual_total);
-  EXPECT_EQ(a.report.exec.makespan, b.report.exec.makespan);
-  EXPECT_EQ(a.report.exec.busy_unit_seconds, b.report.exec.busy_unit_seconds);
-  EXPECT_EQ(a.report.exec.imbalance, b.report.exec.imbalance);
-  EXPECT_EQ(a.report.exec.percent_imbalance, b.report.exec.percent_imbalance);
-  EXPECT_EQ(a.report.epochs, 1u);
-  EXPECT_EQ(b.report.epochs, 1u);
-  EXPECT_EQ(b.report.rebalances, 0u);
-  EXPECT_EQ(b.report.migration_seconds, 0.0);
-  EXPECT_TRUE(b.resolve_stats.empty());
+    // Report: every deterministic field matches; the closed-loop columns
+    // report exactly one epoch, zero rebalances, zero migration.
+    EXPECT_EQ(a.report.predicted_total, b.report.predicted_total);
+    EXPECT_EQ(a.report.actual_total, b.report.actual_total);
+    EXPECT_EQ(a.report.exec.makespan, b.report.exec.makespan);
+    EXPECT_EQ(a.report.exec.busy_unit_seconds,
+              b.report.exec.busy_unit_seconds);
+    EXPECT_EQ(a.report.exec.imbalance, b.report.exec.imbalance);
+    EXPECT_EQ(a.report.exec.percent_imbalance,
+              b.report.exec.percent_imbalance);
+    ASSERT_EQ(a.report.terms.size(), b.report.terms.size());
+    for (std::size_t t = 0; t < a.report.terms.size(); ++t) {
+      EXPECT_EQ(a.report.terms[t].term, b.report.terms[t].term);
+      EXPECT_EQ(a.report.terms[t].actual_seconds,
+                b.report.terms[t].actual_seconds);
+    }
+    EXPECT_EQ(a.report.epochs, 1u);
+    EXPECT_EQ(b.report.epochs, 1u);
+    EXPECT_EQ(b.report.rebalances, 0u);
+    EXPECT_EQ(b.report.migration_seconds, 0.0);
+    EXPECT_TRUE(b.resolve_stats.empty());
+  }
 }
 
 // ADPT-2: parity holds on every worker-thread count (gather/fit threading
@@ -211,6 +253,32 @@ TEST(FmoAdaptive, PinnedFailStopRun) {
       "fmo_failstop",
       [&] { return make_application(small_system(52), CostModel{}, 64, opt); },
       adaptive_policy(), want);
+}
+
+// ADPT-9: static runs of every static setup through the MINLP path, pinned
+// to captured values — trace events, the B&B nodes of the Solve, the
+// allocation, and the makespan; no rebalance, no restart.
+TEST(FmoAdaptive, PinnedStaticRuns) {
+  const pinning::Pinned want[] = {
+      {0, 0, 132, 17, {}, {1, 1, 1, 1, 8, 1, 31, 8, 27, 1},
+       5.6111345382185815},
+      {0, 0, 152, 51, {}, {18, 4, 12, 1, 4, 11, 5, 1, 10, 3, 13, 14},
+       93.498751471612849},
+      {0, 0, 177, 3, {}, {1, 1, 1, 1, 1, 1, 5, 1, 6, 1, 1, 1},
+       31.143958224596155},
+  };
+  const auto setups = static_setups();
+  for (std::size_t s = 0; s < setups.size(); ++s) {
+    PipelineOptions opt = setups[s].options;
+    opt.solve_with_minlp = true;
+    pinning::expect_pinned(
+        "fmo_static_" + setups[s].name,
+        [&] {
+          return make_application(setups[s].sys, CostModel{}, setups[s].nodes,
+                                  opt);
+        },
+        RebalancePolicy{}, want[s]);
+  }
 }
 
 }  // namespace

@@ -10,18 +10,6 @@
 namespace hslb::perf {
 namespace {
 
-TEST(Terms, RegistryKnowsBuiltins) {
-  auto& reg = TermRegistry::instance();
-  for (const char* name : {"powerlaw", "compute", "serial", "comm", "memory"})
-    EXPECT_TRUE(reg.contains(name)) << name;
-  EXPECT_FALSE(reg.contains("no-such-term"));
-  EXPECT_THROW(reg.make("no-such-term"), std::exception);
-  // Factories produce terms carrying the registered name.
-  const double args[] = {0.5, 2.0};
-  EXPECT_EQ(reg.make("comm", args)->name(), "comm");
-  EXPECT_EQ(reg.make("powerlaw")->num_params(), 4u);
-}
-
 TEST(Terms, PowerLawTermDelegatesToModelExactly) {
   const Model m{4852.7, 1e-6, 2.5, 22.5};
   const double params[] = {m.a, m.b, m.c, m.d};
