@@ -89,7 +89,7 @@ class FmoApplication final : public Application, public BaselineReporter {
                          fits) override {
     auto tasks = make_budget_tasks(sys_, fits, hi_);
     add_machine_terms(tasks);
-    SolveOutcome out = solver_.solve(tasks, nodes_, fits, options_.solve_seed);
+    SolveOutcome out = solver_.solve(tasks, nodes_, options_.solve_seed);
     seed_accepted_ = solver_.seed_accepted();
     predicted_scc_seconds_ = out.predicted_total;
     return out;
@@ -154,8 +154,7 @@ class FmoApplication final : public Application, public BaselineReporter {
     const long long budget = runner_->budget();
     auto tasks = make_budget_tasks(sys_, fits, std::min(hi_, budget));
     add_machine_terms(tasks);
-    ResolveOutcome out =
-        solver_.resolve(tasks, budget, fits, incumbent.allocation);
+    ResolveOutcome out = solver_.resolve(tasks, budget, incumbent.allocation);
     resolve_stats_.push_back(out.solution.solver);
     return out;
   }
@@ -199,12 +198,12 @@ class FmoApplication final : public Application, public BaselineReporter {
   const SolveSeed& learned() const { return solver_.learned(); }
 
  private:
-  /// Extends each fragment's fitted model with pinned machine terms: comm
-  /// slope 1/bandwidth over the fragment's replicated halo volume (halo_gb
-  /// per SCF neighbour, matching the runtime's charge), and the working
-  /// set against node memory capacity. A no-op on unmodeled machines
-  /// (infinite bandwidth/memory), so compute-only configurations keep the
-  /// pre-refactor models bit-identically.
+  /// Extends each fragment's fitted model with the pinned machine charges:
+  /// comm slope 1/bandwidth over the fragment's replicated halo volume
+  /// (halo_gb per SCF neighbour, matching the runtime's charge), and the
+  /// working set against node memory capacity. A no-op on unmodeled
+  /// machines (infinite bandwidth/memory), which keep the fitted power law
+  /// alone.
   void add_machine_terms(std::vector<BudgetTask>& tasks) const {
     if (!options_.machine_cost_terms) return;
     const sim::Machine mach = machine();
@@ -213,13 +212,12 @@ class FmoApplication final : public Application, public BaselineReporter {
     for (std::size_t f = 0; f < tasks.size(); ++f) {
       const auto& frag = sys_.fragments[f];
       if (mach.models_communication() && frag.halo_gb > 0.0) {
-        tasks[f].model.add(perf::make_comm_term(
-            frag.halo_gb * static_cast<double>(pairs[f]),
-            1.0 / mach.link_gb_per_s));
+        tasks[f].model.pin_comm(frag.halo_gb * static_cast<double>(pairs[f]),
+                                1.0 / mach.link_gb_per_s);
       }
       if (mach.models_memory() && frag.memory_gb > 0.0) {
-        tasks[f].model.add(perf::make_memory_term(
-            frag.memory_gb, mach.memory_gb_per_node, mach.page_s_per_gb));
+        tasks[f].model.pin_memory(frag.memory_gb, mach.memory_gb_per_node,
+                                  mach.page_s_per_gb);
       }
     }
   }

@@ -10,9 +10,9 @@ namespace hslb {
 
 namespace {
 
-/// A knapsack (memory) term can force more nodes than the caller's
+/// A memory knapsack row can force more nodes than the caller's
 /// min_nodes: the effective floor every solver and the MINLP builder use.
-/// Compute-only models report min_feasible_nodes() == 1, so the floor
+/// Models without one report min_feasible_nodes() == 1, so the floor
 /// degenerates to min_nodes there.
 long long effective_min(const BudgetTask& t) {
   return std::max(t.min_nodes, t.model.min_feasible_nodes());
@@ -237,17 +237,16 @@ minlp::Model build_budget_minlp(std::span<const BudgetTask> tasks,
     m.add_nonlinear(std::move(c));
   };
 
-  // Per-task constraint assembly: the affine part (communication, serial
-  // floors of linear terms) goes in as an exact linear row, the rest as
-  // the nonlinear epigraph; memory terms add their knapsack row.
+  // Per-task constraint assembly: the affine part (the comm charge) goes
+  // in as an exact linear row, the rest as the nonlinear epigraph; a
+  // memory charge adds its knapsack row.
   auto add_task_rows = [&](std::size_t f, std::size_t t_var) {
     const auto& task = tasks[f];
     const std::size_t n_var = n_vars[f];
     double slope = 0.0, intercept = 0.0;
-    const bool has_lin = task.model.linear_part(slope, intercept);
-    if (!has_lin) {
+    if (!task.model.linear_part(slope, intercept)) {
       add_epigraph(n_var, task.model, t_var, "T_" + task.name);
-    } else if (task.model.has_nonlinear()) {
+    } else {
       // Split: nonlinear(n) <= s and s + slope*n <= t - intercept. The
       // linearized communication cost rides in the LP relaxation exactly,
       // so outer-approximation cuts only chase the genuinely curved part.
@@ -256,18 +255,11 @@ minlp::Model build_budget_minlp(std::span<const BudgetTask> tasks,
       add_epigraph(n_var, task.model, s_var, "S_" + task.name);
       m.add_linear({{s_var, 1.0}, {n_var, slope}, {t_var, -1.0}},
                    -minlp::kInf, -intercept, "lin_" + task.name);
-    } else {
-      // Fully affine model: no nonlinear constraint at all.
-      m.add_linear({{n_var, slope}, {t_var, -1.0}}, -minlp::kInf, -intercept,
-                   "lin_" + task.name);
     }
-    for (std::size_t i = 0; i < task.model.num_terms(); ++i) {
-      double cap = 0.0, demand = 0.0;
-      if (task.model.term(i).knapsack_row(cap, demand)) {
-        // capacity * n >= working set: the memory knapsack.
-        m.add_linear({{n_var, cap}}, demand, minlp::kInf,
-                     "mem_" + task.name);
-      }
+    if (const auto& mem = task.model.memory()) {
+      // capacity * n >= working set: the memory knapsack.
+      m.add_linear({{n_var, mem->capacity_gb}}, mem->demand_gb, minlp::kInf,
+                   "mem_" + task.name);
     }
   };
 
@@ -301,7 +293,7 @@ std::vector<double> minlp_warm_start(std::span<const BudgetTask> tasks,
   // assembled.
   auto push_split = [&x](const BudgetTask& t, long long n) {
     double slope = 0.0, intercept = 0.0;
-    if (t.model.linear_part(slope, intercept) && t.model.has_nonlinear())
+    if (t.model.linear_part(slope, intercept))
       x.push_back(t.model.eval_nonlinear(static_cast<double>(n)));
   };
   if (objective == Objective::MinMax) {
@@ -335,10 +327,16 @@ Allocation allocation_from_minlp(std::span<const BudgetTask> tasks,
   return out;
 }
 
+std::vector<perf::CostModel> task_models(std::span<const BudgetTask> tasks) {
+  std::vector<perf::CostModel> out;
+  out.reserve(tasks.size());
+  for (const auto& t : tasks) out.push_back(t.model);
+  return out;
+}
+
 void seed_bnb_options(minlp::BnbOptions& bnb,
                       std::span<const BudgetTask> tasks, Objective objective,
-                      const SolveSeed& seed,
-                      const std::vector<double>& fit_params) {
+                      const SolveSeed& seed) {
   if (seed.nodes_by_task.size() == tasks.size()) {
     std::vector<long long> warm = seed.nodes_by_task;
     for (std::size_t f = 0; f < tasks.size(); ++f)
@@ -347,7 +345,8 @@ void seed_bnb_options(minlp::BnbOptions& bnb,
     bnb.seed_points.push_back(bnb.seed_incumbent);
   }
   if (!seed.x.empty()) bnb.seed_points.push_back(seed.x);
-  if (!seed.cuts.empty() && seed.fit_params == fit_params)
+  if (!seed.cuts.empty() &&
+      std::ranges::equal(seed.models, tasks, {}, {}, &BudgetTask::model))
     bnb.seed_cuts = seed.cuts;
 }
 
@@ -360,8 +359,7 @@ BudgetSolver::BudgetSolver(Objective objective, bool minlp,
       sync_(sync) {}
 
 SolveOutcome BudgetSolver::search(std::span<const BudgetTask> tasks,
-                                  long long budget, const Fits& fits,
-                                  const SolveSeed& seed) {
+                                  long long budget, const SolveSeed& seed) {
   SolveOutcome out;
   if (!minlp_) {
     out.allocation = solve_budget(tasks, budget, objective_);
@@ -372,24 +370,19 @@ SolveOutcome BudgetSolver::search(std::span<const BudgetTask> tasks,
     return out;
   }
   const auto model = build_budget_minlp(tasks, budget, objective_);
-  std::vector<double> fit_params =
-      flatten_params(fits, [](const auto& fit) -> const perf::CostModel& {
-        return fit.second.cost;
-      });
   minlp::BnbOptions options = bnb_;
-  seed_bnb_options(options, tasks, objective_, seed, fit_params);
+  seed_bnb_options(options, tasks, objective_, seed);
   const auto bnb = minlp::solve(model, options);
   out.allocation = allocation_from_minlp(tasks, bnb.x, objective_);
   out.solver = SolverStats::from_bnb(bnb, bnb_.solver_threads);
   seed_accepted_ = bnb.seed_accepted;
-  learned_ = {{}, bnb.x, bnb.pool_cuts, std::move(fit_params)};
+  learned_ = {{}, bnb.x, bnb.pool_cuts, task_models(tasks)};
   return out;
 }
 
 SolveOutcome BudgetSolver::solve(std::span<const BudgetTask> tasks,
-                                 long long budget, const Fits& fits,
-                                 const SolveSeed& seed) {
-  SolveOutcome out = search(tasks, budget, fits, seed);
+                                 long long budget, const SolveSeed& seed) {
+  SolveOutcome out = search(tasks, budget, seed);
   double slowest = 0.0;
   for (const auto& t : out.allocation.tasks)
     slowest = std::max(slowest, t.predicted_seconds);
@@ -398,9 +391,7 @@ SolveOutcome BudgetSolver::solve(std::span<const BudgetTask> tasks,
   // are in task order for both solver paths).
   for (std::size_t f = 0; f < tasks.size(); ++f) {
     const double n = static_cast<double>(out.allocation.tasks[f].nodes);
-    const auto& m = tasks[f].model;
-    for (std::size_t i = 0; i < m.num_terms(); ++i) {
-      const std::string& term = m.term(i).name();
+    for (const auto& [term, seconds] : tasks[f].model.term_seconds(n)) {
       auto it = std::find_if(
           out.term_predictions.begin(), out.term_predictions.end(),
           [&](const TermReport& r) { return r.term == term; });
@@ -408,20 +399,20 @@ SolveOutcome BudgetSolver::solve(std::span<const BudgetTask> tasks,
         out.term_predictions.push_back({term, 0.0, 0.0});
         it = std::prev(out.term_predictions.end());
       }
-      it->predicted_seconds += waves_ * m.term_seconds(i, n);
+      it->predicted_seconds += waves_ * seconds;
     }
   }
   return out;
 }
 
 ResolveOutcome BudgetSolver::resolve(std::span<const BudgetTask> tasks,
-                                     long long budget, const Fits& fits,
+                                     long long budget,
                                      const Allocation& incumbent) {
   SolveSeed seed = learned_;
   for (const auto& t : tasks)
     seed.nodes_by_task.push_back(incumbent.find(t.name).nodes);
   ResolveOutcome out;
-  out.solution = search(tasks, budget, fits, seed);
+  out.solution = search(tasks, budget, seed);
   std::vector<long long> nodes;
   nodes.reserve(out.solution.allocation.tasks.size());
   for (const auto& t : out.solution.allocation.tasks) nodes.push_back(t.nodes);

@@ -25,7 +25,6 @@
 
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "hslb/allocation.hpp"
@@ -39,12 +38,12 @@ namespace hslb {
 
 struct BudgetTask {
   std::string name;
-  /// The task's cost model: any sum of registered terms (perf/terms.hpp).
-  /// Implicitly constructible from the classic perf::Model, in which case
-  /// every solver below behaves bit-identically to the power-law-only
-  /// implementation. Knapsack terms (memory) raise the effective node
-  /// floor; affine terms (communication) enter the MINLP as exact linear
-  /// rows rather than outer-approximated nonlinear constraints.
+  /// The task's cost model (perf/terms.hpp): the fitted power law plus any
+  /// pinned machine charges. Implicitly constructible from perf::Model, in
+  /// which case every solver below sees the power law alone. The memory
+  /// knapsack row raises the effective node floor; the comm charge enters
+  /// the MINLP as an exact linear row rather than outer-approximated
+  /// nonlinear constraints.
   perf::CostModel model;
   long long min_nodes = 1;
   long long max_nodes = 0;  ///< inclusive upper bound (e.g. total nodes)
@@ -103,43 +102,30 @@ double evaluate_objective(std::span<const BudgetTask> tasks,
 /// instance: the next closed-loop re-solve of the same run, or — through
 /// the allocation service — another pipeline's Solve step. Seeding never
 /// changes the optimum (an infeasible incumbent is rejected by the B&B
-/// audit, stale cuts by the parameter check); it only prunes the tree.
+/// audit, stale cuts by the model check); it only prunes the tree.
 struct SolveSeed {
   /// One node count per task in task order (empty = no incumbent seed).
   std::vector<long long> nodes_by_task;
   /// The MINLP optimum, re-linearized against the new model (valid by
   /// convexity even when the models moved).
   std::vector<double> x;
-  /// The cut pool, reused verbatim only when `fit_params` equals the new
-  /// instance's flatten_params — the validity condition for OA cuts.
+  /// The cut pool, reused verbatim only when `models` equals the new
+  /// instance's task models in task order, every pinned charge included:
+  /// the validity condition for OA cuts and their variable layout.
   std::vector<minlp::Cut> cuts;
-  std::vector<double> fit_params;
+  std::vector<perf::CostModel> models;
 };
 
-/// Every item's cost-model parameters, concatenated in order (`cost_of`
-/// maps an item to its perf::CostModel). Equal vectors mean the MINLP's
-/// nonlinear constraints are unchanged.
-template <typename Items, typename CostOf>
-std::vector<double> flatten_params(const Items& items, CostOf cost_of) {
-  std::vector<double> out;
-  for (const auto& item : items) {
-    const perf::CostModel& model = cost_of(item);
-    for (std::size_t i = 0; i < model.num_terms(); ++i) {
-      const auto p = model.params(i);
-      out.insert(out.end(), p.begin(), p.end());
-    }
-  }
-  return out;
-}
+/// The tasks' cost models in task order (SolveSeed::models).
+std::vector<perf::CostModel> task_models(std::span<const BudgetTask> tasks);
 
 /// Seeds `bnb` for the build_budget_minlp model of `tasks`: the seed's node
 /// counts, clamped into the tasks' boxes, become the candidate incumbent
 /// and a linearization point; its optimum a second linearization point;
-/// its cuts carry over only when `fit_params` equals the seed's.
+/// its cuts carry over only when the seed's models equal the tasks'.
 void seed_bnb_options(minlp::BnbOptions& bnb,
                       std::span<const BudgetTask> tasks, Objective objective,
-                      const SolveSeed& seed,
-                      const std::vector<double>& fit_params);
+                      const SolveSeed& seed);
 
 /// The Solve step of substrates whose tasks run as barrier-closed waves
 /// (the FMO SCC loop, hslb::WaveApplication): the exact greedy, or
@@ -147,24 +133,22 @@ void seed_bnb_options(minlp::BnbOptions& bnb,
 /// search learned, so a closed-loop re-solve starts warm.
 class BudgetSolver {
  public:
-  using Fits = std::vector<std::pair<std::string, perf::FitResult>>;
-
   /// `minlp` selects branch-and-bound (with `bnb`) over the greedy. A run
   /// is predicted as `waves` waves, each its slowest task plus `sync`.
   BudgetSolver(Objective objective, bool minlp, minlp::BnbOptions bnb,
                double waves, double sync);
 
-  /// Solves `tasks` (fitted as `fits`) within `budget`: allocation, solver
-  /// stats, waves x (slowest + sync) prediction, and term-wise predicted
-  /// task-seconds. `seed` warms the branch-and-bound.
+  /// Solves `tasks` within `budget`: allocation, solver stats, waves x
+  /// (slowest + sync) prediction, and term-wise predicted task-seconds.
+  /// `seed` warms the branch-and-bound.
   SolveOutcome solve(std::span<const BudgetTask> tasks, long long budget,
-                     const Fits& fits, const SolveSeed& seed = {});
+                     const SolveSeed& seed = {});
 
   /// Closed-loop warm re-solve: seeded with the incumbent's node counts and
-  /// the last search's optimum, pool and parameters. Predictions are per
+  /// the last search's optimum, pool and task models. Predictions are per
   /// epoch (objective + sync), for the proposal and for the incumbent.
   ResolveOutcome resolve(std::span<const BudgetTask> tasks, long long budget,
-                         const Fits& fits, const Allocation& incumbent);
+                         const Allocation& incumbent);
 
   /// What the last branch-and-bound search learned (no node counts).
   const SolveSeed& learned() const { return learned_; }
@@ -173,7 +157,7 @@ class BudgetSolver {
 
  private:
   SolveOutcome search(std::span<const BudgetTask> tasks, long long budget,
-                      const Fits& fits, const SolveSeed& seed);
+                      const SolveSeed& seed);
 
   Objective objective_;
   bool minlp_;

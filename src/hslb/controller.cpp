@@ -5,7 +5,6 @@
 
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
-#include "perf/terms.hpp"
 
 namespace hslb {
 
@@ -33,14 +32,10 @@ bool same_allocation(const Allocation& a, const Allocation& b) {
 
 }  // namespace
 
-Controller::Controller(RebalancePolicy policy, perf::FitOptions fit_options,
-                       perf::CostModelSpec spec)
-    : policy_(std::move(policy)),
-      fit_options_(std::move(fit_options)),
-      spec_(std::move(spec)) {
+Controller::Controller(RebalancePolicy policy, perf::FitOptions fit_options)
+    : policy_(std::move(policy)), fit_options_(std::move(fit_options)) {
   HSLB_EXPECTS(policy_.refit_window >= 1);
   HSLB_EXPECTS(policy_.observation_weight >= 1.0);
-  if (spec_.empty()) spec_ = {perf::power_law_term()};
 }
 
 AdaptiveResult Controller::run(
@@ -78,7 +73,7 @@ AdaptiveResult Controller::run(
     const auto window = windowed(observations, epoch, policy_.refit_window);
     double drift = 0.0;
     for (const auto& [task, fit] : out.fits)
-      drift = std::max(drift, perf::prediction_drift(fit.cost, window, task));
+      drift = std::max(drift, perf::prediction_drift(fit.model, window, task));
     out.max_drift = std::max(out.max_drift, drift);
 
     const bool failure = eo.failure_detected;
@@ -108,7 +103,7 @@ AdaptiveResult Controller::run(
       const perf::SampleSet samples = perf::fold_observations(
           *it->second, window, task, epoch, policy_.refit_window,
           policy_.observation_weight);
-      fit = perf::refit_cost(samples, spec_, fit, fit_options_);
+      fit = perf::refit(samples, fit.model, fit_options_);
     });
     if (!stale.empty()) ++out.refits;
 

@@ -47,10 +47,7 @@ struct AdaptiveResult {
 /// apart from its policy; run() may be called repeatedly.
 class Controller {
  public:
-  /// `spec` must be the spec `fits` were fitted with (empty = the classic
-  /// power law, matching Application::fit_spec's default).
-  Controller(RebalancePolicy policy, perf::FitOptions fit_options,
-             perf::CostModelSpec spec = {});
+  Controller(RebalancePolicy policy, perf::FitOptions fit_options);
 
   /// Runs `app` epoch by epoch from the initial Solve outputs. `bench` and
   /// `fits` are the Gather/Fit stage outputs (refits fold observations into
@@ -66,7 +63,6 @@ class Controller {
  private:
   RebalancePolicy policy_;
   perf::FitOptions fit_options_;
-  perf::CostModelSpec spec_;
 };
 
 }  // namespace hslb

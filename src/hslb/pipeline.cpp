@@ -263,7 +263,7 @@ PipelineRun Pipeline::run(Application& app, ThreadPool& pool) const {
   t0 = std::chrono::steady_clock::now();
   perf::FitOptions fit_opt = app.fit_options();
   fit_opt.threads = pool.size();
-  out.fits = perf::fit_all(out.bench, fit_opt, &pool, app.fit_spec());
+  out.fits = perf::fit_all(out.bench, fit_opt, &pool);
   for (const auto& [task, fit] : out.fits)
     out.report.fits.push_back({task, fit.r2, fit.converged});
   out.report.fit_seconds = seconds_since(t0);
@@ -285,7 +285,7 @@ PipelineRun Pipeline::run(Application& app, ThreadPool& pool) const {
   // each trigger's refits on it.
   t0 = std::chrono::steady_clock::now();
   if (options_.rebalance.adaptive && app.supports_epochs()) {
-    const Controller controller(options_.rebalance, fit_opt, app.fit_spec());
+    const Controller controller(options_.rebalance, fit_opt);
     const AdaptiveResult adaptive =
         controller.run(app, out.bench, out.fits, out.solution, pool);
     out.actual_total = adaptive.actual_total;

@@ -32,6 +32,11 @@ namespace hslb::minlp {
 struct BnbResult;
 }
 
+namespace hslb::perf {
+/// Return type of the unread Application::fit_spec hook (see there).
+struct CostModelSpec {};
+}  // namespace hslb::perf
+
 namespace hslb {
 
 /// Per-task benchmark node counts, in the order tasks are fitted/reported.
@@ -267,9 +272,8 @@ class Application {
   /// routes Execute through hslb::Controller only when this returns true.
   virtual bool supports_epochs() const { return false; }
 
-  /// Cost-model spec the Fit step fitted (empty = the classic power law).
-  /// The controller refits observed durations against the same spec, warm
-  /// from the previous parameters (perf::refit_cost).
+  /// Never read: the Fit step always fits the power law (perf::fit). Kept
+  /// declared only because perfbench's TracedApplication overrides it.
   virtual perf::CostModelSpec fit_spec() const { return {}; }
 
   /// Prepares epoch execution under the initial allocation. Called once,

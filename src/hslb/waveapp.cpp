@@ -102,9 +102,9 @@ std::vector<BudgetTask> WaveApplication::budget_tasks(
   if (mach_.models_memory()) {
     for (std::size_t t = 0; t < tasks.size(); ++t) {
       if (workload_.tasks[t].memory_gb > 0.0)
-        tasks[t].model.add(perf::make_memory_term(workload_.tasks[t].memory_gb,
-                                                  mach_.memory_gb_per_node,
-                                                  mach_.page_s_per_gb));
+        tasks[t].model.pin_memory(workload_.tasks[t].memory_gb,
+                                  mach_.memory_gb_per_node,
+                                  mach_.page_s_per_gb);
       // The memory knapsack can force a wider span than the probe ceiling;
       // feasibility wins over staying inside the interpolated range.
       tasks[t].max_nodes =
@@ -116,7 +116,7 @@ std::vector<BudgetTask> WaveApplication::budget_tasks(
 
 SolveOutcome WaveApplication::solve(
     const std::vector<std::pair<std::string, perf::FitResult>>& fits) {
-  return solver_.solve(budget_tasks(fits, hi_), nodes_, fits);
+  return solver_.solve(budget_tasks(fits, hi_), nodes_);
 }
 
 std::vector<long long> WaveApplication::nodes_of(
@@ -204,7 +204,7 @@ ResolveOutcome WaveApplication::resolve(
     const SolveOutcome& incumbent) {
   const long long nodes = core_.budget();
   return solver_.resolve(budget_tasks(fits, std::min(hi_, nodes)), nodes,
-                         fits, incumbent.allocation);
+                         incumbent.allocation);
 }
 
 double WaveApplication::migration_volume(const Allocation& next) const {

@@ -78,6 +78,11 @@ std::pair<long long, double> Model::argmin_int(long long lo, long long hi) const
   return {best_n, best_t};
 }
 
+bool Model::valid() const {
+  return std::isfinite(a) && std::isfinite(b) && std::isfinite(c) &&
+         std::isfinite(d) && a >= 0.0 && b >= 0.0 && d >= 0.0;
+}
+
 std::string Model::str() const {
   return strings::format("T(n) = %.6g/n + %.6g*n^%.4f + %.6g", a, b, c, d);
 }

@@ -55,6 +55,12 @@ struct Model {
 
   std::string str() const;
 
+  /// The rule a model crossing an input boundary (a model CSV, a service
+  /// request) must pass: a, b, c and d finite, and a, b, d >= 0.
+  bool valid() const;
+
+  bool operator==(const Model&) const = default;
+
   /// Algebraic expression in terms of a named variable, e.g.
   /// "27459.7/n_atm + 0.000193*n_atm^1.2285 + 43.73" (for AMPL export).
   std::string expr(const std::string& var) const;

@@ -1,5 +1,7 @@
 #include "perf/modelio.hpp"
 
+#include <unordered_set>
+
 #include "common/contracts.hpp"
 #include "common/csv.hpp"
 #include "common/strings.hpp"
@@ -35,6 +37,7 @@ std::vector<NamedModel> models_from_csv(const std::string& text) {
         return false;
       }();
   std::vector<NamedModel> out;
+  std::unordered_set<std::string> seen;
   for (const auto& row : doc.rows) {
     NamedModel m;
     m.task = row[ct];
@@ -46,7 +49,8 @@ std::vector<NamedModel> models_from_csv(const std::string& text) {
       m.min_nodes = strings::to_int(row[doc.column("min_nodes")]);
       m.max_nodes = strings::to_int(row[doc.column("max_nodes")]);
     }
-    HSLB_EXPECTS(m.model.a >= 0 && m.model.b >= 0 && m.model.d >= 0);
+    HSLB_EXPECTS(m.model.valid());
+    HSLB_EXPECTS(seen.insert(m.task).second);  // task names are unique
     out.push_back(std::move(m));
   }
   return out;

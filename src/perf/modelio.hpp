@@ -20,6 +20,8 @@ struct NamedModel {
 };
 
 std::string models_to_csv(const std::vector<NamedModel>& models);
+/// Throws ContractViolation on a malformed file, a model failing
+/// Model::valid(), or a repeated task name.
 std::vector<NamedModel> models_from_csv(const std::string& text);
 
 void save_models(const std::string& path, const std::vector<NamedModel>& models);

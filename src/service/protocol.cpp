@@ -9,6 +9,7 @@
 
 #include "common/hash.hpp"
 #include "common/strings.hpp"
+#include "perf/model.hpp"
 
 namespace hslb::service {
 
@@ -131,6 +132,11 @@ Request canonicalize(const Request& r) {
       t.b = quantize(t.b);
       t.c = quantize(t.c);
       t.d = quantize(t.d);
+      if (!perf::Model{t.a, t.b, t.c, t.d}.valid()) {
+        throw std::invalid_argument(
+            "task '" + t.name +
+            "': a, b, c, d must be finite with a, b, d >= 0");
+      }
     }
     if (floor_sum > c.budget) {
       throw std::invalid_argument(

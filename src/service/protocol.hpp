@@ -73,8 +73,9 @@ struct Request {
 
 /// Returns the canonical representative of `r` (see header doc). Throws
 /// std::invalid_argument on malformed instances: duplicate task names, an
-/// empty solve task list, an unknown family, min_nodes > max_nodes, or a
-/// budget below the sum of node floors.
+/// empty solve task list, a task model failing perf::Model::valid(), an
+/// unknown family, min_nodes > max_nodes, or a budget below the sum of node
+/// floors.
 Request canonicalize(const Request& r);
 
 /// FNV-1a signature of a canonicalized request. Only meaningful on the

@@ -107,14 +107,8 @@ AllocationService::Solved AllocationService::solve_kind_solve(
     const auto model =
         build_budget_minlp(tasks, canonical.budget, canonical.objective);
     minlp::BnbOptions bnb_opt = opt_.bnb;
-    std::vector<double> fit_params = flatten_params(
-        tasks, [](const BudgetTask& t) -> const perf::CostModel& {
-          return t.model;
-        });
-    if (donor != nullptr) {
-      seed_bnb_options(bnb_opt, tasks, canonical.objective, donor->seed,
-                       fit_params);
-    }
+    if (donor != nullptr)
+      seed_bnb_options(bnb_opt, tasks, canonical.objective, donor->seed);
     const auto bnb = minlp::solve(model, bnb_opt);
     resp.status = minlp::to_string(bnb.status);
     resp.bnb_nodes = bnb.nodes;
@@ -125,7 +119,7 @@ AllocationService::Solved AllocationService::solve_kind_solve(
         allocation_from_minlp(tasks, bnb.x, canonical.objective);
     out.seed.x = bnb.x;
     out.seed.cuts = bnb.pool_cuts;
-    out.seed.fit_params = std::move(fit_params);
+    out.seed.models = task_models(tasks);
   }
 
   for (std::size_t f = 0; f < tasks.size(); ++f)

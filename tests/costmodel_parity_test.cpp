@@ -1,5 +1,5 @@
-// Parity sweep guarding the cost-term refactor: with only the power-law
-// term registered (the default everywhere), fits, greedy objectives,
+// Parity sweep guarding the cost model: with the power law alone (every
+// model without pinned machine charges), fits, greedy objectives,
 // branch-and-bound node/cut counts, and the full FMO pipeline must equal
 // the pre-refactor behaviour bit for bit. The expected values below were
 // captured from the seed implementation (hard-coded perf::Model paths)
@@ -67,24 +67,6 @@ TEST(CostModelParity, FitsAreBitIdenticalToSeed) {
   }
 }
 
-TEST(CostModelParity, FitCostEqualsClassicFit) {
-  // The generic entry point with an explicit single-powerlaw spec must take
-  // the exact same path as perf::fit.
-  perf::FitOptions opt;
-  opt.seed = 11;
-  const auto samples = golden_samples(11);
-  const auto classic = perf::fit(samples, opt);
-  const auto generic =
-      perf::fit_cost(samples, {perf::power_law_term()}, opt);
-  EXPECT_EQ(generic.model.a, classic.model.a);
-  EXPECT_EQ(generic.model.b, classic.model.b);
-  EXPECT_EQ(generic.model.c, classic.model.c);
-  EXPECT_EQ(generic.model.d, classic.model.d);
-  EXPECT_EQ(generic.sse, classic.sse);
-  for (double n : {1.0, 4.0, 96.0})
-    EXPECT_EQ(generic.cost.eval(n), classic.model.eval(n));
-}
-
 /// A controller refit's sample shape: a gather sweep with two repetitions
 /// per node count, plus one task's epoch observations folded in at weight 4,
 /// so node counts repeat across gather repetitions and observation replicas.
@@ -114,8 +96,7 @@ TEST(CostModelParity, FoldedFitsAreBitIdenticalToSeed) {
   perf::FitOptions opt;
   opt.seed = 21;
 
-  const perf::CostModelSpec classic{perf::power_law_term()};
-  const auto fit = perf::fit_cost(samples, classic, opt);
+  const auto fit = perf::fit(samples, opt);
   EXPECT_EQ(fit.model.a, 5008.2524159568402);
   EXPECT_EQ(fit.model.b, 0.0);
   EXPECT_EQ(fit.model.c, 1.109327207394424);
@@ -124,30 +105,14 @@ TEST(CostModelParity, FoldedFitsAreBitIdenticalToSeed) {
   EXPECT_EQ(fit.r2, 0.99767264661939359);
   // The warm descent from the gather-only fit stalls at the iteration cap,
   // so the refit falls back to the same multistart.
-  const auto refit = perf::refit_cost(
-      samples, classic, perf::fit_cost(gathered, classic, opt), opt);
+  const auto refit =
+      perf::refit(samples, perf::fit(gathered, opt).model, opt);
   EXPECT_EQ(refit.starts_tried, 24u);
   EXPECT_EQ(refit.model.a, fit.model.a);
   EXPECT_EQ(refit.model.c, fit.model.c);
   EXPECT_EQ(refit.model.d, fit.model.d);
   EXPECT_EQ(refit.sse, fit.sse);
 
-  // Two terms, each evaluated on its own parameter slice; here the warm
-  // descent converges.
-  const perf::CostModelSpec split{perf::compute_term(), perf::serial_term()};
-  const auto split_fit = perf::fit_cost(samples, split, opt);
-  EXPECT_EQ(split_fit.cost.params(0)[0], 5005.4203269467198);
-  EXPECT_EQ(split_fit.cost.params(0)[1], 0.9594245490058706);
-  EXPECT_EQ(split_fit.cost.params(1)[0], 47.894145699330124);
-  EXPECT_EQ(split_fit.sse, 87473.474902238682);
-  const auto split_refit = perf::refit_cost(
-      samples, split, perf::fit_cost(gathered, split, opt), opt);
-  EXPECT_EQ(split_refit.starts_tried, 1u);
-  EXPECT_EQ(split_refit.cost.params(0)[0], 5005.4203256719684);
-  EXPECT_EQ(split_refit.cost.params(0)[1], 0.95942455191427012);
-  EXPECT_EQ(split_refit.cost.params(1)[0], 47.894148003759597);
-  EXPECT_EQ(split_refit.sse, 87473.474902238697);
-  EXPECT_EQ(split_refit.r2, 0.99792741955801112);
 }
 
 class SolveParity : public ::testing::Test {

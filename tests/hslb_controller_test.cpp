@@ -80,7 +80,7 @@ class FakeApp : public Application {
       const std::vector<std::pair<std::string, perf::FitResult>>& fits,
       const SolveOutcome&) override {
     ++resolves;
-    if (!fits.empty()) last_resolve_pred8 = fits[0].second.cost.eval(8.0);
+    if (!fits.empty()) last_resolve_pred8 = fits[0].second.model.eval(8.0);
     ResolveOutcome r;
     // A distinct allocation each call, so repeated proposals are never
     // rejected as "same allocation".
@@ -270,7 +270,7 @@ TEST(Controller, DriftTriggersRefitAndResolvesUnderNewModels) {
         {"t", n, 2.0 * (120.0 / n + 2.0), 0});
   }
   const World w = make_world();
-  const double stale_pred8 = w.fits[0].second.cost.eval(8.0);
+  const double stale_pred8 = w.fits[0].second.model.eval(8.0);
   const Controller ctl({.adaptive = true}, {});
   const AdaptiveResult r = ctl.run(app, w.bench, w.fits, w.solution, serial);
 
@@ -280,7 +280,7 @@ TEST(Controller, DriftTriggersRefitAndResolvesUnderNewModels) {
   // The resolve saw refitted models that track the slower truth.
   EXPECT_GT(app.last_resolve_pred8, stale_pred8);
   // And the result carries the refitted models out.
-  EXPECT_GT(r.fits[0].second.cost.eval(8.0), stale_pred8);
+  EXPECT_GT(r.fits[0].second.model.eval(8.0), stale_pred8);
 }
 
 TEST(Controller, DecisionsArePureFunctionsOfTheScript) {

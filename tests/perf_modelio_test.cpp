@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "common/contracts.hpp"
+#include "mutate.hpp"
 
 namespace hslb::perf {
 namespace {
@@ -32,9 +36,35 @@ TEST(ModelIo, RangeColumnsOptional) {
   EXPECT_EQ(loaded[0].max_nodes, 0);
 }
 
-TEST(ModelIo, NegativeParametersRejected) {
-  EXPECT_THROW(models_from_csv("task,a,b,c,d\nx,-1,0,1,0\n"),
-               ContractViolation);
+TEST(ModelIo, InvalidModelsAndDuplicateNamesRejected) {
+  for (const char* rows :
+       {"x,-1,0,1,0", "x,100,0,nan,1", "x,inf,0,1,0", "x,100,inf,1,0",
+        "x,100,0,1,inf", "x,100,0,-inf,1", "x,1,0,1,0\nx,2,0,1,0"}) {
+    EXPECT_THROW(models_from_csv(std::string("task,a,b,c,d\n") + rows + "\n"),
+                 ContractViolation)
+        << rows;
+  }
+}
+
+// Seeded mutation fuzz: every mutant of a valid file either throws or
+// yields models that pass Model::valid().
+TEST(ModelIo, MutatedFilesThrowOrYieldValidModels) {
+  const std::string valid = models_to_csv(
+      {{"atm", Model{27459.7, 1.93438e-4, 1.2285, 43.7318}, 1, 1664},
+       {"ocn", Model{7649.0, 0.0, 1.0, 45.6145}, 2, 768}});
+  Rng rng(20261018);
+  std::size_t accepted = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const std::string text = fuzz::mutate(valid, ",\n", rng);
+    try {
+      for (const auto& m : models_from_csv(text))
+        EXPECT_TRUE(m.model.valid()) << text;
+      ++accepted;
+    } catch (const ContractViolation&) {
+    } catch (const std::invalid_argument&) {
+    }
+  }
+  EXPECT_GT(accepted, 0u);
 }
 
 TEST(ModelIo, FileRoundTrip) {

@@ -1,4 +1,4 @@
-// Incremental refit (fold_observations / prediction_drift / refit_cost):
+// Incremental refit (fold_observations / prediction_drift / refit):
 // the Fit half of the closed-loop controller. Gather samples anchor the
 // model; windowed, weighted epoch observations drag it toward the in-situ
 // truth; the drift statistic decides when the controller must act.
@@ -56,15 +56,15 @@ TEST(PerfRefit, PredictionDriftIsMeanRelativeError) {
   // Observations matching the model: drift ~ 0.
   std::vector<Observed> good = {{"frag", 4.0, 120.0 / 4.0 + 2.0, 0},
                                 {"frag", 8.0, 120.0 / 8.0 + 2.0, 0}};
-  EXPECT_NEAR(prediction_drift(fitted.cost, good, "frag"), 0.0, 1e-6);
+  EXPECT_NEAR(prediction_drift(fitted.model, good, "frag"), 0.0, 1e-6);
 
   // Everything 50% slower than predicted: drift = 0.5.
   std::vector<Observed> slow = good;
   for (auto& o : slow) o.seconds *= 1.5;
-  EXPECT_NEAR(prediction_drift(fitted.cost, slow, "frag"), 0.5, 1e-6);
+  EXPECT_NEAR(prediction_drift(fitted.model, slow, "frag"), 0.5, 1e-6);
 
   // No matching task: defined as 0 (nothing to act on).
-  EXPECT_EQ(prediction_drift(fitted.cost, slow, "other"), 0.0);
+  EXPECT_EQ(prediction_drift(fitted.model, slow, "other"), 0.0);
 }
 
 // The controller's sequence: fit the gather sweep, observe a 2x-slower
@@ -73,9 +73,8 @@ TEST(PerfRefit, PredictionDriftIsMeanRelativeError) {
 // same folded data.
 TEST(PerfRefit, WarmRefitTracksDriftedObservations) {
   const SampleSet gathered = exact_samples();
-  const CostModelSpec spec = {power_law_term()};
   FitOptions opt;
-  const FitResult first = fit_cost(gathered, spec, opt);
+  const FitResult first = fit(gathered, opt);
   ASSERT_TRUE(first.converged);
   EXPECT_GT(first.r2, 0.999);
 
@@ -83,28 +82,27 @@ TEST(PerfRefit, WarmRefitTracksDriftedObservations) {
   std::vector<Observed> obs;
   for (double n : {4.0, 8.0, 16.0})
     obs.push_back({"frag", n, 2.0 * (120.0 / n + 2.0), 1});
-  const double drift = prediction_drift(first.cost, obs, "frag");
+  const double drift = prediction_drift(first.model, obs, "frag");
   EXPECT_NEAR(drift, 1.0, 1e-3);  // 100% slower than predicted
 
   const SampleSet folded =
       fold_observations(gathered, obs, "frag", 1, 4, 8.0);
-  const FitResult warm = refit_cost(folded, spec, first, opt);
+  const FitResult warm = refit(folded, first.model, opt);
   // The folded data is deliberately self-contradictory (gather and
   // observations disagree at the same widths), so the descent may stop on
   // tolerance without formally converging — the fit is still usable.
   // The heavily weighted observations pull the refit toward the 2x truth:
   // the refitted prediction at the observed widths sits well above the
   // stale one and the residual drift shrinks.
-  const double residual = prediction_drift(warm.cost, obs, "frag");
+  const double residual = prediction_drift(warm.model, obs, "frag");
   EXPECT_LT(residual, 0.5 * drift);
-  EXPECT_GT(warm.cost.eval(8.0), first.cost.eval(8.0));
+  EXPECT_GT(warm.model.eval(8.0), first.model.eval(8.0));
 }
 
 TEST(PerfRefit, WarmRefitOnUnchangedDataReproducesFit) {
   const SampleSet gathered = exact_samples();
-  const CostModelSpec spec = {power_law_term()};
-  const FitResult cold = fit_cost(gathered, spec);
-  const FitResult warm = refit_cost(gathered, spec, cold);
+  const FitResult cold = fit(gathered);
+  const FitResult warm = refit(gathered, cold.model);
   ASSERT_TRUE(warm.converged);
   // Same data, warm start at the optimum: the solution must not move.
   EXPECT_NEAR(warm.model.a, cold.model.a, 1e-6 * cold.model.a);

@@ -60,7 +60,6 @@ class RecordingApp final : public Application {
     return inner_->execution_term_seconds();
   }
   bool supports_epochs() const override { return inner_->supports_epochs(); }
-  perf::CostModelSpec fit_spec() const override { return inner_->fit_spec(); }
   void begin_epochs(const SolveOutcome& solution) override {
     inner_->begin_epochs(solution);
   }

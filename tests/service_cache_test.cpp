@@ -7,11 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/contracts.hpp"
+#include "mutate.hpp"
+#include "perf/model.hpp"
 #include "service/protocol.hpp"
 
 namespace hslb::service {
@@ -109,6 +114,43 @@ TEST(Canonicalize, RejectsMalformedRequests) {
   EXPECT_THROW(canonicalize(fmo_request(48, 6, "granite")),
                std::invalid_argument);
   EXPECT_THROW(canonicalize(fmo_request(4, 6)), std::invalid_argument);
+  // Task models must pass perf::Model::valid().
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& bad :
+       {task("x", nan), task("x", -100.0), task("x", inf), task("x", 1.0, -0.1),
+        task("x", 1.0, 0.1, nan), task("x", 1.0, 0.1, -inf),
+        task("x", 1.0, 0.1, 1.0, -1.0), task("x", 1.0, 0.1, 1.0, inf)}) {
+    EXPECT_THROW(canonicalize(solve_request(32, {bad, task("y", 1.0)})),
+                 std::invalid_argument);
+  }
+}
+
+// Seeded mutation fuzz: every mutant of a valid request line either throws
+// or canonicalizes to task models that pass perf::Model::valid().
+TEST(Protocol, MutatedLinesThrowOrYieldValidModels) {
+  const std::string valid[] = {
+      "solve objective=min-max budget=64 "
+      "tasks=atm:400:3:1:2:1:64;ocn:250:2:1.1:1:1:0;ice:120:1:1:0.5:2:32",
+      "solve objective=max-min budget=32 tasks=x:10:0.5:1.2:0:1:0",
+      "fmo objective=min-sum budget=48 family=peptide fragments=6 "
+      "system_seed=3 bench_seed=42 noise_cv=0.03 fit_points=4 reps=1 "
+      "link_gb=0.85 mem_gb=2 page_s_per_gb=1.5"};
+  Rng rng(20261018);
+  std::size_t accepted = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const std::string line =
+        fuzz::mutate(valid[i % std::size(valid)], " =:;", rng);
+    try {
+      const Request c = canonicalize(parse_request(line));
+      for (const auto& t : c.tasks)
+        EXPECT_TRUE((perf::Model{t.a, t.b, t.c, t.d}.valid())) << line;
+      ++accepted;
+    } catch (const ContractViolation&) {
+    } catch (const std::invalid_argument&) {
+    }
+  }
+  EXPECT_GT(accepted, 0u);
 }
 
 TEST(Protocol, FormatParseCanonicalizeIsIdentity) {

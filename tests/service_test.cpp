@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -288,6 +289,23 @@ TEST(AllocationService, FmoRequestsRunTheFullPipelineAndWarmStart) {
   const Response cold_f2 = cold.handle(f2);
   EXPECT_NEAR(out[2].objective_value, cold_f2.objective_value,
               1e-9 * std::abs(cold_f2.objective_value));
+
+  // A donor whose machine charged link bandwidth solved a MINLP with comm
+  // split variables; its cuts must not carry over to the same system on an
+  // unmodeled machine, whose fits are identical but whose MINLP has no such
+  // variables.
+  const Request charged = parse_request(
+      "fmo objective=min-max budget=96 family=comm fragments=12 "
+      "system_seed=50 bench_seed=42 noise_cv=0.03 fit_points=5 reps=1 "
+      "link_gb=0.425");
+  Request plain = charged;
+  plain.link_gb = std::numeric_limits<double>::infinity();
+  AllocationService chain(opt);
+  const auto pair = chain.run_script({charged, plain});
+  EXPECT_EQ(pair[1].donor_signature, signature(canonicalize(charged)));
+  const Response cold_plain = cold.handle(plain);
+  EXPECT_NEAR(pair[1].objective_value, cold_plain.objective_value,
+              1e-9 * std::abs(cold_plain.objective_value));
 }
 
 }  // namespace
