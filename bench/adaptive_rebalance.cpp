@@ -19,9 +19,9 @@
 //     diagnostics;
 //   * a warm-vs-cold re-solve A/B on the scenario's budget MINLP — GATE:
 //     seeding the re-solve with the previous incumbent and cut pool
-//     (BnbOptions::seed_incumbent / seed_points / seed_cuts, the exact
-//     path hslb::Controller uses) must search fewer B&B nodes than the
-//     cold solve of the same model, at the same objective.
+//     (BnbOptions::seed_incumbent / seed_points / seed_cuts) must search
+//     fewer B&B nodes than the cold solve of the same model, at the same
+//     objective.
 //
 // Headline numbers merge into BENCH_solver.json under "adaptive/...".
 #include <cmath>
@@ -206,9 +206,10 @@ int main() {
   }
 
   // --- Warm vs cold re-solve on the scenario's budget MINLP. -------------
-  // The controller's exact seeding path: lift the previous allocation into
+  // What a previous solve alone gives a re-solve: lift its allocation into
   // a feasible incumbent (minlp_warm_start), re-linearize at it, and insert
-  // the previous solve's cut pool.
+  // its cut pool. (The controller's re-solve goes through
+  // seed_bnb_options, whose incumbent is the exact greedy.)
   // Heuristic dives are disabled on both sides so the measured pruning
   // comes from the seeds, not from the dive heuristic rediscovering the
   // optimum at the root.

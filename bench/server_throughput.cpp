@@ -114,8 +114,9 @@ int main() {
 
   // --- Cross-instance warm starts on a perturbed-repeat family. -----------
   // The same 16-fragment system at a growing budget: fits are identical, so
-  // the donor's cut pool transfers verbatim, its incumbent stays feasible
-  // (the budget only grows), and only the budget row moves.
+  // the donor's cut pool transfers verbatim and only the budget row moves.
+  // Both services start every miss from the exact greedy; the warm one also
+  // from the donor's seed.
   {
     const std::vector<long long> budgets = {64, 68, 72, 76, 80};
     std::vector<service::Request> script;
@@ -124,7 +125,6 @@ int main() {
 
     service::ServiceOptions warm_opt;
     warm_opt.batch = 1;
-    warm_opt.bnb.heuristic_dives = false;
     service::AllocationService warm_srv(warm_opt);
     const auto warm = warm_srv.run_script(script);
 

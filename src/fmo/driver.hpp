@@ -46,9 +46,9 @@ struct PipelineOptions {
   minlp::BnbOptions bnb;
 
   /// Cross-instance warm seed for the Solve step (MINLP path only; ignored
-  /// by the greedy solver). Seeding never changes the optimum — an
-  /// infeasible incumbent is rejected by the B&B audit and stale cuts are
-  /// excluded by the fit-params equality check — it only prunes the tree.
+  /// by the greedy solver). Seeding never changes the optimum — the
+  /// incumbent is the exact greedy and stale cuts are excluded by the
+  /// task-model equality check — it only prunes the tree.
   SolveSeed solve_seed;
 
   /// Number of representative SCF dimers probed during Gather (spread over
@@ -118,8 +118,8 @@ struct PipelineResult {
   /// What the Solve step learned, exported for seeding a later run
   /// (PipelineOptions::solve_seed). Empty on the greedy path.
   SolveSeed solve_export;
-  /// True when options.solve_seed's incumbent passed the B&B feasibility
-  /// audit and the search actually started warm (minlp path only).
+  /// True when options.solve_seed seeded the search, i.e. the Solve step
+  /// started warm from a donor (minlp path only).
   bool seed_accepted = false;
 };
 

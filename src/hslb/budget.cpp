@@ -334,20 +334,34 @@ std::vector<perf::CostModel> task_models(std::span<const BudgetTask> tasks) {
   return out;
 }
 
-void seed_bnb_options(minlp::BnbOptions& bnb,
-                      std::span<const BudgetTask> tasks, Objective objective,
-                      const SolveSeed& seed) {
+bool seed_bnb_options(minlp::BnbOptions& bnb,
+                      std::span<const BudgetTask> tasks, long long budget,
+                      Objective objective, const SolveSeed& seed) {
+  std::vector<long long> nodes(tasks.size());
+  std::ranges::transform(solve_budget(tasks, budget, objective).tasks,
+                         nodes.begin(), &TaskAllocation::nodes);
+  bnb.seed_incumbent = minlp_warm_start(tasks, nodes, objective);
+  bnb.seed_points.push_back(bnb.seed_incumbent);
+  bnb.heuristic_dives = false;
+
+  bool warm = false;
   if (seed.nodes_by_task.size() == tasks.size()) {
-    std::vector<long long> warm = seed.nodes_by_task;
     for (std::size_t f = 0; f < tasks.size(); ++f)
-      warm[f] = std::clamp(warm[f], tasks[f].min_nodes, tasks[f].max_nodes);
-    bnb.seed_incumbent = minlp_warm_start(tasks, warm, objective);
-    bnb.seed_points.push_back(bnb.seed_incumbent);
+      nodes[f] = std::clamp(seed.nodes_by_task[f], tasks[f].min_nodes,
+                            tasks[f].max_nodes);
+    bnb.seed_points.push_back(minlp_warm_start(tasks, nodes, objective));
+    warm = true;
   }
-  if (!seed.x.empty()) bnb.seed_points.push_back(seed.x);
+  if (seed.x.size() == bnb.seed_incumbent.size()) {
+    bnb.seed_points.push_back(seed.x);
+    warm = true;
+  }
   if (!seed.cuts.empty() &&
-      std::ranges::equal(seed.models, tasks, {}, {}, &BudgetTask::model))
+      std::ranges::equal(seed.models, tasks, {}, {}, &BudgetTask::model)) {
     bnb.seed_cuts = seed.cuts;
+    warm = true;
+  }
+  return warm;
 }
 
 BudgetSolver::BudgetSolver(Objective objective, bool minlp,
@@ -371,11 +385,10 @@ SolveOutcome BudgetSolver::search(std::span<const BudgetTask> tasks,
   }
   const auto model = build_budget_minlp(tasks, budget, objective_);
   minlp::BnbOptions options = bnb_;
-  seed_bnb_options(options, tasks, objective_, seed);
+  seed_accepted_ = seed_bnb_options(options, tasks, budget, objective_, seed);
   const auto bnb = minlp::solve(model, options);
   out.allocation = allocation_from_minlp(tasks, bnb.x, objective_);
   out.solver = SolverStats::from_bnb(bnb, bnb_.solver_threads);
-  seed_accepted_ = bnb.seed_accepted;
   learned_ = {{}, bnb.x, bnb.pool_cuts, task_models(tasks)};
   return out;
 }

@@ -15,9 +15,11 @@
 //               convexifiable with our cut machinery; §III-D only uses it
 //               as an ablation baseline).
 //
-// build_budget_minlp() expresses the same problem as a general MINLP so the
-// branch-and-bound path can cross-check the specialized solvers
-// (bench/fmo_solver_crosscheck and the property tests do exactly that).
+// build_budget_minlp() expresses the same problem as a general MINLP for
+// the branch-and-bound path, which starts from the greedy and proves it
+// (or improves on it where the greedy is not exact). An unseeded search
+// cross-checks the specialized solvers (bench/fmo_solver_crosscheck and the
+// property tests do exactly that).
 //
 // BudgetSolver is the Solve step built on top: greedy or branch-and-bound,
 // warm-seeded from what an earlier search learned (SolveSeed).
@@ -72,7 +74,8 @@ Allocation solve_budget(std::span<const BudgetTask> tasks, long long budget,
 
 /// The same problem as a convex MINLP (min-max or min-sum only):
 /// variables are laid out as n_f = f (task order), then the epigraph
-/// variable(s). Used for branch-and-bound cross-checks.
+/// variable(s). Solved by the branch-and-bound Solve path and its
+/// cross-checks.
 minlp::Model build_budget_minlp(std::span<const BudgetTask> tasks,
                                 long long budget, Objective objective);
 
@@ -85,10 +88,10 @@ Allocation allocation_from_minlp(std::span<const BudgetTask> tasks,
 /// Lifts per-task node counts into a full solution vector for the MINLP
 /// build_budget_minlp builds over the SAME task list: the node counts
 /// verbatim, with epigraph and split variables re-evaluated against the
-/// current models. Used to seed a warm re-solve (BnbOptions::seed_incumbent
-/// / seed_points) from a previous allocation — the point is feasible
-/// whenever the node counts respect the new bounds and budget, and the B&B
-/// re-checks that before accepting it.
+/// current models. seed_bnb_options lifts the greedy's allocation into
+/// BnbOptions::seed_incumbent this way (the B&B re-checks its feasibility
+/// before accepting it), and a previous allocation into a seed_points
+/// entry.
 std::vector<double> minlp_warm_start(std::span<const BudgetTask> tasks,
                                      std::span<const long long> nodes,
                                      Objective objective);
@@ -100,11 +103,14 @@ double evaluate_objective(std::span<const BudgetTask> tasks,
 
 /// What one MINLP solve learned, for seeding a later solve of a related
 /// instance: the next closed-loop re-solve of the same run, or — through
-/// the allocation service — another pipeline's Solve step. Seeding never
-/// changes the optimum (an infeasible incumbent is rejected by the B&B
-/// audit, stale cuts by the model check); it only prunes the tree.
+/// the allocation service — another pipeline's Solve step. The incumbent
+/// always comes from the exact greedy (seed_bnb_options), so a seed only
+/// adds linearization points and cuts: it never changes the optimum (stale
+/// cuts are dropped by the model check), it only prunes the tree. An empty
+/// seed is a cold solve.
 struct SolveSeed {
-  /// One node count per task in task order (empty = no incumbent seed).
+  /// One node count per task in task order (empty = none), re-linearized
+  /// against the new model after clamping into the tasks' boxes.
   std::vector<long long> nodes_by_task;
   /// The MINLP optimum, re-linearized against the new model (valid by
   /// convexity even when the models moved).
@@ -119,18 +125,24 @@ struct SolveSeed {
 /// The tasks' cost models in task order (SolveSeed::models).
 std::vector<perf::CostModel> task_models(std::span<const BudgetTask> tasks);
 
-/// Seeds `bnb` for the build_budget_minlp model of `tasks`: the seed's node
-/// counts, clamped into the tasks' boxes, become the candidate incumbent
-/// and a linearization point; its optimum a second linearization point;
-/// its cuts carry over only when the seed's models equal the tasks'.
-void seed_bnb_options(minlp::BnbOptions& bnb,
-                      std::span<const BudgetTask> tasks, Objective objective,
-                      const SolveSeed& seed);
+/// Seeds `bnb` for the build_budget_minlp model of `tasks` within `budget`.
+/// The exact greedy (solve_budget, lifted by minlp_warm_start) becomes the
+/// incumbent and the first linearization point, so the search only has to
+/// prove it optimal; dives are switched off, since a primal heuristic
+/// cannot improve an optimal incumbent. The seed's node counts, clamped
+/// into the tasks' boxes, and its optimum become further linearization
+/// points; its cuts carry over only when the seed's models equal the
+/// tasks'. Returns true when the seed added a point or its cuts: the search
+/// is warm, seeded from a donor or from the previous search.
+bool seed_bnb_options(minlp::BnbOptions& bnb,
+                      std::span<const BudgetTask> tasks, long long budget,
+                      Objective objective, const SolveSeed& seed);
 
 /// The Solve step of substrates whose tasks run as barrier-closed waves
 /// (the FMO SCC loop, hslb::WaveApplication): the exact greedy, or
-/// branch-and-bound warm-seeded from a SolveSeed. It keeps what its last
-/// search learned, so a closed-loop re-solve starts warm.
+/// branch-and-bound started from it and warm-seeded from a SolveSeed. It
+/// keeps what its last search learned, so a closed-loop re-solve starts
+/// warm.
 class BudgetSolver {
  public:
   /// `minlp` selects branch-and-bound (with `bnb`) over the greedy. A run
@@ -144,15 +156,17 @@ class BudgetSolver {
   SolveOutcome solve(std::span<const BudgetTask> tasks, long long budget,
                      const SolveSeed& seed = {});
 
-  /// Closed-loop warm re-solve: seeded with the incumbent's node counts and
-  /// the last search's optimum, pool and task models. Predictions are per
-  /// epoch (objective + sync), for the proposal and for the incumbent.
+  /// Closed-loop warm re-solve: seeded with the installed allocation's node
+  /// counts and the last search's optimum, pool and task models. Predictions
+  /// are per epoch (objective + sync), for the proposal and for the
+  /// installed allocation.
   ResolveOutcome resolve(std::span<const BudgetTask> tasks, long long budget,
                          const Allocation& incumbent);
 
   /// What the last branch-and-bound search learned (no node counts).
   const SolveSeed& learned() const { return learned_; }
-  /// True when the last search started from its seed incumbent.
+  /// True when the last search was seeded from a donor or from the
+  /// previous search (seed_bnb_options' result), not from the greedy alone.
   bool seed_accepted() const { return seed_accepted_; }
 
  private:

@@ -1,7 +1,6 @@
 #include "hslb/metrics.hpp"
 
-#include <algorithm>
-#include <numeric>
+#include <vector>
 
 #include "common/stats.hpp"
 #include "common/strings.hpp"
@@ -19,44 +18,7 @@ double sigma_of(const std::vector<double>& busy) {
   return stats::stddev(busy) / mean * 100.0;
 }
 
-/// lambda over *all* units: (max/mean - 1) x 100, 0 when degenerate.
-double lambda_of(const std::vector<double>& busy) {
-  if (busy.empty()) return 0.0;
-  const double max = *std::max_element(busy.begin(), busy.end());
-  const double mean =
-      std::accumulate(busy.begin(), busy.end(), 0.0) /
-      static_cast<double>(busy.size());
-  if (mean <= 0.0) return 0.0;
-  return (max / mean - 1.0) * 100.0;
-}
-
-/// Classic imbalance over units that were ever busy.
-double busy_imbalance_of(const std::vector<double>& busy) {
-  std::vector<double> used;
-  for (double b : busy)
-    if (b > 0.0) used.push_back(b);
-  if (used.empty()) return 0.0;
-  return stats::imbalance(used);
-}
-
 }  // namespace
-
-Metrics Metrics::from_loads(const std::vector<double>& unit_busy,
-                            double makespan) {
-  Metrics m;
-  m.makespan = makespan;
-  m.busy_unit_seconds =
-      std::accumulate(unit_busy.begin(), unit_busy.end(), 0.0);
-  m.efficiency =
-      unit_busy.empty() || makespan <= 0.0
-          ? 1.0
-          : m.busy_unit_seconds /
-                (makespan * static_cast<double>(unit_busy.size()));
-  m.imbalance = busy_imbalance_of(unit_busy);
-  m.percent_imbalance = lambda_of(unit_busy);
-  m.sigma_percent = sigma_of(unit_busy);
-  return m;
-}
 
 Metrics Metrics::from_trace(const sim::Trace& trace) {
   // The headline fields delegate to the trace's own accessors so existing

@@ -1,10 +1,10 @@
 // Shared execution-quality metrics: the optimal-load-balance criteria of
 // arXiv:2104.01688 computed one way and reported everywhere.
 //
-// Every PipelineReport, bench row, and balancer comparison derives its
-// makespan/efficiency/imbalance numbers from this one struct, so a number
-// named "percent imbalance" means exactly the same thing in the CLI
-// report, BENCH_solver.json, and the scenario fuzzer:
+// Every PipelineReport and bench row derives its makespan/efficiency/
+// imbalance numbers from this one struct, so a number named "percent
+// imbalance" means exactly the same thing in the CLI report,
+// BENCH_solver.json, and the scenario fuzzer:
 //
 //   * imbalance           — max/mean - 1 of busy time over units that were
 //                           ever busy (the classic load-imbalance ratio);
@@ -19,7 +19,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 namespace hslb::sim {
 struct Trace;
@@ -39,12 +38,6 @@ struct Metrics {
   double percent_imbalance = 0.0;
   /// (stddev / mean) x 100 of busy time over all units. Percent.
   double sigma_percent = 0.0;
-
-  /// Metrics of per-unit busy times under a given schedule length.
-  /// `unit_busy` has one entry per unit (idle units are zeros and stay in
-  /// the lambda/sigma means).
-  static Metrics from_loads(const std::vector<double>& unit_busy,
-                            double makespan);
 
   /// Metrics of an execution trace. The makespan, busy-seconds,
   /// efficiency, imbalance, and percent-imbalance values are exactly the

@@ -131,9 +131,9 @@ struct BnbResult {
   std::vector<Cut> pool_cuts;
   /// True when BnbOptions::seed_incumbent passed the feasibility audit
   /// against this model and became the starting incumbent. False when no
-  /// seed was given or the audit rejected it — callers (the allocation
-  /// service) use this to distinguish a genuinely warm solve from a silent
-  /// fallback to cold.
+  /// seed was given or the audit rejected it. Budget MINLPs always pass the
+  /// exact greedy here (hslb::seed_bnb_options), so for them this says
+  /// nothing about warmth; seed_bnb_options reports that.
   bool seed_accepted = false;
 };
 

@@ -159,6 +159,13 @@ Request canonicalize(const Request& r) {
       throw std::invalid_argument("fit_points must be >= 2");
     if (c.repetitions < 1)
       throw std::invalid_argument("repetitions must be >= 1");
+    if (!std::isfinite(c.noise_cv) || c.noise_cv < 0.0)
+      throw std::invalid_argument("noise_cv must be finite and >= 0");
+    // inf is the unmodeled machine; anything else must be a real capacity.
+    if (!(c.link_gb > 0.0) || !(c.mem_gb > 0.0))
+      throw std::invalid_argument("link_gb and mem_gb must be > 0");
+    if (!std::isfinite(c.page_s_per_gb) || c.page_s_per_gb < 0.0)
+      throw std::invalid_argument("page_s_per_gb must be finite and >= 0");
     if (c.page_s_per_gb > 0.0 && !std::isfinite(c.mem_gb)) {
       throw std::invalid_argument(
           "page_s_per_gb requires mem_gb (paging needs a memory capacity)");

@@ -107,8 +107,9 @@ struct Response {
   double percent_imbalance = 0.0;
   std::size_t bnb_nodes = 0;
   std::size_t bnb_cuts = 0;
-  /// The donor incumbent passed the B&B feasibility audit (solve started
-  /// warm). Always false on cold solves.
+  /// The solve was seeded from a donor: its allocation, optimum or cuts
+  /// (seed_bnb_options). Always false on cold solves, which start from the
+  /// exact greedy alone.
   bool warm_seeded = false;
   /// The warm result failed the service's feasibility audit and this
   /// response came from the cold re-solve.

@@ -87,7 +87,7 @@ Response AllocationService::handle(const Request& request) {
 }
 
 AllocationService::Solved AllocationService::solve_kind_solve(
-    const Request& canonical, const CacheEntry* donor) const {
+    const Request& canonical, const SolveSeed& seed) const {
   std::vector<BudgetTask> tasks;
   tasks.reserve(canonical.tasks.size());
   for (const auto& t : canonical.tasks) {
@@ -107,13 +107,12 @@ AllocationService::Solved AllocationService::solve_kind_solve(
     const auto model =
         build_budget_minlp(tasks, canonical.budget, canonical.objective);
     minlp::BnbOptions bnb_opt = opt_.bnb;
-    if (donor != nullptr)
-      seed_bnb_options(bnb_opt, tasks, canonical.objective, donor->seed);
+    resp.warm_seeded = seed_bnb_options(bnb_opt, tasks, canonical.budget,
+                                        canonical.objective, seed);
     const auto bnb = minlp::solve(model, bnb_opt);
     resp.status = minlp::to_string(bnb.status);
     resp.bnb_nodes = bnb.nodes;
     resp.bnb_cuts = bnb.cuts;
-    resp.warm_seeded = bnb.seed_accepted;
     if (!bnb.has_solution) return out;  // fails the audit; no allocation
     resp.allocation =
         allocation_from_minlp(tasks, bnb.x, canonical.objective);
@@ -137,7 +136,7 @@ AllocationService::Solved AllocationService::solve_kind_solve(
 }
 
 AllocationService::Solved AllocationService::solve_kind_fmo(
-    const Request& canonical, const CacheEntry* donor) const {
+    const Request& canonical, const SolveSeed& seed) const {
   fmo::PipelineOptions popt;
   popt.fit_points = static_cast<std::size_t>(canonical.fit_points);
   popt.repetitions = static_cast<std::size_t>(canonical.repetitions);
@@ -158,7 +157,7 @@ AllocationService::Solved AllocationService::solve_kind_fmo(
     m.page_s_per_gb = canonical.page_s_per_gb;
     popt.run.machine = m;
   }
-  if (donor != nullptr) popt.solve_seed = donor->seed;
+  popt.solve_seed = seed;
 
   const fmo::System sys = fmo::make_system(
       canonical.family, static_cast<std::size_t>(canonical.fragments),
@@ -187,9 +186,11 @@ AllocationService::Solved AllocationService::solve_kind_fmo(
 AllocationService::Solved AllocationService::solve_request(
     const Request& canonical, std::uint64_t sig,
     const CacheEntry* donor) const {
+  static const SolveSeed kCold;
+  const SolveSeed& seed = donor != nullptr ? donor->seed : kCold;
   Solved out = canonical.kind == RequestKind::Solve
-                   ? solve_kind_solve(canonical, donor)
-                   : solve_kind_fmo(canonical, donor);
+                   ? solve_kind_solve(canonical, seed)
+                   : solve_kind_fmo(canonical, seed);
   out.response.signature = sig;
   out.response.donor_signature = donor != nullptr ? donor->signature : 0;
   return out;

@@ -11,8 +11,9 @@
 //      signature_distance — against the cache contents as of the BATCH
 //      START;
 //   2. solve (parallel): unique misses solve concurrently on the pool,
-//      each seeded from its donor (incumbent, re-linearization points,
-//      and, when the fitted parameters match exactly, the cut pool);
+//      each started from the exact greedy and seeded from its donor
+//      (re-linearization points and, when the task cost models match
+//      exactly, the cut pool);
 //   3. commit (sequential, script order): warm results are audited —
 //      allocation complete, budget and bounds respected, finite
 //      predictions — and a failing result is replaced by a cold re-solve
@@ -58,8 +59,8 @@ struct ServiceReport {
   std::size_t requests = 0;
   std::size_t hits = 0;    ///< exact-repeat + in-batch duplicates
   std::size_t misses = 0;  ///< actual solves
-  std::size_t warm_solves = 0;  ///< misses whose donor seed was accepted
-  std::size_t cold_solves = 0;  ///< misses solved with no accepted seed
+  std::size_t warm_solves = 0;  ///< misses seeded from a donor
+  std::size_t cold_solves = 0;  ///< misses seeded from the greedy alone
   std::size_t audit_fallbacks = 0;  ///< warm results replaced by cold
   std::size_t evictions = 0;        ///< LRU evictions (mirror of the cache)
   /// B&B nodes summed over warm-seeded vs cold solves (the bench's
@@ -109,9 +110,8 @@ class AllocationService {
   Solved solve_request(const Request& canonical, std::uint64_t sig,
                        const CacheEntry* donor) const;
   Solved solve_kind_solve(const Request& canonical,
-                          const CacheEntry* donor) const;
-  Solved solve_kind_fmo(const Request& canonical,
-                        const CacheEntry* donor) const;
+                          const SolveSeed& seed) const;
+  Solved solve_kind_fmo(const Request& canonical, const SolveSeed& seed) const;
 
   /// Feasibility audit of a solved response against its request: complete
   /// allocation, budget and per-task bounds respected, finite numbers,

@@ -168,7 +168,7 @@ TEST(AmrexWorkload, VariantsAndValidation) {
 TEST(AmrexPipeline, PinnedStaticRun) {
   auto spec = base_spec();
   spec.minlp = true;
-  const pinning::Pinned want{0, 0, 56, 29,
+  const pinning::Pinned want{0, 0, 56, 15,
                              {},
                              {9, 11, 4, 2, 2, 2},
                              0.87333773973160234};
@@ -185,8 +185,8 @@ TEST(AmrexPipeline, PinnedFailStopRun) {
   spec.rebalance.adaptive = true;
   spec.fail_node = 0;
   spec.fail_time = 0.5;
-  const pinning::Pinned want{1, 1, 57, 29,
-                             {21, 19, 11, 11, 45, 15, 11},
+  const pinning::Pinned want{1, 1, 57, 15,
+                             {21, 19, 11, 11, 15, 15, 11},
                              {8, 11, 4, 2, 2, 2},
                              0.87539777042456091};
   pinning::expect_pinned("amrex_failstop",

@@ -213,7 +213,7 @@ TEST(FmoAdaptive, PinnedStragglerRun) {
   PipelineOptions opt = pinned_options();
   opt.run.straggler_cv = 0.4;
   const pinning::Pinned want{7, 0, 131, 19,
-                             {17, 3, 11, 3, 5, 5, 7, 9, 7, 11},
+                             {5, 3, 3, 3, 5, 5, 5, 3, 7, 7},
                              {2, 1, 1, 1, 37, 1, 2, 1, 1, 1},
                              8.8730732102380507};
   pinning::expect_pinned(
@@ -230,8 +230,8 @@ TEST(FmoAdaptive, PinnedDriftRun) {
   opt.run.drift_onset = 3;
   RebalancePolicy policy = adaptive_policy();
   policy.imbalance_threshold = 0.15;
-  const pinning::Pinned want{6, 0, 132, 13,
-                             {9, 7, 7, 5, 19, 13, 19, 5, 7, 11},
+  const pinning::Pinned want{6, 0, 132, 9,
+                             {9, 7, 7, 5, 3, 11, 7, 5, 5, 11},
                              {12, 10, 1, 1, 5, 1, 5, 1, 2, 1},
                              24.062621780669534};
   pinning::expect_pinned(
@@ -260,11 +260,11 @@ TEST(FmoAdaptive, PinnedFailStopRun) {
 // allocation, and the makespan; no rebalance, no restart.
 TEST(FmoAdaptive, PinnedStaticRuns) {
   const pinning::Pinned want[] = {
-      {0, 0, 132, 17, {}, {1, 1, 1, 1, 8, 1, 31, 8, 27, 1},
+      {0, 0, 132, 11, {}, {1, 1, 1, 1, 8, 1, 31, 8, 27, 1},
        5.6111345382185815},
-      {0, 0, 152, 51, {}, {18, 4, 12, 1, 4, 11, 5, 1, 10, 3, 13, 14},
+      {0, 0, 152, 53, {}, {18, 4, 12, 1, 4, 11, 5, 1, 10, 3, 13, 14},
        93.498751471612849},
-      {0, 0, 177, 3, {}, {1, 1, 1, 1, 1, 1, 5, 1, 6, 1, 1, 1},
+      {0, 0, 177, 5, {}, {1, 1, 1, 1, 1, 1, 5, 1, 6, 1, 1, 1},
        31.143958224596155},
   };
   const auto setups = static_setups();

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <iterator>
 #include <limits>
 #include <sstream>
@@ -124,10 +125,33 @@ TEST(Canonicalize, RejectsMalformedRequests) {
     EXPECT_THROW(canonicalize(solve_request(32, {bad, task("y", 1.0)})),
                  std::invalid_argument);
   }
+  // The fmo request's noise and machine fields: noise_cv and page_s_per_gb
+  // finite and >= 0, link_gb and mem_gb > 0 (inf = an unmodeled machine).
+  const auto with = [](auto field, double v) {
+    Request r = fmo_request(48, 6);
+    r.mem_gb = 2.0;
+    r.*field = v;
+    return r;
+  };
+  for (double v : {nan, inf, -inf, -0.1})
+    EXPECT_THROW(canonicalize(with(&Request::noise_cv, v)),
+                 std::invalid_argument);
+  for (double v : {nan, -inf, -1.0, 0.0}) {
+    EXPECT_THROW(canonicalize(with(&Request::link_gb, v)),
+                 std::invalid_argument);
+    EXPECT_THROW(canonicalize(with(&Request::mem_gb, v)),
+                 std::invalid_argument);
+  }
+  for (double v : {nan, inf, -1.0})
+    EXPECT_THROW(canonicalize(with(&Request::page_s_per_gb, v)),
+                 std::invalid_argument);
+  EXPECT_NO_THROW(canonicalize(with(&Request::link_gb, inf)));
+  EXPECT_NO_THROW(canonicalize(with(&Request::noise_cv, 0.0)));
 }
 
 // Seeded mutation fuzz: every mutant of a valid request line either throws
-// or canonicalizes to task models that pass perf::Model::valid().
+// or canonicalizes to task models that pass perf::Model::valid() and, for
+// fmo requests, noise and machine fields the simulator accepts.
 TEST(Protocol, MutatedLinesThrowOrYieldValidModels) {
   const std::string valid[] = {
       "solve objective=min-max budget=64 "
@@ -135,7 +159,11 @@ TEST(Protocol, MutatedLinesThrowOrYieldValidModels) {
       "solve objective=max-min budget=32 tasks=x:10:0.5:1.2:0:1:0",
       "fmo objective=min-sum budget=48 family=peptide fragments=6 "
       "system_seed=3 bench_seed=42 noise_cv=0.03 fit_points=4 reps=1 "
-      "link_gb=0.85 mem_gb=2 page_s_per_gb=1.5"};
+      "link_gb=0.85 mem_gb=2 page_s_per_gb=1.5",
+      "fmo objective=min-max budget=96 family=comm fragments=12 "
+      "system_seed=50 bench_seed=7 noise_cv=0.05 fit_points=5 reps=2 "
+      "link_gb=0.425",
+      "fmo budget=60 fragments=10 noise_cv=0 mem_gb=4 page_s_per_gb=0"};
   Rng rng(20261018);
   std::size_t accepted = 0;
   for (int i = 0; i < 3000; ++i) {
@@ -145,6 +173,12 @@ TEST(Protocol, MutatedLinesThrowOrYieldValidModels) {
       const Request c = canonicalize(parse_request(line));
       for (const auto& t : c.tasks)
         EXPECT_TRUE((perf::Model{t.a, t.b, t.c, t.d}.valid())) << line;
+      if (c.kind == RequestKind::Fmo) {
+        EXPECT_TRUE(std::isfinite(c.noise_cv) && c.noise_cv >= 0.0) << line;
+        EXPECT_TRUE(c.link_gb > 0.0 && c.mem_gb > 0.0) << line;
+        EXPECT_TRUE(std::isfinite(c.page_s_per_gb) && c.page_s_per_gb >= 0.0)
+            << line;
+      }
       ++accepted;
     } catch (const ContractViolation&) {
     } catch (const std::invalid_argument&) {
