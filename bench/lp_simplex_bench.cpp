@@ -62,32 +62,23 @@ void BM_DenseRandomLp(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseRandomLp)->Arg(16)->Arg(64)->Arg(128);
 
-/// Second arg selects the kernel mode: 0 = sparse (default), 1 = the
-/// dense-equivalent baseline behind Options::force_dense. The
-/// eta_compression counter on the sparse runs is the flops-per-pivot
-/// reduction the sparse eta/FTRAN kernels deliver over that baseline.
+/// The kernel_flop_reduction counter is the flops-per-pivot reduction the
+/// sparse FTRAN/BTRAN kernels deliver over dense ones on the same solves.
 void BM_SelectorLp(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
-  Options opt;
-  opt.force_dense = state.range(1) != 0;
   const auto m = selector_lp(k, 7);
   std::size_t iters = 0;
   SolveStats stats;
   for (auto _ : state) {
-    const auto sol = solve(m, opt);
+    const auto sol = solve(m);
     iters = sol.iterations;
     stats = sol.stats;
     benchmark::DoNotOptimize(sol.objective);
   }
   state.counters["simplex_iters"] = static_cast<double>(iters);
-  state.counters["eta_compression"] = stats.eta_compression();
+  state.counters["kernel_flop_reduction"] = stats.flop_reduction();
 }
-BENCHMARK(BM_SelectorLp)
-    ->Args({241, 0})
-    ->Args({241, 1})
-    ->Args({1639, 0})
-    ->Args({1639, 1})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SelectorLp)->Arg(241)->Arg(1639)->Unit(benchmark::kMillisecond);
 
 /// Branch-style re-solve: tighten the node-count variable's upper bound at
 /// the parent optimum and re-solve, either cold or warm from the parent

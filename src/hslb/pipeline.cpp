@@ -36,9 +36,6 @@ SolverStats SolverStats::from_bnb(const minlp::BnbResult& bnb,
   out.warm_solves = bnb.warm_solves;
   out.waves = bnb.waves;
   const lp::SolveStats& lp = bnb.lp_stats;
-  out.eta_nnz = lp.eta_nnz;
-  out.eta_dense_nnz = lp.eta_dense_nnz;
-  out.eta_compression = lp.eta_compression();
   out.flop_reduction = lp.flop_reduction();
   out.refactorizations = lp.refactorizations;
   out.basis_nnz = lp.basis_nnz;
@@ -115,10 +112,10 @@ std::string PipelineReport::str() const {
         solver.threads, solver.threads == 1 ? "" : "s", solver.waves,
         solver.lp_solves, solver.warm_solves, solver.lp_pivots);
     out += strings::format(
-        "           sparse: kernel flops %.1fx down, eta compression %.1fx "
-        "(%zu nz), %zu refactors, basis %zu nz -> LU %zu nz\n",
-        solver.flop_reduction, solver.eta_compression, solver.eta_nnz,
-        solver.refactorizations, solver.basis_nnz, solver.lu_fill);
+        "           sparse: kernel flops %.1fx down, %zu refactors, basis "
+        "%zu nz -> LU %zu nz\n",
+        solver.flop_reduction, solver.refactorizations, solver.basis_nnz,
+        solver.lu_fill);
     out += strings::format(
         "           basis: %zu FT updates (+%zu nz), refactor triggers "
         "%zu fill / %zu drift / %zu interval; %zu dual / %zu phase-1 pivots, "
@@ -171,8 +168,7 @@ std::string PipelineReport::csv_header() {
   return "application,threads,gather_s,fit_s,solve_s,execute_s,probes,tasks,"
          "min_r2,mean_r2,solver_status,solver_nodes,solver_cuts,solver_gap,"
          "solver_rel_gap,solver_threads,solver_waves,solver_lp_solves,"
-         "solver_warm_solves,solver_lp_pivots,solver_eta_nnz,"
-         "solver_eta_compression,solver_flop_reduction,"
+         "solver_warm_solves,solver_lp_pivots,solver_flop_reduction,"
          "solver_refactorizations,solver_basis_nnz,"
          "solver_lu_fill,solver_ft_updates,solver_ft_fill_nnz,"
          "solver_refactor_fill_hits,solver_refactor_drift_hits,"
@@ -190,15 +186,15 @@ std::string PipelineReport::csv_header() {
 std::string PipelineReport::csv_row() const {
   std::string row = strings::format(
       "%s,%zu,%.6f,%.6f,%.6f,%.6f,%zu,%zu,%.6f,%.6f,%s,%zu,%zu,%g,%g,%zu,%zu,"
-      "%zu,%zu,%zu,%zu,%.3f,%.3f,%zu,%zu,%zu,%zu,%zu,%zu,%zu,%zu,%zu,%zu,%zu,"
+      "%zu,%zu,%zu,%.3f,%zu,%zu,%zu,%zu,%zu,%zu,%zu,%zu,%zu,%zu,%zu,"
       "%zu,%zu,%zu,%zu,%zu,%zu,%.6f,%.6f",
       application.c_str(), threads, gather_seconds, fit_seconds, solve_seconds,
       execute_seconds, probes, fits.size(), min_r2(), mean_r2(),
       solver.status.c_str(), solver.nodes, solver.cuts, solver.gap,
       solver.rel_gap, solver.threads, solver.waves, solver.lp_solves,
-      solver.warm_solves, solver.lp_pivots, solver.eta_nnz,
-      solver.eta_compression, solver.flop_reduction, solver.refactorizations,
-      solver.basis_nnz, solver.lu_fill, solver.ft_updates, solver.ft_fill_nnz,
+      solver.warm_solves, solver.lp_pivots, solver.flop_reduction,
+      solver.refactorizations, solver.basis_nnz, solver.lu_fill,
+      solver.ft_updates, solver.ft_fill_nnz,
       solver.refactor_fill_hits, solver.refactor_drift_hits,
       solver.refactor_interval_hits, solver.dual_pivots, solver.phase1_pivots,
       solver.dual_phase1_avoided, solver.presolve_rows_removed,

@@ -57,13 +57,9 @@ struct SolverStats {
   std::size_t lp_pivots = 0;   ///< simplex pivots across all LP solves
   std::size_t warm_solves = 0; ///< LP solves that reused a prior basis
   std::size_t waves = 0;       ///< synchronized B&B node waves
-  // Sparse-kernel accounting, summed over every LP solve of the run.
-  // eta_compression is the storage view (dense-equivalent eta entries per
-  // stored nonzero); flop_reduction is the work view (dense FTRAN/BTRAN
-  // flops per unit of work the sparse kernels actually performed).
-  std::size_t eta_nnz = 0;           ///< stored eta nonzeros across pivots
-  std::size_t eta_dense_nnz = 0;     ///< dense-equivalent eta entries
-  double eta_compression = 1.0;      ///< eta_dense_nnz / max(1, eta_nnz)
+  // Sparse-kernel accounting, summed over every LP solve of the run:
+  // flop_reduction is dense FTRAN/BTRAN flops per unit of work the sparse
+  // kernels actually performed.
   double flop_reduction = 1.0;       ///< dense / sparse kernel work ratio
   std::size_t refactorizations = 0;  ///< basis factorizations performed
   std::size_t basis_nnz = 0;         ///< last factored basis nonzeros

@@ -1,7 +1,9 @@
 // Matrix decompositions and linear solvers:
 //   - Cholesky (SPD solves for the Levenberg-Marquardt normal equations),
 //   - Householder QR (rank-revealing enough for our least-squares sizes),
-//   - LU with partial pivoting (general square solves: simplex basis),
+//   - LU with partial pivoting (dense square solves; the simplex no longer
+//     uses it: it is the dense oracle the sparse-factor tests check
+//     SparseLU and UpdatableLU against),
 //   - SparseLU with Markowitz pivoting (simplex basis refactorization on
 //     the sparse column view; solves skip exact zeros, so hypersparse
 //     right-hand sides cost O(reached nonzeros), not O(n^2)),

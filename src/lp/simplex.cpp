@@ -9,7 +9,6 @@
 #include "common/contracts.hpp"
 #include "common/log.hpp"
 #include "linalg/decomp.hpp"
-#include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
 #include "lp/presolve.hpp"
 
@@ -26,17 +25,6 @@ std::string to_string(Status s) {
 }
 
 namespace {
-
-/// One product-form update: after a pivot in row p with simplex direction
-/// w = B^{-1} A_q, the new basis is B' = B E with E = I except column p = w.
-/// Stored sparse: the pivot value plus the off-pivot nonzeros. Under
-/// Options::force_dense the off-pivot entries keep their exact zeros, so the
-/// dense-equivalent cost is what the eta counters then report.
-struct Eta {
-  std::size_t p;
-  double wp;                              // w[p]
-  std::vector<linalg::SparseEntry> nz;    // entries i != p
-};
 
 /// Internal computational form:
 ///   rows:        sum_j a_rj x_j - s_r + sigma_r * art_r = 0
@@ -289,7 +277,7 @@ class Tableau {
       sol.status = Status::Infeasible;
       return sol;
     }
-    polish();  // eta drift could otherwise mis-measure the phase-1 residual
+    polish();  // update drift could otherwise mis-measure the phase-1 residual
     if (phase1_objective() > infeas_tol()) {
       sol.status = Status::Infeasible;
       return sol;
@@ -341,66 +329,32 @@ class Tableau {
 
   // -- Basis-inverse maintenance --------------------------------------------
 
-  /// True when pivots use Forrest-Tomlin factor updates; false on the
-  /// product-form eta paths (requested explicitly, or forced dense).
-  bool use_ft() const {
-    return !opt_.force_dense &&
-           opt_.basis_update == BasisUpdate::ForrestTomlin;
-  }
+  /// True when the factorization carries Forrest-Tomlin updates, i.e.
+  /// solves are no longer against fresh factors.
+  bool stale_factor() const { return ft_factor_ && ft_factor_->updates() > 0; }
 
-  /// True when the factorization carries any post-refactorization updates
-  /// (eta or FT), i.e. solves are no longer against fresh factors.
-  bool stale_factor() const {
-    return !etas_.empty() || (ft_factor_ && ft_factor_->updates() > 0);
-  }
-
-  /// Rebuilds the factorization of the current basis (Markowitz sparse LU,
-  /// or dense LU under force_dense), drops the eta file / accumulated FT
-  /// updates, and recomputes basic values x_B = B^{-1} (-N x_N) exactly.
-  /// Returns false (leaving the previous factorization and values
-  /// untouched) if the basis is numerically singular.
+  /// Rebuilds the Markowitz sparse LU of the current basis, drops the
+  /// accumulated FT updates, and recomputes basic values
+  /// x_B = B^{-1} (-N x_N) exactly. Returns false (leaving the previous
+  /// factorization and values untouched) if the basis is numerically
+  /// singular.
   bool refactorize() {
     if (m_ == 0) return true;
     std::size_t bnnz = 0;
-    if (opt_.force_dense) {
-      linalg::Matrix b(m_, m_);
-      for (std::size_t i = 0; i < m_; ++i) {
-        for_col(basis_[i], [&](std::size_t r, double v) {
-          b(r, i) = v;
-          ++bnnz;
-        });
-      }
-      auto factor = linalg::LU::factor(b);
-      if (!factor) return false;
-      dense_factor_ = std::move(factor);
-      sparse_factor_.reset();
-      ft_factor_.reset();
-      stats_.lu_fill = m_ * m_;
-    } else {
-      std::vector<std::vector<linalg::SparseEntry>> bcols(m_);
-      for (std::size_t i = 0; i < m_; ++i) {
-        for_col(basis_[i], [&](std::size_t r, double v) {
-          bcols[i].push_back({r, v});
-        });
-        bnnz += bcols[i].size();
-      }
-      auto factor = linalg::SparseLU::factor(m_, bcols);
-      if (!factor) return false;
-      dense_factor_.reset();
-      stats_.lu_fill = factor->nnz();
-      if (use_ft()) {
-        // The updatable wrapper owns a copy of the factors; the plain
-        // SparseLU is not kept around.
-        ft_factor_.emplace(*factor);
-        sparse_factor_.reset();
-      } else {
-        sparse_factor_ = std::move(factor);
-        ft_factor_.reset();
-      }
+    std::vector<std::vector<linalg::SparseEntry>> bcols(m_);
+    for (std::size_t i = 0; i < m_; ++i) {
+      for_col(basis_[i], [&](std::size_t r, double v) {
+        bcols[i].push_back({r, v});
+      });
+      bnnz += bcols[i].size();
     }
+    auto factor = linalg::SparseLU::factor(m_, bcols);
+    if (!factor) return false;
+    stats_.lu_fill = factor->nnz();
+    // The updatable wrapper owns a copy of the factors.
+    ft_factor_.emplace(*factor);
     ++stats_.refactorizations;
     stats_.basis_nnz = bnnz;
-    etas_.clear();
 
     std::vector<double> rhs(m_, 0.0);
     for (std::size_t j = 0; j < total_cols(); ++j) {
@@ -408,7 +362,7 @@ class Tableau {
       const double xj = value_[j];
       for_col(j, [&](std::size_t r, double v) { rhs[r] -= v * xj; });
     }
-    const auto xb = base_solve(std::move(rhs));
+    const auto xb = ft_factor_->solve(std::move(rhs));
     for (std::size_t i = 0; i < m_; ++i) value_[basis_[i]] = xb[i];
     return true;
   }
@@ -419,132 +373,56 @@ class Tableau {
     if (stale_factor() || m_ == 0) refactorize();
   }
 
-  std::vector<double> base_solve(std::vector<double> v) const {
-    if (ft_factor_) return ft_factor_->solve(std::move(v));
-    if (sparse_factor_) return sparse_factor_->solve(std::move(v));
-    return dense_factor_->solve(v);
+  /// Bills one triangular solve pair: the updated factors' nonzeros (the
+  /// entries it touches, clamped to m^2 because FT fill can transiently
+  /// exceed it) against what a dense kernel pays for the same call, m^2
+  /// plus m per basis update folded in.
+  void bill_kernel() const {
+    stats_.kernel_flops += std::min(ft_factor_->nnz(), m_ * m_);
+    stats_.kernel_dense_flops += m_ * m_ + ft_factor_->updates() * m_;
   }
 
-  std::vector<double> base_solve_transpose(std::vector<double> v) const {
-    if (ft_factor_) return ft_factor_->solve_transpose(std::move(v));
-    if (sparse_factor_) return sparse_factor_->solve_transpose(std::move(v));
-    return dense_factor_->solve_transpose(v);
-  }
-
-  /// Work (factor entries touched, i.e. multiply-adds) of one triangular
-  /// solve pair, and the cost a dense kernel pays for the same call. The
-  /// L+U nonzero count is at most m^2, so sparse never bills more than
-  /// dense (FT factors, whose stored fill can transiently exceed that, are
-  /// clamped). A forced-dense run is billed the dense cost by definition —
-  /// it models the dense baseline.
-  std::size_t base_solve_work() const {
-    if (ft_factor_) return std::min(ft_factor_->nnz(), m_ * m_);
-    if (sparse_factor_ && !opt_.force_dense) return sparse_factor_->nnz();
-    return m_ * m_;
-  }
-
-  /// Basis updates currently folded into the solves: FT column
-  /// replacements, or the eta-file length. Sets the dense-kernel baseline
-  /// (a dense code pays m per product-form update on every solve).
-  std::size_t update_count() const {
-    return ft_factor_ ? ft_factor_->updates() : etas_.size();
-  }
-
-  /// v := B^{-1} v via the factorization plus the eta file (in update
-  /// order; empty under FT updates, which live inside the factors). Etas
-  /// whose pivot component is exactly zero are skipped — the hypersparsity
-  /// fast path that makes unit-vector solves cheap.
-  std::vector<double> ftran(std::vector<double> v) const {
-    if (m_ == 0) return v;
-    std::size_t work = base_solve_work();
-    v = base_solve(std::move(v));
-    for (const Eta& e : etas_) {
-      const double t = v[e.p] / e.wp;
-      v[e.p] = t;
-      ++work;
-      if (t == 0.0) continue;
-      work += e.nz.size();
-      for (const auto& [i, w] : e.nz) v[i] -= w * t;
-    }
-    bill_kernel(work);
-    return v;
-  }
-
-  /// ftran for the entering column: identical solve, but under FT updates
-  /// the factor also captures the partially transformed column (the spike)
-  /// a following push_update(p, ...) will splice into U.
+  /// v := B^{-1} v for the entering column; the factor also captures the
+  /// partially transformed column (the spike) a following push_update(p)
+  /// will splice into U.
   std::vector<double> ftran_entering(std::vector<double> v) {
     if (m_ == 0) return v;
-    if (!ft_factor_) return ftran(std::move(v));
-    const std::size_t work = base_solve_work();
-    v = ft_factor_->solve_entering(std::move(v));
-    bill_kernel(work);
-    return v;
+    bill_kernel();
+    return ft_factor_->solve_entering(std::move(v));
   }
 
-  /// v := B^{-T} v (eta file in reverse order, then the factor transpose).
+  /// v := B^{-T} v.
   std::vector<double> btran(std::vector<double> v) const {
     if (m_ == 0) return v;
-    std::size_t work = base_solve_work();
-    for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
-      const Eta& e = *it;
-      double s = 0.0;
-      for (const auto& [i, w] : e.nz) s += w * v[i];
-      v[e.p] = (v[e.p] - s) / e.wp;
-      work += e.nz.size() + 1;
-    }
-    bill_kernel(work);
-    return base_solve_transpose(std::move(v));
+    bill_kernel();
+    return ft_factor_->solve_transpose(std::move(v));
   }
 
-  void bill_kernel(std::size_t work) const {
-    const std::size_t dense_work = m_ * m_ + update_count() * m_;
-    stats_.kernel_flops +=
-        opt_.force_dense ? dense_work : std::min(work, dense_work);
-    stats_.kernel_dense_flops += dense_work;
-  }
-
-  /// Records the pivot (row p, direction w) in the basis factorization: a
-  /// Forrest-Tomlin column replacement (with adaptive refactorization on
-  /// fill growth or an unstable update, and the interval as backstop), or a
-  /// product-form eta with the fixed-interval rebuild. Returns false on a
-  /// singular rebuild.
-  bool push_update(std::size_t p, const std::vector<double>& w) {
+  /// Records the pivot in row p as a Forrest-Tomlin column replacement, with
+  /// adaptive refactorization on fill growth or an unstable update and the
+  /// interval as backstop. Returns false on a singular rebuild.
+  bool push_update(std::size_t p) {
     ++stats_.pivots;
-    if (ft_factor_) {
-      const std::size_t fill_before = ft_factor_->update_fill();
-      if (ft_factor_->update(p) == linalg::UpdatableLU::UpdateResult::Ok) {
-        ++stats_.ft_updates;
-        stats_.ft_fill_nnz += ft_factor_->update_fill() - fill_before;
-        if (ft_factor_->nnz() >
-            static_cast<double>(ft_factor_->base_fill()) *
-                opt_.refactor_fill_ratio) {
-          ++stats_.refactor_fill_hits;
-          return refactorize();
-        }
-        if (ft_factor_->updates() >= opt_.refactor_interval) {
-          ++stats_.refactor_interval_hits;
-          return refactorize();
-        }
-        return true;
+    const std::size_t fill_before = ft_factor_->update_fill();
+    if (ft_factor_->update(p) == linalg::UpdatableLU::UpdateResult::Ok) {
+      ++stats_.ft_updates;
+      stats_.ft_fill_nnz += ft_factor_->update_fill() - fill_before;
+      if (ft_factor_->nnz() >
+          static_cast<double>(ft_factor_->base_fill()) *
+              opt_.refactor_fill_ratio) {
+        ++stats_.refactor_fill_hits;
+        return refactorize();
       }
-      // The replacement left a negligible diagonal: the updated factors are
-      // unusable, so rebuild from the (already pivoted) basis.
-      ++stats_.refactor_drift_hits;
-      return refactorize();
+      if (ft_factor_->updates() >= opt_.refactor_interval) {
+        ++stats_.refactor_interval_hits;
+        return refactorize();
+      }
+      return true;
     }
-    Eta e;
-    e.p = p;
-    e.wp = w[p];
-    for (std::size_t i = 0; i < m_; ++i) {
-      if (i == p) continue;
-      if (w[i] != 0.0 || opt_.force_dense) e.nz.push_back({i, w[i]});
-    }
-    stats_.eta_nnz += e.nz.size() + 1;
-    stats_.eta_dense_nnz += m_;
-    etas_.push_back(std::move(e));
-    if (etas_.size() >= opt_.refactor_interval) return refactorize();
-    return true;
+    // The replacement left a negligible diagonal: the updated factors are
+    // unusable, so rebuild from the (already pivoted) basis.
+    ++stats_.refactor_drift_hits;
+    return refactorize();
   }
 
   void compute_duals() {
@@ -829,7 +707,7 @@ class Tableau {
       basis_[p] = q;
       if (!bland) devex_update(p, q, leave, w);
       if (!phase2) ++stats_.phase1_pivots;
-      if (!push_update(p, w)) return Status::Infeasible;
+      if (!push_update(p)) return Status::Infeasible;
     }
     return Status::IterationLimit;
   }
@@ -972,7 +850,7 @@ class Tableau {
       value_[leave] = target;
       basis_[p] = q;
       ++stats_.dual_pivots;
-      if (!push_update(p, w)) return Status::Infeasible;
+      if (!push_update(p)) return Status::Infeasible;
       ++iterations;
     }
     return Status::IterationLimit;
@@ -1048,10 +926,7 @@ class Tableau {
   std::vector<BasisStatus> status_;
   std::vector<std::size_t> basis_;
   std::vector<double> row_scale_;
-  std::optional<linalg::LU> dense_factor_;
-  std::optional<linalg::SparseLU> sparse_factor_;
   std::optional<linalg::UpdatableLU> ft_factor_;
-  std::vector<Eta> etas_;
   std::vector<double> duals_;
   // Pricing state.
   std::vector<double> devex_w_;

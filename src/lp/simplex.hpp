@@ -14,10 +14,8 @@
 // column of U in place, so FTRAN/BTRAN keep solving against a compact
 // factorization instead of a growing product-form eta file. Refactorization
 // is adaptive — triggered by update-fill growth or a numerically unstable
-// update, with the interval as a backstop cap. The classic product-form
-// (eta) scheme survives behind Options::basis_update for baseline
-// comparisons, and the dense path (Options::force_dense) always uses it.
-// Entering variables are chosen by candidate-list partial pricing under a
+// update, with the interval as a backstop cap. Answers are checked from the
+// model alone by lp::certify (lp/certify.hpp). Entering variables are chosen by candidate-list partial pricing under a
 // Devex reference framework instead of a full Dantzig sweep (cf. DESIGN.md).
 //
 // Plays the role CLP plays under MINOTAUR in the paper (§III-E).
@@ -56,16 +54,6 @@ struct Basis {
   bool empty() const { return cols.empty() && rows.empty(); }
 };
 
-/// Basis-inverse maintenance scheme between refactorizations.
-enum class BasisUpdate : std::uint8_t {
-  /// Forrest-Tomlin LU column replacement (default): solves stay against an
-  /// updated sparse factorization; refactorization is adaptive.
-  ForrestTomlin,
-  /// Product-form eta file (the historical scheme, kept as the benchmark
-  /// baseline); refactorization every `refactor_interval` updates.
-  ProductFormEta,
-};
-
 struct Options {
   double feasibility_tol = 1e-8;    ///< row/column feasibility tolerance
   double optimality_tol = 1e-9;     ///< reduced-cost tolerance
@@ -73,26 +61,17 @@ struct Options {
   /// Switch from Dantzig pricing to Bland's rule after this many
   /// consecutive degenerate pivots (anti-cycling).
   std::size_t bland_threshold = 200;
-  /// Upper cap on basis updates between refactorizations. The eta scheme
-  /// refactorizes exactly at this count; the Forrest-Tomlin scheme usually
-  /// refactorizes earlier on its fill / drift triggers and uses this as the
+  /// Upper cap on basis updates between refactorizations. The fill and
+  /// drift triggers usually refactorize earlier; this is the
   /// numerical-safety backstop.
   std::size_t refactor_interval = 64;
   /// Forrest-Tomlin fill trigger: refactorize when the updated factors grow
   /// beyond this multiple of the fresh-factorization fill. Must be >= 1.
   double refactor_fill_ratio = 2.0;
-  /// How the basis inverse is maintained between refactorizations. The
-  /// dense kernels (force_dense) always use the product-form scheme.
-  BasisUpdate basis_update = BasisUpdate::ForrestTomlin;
   /// Optional warm-start basis (not owned; must outlive the solve call).
   /// Ignored — falling back to a cold solve — when structurally
   /// incompatible or numerically singular.
   const Basis* warm_start = nullptr;
-  /// Use the dense kernels (dense LU refactorization, dense eta vectors)
-  /// instead of the sparse ones. Pricing and pivot rules are unchanged, so
-  /// this isolates the kernel arithmetic — used by the sparse/dense parity
-  /// tests and the benchmark baselines.
-  bool force_dense = false;
   /// Run the LP presolve (lp/presolve.hpp) before a *cold* solve and map
   /// the answer back through postsolve. Warm starts bypass it: the caller's
   /// basis is in the original space and the dual repair is already cheap.
@@ -101,27 +80,21 @@ struct Options {
   bool presolve = false;
 };
 
-/// Nonzero / pivot-fill accounting for one solve. Two complementary
-/// measures: the eta counters compare stored eta nonzeros against dense
-/// eta vectors (m entries each) — a storage/compression view. The kernel
-/// counters compare the work the FTRAN/BTRAN passes actually perform
-/// (sparse LU nonzeros touched per triangular solve, eta entries touched
-/// with hypersparse zero-pivot skips counted as one probe) against what
-/// dense kernels spend on the same sequence of solves (m^2 per triangular
-/// solve pair, m per applied eta). The kernel ratio is the honest "flops
-/// per pivot" number: on OA master LPs the objective column appears in
-/// every cut row, so eta vectors fill in and compress barely at all, while
-/// the basis itself stays hypersparse and the LU solve work collapses.
+/// Nonzero / pivot-fill accounting for one solve. The kernel counters
+/// compare the work the FTRAN/BTRAN passes actually perform (updated LU
+/// nonzeros touched per triangular solve) against what dense kernels would
+/// spend on the same sequence of solves (m^2 per triangular solve pair plus
+/// m per basis update folded in). Their ratio is the "flops per pivot"
+/// reduction: the bases of the OA master LPs stay hypersparse, so the LU
+/// solve work collapses.
 struct SolveStats {
   std::size_t pivots = 0;            ///< basis changes recorded (primal + dual)
-  std::size_t eta_nnz = 0;           ///< stored eta nonzeros, summed
-  std::size_t eta_dense_nnz = 0;     ///< dense-equivalent eta entries, summed
   std::size_t kernel_flops = 0;       ///< FTRAN/BTRAN work actually done
   std::size_t kernel_dense_flops = 0; ///< dense-kernel work for same solves
   std::size_t refactorizations = 0;  ///< basis factorizations performed
   std::size_t basis_nnz = 0;         ///< nonzeros of the last factored basis
   std::size_t lu_fill = 0;           ///< nonzeros of its L+U factors
-  // Forrest-Tomlin accounting (basis_update == BasisUpdate::ForrestTomlin).
+  // Forrest-Tomlin accounting.
   std::size_t ft_updates = 0;        ///< successful FT column replacements
   std::size_t ft_fill_nnz = 0;       ///< factor nonzeros the updates appended
   // Why each refactorization beyond the initial factor fired.
@@ -143,8 +116,6 @@ struct SolveStats {
   /// basis/fill snapshot keeps the most recent nonzero reading.
   void merge(const SolveStats& o) {
     pivots += o.pivots;
-    eta_nnz += o.eta_nnz;
-    eta_dense_nnz += o.eta_dense_nnz;
     kernel_flops += o.kernel_flops;
     kernel_dense_flops += o.kernel_dense_flops;
     ft_updates += o.ft_updates;
@@ -161,14 +132,6 @@ struct SolveStats {
     refactorizations += o.refactorizations;
     if (o.basis_nnz != 0) basis_nnz = o.basis_nnz;
     if (o.lu_fill != 0) lu_fill = o.lu_fill;
-  }
-
-  /// Dense-equivalent eta entries per stored nonzero (eta storage
-  /// compression); 1.0 when nothing was pivoted.
-  double eta_compression() const {
-    return eta_nnz == 0 ? 1.0
-                        : static_cast<double>(eta_dense_nnz) /
-                              static_cast<double>(eta_nnz);
   }
 
   /// Dense-kernel work per unit of work the sparse kernels actually did

@@ -98,6 +98,18 @@ FitProblem build_problem(const SampleSet& samples, const FitOptions& options) {
   fp.start_lo = {1e-6 * std::max(max_an, 1.0), 1e-12, options.min_c,
                  1e-9 * std::max(min_y, 1e-3)};
   fp.start_hi = {a_hi, 1e-2 * b_hi, options.max_c, std::max(d_hi, 2e-9)};
+  // Sub-nanosecond samples put those floors above the fit box (the a floor
+  // exceeds a_hi once max(seconds * nodes) < 2e-8), which would leave an
+  // empty start box; clamp it into the fit box. This is a no-op for every
+  // sample set whose seconds are all at least 1e-9 and that has such a
+  // product of at least 2e-8.
+  for (std::size_t i = 0; i < 4; ++i) {
+    const auto clamp = [&](double v) {
+      return std::min(std::max(v, problem.lower[i]), problem.upper[i]);
+    };
+    fp.start_lo[i] = clamp(fp.start_lo[i]);
+    fp.start_hi[i] = clamp(fp.start_hi[i]);
+  }
   return fp;
 }
 

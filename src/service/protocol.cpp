@@ -10,6 +10,7 @@
 #include "common/hash.hpp"
 #include "common/strings.hpp"
 #include "perf/model.hpp"
+#include "sim/noise.hpp"
 
 namespace hslb::service {
 
@@ -159,8 +160,11 @@ Request canonicalize(const Request& r) {
       throw std::invalid_argument("fit_points must be >= 2");
     if (c.repetitions < 1)
       throw std::invalid_argument("repetitions must be >= 1");
-    if (!std::isfinite(c.noise_cv) || c.noise_cv < 0.0)
-      throw std::invalid_argument("noise_cv must be finite and >= 0");
+    c.noise_cv = quantize(c.noise_cv);
+    if (!sim::NoiseModel::valid_cv(c.noise_cv)) {
+      throw std::invalid_argument(
+          "noise_cv must be >= 0 and at most 1.34e154 (a finite square)");
+    }
     // inf is the unmodeled machine; anything else must be a real capacity.
     if (!(c.link_gb > 0.0) || !(c.mem_gb > 0.0))
       throw std::invalid_argument("link_gb and mem_gb must be > 0");
@@ -170,7 +174,6 @@ Request canonicalize(const Request& r) {
       throw std::invalid_argument(
           "page_s_per_gb requires mem_gb (paging needs a memory capacity)");
     }
-    c.noise_cv = quantize(c.noise_cv);
     c.link_gb = quantize(c.link_gb);
     c.mem_gb = quantize(c.mem_gb);
     c.page_s_per_gb = quantize(c.page_s_per_gb);

@@ -5,7 +5,7 @@
 namespace hslb::sim {
 
 NoiseModel::NoiseModel(double cv, std::uint64_t seed) : cv_(cv), rng_(seed) {
-  HSLB_EXPECTS(cv >= 0.0);
+  HSLB_EXPECTS(valid_cv(cv));
 }
 
 double NoiseModel::perturb(double true_seconds) {

@@ -51,4 +51,25 @@ if(NOT t1 STREQUAL t4)
                       "--- threads 1 ---\n${t1}\n--- threads 4 ---\n${t4}")
 endif()
 
+# Extreme but representable measurement noise: every probe of these fmo
+# requests is scaled by a lognormal draw that is mostly below 1e-8, so the
+# Fit sees sub-nanosecond samples. Both requests must be served, not abort
+# the script (noise_cv above 1.34e154, whose square overflows, is rejected
+# when the script is loaded).
+set(NOISY ${WORK}/noisy_requests.txt)
+file(WRITE ${NOISY}
+     "fmo budget=16 fragments=4 fit_points=4 noise_cv=1e10\n"
+     "fmo budget=16 fragments=4 fit_points=4 noise_cv=1e154\n")
+execute_process(COMMAND ${TOOL} serve --script ${NOISY} --threads 2
+                        --responses ${WORK}/noisy_responses.txt
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "serve of the noisy script failed (${rc}): ${out}${err}")
+endif()
+file(STRINGS ${WORK}/noisy_responses.txt noisy)
+list(LENGTH noisy served)
+if(NOT served EQUAL 2 OR NOT out MATCHES "0 hits / 2 misses")
+  message(FATAL_ERROR "expected 2 served noisy requests: ${out}")
+endif()
+
 message(STATUS "cli client->serve round trip ok")

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "lp/certify.hpp"
 
 namespace hslb::lp {
 namespace {
@@ -266,8 +267,19 @@ TEST_P(SimplexRandom2d, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Sweep, SimplexRandom2d, ::testing::Range(0, 200));
 
 // ---------------------------------------------------------------------------
-// Larger random LPs: verify feasibility + optimality conditions only.
+// Larger random LPs: every optimal answer must carry a certificate.
 // ---------------------------------------------------------------------------
+
+/// Tolerance of every certificate check below: the random LPs have O(1)
+/// coefficients, bounds and costs.
+constexpr double kCertTol = 1e-9;
+
+void expect_certified(const Model& m, const Solution& sol, int trial) {
+  const Certificate cert = certify(m, sol);
+  EXPECT_TRUE(cert.holds(kCertTol))
+      << "trial " << trial << ": primal residual " << cert.primal_residual
+      << ", dual violation " << cert.dual_violation << ", gap " << cert.gap;
+}
 
 class SimplexRandomWide : public ::testing::TestWithParam<int> {};
 
@@ -294,9 +306,7 @@ TEST_P(SimplexRandomWide, SolutionFeasibleWhenOptimal) {
   const auto sol = solve(m);
   // Bounded box => never unbounded.
   EXPECT_NE(sol.status, Status::Unbounded);
-  if (sol.status == Status::Optimal) {
-    EXPECT_TRUE(m.is_feasible(sol.x, 1e-6));
-  }
+  if (sol.status == Status::Optimal) expect_certified(m, sol, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SimplexRandomWide, ::testing::Range(0, 100));
@@ -338,7 +348,7 @@ void expect_warm_matches_cold(const Model& child, const Basis& parent_basis,
   const double scale = 1.0 + std::fabs(cold.objective);
   EXPECT_NEAR(warm.objective, cold.objective, 1e-6 * scale)
       << "trial " << trial;
-  EXPECT_TRUE(child.is_feasible(warm.x, 1e-6)) << "trial " << trial;
+  expect_certified(child, warm, trial);
 }
 
 class SimplexWarmBranch : public ::testing::TestWithParam<int> {};
@@ -423,94 +433,58 @@ TEST(Simplex, WarmResolveOfUnchangedModelTakesNoPivots) {
 }
 
 // ---------------------------------------------------------------------------
-// Sparse/dense parity: force_dense swaps the factorization and eta storage
-// for dense-equivalent kernels but leaves pricing untouched, so both modes
-// must walk the same pivot path and land on the identical vertex.
+// Certificate sweep: every optimal solve of the random bounded LPs is
+// checked from the model alone, and the kernel counters keep their
+// invariants.
 // ---------------------------------------------------------------------------
 
-class SimplexSparseDenseParity : public ::testing::TestWithParam<int> {};
+class SimplexCertifiedSweep : public ::testing::TestWithParam<int> {};
 
-TEST_P(SimplexSparseDenseParity, IdenticalObjectiveBasisAndDuals) {
+TEST_P(SimplexCertifiedSweep, OptimalSolvesCertifyAndCountersHold) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 9551 + 17);
   const Model m = random_bounded_lp(rng);
-  Options dense_opt;
-  dense_opt.force_dense = true;
-  const Solution sparse = solve(m);
-  const Solution dense = solve(m, dense_opt);
-  ASSERT_EQ(sparse.status, dense.status);
-  if (sparse.status != Status::Optimal) return;
-
-  const double scale = 1.0 + std::fabs(dense.objective);
-  EXPECT_NEAR(sparse.objective, dense.objective, 1e-9 * scale);
-  EXPECT_EQ(sparse.iterations, dense.iterations);
-  ASSERT_EQ(sparse.basis.cols.size(), dense.basis.cols.size());
-  ASSERT_EQ(sparse.basis.rows.size(), dense.basis.rows.size());
-  for (std::size_t j = 0; j < sparse.basis.cols.size(); ++j)
-    EXPECT_EQ(sparse.basis.cols[j], dense.basis.cols[j]) << "col " << j;
-  for (std::size_t r = 0; r < sparse.basis.rows.size(); ++r)
-    EXPECT_EQ(sparse.basis.rows[r], dense.basis.rows[r]) << "row " << r;
-  ASSERT_EQ(sparse.duals.size(), dense.duals.size());
-  for (std::size_t r = 0; r < sparse.duals.size(); ++r)
-    EXPECT_NEAR(sparse.duals[r], dense.duals[r], 1e-7 * scale) << "row " << r;
-  for (std::size_t j = 0; j < sparse.x.size(); ++j)
-    EXPECT_NEAR(sparse.x[j], dense.x[j], 1e-7 * scale) << "col " << j;
-
-  // The counters must reflect the mode: dense etas store every off-pivot
-  // entry, sparse ones only nonzeros — never more than the dense count.
-  if (dense.stats.pivots > 0) {
-    EXPECT_EQ(dense.stats.eta_nnz, dense.stats.eta_dense_nnz);
+  const Solution sol = solve(m);
+  if (sol.status != Status::Optimal) return;
+  expect_certified(m, sol, GetParam());
+  // Sparse kernels never bill more work than the dense equivalent, and a
+  // solve whose pivots outnumber its drift refactors records FT updates.
+  EXPECT_LE(sol.stats.kernel_flops, sol.stats.kernel_dense_flops);
+  if (sol.stats.pivots > sol.stats.refactor_drift_hits) {
+    EXPECT_GT(sol.stats.ft_updates, 0u);
   }
-  EXPECT_LE(sparse.stats.eta_nnz, sparse.stats.eta_dense_nnz);
-  // Same invariant for the kernel-work counters: dense mode bills itself
-  // the dense cost exactly; sparse kernels never do more work than that.
-  EXPECT_EQ(dense.stats.kernel_flops, dense.stats.kernel_dense_flops);
-  EXPECT_LE(sparse.stats.kernel_flops, sparse.stats.kernel_dense_flops);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, SimplexSparseDenseParity,
+INSTANTIATE_TEST_SUITE_P(Sweep, SimplexCertifiedSweep,
                          ::testing::Range(0, 60));
 
-// ---------------------------------------------------------------------------
-// Basis-update parity: the Forrest-Tomlin scheme (default) and the
-// product-form eta baseline maintain the same basis inverse, so under
-// identical pricing they must walk the same pivot path to the same vertex.
-// ---------------------------------------------------------------------------
+TEST(Certify, FlagsPlantedWrongAnswers) {
+  // min x + 2y  s.t.  x + y >= 1,  x, y in [0, 2]: x = 1 on the active
+  // row (dual 1), y = 0 at its lower bound (reduced cost 1).
+  Model m;
+  const auto x = m.add_variable(0.0, 2.0, 1.0);
+  const auto y = m.add_variable(0.0, 2.0, 2.0);
+  m.add_constraint({{x, 1.0}, {y, 1.0}}, 1.0, kInf);
+  const Solution sol = solve(m);
+  ASSERT_EQ(sol.status, Status::Optimal);
+  ASSERT_TRUE(certify(m, sol).holds(kCertTol));
 
-class SimplexBasisUpdateParity : public ::testing::TestWithParam<int> {};
+  Solution flipped = sol;  // the active row's dual with the wrong sign
+  flipped.duals[0] = -flipped.duals[0];
+  EXPECT_GT(certify(m, flipped).dual_violation, 0.5);
+  EXPECT_LT(certify(m, flipped).primal_residual, kCertTol);
 
-TEST_P(SimplexBasisUpdateParity, FtAndEtaWalkTheSamePath) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 9551 + 17);
-  const Model m = random_bounded_lp(rng);
-  Options eta_opt;
-  eta_opt.basis_update = BasisUpdate::ProductFormEta;
-  const Solution ft = solve(m);
-  const Solution eta = solve(m, eta_opt);
-  ASSERT_EQ(ft.status, eta.status);
-  if (ft.status != Status::Optimal) return;
+  Solution moved = sol;  // y off its active lower bound, still feasible
+  moved.x[y] = 0.5;
+  const Certificate moved_cert = certify(m, moved);
+  EXPECT_LT(moved_cert.primal_residual, kCertTol);
+  EXPECT_GT(moved_cert.dual_violation, 0.5);
+  EXPECT_GT(moved_cert.gap, 0.1);
 
-  const double scale = 1.0 + std::fabs(eta.objective);
-  EXPECT_NEAR(ft.objective, eta.objective, 1e-9 * scale);
-  EXPECT_EQ(ft.iterations, eta.iterations);
-  ASSERT_EQ(ft.basis.cols.size(), eta.basis.cols.size());
-  for (std::size_t j = 0; j < ft.basis.cols.size(); ++j)
-    EXPECT_EQ(ft.basis.cols[j], eta.basis.cols[j]) << "col " << j;
-  for (std::size_t r = 0; r < ft.basis.rows.size(); ++r)
-    EXPECT_EQ(ft.basis.rows[r], eta.basis.rows[r]) << "row " << r;
-  for (std::size_t j = 0; j < ft.x.size(); ++j)
-    EXPECT_NEAR(ft.x[j], eta.x[j], 1e-7 * scale) << "col " << j;
-
-  // Each scheme's counters stay in its own lane.
-  EXPECT_EQ(ft.stats.eta_nnz, 0u);
-  EXPECT_EQ(eta.stats.ft_updates, 0u);
-  if (ft.stats.pivots > ft.stats.refactor_drift_hits) {
-    EXPECT_GT(ft.stats.ft_updates, 0u);
-  }
-  // FT solves never bill more kernel work than the dense equivalent.
-  EXPECT_LE(ft.stats.kernel_flops, ft.stats.kernel_dense_flops);
+  Solution infeasible = sol;  // the row x + y >= 1 broken
+  infeasible.x[x] = 0.25;
+  EXPECT_NEAR(certify(m, infeasible).primal_residual, 0.75, 1e-12);
+  EXPECT_FALSE(certify(m, infeasible).holds(kCertTol));
 }
-
-INSTANTIATE_TEST_SUITE_P(Sweep, SimplexBasisUpdateParity,
-                         ::testing::Range(0, 60));
 
 TEST(Simplex, ForrestTomlinReportsUpdateFillAndTriggers) {
   Rng rng(4242);
@@ -566,7 +540,7 @@ TEST_P(SimplexDualOnlyWarm, BoundChangeChildrenSkipPrimalPhase1) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SimplexDualOnlyWarm, ::testing::Range(0, 50));
 
-TEST(Simplex, SparseStatsReportEtaCompression) {
+TEST(Simplex, SparseStatsReportKernelWork) {
   Rng rng(4242);
   const Model m = random_bounded_lp(rng);
   const Solution sol = solve(m);
@@ -574,7 +548,6 @@ TEST(Simplex, SparseStatsReportEtaCompression) {
   ASSERT_GT(sol.stats.pivots, 0u);
   EXPECT_GT(sol.stats.refactorizations, 0u);
   EXPECT_GT(sol.stats.basis_nnz, 0u);
-  EXPECT_GE(sol.stats.eta_compression(), 1.0);
   EXPECT_GE(sol.stats.flop_reduction(), 1.0);
   EXPECT_GT(sol.stats.kernel_flops, 0u);
 }

@@ -330,10 +330,6 @@ TEST_P(BnbThreadDeterminism, BitIdenticalAcrossThreadCounts) {
     // The sparse-kernel counters are sums over a bit-identical set of LP
     // solves, so they too must not depend on the thread count.
     EXPECT_EQ(par.lp_pivots, serial.lp_pivots) << "threads=" << threads;
-    EXPECT_EQ(par.lp_stats.eta_nnz, serial.lp_stats.eta_nnz)
-        << "threads=" << threads;
-    EXPECT_EQ(par.lp_stats.eta_dense_nnz, serial.lp_stats.eta_dense_nnz)
-        << "threads=" << threads;
     EXPECT_EQ(par.lp_stats.kernel_flops, serial.lp_stats.kernel_flops)
         << "threads=" << threads;
     EXPECT_EQ(par.lp_stats.kernel_dense_flops,
@@ -383,62 +379,6 @@ TEST_P(BnbThreadDeterminism, BitIdenticalAcrossThreadCounts) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, BnbThreadDeterminism, ::testing::Range(0, 20));
-
-class BnbSparseDenseKernels : public ::testing::TestWithParam<int> {};
-
-TEST_P(BnbSparseDenseKernels, SameOptimumOnDenseKernels) {
-  // force_dense swaps every LP kernel under the search for its
-  // dense-equivalent; the proven optimum must not move.
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 8887 + 23);
-  const auto p = make_random_minlp(rng);
-  BnbOptions sparse_opt;
-  BnbOptions dense_opt;
-  dense_opt.kelley.lp.force_dense = true;
-  const auto sparse = solve(p.model, sparse_opt);
-  const auto dense = solve(p.model, dense_opt);
-  ASSERT_EQ(sparse.status, dense.status);
-  if (sparse.status != BnbStatus::Optimal) return;
-  EXPECT_NEAR(sparse.objective, dense.objective,
-              1e-6 * (1.0 + std::fabs(dense.objective)));
-  // Dense etas must report the dense-equivalent cost; the sparse run can
-  // only be cheaper per pivot.
-  if (dense.lp_stats.pivots > 0) {
-    EXPECT_EQ(dense.lp_stats.eta_nnz, dense.lp_stats.eta_dense_nnz);
-  }
-  EXPECT_LE(sparse.lp_stats.eta_nnz, sparse.lp_stats.eta_dense_nnz);
-  EXPECT_EQ(dense.lp_stats.kernel_flops, dense.lp_stats.kernel_dense_flops);
-  EXPECT_LE(sparse.lp_stats.kernel_flops, sparse.lp_stats.kernel_dense_flops);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, BnbSparseDenseKernels, ::testing::Range(0, 10));
-
-class BnbBasisUpdateParity : public ::testing::TestWithParam<int> {};
-
-TEST_P(BnbBasisUpdateParity, SameOptimumOnEtaBaseline) {
-  // The Forrest-Tomlin and product-form-eta schemes maintain the same basis
-  // inverse; swapping one for the other under the whole search must not
-  // move the proven optimum.
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 6121 + 29);
-  const auto p = make_random_minlp(rng);
-  BnbOptions ft_opt;  // ForrestTomlin is the default
-  BnbOptions eta_opt;
-  eta_opt.kelley.lp.basis_update = lp::BasisUpdate::ProductFormEta;
-  const auto ft = solve(p.model, ft_opt);
-  const auto eta = solve(p.model, eta_opt);
-  ASSERT_EQ(ft.status, eta.status);
-  if (ft.status != BnbStatus::Optimal) return;
-  EXPECT_NEAR(ft.objective, eta.objective,
-              1e-6 * (1.0 + std::fabs(eta.objective)));
-  // Each scheme's counters stay in its own lane: FT runs record no eta
-  // file, the baseline records no FT updates.
-  EXPECT_EQ(ft.lp_stats.eta_nnz, 0u);
-  EXPECT_EQ(eta.lp_stats.ft_updates, 0u);
-  if (ft.lp_stats.pivots > 0) {
-    EXPECT_GT(ft.lp_stats.ft_updates, 0u);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, BnbBasisUpdateParity, ::testing::Range(0, 10));
 
 class BnbWarmVsCold : public ::testing::TestWithParam<int> {};
 

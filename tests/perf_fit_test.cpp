@@ -83,6 +83,21 @@ TEST(Fit, RejectsDegenerateInput) {
   EXPECT_THROW(fit(SampleSet{{1.0, 0.0}, {2.0, 1.0}}), ContractViolation);
 }
 
+TEST(Fit, SubNanosecondSamplesFitInsideTheBox) {
+  // Every seconds x nodes product is near 1e-10, far below 2e-8: the
+  // multistart box's a floor (1e-6) lies above the fit box's a ceiling
+  // (50 x max product), so the start box must be clamped into the fit box.
+  const Model truth{1e-10, 0.0, 1.0, 2e-12};
+  const auto samples = sample_model(truth, {1, 2, 4, 8, 16, 32}, 0.02, 5);
+  const auto res = fit(samples);
+  EXPECT_GT(res.r2, 0.99);
+  EXPECT_TRUE(res.model.valid());
+  for (double n : {1.0, 8.0, 32.0}) {
+    EXPECT_NEAR(res.model.eval(n), truth.eval(n), 0.1 * truth.eval(n))
+        << "at n=" << n;
+  }
+}
+
 TEST(Fit, DeterministicForSeed) {
   const Model truth{700.0, 0.0, 1.0, 3.0};
   const auto samples = sample_model(truth, {1, 4, 16, 64}, 0.05, 11);

@@ -133,9 +133,12 @@ TEST(Canonicalize, RejectsMalformedRequests) {
     r.*field = v;
     return r;
   };
-  for (double v : {nan, inf, -inf, -0.1})
+  // noise_cv also needs a finite square: above sqrt(DBL_MAX) ~ 1.34e154
+  // every lognormal draw is NaN.
+  for (double v : {nan, inf, -inf, -0.1, 1e155, 1e308})
     EXPECT_THROW(canonicalize(with(&Request::noise_cv, v)),
                  std::invalid_argument);
+  EXPECT_NO_THROW(canonicalize(with(&Request::noise_cv, 1e154)));
   for (double v : {nan, -inf, -1.0, 0.0}) {
     EXPECT_THROW(canonicalize(with(&Request::link_gb, v)),
                  std::invalid_argument);
