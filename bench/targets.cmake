@@ -31,7 +31,6 @@ hslb_add_bench(cesm_finetuning hslb_cesm)
 hslb_add_bench(cesm_coupling_overhead hslb_cesm)
 hslb_add_bench(cesm_advisor hslb_cesm)
 hslb_add_bench(fit_points_ablation hslb_cesm)
-hslb_add_bench(fit_multistart_ablation hslb_cesm)
 
 # Machine-readable bench output (BENCH_solver.json merge helper).
 add_library(hslb_benchjson STATIC ${CMAKE_SOURCE_DIR}/bench/bench_json.cpp)
@@ -66,4 +65,4 @@ hslb_add_bench(scenario_fuzz hslb_substrates hslb_benchjson)
 # Microbenchmarks (google-benchmark).
 hslb_add_bench(minlp_solvetime hslb_cesm hslb_benchjson benchmark::benchmark)
 hslb_add_bench(lp_simplex_bench hslb_lp hslb_benchjson benchmark::benchmark)
-hslb_add_bench(nlsq_fit_bench hslb_perf benchmark::benchmark)
+hslb_add_bench(fit_bench hslb_perf benchmark::benchmark)

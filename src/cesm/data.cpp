@@ -196,10 +196,7 @@ const Calibration& calibration(Resolution r, Component c) {
         for (const auto& o : published_observations(res, comp))
           samples.push_back(
               {static_cast<double>(o.nodes), o.seconds});
-        perf::FitOptions opt;
-        opt.num_starts = 48;  // calibration runs once; be thorough
-        opt.seed = 20140521;  // IPDPSW 2014 vintage, deterministic
-        const auto fit = perf::fit(samples, opt);
+        const auto fit = perf::fit(samples);
         t[{res, index(comp)}] = Calibration{fit.model, fit.r2};
       }
     }

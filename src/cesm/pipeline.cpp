@@ -88,8 +88,6 @@ class CesmApplication final : public Application, public BaselineReporter {
     return sim_.benchmark_at(component_from_string(task), nodes, rep);
   }
 
-  perf::FitOptions fit_options() const override { return options_.fit; }
-
   SolveOutcome solve(const std::vector<std::pair<std::string, perf::FitResult>>&
                          fits) override {
     LayoutProblem problem = make_problem(resolution_, options_.layout,

@@ -25,7 +25,6 @@ struct PipelineOptions {
   bool ocean_constrained = true;
   std::size_t fit_points = 5;
   std::size_t repetitions = 1;
-  perf::FitOptions fit;
   minlp::BnbOptions bnb;
   SimulatorOptions sim;
   /// lnd/ice synchronization tolerance (seconds); infinity = off.

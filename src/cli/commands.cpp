@@ -121,7 +121,8 @@ int usage(int code) {
       "\n"
       "usage:\n"
       "  hslb fit    --bench bench.csv [--out models.csv] [--min-c C]\n"
-      "              [--starts N]       fit T(n)=a/n+b*n^c+d per task\n"
+      "                                 fit T(n)=a/n+b*n^c+d per task,\n"
+      "                                 min-c <= c <= 3 (min-c in [0, 3])\n"
       "  hslb solve  --models models.csv --nodes N [--objective min-max]\n"
       "                                 budgeted node allocation\n"
       "  hslb cesm   --resolution 1|8 --nodes N [--layout 1|2|3]\n"
@@ -227,16 +228,17 @@ int cmd_fit(const Args& args) {
   const auto table = perf::BenchTable::load(*bench_path);
 
   perf::FitOptions opt;
-  opt.min_c = args.get_double("min-c", 1.0, 0.0);
-  opt.num_starts = static_cast<std::size_t>(args.get_int("starts", 24LL, 1));
+  opt.min_c = args.get_double("min-c", 1.0, 0.0, 3.0);
   const auto fits = perf::fit_all(table, opt);
 
+  // Significant digits, not fixed decimals: models of sub-nanosecond
+  // samples must not print as zeros.
+  const auto sig = [](double v) { return strings::format("%.6g", v); };
   Table out({"task", "a", "b", "c", "d", "R^2", "RMSE"});
   std::vector<perf::NamedModel> models;
   for (const auto& [task, fit] : fits) {
-    out.add_row({task, Table::num(fit.model.a, 4), Table::num(fit.model.b, 8),
-                 Table::num(fit.model.c, 4), Table::num(fit.model.d, 4),
-                 Table::num(fit.r2, 5), Table::num(fit.rmse, 4)});
+    out.add_row({task, sig(fit.model.a), sig(fit.model.b), sig(fit.model.c),
+                 sig(fit.model.d), Table::num(fit.r2, 5), sig(fit.rmse)});
     models.push_back({task, fit.model, 1, 0});
   }
   std::printf("%s", out.str().c_str());

@@ -13,8 +13,7 @@ int main(int argc, char** argv) {
 
   try {
     if (cmd == "fit") {
-      return cmd_fit(Args(argc - 1, argv + 1, {}, {"bench", "out", "min-c",
-                                                   "starts"}));
+      return cmd_fit(Args(argc - 1, argv + 1, {}, {"bench", "out", "min-c"}));
     }
     if (cmd == "solve") {
       return cmd_solve(

@@ -1,8 +1,8 @@
 // Deterministic, seedable random number generation.
 //
-// All stochastic pieces of the library (benchmark noise models, multistart
-// fitting, synthetic molecule generation) draw from hslb::Rng so that every
-// experiment in bench/ is exactly reproducible from its printed seed.
+// All stochastic pieces of the library (benchmark noise models, synthetic
+// molecule generation) draw from hslb::Rng so that every experiment in
+// bench/ is exactly reproducible from its printed seed.
 //
 // The generator is xoshiro256++ (Blackman & Vigna), seeded through
 // SplitMix64; both are tiny, fast, and have no external dependencies.

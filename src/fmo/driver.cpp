@@ -83,8 +83,6 @@ class FmoApplication final : public Application, public BaselineReporter {
                  n, rep);
   }
 
-  perf::FitOptions fit_options() const override { return options_.fit; }
-
   SolveOutcome solve(const std::vector<std::pair<std::string, perf::FitResult>>&
                          fits) override {
     auto tasks = make_budget_tasks(sys_, fits, hi_);
@@ -277,7 +275,7 @@ class FmoApplication final : public Application, public BaselineReporter {
                      names_.size() + d, n, rep)});
         }
       }
-      const auto fit = perf::fit(samples, options_.fit);
+      const auto fit = perf::fit(samples);
       fitted[k] = Probed{static_cast<double>(size_of(d)), fit.model, fit.r2};
     });
     for (const auto& p : fitted)

@@ -3,8 +3,8 @@
 //
 //   1. Gather  — probe every fragment's monomer SCF at a few group sizes
 //                (noisy observations of the ground-truth cost model);
-//   2. Fit     — per-fragment performance models (Levenberg-Marquardt
-//                multistart, R^2 diagnostics);
+//   2. Fit     — per-fragment performance models (variable-projection
+//                least squares, R^2 diagnostics);
 //   3. Solve   — min-max node allocation over the fitted models (exact
 //                greedy; build_budget_minlp/branch-and-bound cross-check
 //                available for small systems);
@@ -36,7 +36,6 @@ struct PipelineOptions {
   std::uint64_t seed = 42;
 
   Objective objective = Objective::MinMax;
-  perf::FitOptions fit;
 
   /// Route the Solve step through the general MINLP branch-and-bound
   /// (build_budget_minlp + minlp::solve) instead of the exact greedy —

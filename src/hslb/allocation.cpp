@@ -29,10 +29,10 @@ long long Allocation::total_nodes() const {
 std::string Allocation::str() const {
   std::ostringstream out;
   for (const auto& t : tasks) {
-    out << strings::format("%-12s %8lld nodes   %12.3f s\n", t.task.c_str(),
+    out << strings::format("%-12s %8lld nodes   %#12.6g s\n", t.task.c_str(),
                            t.nodes, t.predicted_seconds);
   }
-  out << strings::format("%-12s %8s         %12.3f s\n", "total", "",
+  out << strings::format("%-12s %8s         %#12.6g s\n", "total", "",
                          predicted_total);
   return out.str();
 }

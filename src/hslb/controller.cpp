@@ -86,9 +86,10 @@ AdaptiveResult Controller::run(
     ++out.triggers;
 
     // -- Refit ---------------------------------------------------------------
-    // Tasks with fresh observations are refitted warm from their previous
-    // parameters; the rest keep their models, so an isolated straggler
-    // only perturbs the fragments it actually slowed.
+    // Tasks with fresh observations are fitted again on their gathered
+    // samples with the window's observations folded in; the rest keep
+    // their models, so an isolated straggler only perturbs the fragments it
+    // actually slowed.
     std::vector<std::size_t> stale;
     for (std::size_t i = 0; i < out.fits.size(); ++i) {
       const std::string& task = out.fits[i].first;
@@ -103,7 +104,7 @@ AdaptiveResult Controller::run(
       const perf::SampleSet samples = perf::fold_observations(
           *it->second, window, task, epoch, policy_.refit_window,
           policy_.observation_weight);
-      fit = perf::refit(samples, fit.model, fit_options_);
+      fit = perf::fit(samples, fit_options_);
     });
     if (!stale.empty()) ++out.refits;
 

@@ -2,7 +2,7 @@
 // Application (pipeline.hpp's adaptive hooks) as
 //
 //   repeat: execute epoch -> monitor (imbalance / drift / failure)
-//           -> refit (fold observed durations, warm from previous params)
+//           -> refit (fold observed durations into the gathered samples)
 //           -> warm re-solve (seeded from the incumbent allocation)
 //           -> accept test (gain x remaining epochs vs migration stall)
 //           -> migrate

@@ -261,7 +261,7 @@ PipelineRun Pipeline::run(Application& app, ThreadPool& pool) const {
   fit_opt.threads = pool.size();
   out.fits = perf::fit_all(out.bench, fit_opt, &pool);
   for (const auto& [task, fit] : out.fits)
-    out.report.fits.push_back({task, fit.r2, fit.converged});
+    out.report.fits.push_back({task, fit.r2});
   out.report.fit_seconds = seconds_since(t0);
 
   // -- Step 3: Solve ---------------------------------------------------------

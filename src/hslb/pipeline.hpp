@@ -144,7 +144,6 @@ struct ResolveOutcome {
 struct TaskFitReport {
   std::string task;
   double r2 = 0.0;
-  bool converged = false;
 };
 
 /// Structured per-run observability: every caller and bench can print or

@@ -63,7 +63,6 @@ struct WaveOptions {
   std::size_t repetitions = 1;
   double bench_noise_cv = 0.03;
   std::uint64_t bench_seed = 42;
-  perf::FitOptions fit;
 
   // Solve.
   Objective objective = Objective::MinMax;
@@ -95,7 +94,6 @@ class WaveApplication final : public Application, public BaselineReporter {
   GatherPlan gather_plan() override;
   double probe(const std::string& task, long long n,
                std::uint64_t rep) override;
-  perf::FitOptions fit_options() const override { return options_.fit; }
   SolveOutcome solve(const std::vector<std::pair<std::string, perf::FitResult>>&
                          fits) override;
   double execute(const SolveOutcome& solution) override;

@@ -7,57 +7,6 @@
 
 namespace hslb::linalg {
 
-std::optional<Cholesky> Cholesky::factor(const Matrix& a) {
-  Cholesky chol;
-  if (!chol.refactor(a)) return std::nullopt;
-  return chol;
-}
-
-bool Cholesky::refactor(const Matrix& a) {
-  HSLB_EXPECTS(a.rows() == a.cols());
-  const std::size_t n = a.rows();
-  // Only the lower triangle is written and read, so a reused factor of the
-  // same order needs no clearing.
-  if (l_.rows() != n) l_ = Matrix(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    double diag = a(j, j);
-    for (std::size_t k = 0; k < j; ++k) diag -= l_(j, k) * l_(j, k);
-    if (diag <= 0.0 || !std::isfinite(diag)) return false;
-    l_(j, j) = std::sqrt(diag);
-    for (std::size_t i = j + 1; i < n; ++i) {
-      double v = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) v -= l_(i, k) * l_(j, k);
-      l_(i, j) = v / l_(j, j);
-    }
-  }
-  return true;
-}
-
-Vector Cholesky::solve(std::span<const double> b) const {
-  Vector x(b.size());
-  solve(b, x);
-  return x;
-}
-
-void Cholesky::solve(std::span<const double> b, std::span<double> x) const {
-  const std::size_t n = l_.rows();
-  HSLB_EXPECTS(b.size() == n);
-  HSLB_EXPECTS(x.size() == n);
-  // Forward: L y = b, with y held in x.
-  for (std::size_t i = 0; i < n; ++i) {
-    double v = b[i];
-    for (std::size_t k = 0; k < i; ++k) v -= l_(i, k) * x[k];
-    x[i] = v / l_(i, i);
-  }
-  // Backward: L^T x = y; entry i still holds y[i] when it is solved.
-  for (std::size_t ii = n; ii > 0; --ii) {
-    const std::size_t i = ii - 1;
-    double v = x[i];
-    for (std::size_t k = i + 1; k < n; ++k) v -= l_(k, i) * x[k];
-    x[i] = v / l_(i, i);
-  }
-}
-
 QR::QR(const Matrix& a) : qr_(a), rows_(a.rows()), cols_(a.cols()) {
   HSLB_EXPECTS(rows_ >= cols_);
   tau_.assign(cols_, 0.0);

@@ -1,6 +1,6 @@
 // Matrix decompositions and linear solvers:
-//   - Cholesky (SPD solves for the Levenberg-Marquardt normal equations),
-//   - Householder QR (rank-revealing enough for our least-squares sizes),
+//   - Householder QR (the Fit step's bounded least-squares solves; its R
+//     diagonal is rank-revealing enough for those sizes),
 //   - LU with partial pivoting (dense square solves; the simplex no longer
 //     uses it: it is the dense oracle the sparse-factor tests check
 //     SparseLU and UpdatableLU against),
@@ -19,32 +19,6 @@
 #include "linalg/sparse.hpp"
 
 namespace hslb::linalg {
-
-/// Cholesky factorization A = L L^T of a symmetric positive-definite matrix.
-/// Returns std::nullopt if A is not (numerically) positive definite.
-class Cholesky {
- public:
-  static std::optional<Cholesky> factor(const Matrix& a);
-
-  /// An empty factorization for refactor() to fill.
-  Cholesky() = default;
-
-  /// Factors `a` into this object's storage, reusing it when the order is
-  /// unchanged. Returns false (leaving the factor unusable) if `a` is not
-  /// (numerically) positive definite.
-  bool refactor(const Matrix& a);
-
-  /// Solves A x = b.
-  Vector solve(std::span<const double> b) const;
-
-  /// In-place form: writes the solution into `x` (b.size() entries).
-  void solve(std::span<const double> b, std::span<double> x) const;
-
-  const Matrix& lower() const { return l_; }
-
- private:
-  Matrix l_;
-};
 
 /// Householder QR factorization A = Q R for rows >= cols.
 class QR {

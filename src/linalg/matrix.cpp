@@ -37,20 +37,13 @@ Vector Matrix::mul(std::span<const double> x) const {
 }
 
 Vector Matrix::mul_transpose(std::span<const double> y) const {
-  Vector x(cols_);
-  mul_transpose(y, x);
-  return x;
-}
-
-void Matrix::mul_transpose(std::span<const double> y,
-                           std::span<double> out) const {
   HSLB_EXPECTS(y.size() == rows_);
-  HSLB_EXPECTS(out.size() == cols_);
-  std::fill(out.begin(), out.end(), 0.0);
+  Vector out(cols_, 0.0);
   for (std::size_t r = 0; r < rows_; ++r) {
     const auto rr = row(r);
     for (std::size_t c = 0; c < cols_; ++c) out[c] += rr[c] * y[r];
   }
+  return out;
 }
 
 Matrix Matrix::mul(const Matrix& other) const {
@@ -65,27 +58,6 @@ Matrix Matrix::mul(const Matrix& other) const {
     }
   }
   return out;
-}
-
-Matrix Matrix::gram() const {
-  Matrix g;
-  gram(g);
-  return g;
-}
-
-void Matrix::gram(Matrix& g) const {
-  HSLB_EXPECTS(&g != this);
-  g.rows_ = g.cols_ = cols_;
-  g.data_.assign(cols_ * cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const auto rr = row(r);
-    for (std::size_t i = 0; i < cols_; ++i) {
-      if (rr[i] == 0.0) continue;
-      for (std::size_t j = i; j < cols_; ++j) g(i, j) += rr[i] * rr[j];
-    }
-  }
-  for (std::size_t i = 0; i < cols_; ++i)
-    for (std::size_t j = 0; j < i; ++j) g(i, j) = g(j, i);
 }
 
 double Matrix::frobenius_norm() const {

@@ -1,7 +1,7 @@
 // Dense row-major matrix and vector operations.
 //
-// Sized for this library's needs: least-squares Jacobians (rows = benchmark
-// points, cols = 4 parameters) and simplex basis matrices (tens of rows).
+// Sized for this library's needs: the Fit step's least-squares columns
+// (rows = benchmark points, at most 3 columns) and dense test oracles.
 // Clarity and bounds-checked contracts over blocking/tiling.
 #pragma once
 
@@ -60,18 +60,9 @@ class Matrix {
   /// Transpose-matrix-vector product A^T y; y.size() must equal rows().
   Vector mul_transpose(std::span<const double> y) const;
 
-  /// In-place form: writes A^T y into `out` (cols() entries).
-  void mul_transpose(std::span<const double> y, std::span<double> out) const;
 
   /// Matrix-matrix product; this->cols() must equal other.rows().
   Matrix mul(const Matrix& other) const;
-
-  /// A^T A (Gram matrix), used to form normal equations.
-  Matrix gram() const;
-
-  /// In-place form: writes A^T A into `g` (not *this), reusing its storage
-  /// when it already holds cols() x cols() entries.
-  void gram(Matrix& g) const;
 
   /// Frobenius norm.
   double frobenius_norm() const;

@@ -1,151 +1,212 @@
 #include "perf/fit.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <set>
 
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
 #include "common/stats.hpp"
-#include "nlsq/multistart.hpp"
+#include "linalg/decomp.hpp"
 
 namespace hslb::perf {
 
 namespace {
 
-/// The nlsq least-squares problem plus the multistart sampling box, built
-/// once and shared between the cold multistart fit and the warm refit. The
-/// returned lambdas reference `samples`, which must outlive the problem.
-struct FitProblem {
-  nlsq::Problem problem;
-  linalg::Vector start_lo, start_hi;
+// The fit box: the exponent ceiling and the coefficient bounds as multiples
+// of data scales, a <= kAScale * max(y * n) and d <= kDScale * min(y).
+constexpr double kMaxC = 3.0;
+constexpr double kAScale = 50.0;
+constexpr double kDScale = 2.0;
+/// Grid points over [min_c, kMaxC], and the width at which the
+/// golden-section refinement of the best grid bracket stops.
+constexpr std::size_t kGridPoints = 33;
+constexpr double kCTolerance = 1e-10;
+/// A free set whose unit-norm columns leave some |R_kk| at or below this is
+/// rank-deficient (QR::solve's own floor is 1e-13 * (1 + |R_00|) = 2e-13).
+constexpr double kRankTolerance = 1e-12;
+
+/// The best model at one exponent and its sum of squared errors.
+struct Candidate {
+  Model model;
+  double sse = std::numeric_limits<double>::infinity();
 };
 
-/// For each sample, the index of the first sample with the same node count
-/// (itself for a first appearance). Gather repetitions and replicated
-/// observations share node counts, so the model is evaluated once per
-/// distinct count and copied to the rest.
-std::vector<std::size_t> first_of_node_count(const SampleSet& samples) {
-  std::vector<std::size_t> first(samples.size());
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    std::size_t j = 0;
-    while (samples[j].nodes != samples[i].nodes) ++j;
-    first[i] = j;
-  }
-  return first;
+/// Lower SSE wins; among equal SSEs the lower exponent does.
+bool better(const Candidate& x, const Candidate& y) {
+  return x.sse < y.sse || (x.sse == y.sse && x.model.c < y.model.c);
 }
 
-Model as_model(std::span<const double> p) {
-  return Model{p[0], p[1], p[2], p[3]};
-}
-
-/// Validates the sample set and builds the problem over (a, b, c, d).
-FitProblem build_problem(const SampleSet& samples, const FitOptions& options) {
-  HSLB_EXPECTS(samples.size() >= 2);
-  std::set<double> distinct;
-  double max_y = 0.0, min_y = samples.front().seconds;
-  double max_an = 0.0;  // bound for the scalable coefficient a
-  for (const auto& s : samples) {
-    HSLB_EXPECTS(s.nodes >= 1.0);
-    HSLB_EXPECTS(s.seconds > 0.0);
-    distinct.insert(s.nodes);
-    max_y = std::max(max_y, s.seconds);
-    min_y = std::min(min_y, s.seconds);
-    max_an = std::max(max_an, s.seconds * s.nodes);
-  }
-  HSLB_EXPECTS(distinct.size() >= 2);
-
-  FitProblem fp;
-  nlsq::Problem& problem = fp.problem;
-  problem.num_params = 4;
-  problem.num_residuals = samples.size();
-  // Both callbacks evaluate the model once per distinct node count, in
-  // first-appearance order.
-  const std::vector<std::size_t> first = first_of_node_count(samples);
-  problem.residuals = [&samples, first](std::span<const double> p,
-                                        std::span<double> r) {
-    const Model m = as_model(p);
-    for (std::size_t i = 0; i < samples.size(); ++i)
-      if (first[i] == i) r[i] = m.eval(samples[i].nodes);
-    // r[first[i]] holds the model value at sample i's node count until its
-    // own residual is formed; first[i] <= i, so a backward sweep forms that
-    // one last.
-    for (std::size_t i = samples.size(); i-- > 0;)
-      r[i] = samples[i].seconds - r[first[i]];
-  };
-  problem.jacobian = [&samples, first](std::span<const double> p,
-                                       linalg::Matrix& jac) {
-    const Model m = as_model(p);
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      const auto row = jac.row(i);
-      if (first[i] != i) {
-        const auto src = jac.row(first[i]);
-        std::copy(src.begin(), src.end(), row.begin());
-        continue;
-      }
-      const auto g = m.grad_params(samples[i].nodes);
-      for (std::size_t j = 0; j < 4; ++j) row[j] = -g[j];
+/// Variable projection of the fit: at a fixed exponent c the model is
+/// linear in (a, b, d), with columns 1/n, n^c and 1, and the best
+/// coefficients inside the box [0, hi] solve a bounded least-squares
+/// problem exactly.
+class Projection {
+ public:
+  /// Validates the samples and sets the box from their scales.
+  explicit Projection(const SampleSet& samples) : samples_(samples) {
+    HSLB_EXPECTS(samples.size() >= 2);
+    std::set<double> distinct;
+    double max_y = 0.0, min_y = samples.front().seconds, max_an = 0.0;
+    for (const auto& s : samples) {
+      HSLB_EXPECTS(s.nodes >= 1.0);
+      HSLB_EXPECTS(s.seconds > 0.0);
+      distinct.insert(s.nodes);
+      max_y = std::max(max_y, s.seconds);
+      min_y = std::min(min_y, s.seconds);
+      max_an = std::max(max_an, s.seconds * s.nodes);
     }
-  };
-
-  // Positivity constraints (Table II, line 11) and the convexity-preserving
-  // exponent window; the start box lies strictly inside the positive orthant.
-  const double a_hi = options.a_scale * max_an;
-  const double d_hi = options.d_scale * min_y;
-  const double b_hi = std::max(max_y, 1.0);
-  problem.lower = {0.0, 0.0, options.min_c, 0.0};
-  problem.upper = {a_hi, b_hi, options.max_c, d_hi};
-  fp.start_lo = {1e-6 * std::max(max_an, 1.0), 1e-12, options.min_c,
-                 1e-9 * std::max(min_y, 1e-3)};
-  fp.start_hi = {a_hi, 1e-2 * b_hi, options.max_c, std::max(d_hi, 2e-9)};
-  // Sub-nanosecond samples put those floors above the fit box (the a floor
-  // exceeds a_hi once max(seconds * nodes) < 2e-8), which would leave an
-  // empty start box; clamp it into the fit box. This is a no-op for every
-  // sample set whose seconds are all at least 1e-9 and that has such a
-  // product of at least 2e-8.
-  for (std::size_t i = 0; i < 4; ++i) {
-    const auto clamp = [&](double v) {
-      return std::min(std::max(v, problem.lower[i]), problem.upper[i]);
-    };
-    fp.start_lo[i] = clamp(fp.start_lo[i]);
-    fp.start_hi[i] = clamp(fp.start_hi[i]);
+    HSLB_EXPECTS(distinct.size() >= 2);
+    // Positivity constraints (Table II, line 11) bound every coefficient
+    // below by 0.
+    hi_ = {kAScale * max_an, std::max(max_y, 1.0), kDScale * min_y};
+    for (auto& col : cols_) col.resize(samples.size());
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      cols_[0][i] = 1.0 / samples[i].nodes;
+      cols_[2][i] = 1.0;
+    }
+    norms_[0] = linalg::norm2(cols_[0]);
+    norms_[2] = linalg::norm2(cols_[2]);
   }
-  return fp;
-}
 
-/// Fills the goodness-of-fit fields (R², RMSE) from `out.model`.
-void score(const SampleSet& samples, FitResult& out) {
+  /// The least-SSE (a, b, d) in the box at exponent c. Every one of the 27
+  /// active sets (each coefficient free, at 0 or at its upper bound) is
+  /// solved by QR on its unit-norm free columns; the feasible solution with
+  /// the least SSE wins. A rank-deficient free set is skipped: the box is
+  /// bounded, so its minimizers include one on a smaller face. Active sets
+  /// with the same free columns differ only in the right-hand side, so each
+  /// of the 7 free-column sets is factored once, on first use.
+  Candidate at(double c) {
+    const std::size_t m = samples_.size();
+    for (std::size_t i = 0; i < m; ++i)
+      cols_[1][i] = std::pow(samples_[i].nodes, c);
+    norms_[1] = linalg::norm2(cols_[1]);
+
+    Candidate best;
+    linalg::Vector rhs(m);
+    // By free-column bit mask; empty once factored when rank-deficient.
+    std::array<std::optional<linalg::QR>, 8> qr_of;
+    std::array<bool, 8> factored{};
+    for (int code = 0; code < 27; ++code) {
+      // state[j]: 0 = free, 1 = at 0, 2 = at hi_[j].
+      const int state[3] = {code % 3, code / 3 % 3, code / 9};
+      double theta[3];
+      std::size_t free_cols[3], k = 0, mask = 0;
+      for (std::size_t j = 0; j < 3; ++j) {
+        theta[j] = state[j] == 2 ? hi_[j] : 0.0;
+        if (state[j] == 0) {
+          free_cols[k++] = j;
+          mask |= std::size_t{1} << j;
+        }
+      }
+      if (k > m) continue;
+      if (k > 0) {
+        std::optional<linalg::QR>& qr = qr_of[mask];
+        if (!factored[mask]) {
+          factored[mask] = true;
+          linalg::Matrix a(m, k);
+          for (std::size_t i = 0; i < m; ++i)
+            for (std::size_t f = 0; f < k; ++f)
+              a(i, f) = cols_[free_cols[f]][i] / norms_[free_cols[f]];
+          qr.emplace(a);
+          if (!(qr->min_abs_diag_r() > kRankTolerance)) qr.reset();
+        }
+        if (!qr) continue;
+        for (std::size_t i = 0; i < m; ++i) {
+          rhs[i] = samples_[i].seconds;
+          for (std::size_t j = 0; j < 3; ++j)
+            if (state[j] == 2) rhs[i] -= theta[j] * cols_[j][i];
+        }
+        const linalg::Vector x = qr->solve(rhs);
+        bool feasible = true;
+        for (std::size_t f = 0; f < k; ++f) {
+          const std::size_t j = free_cols[f];
+          theta[j] = x[f] / norms_[j];
+          feasible = feasible && theta[j] >= 0.0 && theta[j] <= hi_[j];
+        }
+        if (!feasible) continue;
+      }
+      double sse = 0.0;
+      for (std::size_t i = 0; i < m; ++i) {
+        const double r = samples_[i].seconds - theta[0] * cols_[0][i] -
+                         theta[1] * cols_[1][i] - theta[2] * cols_[2][i];
+        sse += r * r;
+      }
+      if (sse < best.sse) best = {Model{theta[0], theta[1], c, theta[2]}, sse};
+    }
+    return best;
+  }
+
+ private:
+  const SampleSet& samples_;
+  std::array<double, 3> hi_;
+  std::array<linalg::Vector, 3> cols_;  ///< 1/n, n^c and 1 per sample
+  std::array<double, 3> norms_;
+};
+
+/// The SSE, R² and RMSE of `model` over the samples.
+FitResult score(const SampleSet& samples, const Model& model) {
+  FitResult out;
+  out.model = model;
   std::vector<double> observed, predicted;
   for (const auto& s : samples) {
     observed.push_back(s.seconds);
-    predicted.push_back(out.model.eval(s.nodes));
+    predicted.push_back(model.eval(s.nodes));
+    out.sse += (s.seconds - predicted.back()) * (s.seconds - predicted.back());
   }
   out.r2 = stats::r_squared(observed, predicted);
   out.rmse = stats::rmse(observed, predicted);
-}
-
-FitResult fit_multistart(const SampleSet& samples, const FitProblem& fp,
-                         const FitOptions& options) {
-  nlsq::MultistartOptions ms;
-  ms.num_starts = options.num_starts;
-  ms.seed = options.seed;
-  const auto res =
-      nlsq::minimize_multistart(fp.problem, fp.start_lo, fp.start_hi, ms);
-
-  FitResult out;
-  out.model = as_model(res.best.params);
-  out.sse = res.best.cost;
-  out.starts_tried = res.starts_tried;
-  out.starts_converged = res.starts_converged;
-  out.converged = res.best.converged;
-  score(samples, out);
   return out;
 }
 
 }  // namespace
 
 FitResult fit(const SampleSet& samples, const FitOptions& options) {
-  return fit_multistart(samples, build_problem(samples, options), options);
+  HSLB_EXPECTS(options.min_c <= kMaxC);
+  Projection projection(samples);
+  const auto grid_c = [&](std::size_t k) {
+    return options.min_c + (kMaxC - options.min_c) * static_cast<double>(k) /
+                               static_cast<double>(kGridPoints - 1);
+  };
+  Candidate best;
+  std::size_t best_k = 0;
+  for (std::size_t k = 0; k < kGridPoints; ++k) {
+    const Candidate cand = projection.at(grid_c(k));
+    if (better(cand, best)) {
+      best = cand;
+      best_k = k;
+    }
+  }
+
+  // Golden-section refinement between the best grid point's neighbours.
+  const double g = (std::sqrt(5.0) - 1.0) / 2.0;
+  double lo = grid_c(best_k == 0 ? 0 : best_k - 1);
+  double hi = grid_c(std::min(best_k + 1, kGridPoints - 1));
+  double x1 = hi - g * (hi - lo), x2 = lo + g * (hi - lo);
+  Candidate f1 = projection.at(x1), f2 = projection.at(x2);
+  for (const Candidate* f : {&f1, &f2})
+    if (better(*f, best)) best = *f;
+  while (hi - lo > kCTolerance) {
+    if (f1.sse <= f2.sse) {
+      hi = x2;
+      x2 = x1;
+      f2 = f1;
+      x1 = hi - g * (hi - lo);
+      f1 = projection.at(x1);
+      if (better(f1, best)) best = f1;
+    } else {
+      lo = x1;
+      x1 = x2;
+      f1 = f2;
+      x2 = lo + g * (hi - lo);
+      f2 = projection.at(x2);
+      if (better(f2, best)) best = f2;
+    }
+  }
+  return score(samples, best.model);
 }
 
 std::vector<std::pair<std::string, FitResult>> fit_all(
@@ -196,23 +257,6 @@ double prediction_drift(const Model& model,
     ++count;
   }
   return count == 0 ? 0.0 : sum / static_cast<double>(count);
-}
-
-FitResult refit(const SampleSet& samples, const Model& previous,
-                const FitOptions& options) {
-  const FitProblem fp = build_problem(samples, options);
-  const double warm[] = {previous.a, previous.b, previous.c, previous.d};
-  const auto res = nlsq::minimize(fp.problem, warm);
-  if (!res.converged) return fit_multistart(samples, fp, options);
-
-  FitResult out;
-  out.model = as_model(res.params);
-  out.sse = res.cost;
-  out.starts_tried = 1;
-  out.starts_converged = 1;
-  out.converged = true;
-  score(samples, out);
-  return out;
 }
 
 }  // namespace hslb::perf

@@ -1,14 +1,19 @@
 // The Fit step of HSLB (Table II, line 10): per component,
 //
 //   min  sum_i ( y_i - (a/n_i + b*n_i^c + d) )^2
-//   s.t. a, b, d >= 0,  min_c <= c <= max_c
+//   s.t. a, b, d >= 0,  min_c <= c <= 3
 //
-// solved by box-constrained Levenberg-Marquardt with multistart from a
-// data-driven start box. By default the exponent c is constrained to
-// [1, c_max] so that the fitted model is convex and the allocation MINLP is
-// solved to proven global optimality (§III-E); the paper observed b, c
-// "almost equal to zero" on Intrepid, which the convex fit reproduces with
-// b ~ 0. The machine charges of perf::CostModel are pinned, never fitted.
+// solved by variable projection (Golub & Pereyra 1973). The model is linear
+// in a, b and d, so for a fixed exponent c the best (a, b, d) inside a
+// data-driven box is a 3-variable bounded least-squares problem, solved
+// exactly; the fit is then a 1-D search over c (a fixed grid, then
+// golden-section refinement around the best grid point). The paper instead
+// tries several starting points of a local solver (§III-C); this search
+// needs none and is deterministic. By default c >= 1, so the fitted model
+// is convex and the allocation MINLP is solved to proven global optimality
+// (§III-E); the paper observed b, c "almost equal to zero" on Intrepid,
+// which the convex fit reproduces with b ~ 0. The machine charges of
+// perf::CostModel are pinned, never fitted.
 #pragma once
 
 #include "perf/benchdata.hpp"
@@ -21,35 +26,27 @@ class ThreadPool;
 namespace hslb::perf {
 
 struct FitOptions {
-  std::size_t num_starts = 24;
-  std::uint64_t seed = 1234;
   /// Worker threads for fit_all (per-task fits are independent; results are
   /// identical for every thread count). 0 = hardware concurrency.
   std::size_t threads = 1;
-  /// Exponent bounds. Lower bound 1.0 keeps the model convex; set
-  /// min_c < 1 to reproduce the paper's unconstrained-c discussion.
+  /// Exponent lower bound, at most the fixed ceiling 3. The default 1.0
+  /// keeps the model convex; set min_c < 1 to reproduce the paper's
+  /// unconstrained-c discussion.
   double min_c = 1.0;
-  double max_c = 3.0;
-  /// Upper bounds as multiples of data scales: a <= a_scale * max(y * n),
-  /// d <= d_scale * min(y).
-  double a_scale = 50.0;
-  double d_scale = 2.0;
 };
 
 struct FitResult {
   Model model;
   double sse = 0.0;
   double rmse = 0.0;
-  double r2 = 0.0;             ///< the paper's fit-quality criterion (§III-C)
-  std::size_t starts_tried = 0;
-  std::size_t starts_converged = 0;
-  bool converged = false;
+  double r2 = 0.0;  ///< the paper's fit-quality criterion (§III-C)
 };
 
-/// Fits one component's samples. Requires >= 2 distinct node counts; the
-/// paper recommends >= 4 samples ("at least greater than four") — fewer is
-/// allowed but flagged by the returned diagnostics (r2 of a saturated fit
-/// is trivially 1).
+/// Fits one component's samples inside the box a <= 50 max(y n),
+/// b <= max(max y, 1), d <= 2 min y. Requires >= 2 distinct node counts;
+/// the paper recommends >= 4 samples ("at least greater than four") —
+/// fewer is allowed (r2 of a saturated fit is trivially 1). Among equally
+/// good exponents the lowest wins, so a fit with b = 0 reports c = min_c.
 FitResult fit(const SampleSet& samples, const FitOptions& options = {});
 
 /// Fits every task in a gather table, `options.threads` tasks at a time.
@@ -59,12 +56,11 @@ std::vector<std::pair<std::string, FitResult>> fit_all(
     const BenchTable& table, const FitOptions& options = {},
     ThreadPool* pool = nullptr);
 
-// ---- Incremental refit: fold epoch observations, re-fit warm ------------
+// ---- Refit inputs: fold epoch observations into the gathered samples -----
 //
 // The closed-loop controller re-estimates models mid-run: each epoch's
 // trace yields observed (task, nodes, seconds) samples, which are folded
-// into the original gather table over a sliding window and re-fitted warm
-// from the previous parameters.
+// into the original gather table over a sliding window and fitted again.
 
 /// One observed execution sample from an epoch trace.
 struct Observed {
@@ -90,12 +86,5 @@ SampleSet fold_observations(const SampleSet& gathered,
 double prediction_drift(const Model& model,
                         const std::vector<Observed>& observations,
                         const std::string& task);
-
-/// Re-fits warm from previously fitted parameters: a single
-/// Levenberg-Marquardt run started at `previous` (projected into the
-/// data-driven fit box). When the warm descent fails to converge, falls
-/// back to the full fit() multistart.
-FitResult refit(const SampleSet& samples, const Model& previous,
-                const FitOptions& options = {});
 
 }  // namespace hslb::perf

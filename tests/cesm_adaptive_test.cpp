@@ -119,9 +119,9 @@ TEST(CesmAdaptive, PinnedFailStopRun) {
   RebalancePolicy policy;
   policy.adaptive = true;
   const pinning::Pinned want{1, 1, 98, 9,
-                             {5, 5},
+                             {5, 7},
                              {14, 91, 105, 22},
-                             535.9089971748399};
+                             535.91326602556649};
   pinning::expect_pinned(
       "cesm_failstop",
       [&] { return make_application(Resolution::Deg1, 128, opt); }, policy,

@@ -1,10 +1,11 @@
 // Parity sweep guarding the cost model: with the power law alone (every
 // model without pinned machine charges), fits, greedy objectives,
 // branch-and-bound node/cut counts, and the full FMO pipeline must equal
-// the pre-refactor behaviour bit for bit. The expected values below were
-// captured from the seed implementation (hard-coded perf::Model paths)
-// and are compared with exact double equality — any drift in the float
-// operation sequence fails this test.
+// the captured behaviour bit for bit. The solver values were captured from
+// the seed implementation (hard-coded perf::Model paths), the fit values
+// from the variable-projection perf::fit; all are compared with exact
+// double equality — any drift in the float operation sequence fails this
+// test.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -32,37 +33,35 @@ perf::SampleSet golden_samples(std::uint64_t seed) {
 }
 
 perf::FitResult golden_fit(std::uint64_t seed) {
-  perf::FitOptions opt;
-  opt.seed = seed;
-  return perf::fit(golden_samples(seed), opt);
+  return perf::fit(golden_samples(seed));
 }
 
 TEST(CostModelParity, FitsAreBitIdenticalToSeed) {
   {
     const auto fit = golden_fit(11);
-    EXPECT_EQ(fit.model.a, 4852.7227452465531);
+    EXPECT_EQ(fit.model.a, 4852.9918127067385);
     EXPECT_EQ(fit.model.b, 0.0);
-    EXPECT_EQ(fit.model.c, 3.0);
-    EXPECT_EQ(fit.model.d, 22.561277017195632);
-    EXPECT_EQ(fit.sse, 765.95854065305002);
-    EXPECT_EQ(fit.r2, 0.99995431161993931);
+    EXPECT_EQ(fit.model.c, 1.0);
+    EXPECT_EQ(fit.model.d, 22.394001553807804);
+    EXPECT_EQ(fit.sse, 765.86131668698556);
+    EXPECT_EQ(fit.r2, 0.99995431741921603);
   }
   {
     const auto fit = golden_fit(12);
-    EXPECT_EQ(fit.model.a, 5039.0752858264186);
-    EXPECT_EQ(fit.model.b, 6.3192857126433021e-08);
+    EXPECT_EQ(fit.model.a, 5039.0752988452232);
+    EXPECT_EQ(fit.model.b, 6.3193497770014893e-08);
     EXPECT_EQ(fit.model.c, 3.0);
-    EXPECT_EQ(fit.model.d, 13.491366531443596);
-    EXPECT_EQ(fit.sse, 903.17159304635004);
+    EXPECT_EQ(fit.model.d, 13.491358431838965);
+    EXPECT_EQ(fit.sse, 903.17159304619463);
     EXPECT_EQ(fit.r2, 0.99995002477933748);
   }
   {
     const auto fit = golden_fit(13);
-    EXPECT_EQ(fit.model.a, 5106.4623118795407);
-    EXPECT_EQ(fit.model.b, 9.4506179119124146e-07);
-    EXPECT_EQ(fit.model.c, 2.8394031140555058);
-    EXPECT_EQ(fit.model.d, 6.301584311943226);
-    EXPECT_EQ(fit.sse, 354.90569726654275);
+    EXPECT_EQ(fit.model.a, 5106.4623120529513);
+    EXPECT_EQ(fit.model.b, 9.4507166995205275e-07);
+    EXPECT_EQ(fit.model.c, 2.8394012329042839);
+    EXPECT_EQ(fit.model.d, 6.3015841680648901);
+    EXPECT_EQ(fit.sse, 354.90569726654905);
     EXPECT_EQ(fit.r2, 0.99998086100133543);
   }
 }
@@ -92,27 +91,14 @@ perf::SampleSet folded_samples() {
 TEST(CostModelParity, FoldedFitsAreBitIdenticalToSeed) {
   const perf::SampleSet samples = folded_samples();
   ASSERT_EQ(samples.size(), 22u);
-  const perf::SampleSet gathered(samples.begin(), samples.begin() + 10);
-  perf::FitOptions opt;
-  opt.seed = 21;
 
-  const auto fit = perf::fit(samples, opt);
-  EXPECT_EQ(fit.model.a, 5008.2524159568402);
+  const auto fit = perf::fit(samples);
+  EXPECT_EQ(fit.model.a, 5008.6922219188864);
   EXPECT_EQ(fit.model.b, 0.0);
-  EXPECT_EQ(fit.model.c, 1.109327207394424);
+  EXPECT_EQ(fit.model.c, 1.0);
   EXPECT_EQ(fit.model.d, 64.579896225968014);
-  EXPECT_EQ(fit.sse, 98226.193494209903);
-  EXPECT_EQ(fit.r2, 0.99767264661939359);
-  // The warm descent from the gather-only fit stalls at the iteration cap,
-  // so the refit falls back to the same multistart.
-  const auto refit =
-      perf::refit(samples, perf::fit(gathered, opt).model, opt);
-  EXPECT_EQ(refit.starts_tried, 24u);
-  EXPECT_EQ(refit.model.a, fit.model.a);
-  EXPECT_EQ(refit.model.c, fit.model.c);
-  EXPECT_EQ(refit.model.d, fit.model.d);
-  EXPECT_EQ(refit.sse, fit.sse);
-
+  EXPECT_EQ(fit.sse, 98225.774611902743);
+  EXPECT_EQ(fit.r2, 0.99767265654431403);
 }
 
 class SolveParity : public ::testing::Test {
@@ -176,16 +162,16 @@ TEST_F(SolveParity, PipelineMatchesSeedEndToEnd) {
   fmo::PipelineOptions popt;
   popt.threads = 1;
   const auto res = fmo::run_pipeline(sys_, cost_, kNodes, popt);
-  EXPECT_EQ(res.predicted_scc_seconds, 4.967302023377937);
+  EXPECT_EQ(res.predicted_scc_seconds, 4.9673020174296765);
   EXPECT_EQ(res.hslb.scc_seconds, 5.0223713458636121);
   const long long expect[] = {6, 20, 1, 6, 1, 6, 6, 27, 20, 1, 1, 1};
   ASSERT_EQ(res.allocation.tasks.size(), 12u);
   for (std::size_t f = 0; f < 12; ++f)
     EXPECT_EQ(res.allocation.tasks[f].nodes, expect[f]) << "fragment " << f;
-  EXPECT_EQ(res.fits[0].second.model.a, 2.3673441649649964);
+  EXPECT_EQ(res.fits[0].second.model.a, 2.3674028479539402);
   EXPECT_EQ(res.fits[0].second.model.b, 0.0);
   EXPECT_EQ(res.fits[0].second.model.c, 1.0);
-  EXPECT_EQ(res.fits[0].second.model.d, 0.012342379451217734);
+  EXPECT_EQ(res.fits[0].second.model.d, 0.012305643673368382);
   // The compute-only pipeline reports a single powerlaw term row.
   ASSERT_EQ(res.report.terms.size(), 1u);
   EXPECT_EQ(res.report.terms[0].term, "powerlaw");

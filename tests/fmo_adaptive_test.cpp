@@ -212,10 +212,10 @@ RebalancePolicy adaptive_policy() {
 TEST(FmoAdaptive, PinnedStragglerRun) {
   PipelineOptions opt = pinned_options();
   opt.run.straggler_cv = 0.4;
-  const pinning::Pinned want{7, 0, 131, 19,
-                             {5, 3, 3, 3, 5, 5, 5, 3, 7, 7},
+  const pinning::Pinned want{8, 0, 131, 19,
+                             {7, 3, 3, 3, 5, 5, 5, 3, 7, 7},
                              {2, 1, 1, 1, 37, 1, 2, 1, 1, 1},
-                             8.8730732102380507};
+                             8.8584944755356627};
   pinning::expect_pinned(
       "fmo_straggler",
       [&] { return make_application(small_system(55), CostModel{}, 64, opt); },
@@ -230,10 +230,10 @@ TEST(FmoAdaptive, PinnedDriftRun) {
   opt.run.drift_onset = 3;
   RebalancePolicy policy = adaptive_policy();
   policy.imbalance_threshold = 0.15;
-  const pinning::Pinned want{6, 0, 132, 9,
-                             {9, 7, 7, 5, 3, 11, 7, 5, 5, 11},
+  const pinning::Pinned want{5, 0, 132, 13,
+                             {9, 7, 7, 3, 3, 11, 5, 5, 5, 11},
                              {12, 10, 1, 1, 5, 1, 5, 1, 2, 1},
-                             24.062621780669534};
+                             24.049128656084864};
   pinning::expect_pinned(
       "fmo_drift", [&] { return make_application(sys, CostModel{}, 64, opt); },
       policy, want);

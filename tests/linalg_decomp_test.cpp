@@ -15,43 +15,6 @@ Matrix random_matrix(Rng& rng, std::size_t rows, std::size_t cols) {
   return m;
 }
 
-Matrix random_spd(Rng& rng, std::size_t n) {
-  const auto a = random_matrix(rng, n, n);
-  auto spd = a.gram();
-  for (std::size_t i = 0; i < n; ++i) spd(i, i) += 0.5;  // ensure PD
-  return spd;
-}
-
-TEST(Cholesky, SolvesKnownSystem) {
-  const auto a = Matrix::from_rows({{4.0, 2.0}, {2.0, 3.0}});
-  const auto chol = Cholesky::factor(a);
-  ASSERT_TRUE(chol.has_value());
-  const auto x = chol->solve(std::vector<double>{8.0, 7.0});
-  // A x = b with x = (1.25, 1.5): 4*1.25+2*1.5 = 8, 2*1.25+3*1.5 = 7
-  EXPECT_NEAR(x[0], 1.25, 1e-12);
-  EXPECT_NEAR(x[1], 1.5, 1e-12);
-}
-
-TEST(Cholesky, RejectsIndefinite) {
-  const auto a = Matrix::from_rows({{1.0, 2.0}, {2.0, 1.0}});  // eig -1, 3
-  EXPECT_FALSE(Cholesky::factor(a).has_value());
-}
-
-TEST(Cholesky, PropertyRandomSpdResidual) {
-  Rng rng(101);
-  for (int trial = 0; trial < 30; ++trial) {
-    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 8));
-    const auto a = random_spd(rng, n);
-    const auto chol = Cholesky::factor(a);
-    ASSERT_TRUE(chol.has_value());
-    Vector b(n);
-    for (auto& v : b) v = rng.uniform(-5.0, 5.0);
-    const auto x = chol->solve(b);
-    const auto ax = a.mul(x);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(ax[i], b[i], 1e-8);
-  }
-}
-
 TEST(QR, ExactSolveSquare) {
   const auto a = Matrix::from_rows({{2.0, 1.0}, {1.0, 3.0}});
   QR qr(a);

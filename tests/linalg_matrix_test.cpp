@@ -71,15 +71,6 @@ TEST(Matrix, MatMatKnownProduct) {
   EXPECT_DOUBLE_EQ(c(1, 1), 3.0);
 }
 
-TEST(Matrix, GramMatchesExplicit) {
-  const auto a = Matrix::from_rows({{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}});
-  const auto g = a.gram();
-  const auto expected = a.transposed().mul(a);
-  for (std::size_t r = 0; r < 2; ++r)
-    for (std::size_t c = 0; c < 2; ++c)
-      EXPECT_NEAR(g(r, c), expected(r, c), 1e-12);
-}
-
 TEST(Matrix, DimensionMismatchThrows) {
   const auto a = Matrix::from_rows({{1.0, 2.0}});
   EXPECT_THROW(a.mul(std::vector<double>{1.0}), ContractViolation);

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
@@ -84,9 +88,8 @@ TEST(Fit, RejectsDegenerateInput) {
 }
 
 TEST(Fit, SubNanosecondSamplesFitInsideTheBox) {
-  // Every seconds x nodes product is near 1e-10, far below 2e-8: the
-  // multistart box's a floor (1e-6) lies above the fit box's a ceiling
-  // (50 x max product), so the start box must be clamped into the fit box.
+  // Every seconds x nodes product is near 1e-10: the fit box scales with
+  // the data, so such samples fit as well as second-scale ones.
   const Model truth{1e-10, 0.0, 1.0, 2e-12};
   const auto samples = sample_model(truth, {1, 2, 4, 8, 16, 32}, 0.02, 5);
   const auto res = fit(samples);
@@ -108,17 +111,6 @@ TEST(Fit, DeterministicForSeed) {
   EXPECT_EQ(r1.sse, r2.sse);
 }
 
-TEST(Fit, MultistartReportsDiagnostics) {
-  const Model truth{700.0, 0.0, 1.0, 3.0};
-  const auto samples = sample_model(truth, {1, 4, 16, 64});
-  FitOptions opt;
-  opt.num_starts = 8;
-  const auto res = fit(samples, opt);
-  EXPECT_EQ(res.starts_tried, 8u);
-  EXPECT_GE(res.starts_converged, 1u);
-  EXPECT_TRUE(res.converged);
-}
-
 TEST(Fit, UnconstrainedExponentOptionAllowsConcave) {
   // With min_c < 1, fits may use sub-linear exponents (the paper discusses
   // c constrained positive, not necessarily >= 1).
@@ -131,6 +123,58 @@ TEST(Fit, UnconstrainedExponentOptionAllowsConcave) {
   const auto res = fit(samples, opt);
   EXPECT_GT(res.r2, 0.9999);
   EXPECT_LT(res.model.c, 1.0);
+}
+
+TEST(Fit, MinCAboveTheExponentCeilingRejected) {
+  const auto samples = sample_model({700.0, 0.0, 1.0, 3.0}, {1, 4, 16, 64});
+  FitOptions opt;
+  opt.min_c = 3.5;
+  EXPECT_THROW(fit(samples, opt), ContractViolation);
+  opt.min_c = 3.0;
+  EXPECT_EQ(fit(samples, opt).model.c, 3.0);
+}
+
+TEST(Fit, ZeroNonlinearTermReportsTheLowestExponent) {
+  // An exact a/n + d world: every exponent fits equally well with b = 0,
+  // and ties go to the lowest c.
+  const auto samples = sample_model({1200.0, 0.0, 1.0, 4.0}, {1, 2, 4, 8});
+  const auto res = fit(samples);
+  EXPECT_EQ(res.model.b, 0.0);
+  EXPECT_EQ(res.model.c, 1.0);
+}
+
+// The fit's regression sweep (tests/data/fit_sse_sweep.txt): 1,152 gathered
+// sets over all four substrates, 288 controller refit sets and the 8 CESM
+// calibration sets, each with the SSE the multistart Levenberg-Marquardt fit
+// that perf::fit replaced reached on it. The fit must never do worse, up to
+// rounding: exact-interpolation sets reach SSEs near 1e-25.
+TEST(FitSweep, SseNeverAboveTheMultistartFit) {
+  std::ifstream in(HSLB_TEST_DATA_DIR "/fit_sse_sweep.txt");
+  ASSERT_TRUE(in.is_open());
+  std::map<std::string, std::size_t> sets;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string kind, label;
+    double reference_sse = 0.0;
+    std::size_t count = 0;
+    fields >> kind >> label >> reference_sse >> count;
+    SampleSet samples(count);
+    double sum_y2 = 0.0;
+    for (auto& s : samples) {
+      fields >> s.nodes >> s.seconds;
+      sum_y2 += s.seconds * s.seconds;
+    }
+    ASSERT_TRUE(fields) << line;
+    const FitResult res = fit(samples);
+    EXPECT_LE(res.sse, reference_sse * (1.0 + 1e-9) + 1e-20 * sum_y2)
+        << kind << " " << label;
+    ++sets[kind];
+  }
+  EXPECT_GE(sets["gathered"], 1000u);
+  EXPECT_GE(sets["folded"], 200u);
+  EXPECT_EQ(sets["calibration"], 8u);
 }
 
 TEST(FitAll, FitsEveryTask) {
