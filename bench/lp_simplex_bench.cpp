@@ -1,13 +1,19 @@
 // Microbenchmarks of the bounded-variable simplex solver (the CLP stand-in
-// under the branch-and-bound): dense random LPs and the sparse
-// selector-heavy master problems the CESM models produce.
+// under the branch-and-bound): dense random LPs, the sparse selector-heavy
+// master problems the CESM models produce, and warm node re-solves of the
+// outer-approximation LPs a branch-and-bound worker runs all search long.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "bench/bench_json_main.hpp"
 #include "common/rng.hpp"
+#include "hslb/budget.hpp"
 #include "lp/simplex.hpp"
+#include "minlp/bnb.hpp"
+#include "minlp/kelley.hpp"
 
 namespace {
 
@@ -104,6 +110,77 @@ BENCHMARK(BM_SelectorLpResolve)
     ->Args({1639, 0})
     ->Args({1639, 1})
     ->Unit(benchmark::kMillisecond);
+
+/// Root outer-approximation relaxation of a min-max budget MINLP over
+/// `tasks` seeded power-law tasks on 8 nodes per task (build_budget_minlp,
+/// seeded by seed_bnb_options as every budget search is, then
+/// solve_relaxation): the linear budget row plus the seed's and the Kelley
+/// rounds' cuts, over the node counts and the makespan. 8, 16 and 28 tasks
+/// give LPs of 26, 49 and 85 rows.
+struct RootLp {
+  Model model;
+  Basis basis;
+  std::vector<double> x;
+};
+
+RootLp root_oa_lp(std::size_t tasks) {
+  Rng rng(20261019 + tasks);
+  const long long budget = 8 * static_cast<long long>(tasks);
+  std::vector<BudgetTask> ts;
+  for (std::size_t i = 0; i < tasks; ++i) {
+    BudgetTask t;
+    t.name = "t" + std::to_string(i);
+    t.model = perf::Model{rng.uniform(50.0, 500.0), rng.uniform(0.0, 0.01),
+                          rng.uniform(1.0, 2.0), rng.uniform(0.1, 2.0)};
+    t.max_nodes = budget;
+    ts.push_back(std::move(t));
+  }
+  const auto mm = build_budget_minlp(ts, budget, Objective::MinMax);
+  minlp::BnbOptions bnb;
+  seed_bnb_options(bnb, ts, budget, Objective::MinMax, {});
+  minlp::CutPool pool;
+  for (const auto& point : bnb.seed_points)
+    for (std::size_t k = 0; k < mm.nonlinear().size(); ++k)
+      pool.insert(minlp::make_oa_cut(mm, k, point));
+  const auto root = minlp::solve_relaxation(mm, pool);
+  return {minlp::build_lp_relaxation(mm, pool,
+                                     minlp::BoundOverrides(mm.num_vars())),
+          root.basis, root.x};
+}
+
+/// Warm node re-solve of a root OA LP from its optimal basis. Arguments:
+/// the task count; 0 re-solves the LP unchanged (0 pivots), 1 with the
+/// largest node count branched down (a bound change the dual simplex
+/// repairs); 1 reuses one lp::Solver across iterations, as a
+/// branch-and-bound worker does, 0 calls lp::solve, which builds a fresh
+/// engine per call.
+void BM_OaWarmResolve(benchmark::State& state) {
+  const auto root = root_oa_lp(static_cast<std::size_t>(state.range(0)));
+  Model lp = root.model;
+  if (state.range(1) != 0) {
+    std::size_t v = 0;
+    for (std::size_t j = 1; j + 1 < root.x.size(); ++j)
+      if (root.x[j] > root.x[v]) v = j;
+    lp.set_col_upper(v, std::floor(root.x[v] - 0.5));
+  }
+  Options opt;
+  opt.warm_start = &root.basis;
+  const bool reuse = state.range(2) != 0;
+  Solver engine;
+  Solution sol;
+  for (auto _ : state) {
+    sol = reuse ? engine.solve(lp, opt) : solve(lp, opt);
+    benchmark::DoNotOptimize(sol.objective);
+  }
+  state.counters["rows"] = static_cast<double>(lp.num_rows());
+  state.counters["cols"] = static_cast<double>(lp.num_cols());
+  state.counters["pivots"] = static_cast<double>(sol.iterations);
+  state.counters["refactorizations"] =
+      static_cast<double>(sol.stats.refactorizations);
+}
+BENCHMARK(BM_OaWarmResolve)
+    ->ArgsProduct({{8, 16, 28}, {0, 1}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -64,5 +64,5 @@ hslb_add_bench(scenario_fuzz hslb_substrates hslb_benchjson)
 
 # Microbenchmarks (google-benchmark).
 hslb_add_bench(minlp_solvetime hslb_cesm hslb_benchjson benchmark::benchmark)
-hslb_add_bench(lp_simplex_bench hslb_lp hslb_benchjson benchmark::benchmark)
+hslb_add_bench(lp_simplex_bench hslb_core hslb_benchjson benchmark::benchmark)
 hslb_add_bench(fit_bench hslb_perf benchmark::benchmark)

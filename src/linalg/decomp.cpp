@@ -149,70 +149,84 @@ Vector LU::solve_transpose(std::span<const double> b) const {
   return x;
 }
 
-std::optional<SparseLU> SparseLU::factor(
-    std::size_t n, const std::vector<std::vector<SparseEntry>>& cols,
-    double threshold) {
-  HSLB_EXPECTS(cols.size() == n);
-  SparseLU lu;
-  lu.n_ = n;
-  lu.pivot_row_.resize(n);
-  lu.pivot_col_.resize(n);
-  lu.pivot_.resize(n);
-  lu.lcol_.resize(n);
-  lu.urow_.resize(n);
-  lu.ucol_.resize(n);
-  if (n == 0) return lu;
+bool UpdatableLU::refactor(std::span<const std::vector<SparseEntry>> cols,
+                           double threshold) {
+  const std::size_t n = cols.size();
+  n_ = 0;  // no usable factors until this call succeeds
+  base_fill_ = update_fill_ = updates_ = 0;
+  spike_valid_ = false;
+  lrow_.resize(n);
+  col_of_step_.resize(n);
+  diag_.resize(n);
+  lstart_.assign(1, 0);
+  lent_.clear();
+  reta_target_.clear();
+  reta_start_.assign(1, 0);
+  reta_terms_.clear();
+  // Per-column and per-row lists: the outer vectors only grow, so the inner
+  // ones keep their capacity from one basis to the next.
+  if (work_.size() < n) {
+    work_.resize(n);
+    rowocc_.resize(n);
+    ucol_by_col_.resize(n);
+    urows_.resize(n);
+    ucols_.resize(n);
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    work_[j].clear();
+    rowocc_[j].clear();
+    ucol_by_col_[j].clear();
+    urows_[j].clear();
+    ucols_[j].clear();
+  }
+  rowcount_.assign(n, 0);
+  col_done_.assign(n, 0);
+  singletons_.clear();
+  scatter_.resize(n);
 
-  // Working copy of the active submatrix, column-wise. rowocc[r] lists the
+  // Working copy of the active submatrix, column-wise. rowocc_[r] lists the
   // columns that may still hold an entry in row r (lazily cleaned: entries
   // killed by cancellation are skipped at use time).
-  std::vector<std::vector<SparseEntry>> work(n);
-  std::vector<std::vector<std::size_t>> rowocc(n);
-  std::vector<std::size_t> rowcount(n, 0);
-  std::vector<bool> row_done(n, false), col_done(n, false);
   double scale = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
     for (const auto& [r, v] : cols[j]) {
       HSLB_EXPECTS(r < n);
       if (v == 0.0) continue;
-      work[j].push_back({r, v});
-      rowocc[r].push_back(j);
-      ++rowcount[r];
+      work_[j].push_back({r, v});
+      rowocc_[r].push_back(j);
+      ++rowcount_[r];
       scale = std::max(scale, std::fabs(v));
     }
   }
   const double abs_tol = std::max(1e-12, 1e-11 * scale);
-
-  // Step index the U fill by destination column, so the column-wise view
-  // (needed for the zero-skipping backward solve) assembles as we pivot.
-  std::vector<std::vector<SparseEntry>> ucol_by_col(n);
-  std::vector<SparseEntry> mults;
-  Scatter scatter(n);
 
   // Singleton columns pivot at zero Markowitz cost and produce no fill, so
   // they never need the full pivot scan. Simplex bases are dominated by
   // slack/selector singletons, and every elimination step can shrink more
   // columns to size one, so this stack handles almost every step; entries
   // are validated lazily at pop time (a column may have grown stale).
-  std::vector<std::size_t> singletons;
   for (std::size_t j = 0; j < n; ++j)
-    if (work[j].size() == 1) singletons.push_back(j);
+    if (work_[j].size() == 1) singletons_.push_back(j);
 
+  // The U fill is indexed by destination column while eliminating, so the
+  // column-wise view (needed for the zero-skipping backward solve)
+  // assembles as we pivot.
+  std::size_t ufill = 0;
   for (std::size_t k = 0; k < n; ++k) {
     std::size_t best_r = 0, best_c = 0;
     double best_v = 0.0;
     bool found = false;
     // Fast path: any singleton column whose entry clears the absolute
     // floor is an optimal (cost-0, fill-free) Markowitz pivot.
-    while (!singletons.empty() && !found) {
-      const std::size_t j = singletons.back();
-      singletons.pop_back();
-      if (col_done[j] || work[j].size() != 1) continue;  // stale entry
-      if (std::fabs(work[j][0].value) < abs_tol) continue;  // leave to scan
+    while (!singletons_.empty() && !found) {
+      const std::size_t j = singletons_.back();
+      singletons_.pop_back();
+      if (col_done_[j] || work_[j].size() != 1) continue;  // stale entry
+      if (std::fabs(work_[j][0].value) < abs_tol) continue;  // leave to scan
       found = true;
       best_c = j;
-      best_r = work[j][0].index;
-      best_v = work[j][0].value;
+      best_r = work_[j][0].index;
+      best_v = work_[j][0].value;
     }
     // General Markowitz search: minimize (rowcount-1)(colcount-1) over the
     // entries passing both the relative column threshold and the absolute
@@ -222,15 +236,15 @@ std::optional<SparseLU> SparseLU::factor(
     if (!found) {
       std::size_t best_cost = 0;
       for (std::size_t j = 0; j < n && (!found || best_cost > 0); ++j) {
-        if (col_done[j] || work[j].empty()) continue;
+        if (col_done_[j] || work_[j].empty()) continue;
         double colmax = 0.0;
-        for (const auto& e : work[j])
+        for (const auto& e : work_[j])
           colmax = std::max(colmax, std::fabs(e.value));
         const double accept = std::max(abs_tol, threshold * colmax);
-        const std::size_t ccost = work[j].size() - 1;
-        for (const auto& [r, v] : work[j]) {
+        const std::size_t ccost = work_[j].size() - 1;
+        for (const auto& [r, v] : work_[j]) {
           if (std::fabs(v) < accept) continue;
-          const std::size_t cost = (rowcount[r] - 1) * ccost;
+          const std::size_t cost = (rowcount_[r] - 1) * ccost;
           if (!found || cost < best_cost ||
               (cost == best_cost && std::fabs(v) > std::fabs(best_v))) {
             found = true;
@@ -243,50 +257,51 @@ std::optional<SparseLU> SparseLU::factor(
         }
       }
     }
-    if (!found) return std::nullopt;  // singular to working precision
+    if (!found) return false;  // singular to working precision
 
-    lu.pivot_row_[k] = best_r;
-    lu.pivot_col_[k] = best_c;
-    lu.pivot_[k] = best_v;
-    row_done[best_r] = true;
-    col_done[best_c] = true;
+    lrow_[k] = best_r;
+    col_of_step_[k] = best_c;
+    diag_[k] = best_v;
+    col_done_[best_c] = 1;
 
-    // Multipliers from the pivot column's remaining active entries.
-    mults.clear();
-    for (const auto& [r, v] : work[best_c]) {
+    // Multipliers from the pivot column's remaining active entries: L
+    // column k.
+    for (const auto& [r, v] : work_[best_c]) {
       if (r == best_r) continue;
-      mults.push_back({r, v / best_v});
-      --rowcount[r];
+      lent_.push_back({r, v / best_v});
+      --rowcount_[r];
     }
-    lu.lcol_[k] = mults;
-    --rowcount[best_r];
-    work[best_c].clear();
+    lstart_.push_back(lent_.size());
+    const std::span<const SparseEntry> mults(lent_.data() + lstart_[k],
+                                             lstart_[k + 1] - lstart_[k]);
+    --rowcount_[best_r];
+    work_[best_c].clear();
 
     if (mults.empty()) {
       // Fill-free elimination: dropping the pivot row from a column is a
       // plain erase; no scatter pass and no occupancy updates needed.
-      for (const std::size_t j : rowocc[best_r]) {
-        if (col_done[j]) continue;
-        std::vector<SparseEntry>& wj = work[j];
+      for (const std::size_t j : rowocc_[best_r]) {
+        if (col_done_[j]) continue;
+        std::vector<SparseEntry>& wj = work_[j];
         for (std::size_t t = 0; t < wj.size(); ++t) {
           if (wj[t].index != best_r) continue;
-          lu.urow_[k].push_back({j, wj[t].value});
-          ucol_by_col[j].push_back({k, wj[t].value});
+          ucol_by_col_[j].push_back({k, wj[t].value});
+          ++ufill;
           wj.erase(wj.begin() + static_cast<std::ptrdiff_t>(t));
-          if (wj.size() == 1) singletons.push_back(j);
+          if (wj.size() == 1) singletons_.push_back(j);
           break;
         }
       }
-      rowocc[best_r].clear();
+      rowocc_[best_r].clear();
       continue;
     }
 
     // Eliminate the pivot row from every column still holding it.
-    for (const std::size_t j : rowocc[best_r]) {
-      if (col_done[j]) continue;
+    for (const std::size_t j : rowocc_[best_r]) {
+      if (col_done_[j]) continue;
       double u = 0.0;
       bool present = false;
-      for (const auto& [r, v] : work[j]) {
+      for (const auto& [r, v] : work_[j]) {
         if (r == best_r) {
           u = v;
           present = true;
@@ -294,138 +309,83 @@ std::optional<SparseLU> SparseLU::factor(
         }
       }
       if (!present) continue;  // stale occupancy entry (cancelled earlier)
-      lu.urow_[k].push_back({j, u});
-      ucol_by_col[j].push_back({k, u});
+      ucol_by_col_[j].push_back({k, u});
+      ++ufill;
 
       // column j := column j - (u / pivot) * pivot column, active rows only.
       // Existing rows scatter first, so pattern positions >= old_count are
       // fill-in that needs occupancy/count bookkeeping.
-      scatter.clear();
-      for (const auto& [r, v] : work[j]) {
-        if (r != best_r) scatter.add(r, v);
+      scatter_.clear();
+      for (const auto& [r, v] : work_[j]) {
+        if (r != best_r) scatter_.add(r, v);
       }
-      const std::size_t old_count = scatter.pattern().size();
-      for (const auto& [i, m] : mults) scatter.add(i, -m * u);
-      std::vector<SparseEntry>& out = work[j];
+      const std::size_t old_count = scatter_.pattern().size();
+      for (const auto& [i, m] : mults) scatter_.add(i, -m * u);
+      std::vector<SparseEntry>& out = work_[j];
       out.clear();
-      for (std::size_t t = 0; t < scatter.pattern().size(); ++t) {
-        const std::size_t r = scatter.pattern()[t];
-        const double v = scatter[r];
+      for (std::size_t t = 0; t < scatter_.pattern().size(); ++t) {
+        const std::size_t r = scatter_.pattern()[t];
+        const double v = scatter_[r];
         const bool is_fill = t >= old_count;
         if (v == 0.0) {
-          if (!is_fill) --rowcount[r];  // cancellation killed an entry
+          if (!is_fill) --rowcount_[r];  // cancellation killed an entry
           continue;
         }
         if (is_fill) {
-          ++rowcount[r];
-          rowocc[r].push_back(j);
+          ++rowcount_[r];
+          rowocc_[r].push_back(j);
         }
         out.push_back({r, v});
       }
-      if (out.size() == 1) singletons.push_back(j);
+      if (out.size() == 1) singletons_.push_back(j);
     }
     // Row best_r is resolved; its occupancy list is dead weight now.
-    rowocc[best_r].clear();
+    rowocc_[best_r].clear();
   }
 
-  for (std::size_t k = 0; k < n; ++k) lu.ucol_[k] = std::move(ucol_by_col[lu.pivot_col_[k]]);
-  lu.fill_ = n;
-  for (std::size_t k = 0; k < n; ++k) lu.fill_ += lu.lcol_[k].size() + lu.urow_[k].size();
-  return lu;
-}
-
-Vector SparseLU::solve(Vector b) const {
-  HSLB_EXPECTS(b.size() == n_);
-  // Forward: apply L^{-1} (skip steps whose pivot-row value is exactly 0 —
-  // the hypersparsity fast path for unit/cut right-hand sides).
-  for (std::size_t k = 0; k < n_; ++k) {
-    const double t = b[pivot_row_[k]];
-    if (t == 0.0) continue;
-    for (const auto& [i, m] : lcol_[k]) b[i] -= m * t;
-  }
-  // Backward: U x = y in scatter form, descending steps; x indexed by the
-  // original column of each step.
-  Vector x(n_, 0.0);
-  for (std::size_t kk = n_; kk > 0; --kk) {
-    const std::size_t k = kk - 1;
-    const double xv = b[pivot_row_[k]] / pivot_[k];
-    x[pivot_col_[k]] = xv;
-    if (xv == 0.0) continue;
-    for (const auto& [l, u] : ucol_[k]) b[pivot_row_[l]] -= u * xv;
-  }
-  return x;
-}
-
-Vector SparseLU::solve_transpose(Vector b) const {
-  HSLB_EXPECTS(b.size() == n_);
-  // U^T z = b in scatter form, ascending steps (z overwrites b at the
-  // step's pivot column slot).
-  Vector z(n_, 0.0);
-  for (std::size_t k = 0; k < n_; ++k) {
-    const double zk = b[pivot_col_[k]] / pivot_[k];
-    z[k] = zk;
-    if (zk == 0.0) continue;
-    for (const auto& [j, u] : urow_[k]) b[j] -= u * zk;
-  }
-  // L^T w = z, descending steps, gather form; w indexed by original rows.
-  Vector w(n_, 0.0);
-  for (std::size_t kk = n_; kk > 0; --kk) {
-    const std::size_t k = kk - 1;
-    double v = z[k];
-    for (const auto& [i, m] : lcol_[k]) v -= m * w[i];
-    w[pivot_row_[k]] = v;
-  }
-  return w;
-}
-
-UpdatableLU::UpdatableLU(const SparseLU& base)
-    : n_(base.n_),
-      base_fill_(base.fill_),
-      lrow_(base.pivot_row_),
-      lcol_(base.lcol_),
-      diag_(base.pivot_),
-      col_of_step_(base.pivot_col_) {
-  rowgen_.assign(n_, 0);
-  colgen_.assign(n_, 0);
-  urows_.resize(n_);
-  ucols_.resize(n_);
-  seq_.resize(n_);
-  pos_.resize(n_);
-  step_of_col_.resize(n_);
-  for (std::size_t k = 0; k < n_; ++k) {
-    seq_[k] = k;
-    pos_[k] = k;
-    step_of_col_[col_of_step_[k]] = k;
-  }
-  // Base U entries arrive column-wise as (earlier step l, u_lk); mirror them
+  // U in step space: column k's entries (earlier step l, u_lk), mirrored
   // into the row-wise view so row-spike elimination can walk row contents.
-  for (std::size_t k = 0; k < n_; ++k) {
-    for (const auto& [l, u] : base.ucol_[k]) {
+  for (std::size_t k = 0; k < n; ++k) {
+    for (const auto& [l, u] : ucol_by_col_[col_of_step_[k]]) {
       ucols_[k].push_back({l, u, 0});
       urows_[l].push_back({k, u, 0});
     }
   }
-  spike_.assign(n_, 0.0);
-  rowval_.assign(n_, 0.0);
-  inrow_.assign(n_, 0);
+  base_fill_ = n + lent_.size() + ufill;
+  rowgen_.assign(n, 0);
+  colgen_.assign(n, 0);
+  seq_.resize(n);
+  pos_.resize(n);
+  step_of_col_.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    seq_[k] = k;
+    pos_[k] = k;
+    step_of_col_[col_of_step_[k]] = k;
+  }
+  spike_.assign(n, 0.0);
+  rowval_.assign(n, 0.0);
+  inrow_.assign(n, 0);
+  n_ = n;
+  return true;
 }
 
-Vector UpdatableLU::solve(Vector b) const {
-  HSLB_EXPECTS(b.size() == n_);
-  // y = R L^{-1} b, kept row-indexed (step s lives at b[lrow_[s]]); zero
-  // pivot-row values skip their L column — the hypersparsity fast path.
+void UpdatableLU::apply_l_and_r(std::span<double> b) const {
+  // Zero pivot-row values skip their L column: the hypersparsity fast path.
   for (std::size_t k = 0; k < n_; ++k) {
     const double t = b[lrow_[k]];
     if (t == 0.0) continue;
-    for (const auto& [i, m] : lcol_[k]) b[i] -= m * t;
+    for (std::size_t i = lstart_[k]; i < lstart_[k + 1]; ++i)
+      b[lent_[i].index] -= lent_[i].value * t;
   }
-  for (const RowEta& e : retas_) {
+  for (std::size_t e = 0; e < reta_target_.size(); ++e) {
     double acc = 0.0;
-    for (const auto& [s, mult] : e.terms) acc += mult * b[lrow_[s]];
-    if (acc != 0.0) b[lrow_[e.target]] -= acc;
+    for (std::size_t i = reta_start_[e]; i < reta_start_[e + 1]; ++i)
+      acc += reta_terms_[i].value * b[lrow_[reta_terms_[i].index]];
+    if (acc != 0.0) b[lrow_[reta_target_[e]]] -= acc;
   }
-  // Backward: U x = y along the current elimination order, descending.
-  Vector x(n_, 0.0);
+}
+
+void UpdatableLU::backward_u(std::span<double> b, std::span<double> x) const {
   for (std::size_t kk = n_; kk > 0; --kk) {
     const std::size_t s = seq_[kk - 1];
     const double xv = b[lrow_[s]] / diag_[s];
@@ -435,64 +395,52 @@ Vector UpdatableLU::solve(Vector b) const {
       if (e.gen == rowgen_[e.other]) b[lrow_[e.other]] -= e.value * xv;
     }
   }
-  return x;
 }
 
-Vector UpdatableLU::solve_entering(Vector b) {
-  HSLB_EXPECTS(b.size() == n_);
-  for (std::size_t k = 0; k < n_; ++k) {
-    const double t = b[lrow_[k]];
-    if (t == 0.0) continue;
-    for (const auto& [i, m] : lcol_[k]) b[i] -= m * t;
-  }
-  for (const RowEta& e : retas_) {
-    double acc = 0.0;
-    for (const auto& [s, mult] : e.terms) acc += mult * b[lrow_[s]];
-    if (acc != 0.0) b[lrow_[e.target]] -= acc;
-  }
-  spike_ = b;  // the post-L, post-R vector IS the Forrest-Tomlin spike
+void UpdatableLU::solve(std::span<double> b, std::span<double> x) const {
+  HSLB_EXPECTS(b.size() == n_ && x.size() == n_);
+  apply_l_and_r(b);
+  backward_u(b, x);
+}
+
+void UpdatableLU::solve_entering(std::span<double> b, std::span<double> x) {
+  HSLB_EXPECTS(b.size() == n_ && x.size() == n_);
+  apply_l_and_r(b);
+  spike_.assign(b.begin(), b.end());  // post-L, post-R: the FT spike
   spike_valid_ = true;
-  Vector x(n_, 0.0);
-  for (std::size_t kk = n_; kk > 0; --kk) {
-    const std::size_t s = seq_[kk - 1];
-    const double xv = b[lrow_[s]] / diag_[s];
-    x[col_of_step_[s]] = xv;
-    if (xv == 0.0) continue;
-    for (const UEntry& e : ucols_[s]) {
-      if (e.gen == rowgen_[e.other]) b[lrow_[e.other]] -= e.value * xv;
-    }
-  }
-  return x;
+  backward_u(b, x);
 }
 
-Vector UpdatableLU::solve_transpose(Vector b) const {
-  HSLB_EXPECTS(b.size() == n_);
-  // U^T z = b along the elimination order, ascending; z in step space.
-  Vector z(n_, 0.0);
+void UpdatableLU::solve_transpose(std::span<double> b,
+                                  std::span<double> w) const {
+  HSLB_EXPECTS(b.size() == n_ && w.size() == n_);
+  // U^T z = b along the elimination order, ascending. z is in step space;
+  // z[s] overwrites b at step s's basis position, which U's triangularity
+  // keeps every later step from reading.
   for (std::size_t kk = 0; kk < n_; ++kk) {
     const std::size_t s = seq_[kk];
     const double zk = b[col_of_step_[s]] / diag_[s];
-    z[s] = zk;
+    b[col_of_step_[s]] = zk;
     if (zk == 0.0) continue;
     for (const UEntry& e : urows_[s]) {
       if (e.gen == colgen_[e.other]) b[col_of_step_[e.other]] -= e.value * zk;
     }
   }
   // R^T: each eta (I - e_t m^T) transposes to z[s] -= m_s z[t], reverse order.
-  for (auto it = retas_.rbegin(); it != retas_.rend(); ++it) {
-    const double zt = z[it->target];
+  for (std::size_t e = reta_target_.size(); e > 0; --e) {
+    const double zt = b[col_of_step_[reta_target_[e - 1]]];
     if (zt == 0.0) continue;
-    for (const auto& [s, mult] : it->terms) z[s] -= mult * zt;
+    for (std::size_t i = reta_start_[e - 1]; i < reta_start_[e]; ++i)
+      b[col_of_step_[reta_terms_[i].index]] -= reta_terms_[i].value * zt;
   }
   // L^T w = z, descending creation order, gather form.
-  Vector w(n_, 0.0);
   for (std::size_t kk = n_; kk > 0; --kk) {
     const std::size_t k = kk - 1;
-    double v = z[k];
-    for (const auto& [i, m] : lcol_[k]) v -= m * w[i];
+    double v = b[col_of_step_[k]];
+    for (std::size_t i = lstart_[k]; i < lstart_[k + 1]; ++i)
+      v -= lent_[i].value * w[lent_[i].index];
     w[lrow_[k]] = v;
   }
-  return w;
 }
 
 UpdatableLU::UpdateResult UpdatableLU::update(std::size_t basis_pos) {
@@ -527,8 +475,7 @@ UpdatableLU::UpdateResult UpdatableLU::update(std::size_t basis_pos) {
 
   double newdiag = spike_[lrow_[t]];
   double spike_max = 0.0;
-  RowEta eta;
-  eta.target = t;
+  const std::size_t eta_begin = reta_terms_.size();
   const auto cmp = std::greater<std::pair<std::size_t, std::size_t>>{};
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end(), cmp);
@@ -539,7 +486,7 @@ UpdatableLU::UpdateResult UpdatableLU::update(std::size_t basis_pos) {
     inrow_[c] = 0;
     if (val == 0.0) continue;
     const double mult = val / diag_[c];
-    eta.terms.push_back({c, mult});
+    reta_terms_.push_back({c, mult});
     // Row c's entry in the incoming spike column cancels into the diagonal.
     newdiag -= mult * spike_[lrow_[c]];
     for (const UEntry& e : urows_[c]) {
@@ -559,6 +506,7 @@ UpdatableLU::UpdateResult UpdatableLU::update(std::size_t basis_pos) {
     spike_max = std::max(spike_max, std::fabs(spike_[lrow_[s]]));
   if (!std::isfinite(newdiag) ||
       std::fabs(newdiag) <= 1e-10 * std::max(1.0, spike_max)) {
+    reta_terms_.resize(eta_begin);
     return UpdateResult::Unstable;  // factorization now invalid
   }
 
@@ -585,8 +533,12 @@ UpdatableLU::UpdateResult UpdatableLU::update(std::size_t basis_pos) {
   seq_.push_back(t);
   for (std::size_t i = old_pos; i < n_; ++i) pos_[seq_[i]] = i;
 
-  update_fill_ += added + eta.terms.size();
-  if (!eta.terms.empty()) retas_.push_back(std::move(eta));
+  const std::size_t eta_terms = reta_terms_.size() - eta_begin;
+  update_fill_ += added + eta_terms;
+  if (eta_terms != 0) {
+    reta_target_.push_back(t);
+    reta_start_.push_back(reta_terms_.size());
+  }
   ++updates_;
   return UpdateResult::Ok;
 }

@@ -1,19 +1,21 @@
 // Matrix decompositions and linear solvers:
 //   - Householder QR (the Fit step's bounded least-squares solves; its R
 //     diagonal is rank-revealing enough for those sizes),
-//   - LU with partial pivoting (dense square solves; the simplex no longer
-//     uses it: it is the dense oracle the sparse-factor tests check
-//     SparseLU and UpdatableLU against),
-//   - SparseLU with Markowitz pivoting (simplex basis refactorization on
-//     the sparse column view; solves skip exact zeros, so hypersparse
-//     right-hand sides cost O(reached nonzeros), not O(n^2)),
-//   - UpdatableLU: a SparseLU wrapped with Forrest-Tomlin column
-//     replacement, so a simplex pivot updates the factors in place instead
-//     of growing a product-form eta file.
+//   - LU with partial pivoting (dense square solves; the simplex does not
+//     use it: it is the dense oracle the sparse-factor tests check
+//     UpdatableLU against),
+//   - UpdatableLU: sparse Markowitz LU of a simplex basis, factored in
+//     place into retained storage, with Forrest-Tomlin column replacement,
+//     so a simplex pivot updates the factors instead of growing a
+//     product-form eta file; solves skip exact zeros, so hypersparse
+//     right-hand sides cost O(reached nonzeros), not O(n^2).
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
@@ -57,57 +59,25 @@ class LU {
   std::vector<std::size_t> perm_;
 };
 
-/// Sparse LU factorization with Markowitz pivoting.
+/// Forrest-Tomlin updatable sparse LU factorization of a simplex basis.
 ///
-/// Factors a square matrix given as sparse columns (the simplex basis: a
-/// mix of structural columns and slack singletons). The pivot at each
-/// elimination step minimizes the Markowitz count (r-1)(c-1) among entries
-/// passing a relative threshold test, which keeps fill-in — and therefore
-/// the flop count of every subsequent FTRAN/BTRAN — near the nonzero count
-/// of the basis itself. Both solves skip exact zeros in the right-hand
-/// side, so hypersparse inputs (a unit vector, a two-nonzero cut column)
-/// touch only the entries they can reach.
-class SparseLU {
- public:
-  /// Returns std::nullopt when the matrix is singular to working
-  /// precision (no entry passes the threshold test at some step).
-  /// Each column's entries must carry strictly increasing row indices.
-  static std::optional<SparseLU> factor(
-      std::size_t n, const std::vector<std::vector<SparseEntry>>& cols,
-      double threshold = 0.1);
-
-  /// Solves A x = b; b is indexed by rows, the result by columns.
-  Vector solve(Vector b) const;
-
-  /// Solves A^T x = b; b is indexed by columns, the result by rows.
-  Vector solve_transpose(Vector b) const;
-
-  /// Fill: stored nonzeros of L and U including the n pivots.
-  std::size_t nnz() const { return fill_; }
-
- private:
-  SparseLU() = default;
-  friend class UpdatableLU;
-
-  std::size_t n_ = 0;
-  std::size_t fill_ = 0;
-  std::vector<std::size_t> pivot_row_;  // r_k, original row of step k
-  std::vector<std::size_t> pivot_col_;  // c_k, original column of step k
-  std::vector<double> pivot_;           // U diagonal of step k
-  /// L column k: multipliers (original row i, m_ik), i pivotal later.
-  std::vector<std::vector<SparseEntry>> lcol_;
-  /// U row k: (original column j, u_kj), j pivotal later. U^T scatter solve.
-  std::vector<std::vector<SparseEntry>> urow_;
-  /// U column of step k: (earlier step l, u_lk). Backward scatter solve.
-  std::vector<std::vector<SparseEntry>> ucol_;
-};
-
-/// Forrest-Tomlin updatable factorization of a simplex basis.
+/// refactor() factors a square matrix given as sparse columns (the simplex
+/// basis: a mix of structural columns and slack singletons) by Markowitz
+/// elimination. The pivot at each step minimizes the Markowitz count
+/// (r-1)(c-1) among entries passing a relative threshold test, which keeps
+/// fill-in — and therefore the flop count of every later FTRAN/BTRAN — near
+/// the nonzero count of the basis itself. Every array, the elimination's
+/// working copy included, is retained across refactor() calls, so an object
+/// reused for bases of the same or smaller size factors without touching
+/// the heap. Solves skip exact zeros in the right-hand side, so hypersparse
+/// inputs (a unit vector, a two-nonzero cut column) touch only the entries
+/// they can reach, and write into caller-provided spans.
 ///
-/// Wraps a fresh SparseLU in the maintained form B = L R^{-1} U: L is the
-/// static lower factor of the initial Markowitz factorization, R a file of
-/// row etas accumulated by updates, and U an upper factor kept triangular
-/// under a mutable elimination order. Replacing basis column p:
+/// Between refactorizations the factors are kept in the form
+/// B = L R^{-1} U: L is the static lower factor of the Markowitz
+/// elimination, R a file of row etas accumulated by updates, and U an upper
+/// factor kept triangular under a mutable elimination order. Replacing basis
+/// column p:
 ///
 ///   1. the spike v = R L^{-1} a_q (captured by the preceding
 ///      solve_entering call) becomes the new column of U at p's step t;
@@ -125,17 +95,27 @@ class SparseLU {
 /// count instead of the O(m) a product-form eta pays on dense directions.
 class UpdatableLU {
  public:
-  explicit UpdatableLU(const SparseLU& base);
+  /// Factors the n x n matrix whose column j is cols[j] (entries with
+  /// strictly increasing row indices; exact zeros are skipped), dropping any
+  /// previous factors and updates. Returns false when the matrix is singular
+  /// to working precision (no entry passes the threshold test at some step);
+  /// the object then holds no factors (solves fail their size precondition)
+  /// until the next successful refactor, so a caller that must keep its
+  /// current factors refactors a second object and swaps on success.
+  bool refactor(std::span<const std::vector<SparseEntry>> cols,
+                double threshold = 0.1);
 
-  /// Solves B x = b; b is indexed by rows, the result by basis positions.
-  Vector solve(Vector b) const;
+  /// Solves B x = b; b is indexed by rows and is overwritten (it serves as
+  /// the work vector), x is indexed by basis positions.
+  void solve(std::span<double> b, std::span<double> x) const;
 
-  /// Solves B^T x = b; b is indexed by basis positions, result by rows.
-  Vector solve_transpose(Vector b) const;
+  /// Solves B^T w = b; b is indexed by basis positions and is overwritten,
+  /// w is indexed by rows.
+  void solve_transpose(std::span<double> b, std::span<double> w) const;
 
   /// solve() that also captures the post-L, post-R spike for a subsequent
   /// update() of whichever basis position the caller pivots on.
-  Vector solve_entering(Vector b);
+  void solve_entering(std::span<double> b, std::span<double> x);
 
   enum class UpdateResult { Ok, Unstable };
 
@@ -168,23 +148,32 @@ class UpdatableLU {
     std::uint32_t gen;
   };
 
+  /// y = R L^{-1} b in place, kept row-indexed (step s lives at b[lrow_[s]]).
+  void apply_l_and_r(std::span<double> b) const;
+  /// U x = y along the current elimination order, descending.
+  void backward_u(std::span<double> b, std::span<double> x) const;
+
   std::size_t n_ = 0;
   std::size_t base_fill_ = 0;
   std::size_t update_fill_ = 0;
   std::size_t updates_ = 0;
 
-  // Static L (never modified by updates).
-  std::vector<std::size_t> lrow_;  ///< original row of step k (creation order)
-  std::vector<std::vector<SparseEntry>> lcol_;
+  // Static L (never modified by updates): column k holds the multipliers
+  // (original row i, m_ik) of elimination step k, rows pivotal later.
+  // Column k is lent_[lstart_[k], lstart_[k + 1]).
+  std::vector<std::size_t> lrow_;  ///< original row of step k
+  std::vector<std::size_t> lstart_;
+  std::vector<SparseEntry> lent_;
 
-  // R: row etas appended by updates, applied in order after L^{-1}.
-  struct RowEta {
-    std::size_t target;               ///< step whose row was eliminated
-    std::vector<SparseEntry> terms;   ///< (pivotal step s, multiplier)
-  };
-  std::vector<RowEta> retas_;
+  // R: row etas appended by updates, applied in order after L^{-1}. Eta e
+  // eliminates step reta_target_[e] with the terms (pivotal step s,
+  // multiplier) in reta_terms_[reta_start_[e], reta_start_[e+1]).
+  std::vector<std::size_t> reta_target_;
+  std::vector<std::size_t> reta_start_;
+  std::vector<SparseEntry> reta_terms_;
 
-  // U in step space under a mutable elimination order.
+  // U in step space under a mutable elimination order. The outer vectors
+  // only grow, so the inner ones keep their capacity across refactors.
   std::vector<double> diag_;
   std::vector<std::size_t> col_of_step_;  ///< fixed: basis position of step
   std::vector<std::size_t> step_of_col_;  ///< its inverse
@@ -194,13 +183,23 @@ class UpdatableLU {
   std::vector<std::size_t> pos_;  ///< position of each step within seq_
 
   // Spike captured by solve_entering (row-indexed, post L and R).
-  Vector spike_;
+  std::vector<double> spike_;
   bool spike_valid_ = false;
 
-  // update() workspaces (reserve-once).
+  // update() workspaces.
   std::vector<double> rowval_;
   std::vector<std::uint8_t> inrow_;
   std::vector<std::pair<std::size_t, std::size_t>> heap_;  // (pos, step)
+
+  // refactor() workspaces: the active submatrix column-wise, the columns
+  // that may still hold an entry in each row, and U gathered by column.
+  std::vector<std::vector<SparseEntry>> work_;
+  std::vector<std::vector<std::size_t>> rowocc_;
+  std::vector<std::vector<SparseEntry>> ucol_by_col_;
+  std::vector<std::size_t> rowcount_;
+  std::vector<std::uint8_t> col_done_;
+  std::vector<std::size_t> singletons_;
+  Scatter scatter_{0};
 };
 
 /// Convenience: least-squares solution via QR.

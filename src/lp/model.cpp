@@ -1,55 +1,55 @@
 #include "lp/model.hpp"
 
 #include <algorithm>
-#include <map>
 #include <span>
 
 #include "common/contracts.hpp"
 
 namespace hslb::lp {
 
-std::size_t Model::add_variable(double lb, double ub, double objective,
-                                std::string name) {
+std::size_t Model::add_variable(double lb, double ub, double objective) {
   HSLB_EXPECTS(lb <= ub);
   col_lb_.push_back(lb);
   col_ub_.push_back(ub);
   obj_.push_back(objective);
   cols_.emplace_back();
-  if (name.empty()) name = "x" + std::to_string(col_lb_.size() - 1);
-  col_names_.push_back(std::move(name));
   return col_lb_.size() - 1;
 }
 
 std::size_t Model::add_constraint(std::vector<Coeff> coeffs, double lb,
-                                  double ub, std::string name) {
+                                  double ub) {
   HSLB_EXPECTS(lb <= ub);
   // Merge duplicate columns, validate indices, drop exact-zero sums (an
-  // explicit zero would otherwise sit in the sparsity pattern forever).
-  std::map<std::size_t, double> merged;
-  for (const auto& [col, v] : coeffs) {
-    HSLB_EXPECTS(col < num_cols());
-    merged[col] += v;
-  }
-  std::vector<Coeff> clean;
-  clean.reserve(merged.size());
+  // explicit zero would otherwise sit in the sparsity pattern forever). The
+  // stable sort keeps duplicates in the order given, so each column sums
+  // its entries in that order.
+  for (const auto& [col, v] : coeffs) HSLB_EXPECTS(col < num_cols());
+  const auto by_col = [](const Coeff& a, const Coeff& b) {
+    return a.first < b.first;
+  };
+  if (!std::is_sorted(coeffs.begin(), coeffs.end(), by_col))
+    std::stable_sort(coeffs.begin(), coeffs.end(), by_col);
   const std::size_t row_index = rows_.size();
-  for (const auto& [col, v] : merged) {
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < coeffs.size();) {
+    const std::size_t col = coeffs[i].first;
+    double v = 0.0;
+    for (; i < coeffs.size() && coeffs[i].first == col; ++i)
+      v += coeffs[i].second;
     if (v == 0.0) continue;
-    clean.push_back({col, v});
+    coeffs[out++] = {col, v};
     cols_[col].push_back({row_index, v});  // rows append-only: stays ordered
     ++nnz_;
   }
-  rows_.push_back(std::move(clean));
+  coeffs.resize(out);
+  rows_.push_back(std::move(coeffs));
   row_lb_.push_back(lb);
   row_ub_.push_back(ub);
-  if (name.empty()) name = "r" + std::to_string(rows_.size() - 1);
-  row_names_.push_back(std::move(name));
   return rows_.size() - 1;
 }
 
-std::size_t Model::add_equality(std::vector<Coeff> coeffs, double rhs,
-                                std::string name) {
-  return add_constraint(std::move(coeffs), rhs, rhs, std::move(name));
+std::size_t Model::add_equality(std::vector<Coeff> coeffs, double rhs) {
+  return add_constraint(std::move(coeffs), rhs, rhs);
 }
 
 void Model::set_col_lower(std::size_t col, double lb) {
@@ -100,16 +100,6 @@ double Model::row_lower(std::size_t r) const {
 double Model::row_upper(std::size_t r) const {
   HSLB_EXPECTS(r < num_rows());
   return row_ub_[r];
-}
-
-const std::string& Model::col_name(std::size_t col) const {
-  HSLB_EXPECTS(col < num_cols());
-  return col_names_[col];
-}
-
-const std::string& Model::row_name(std::size_t r) const {
-  HSLB_EXPECTS(r < num_rows());
-  return row_names_[r];
 }
 
 double Model::row_activity(std::size_t r, std::span<const double> x) const {

@@ -11,7 +11,6 @@
 
 #include <limits>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -32,19 +31,16 @@ using ColEntry = linalg::SparseEntry;
 class Model {
  public:
   /// Adds a variable; returns its column index.
-  std::size_t add_variable(double lb, double ub, double objective,
-                           std::string name = "");
+  std::size_t add_variable(double lb, double ub, double objective);
 
   /// Adds a range constraint lb <= sum coeffs <= ub; returns its row index.
   /// Coefficients must reference existing columns; duplicate column entries
   /// within one row are summed, and entries summing to exactly zero are
   /// dropped (they would otherwise pollute the sparsity pattern).
-  std::size_t add_constraint(std::vector<Coeff> coeffs, double lb, double ub,
-                             std::string name = "");
+  std::size_t add_constraint(std::vector<Coeff> coeffs, double lb, double ub);
 
   /// Equality convenience (lb == ub == rhs).
-  std::size_t add_equality(std::vector<Coeff> coeffs, double rhs,
-                           std::string name = "");
+  std::size_t add_equality(std::vector<Coeff> coeffs, double rhs);
 
   /// Bound mutation (used by branch-and-bound).
   void set_col_lower(std::size_t col, double lb);
@@ -71,9 +67,6 @@ class Model {
   /// Total nonzeros in the constraint matrix.
   std::size_t nnz() const { return nnz_; }
 
-  const std::string& col_name(std::size_t col) const;
-  const std::string& row_name(std::size_t r) const;
-
   /// Evaluates row r's linear expression at x.
   double row_activity(std::size_t r, std::span<const double> x) const;
 
@@ -82,12 +75,10 @@ class Model {
 
  private:
   std::vector<double> col_lb_, col_ub_, obj_;
-  std::vector<std::string> col_names_;
   std::vector<std::vector<Coeff>> rows_;
   std::vector<std::vector<ColEntry>> cols_;  // column view, kept in sync
   std::size_t nnz_ = 0;
   std::vector<double> row_lb_, row_ub_;
-  std::vector<std::string> row_names_;
 };
 
 }  // namespace hslb::lp

@@ -345,7 +345,7 @@ Presolve Presolve::run(const Model& model, const PresolveOptions& opt) {
     if (!col_alive[j]) continue;
     out.col_map_[j] = out.kept_cols_.size();
     out.kept_cols_.push_back(j);
-    out.reduced_.add_variable(lb[j], ub[j], obj[j], model.col_name(j));
+    out.reduced_.add_variable(lb[j], ub[j], obj[j]);
   }
   for (std::size_t r = 0; r < m; ++r) {
     if (!row_alive[r]) continue;
@@ -359,7 +359,7 @@ Presolve Presolve::run(const Model& model, const PresolveOptions& opt) {
                                                   : model.row_upper(r) - fsum[r];
     out.row_map_[r] = out.kept_rows_.size();
     out.kept_rows_.push_back(r);
-    out.reduced_.add_constraint(std::move(coeffs), rlb, rub, model.row_name(r));
+    out.reduced_.add_constraint(std::move(coeffs), rlb, rub);
   }
   return out;
 }

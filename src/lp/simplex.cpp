@@ -1,8 +1,11 @@
 #include "lp/simplex.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <memory>
 #include <optional>
+#include <span>
 #include <tuple>
 #include <utility>
 
@@ -24,29 +27,37 @@ std::string to_string(Status s) {
   return "?";
 }
 
-namespace {
-
 /// Internal computational form:
 ///   rows:        sum_j a_rj x_j - s_r + sigma_r * art_r = 0
 ///   structurals: model bounds;  slacks: row bounds;  artificials: [0, inf).
 ///
-/// Structural columns live in a CSC matrix (scaled by the row equilibration)
+/// Structural columns live in a CSC copy (scaled by the row equilibration)
 /// with a CSR companion for the dual-repair row traversals; slack and
-/// artificial columns are implicit singletons and never stored.
+/// artificial columns are implicit singletons and never stored. Every array
+/// is kept from one reset() to the next, so the engine reuses its storage
+/// across solves.
 class Tableau {
  public:
-  Tableau(const Model& model, const Options& opt)
-      : model_(model),
-        opt_(opt),
-        n_(model.num_cols()),
-        m_(model.num_rows()),
-        alpha_scatter_(model.num_cols() + 2 * model.num_rows()) {
+  /// Loads a model: scales it into the CSC/CSR copy and resets every
+  /// per-solve state to what a fresh tableau starts from.
+  void reset(const Model& model, const Options& opt) {
+    model_ = &model;
+    opt_ = &opt;
+    n_ = model.num_cols();
+    m_ = model.num_rows();
     const std::size_t total = n_ + 2 * m_;
-    lb_.resize(total);
-    ub_.resize(total);
+    lb_.assign(total, 0.0);
+    ub_.assign(total, 0.0);
     cost_.assign(total, 0.0);
-    status_.resize(total);
+    status_.assign(total, BasisStatus::Basic);
     value_.assign(total, 0.0);
+    alpha_scatter_.resize(total);
+    duals_.clear();
+    cand_.clear();
+    stats_ = SolveStats{};
+    factored_ = false;
+    singular_failure_ = false;
+    warm_trouble_ = false;
 
     for (std::size_t j = 0; j < n_; ++j) {
       lb_[j] = model.col_lower(j);
@@ -61,15 +72,26 @@ class Tableau {
       for (const auto& [col, v] : model.row(r)) s = std::max(s, std::fabs(v));
       row_scale_[r] = s > 0.0 ? s : 1.0;
     }
-    // Scaled structural columns straight from the model's column view.
-    std::vector<std::vector<linalg::SparseEntry>> scaled(n_);
+    // Scaled structural columns straight from the model's column view
+    // (entries that scale to exactly zero are dropped), then the row-wise
+    // companion by a counting sort, so each row lists increasing columns.
+    acol_start_.assign(1, 0);
+    acol_.clear();
     for (std::size_t j = 0; j < n_; ++j) {
-      const auto& col = model.col(j);
-      scaled[j].reserve(col.size());
-      for (const auto& [r, v] : col) scaled[j].push_back({r, v / row_scale_[r]});
+      for (const auto& [r, v] : model.col(j)) {
+        const double scaled = v / row_scale_[r];
+        if (scaled != 0.0) acol_.push_back({r, scaled});
+      }
+      acol_start_.push_back(acol_.size());
     }
-    acols_ = linalg::SparseMatrix::from_columns(m_, scaled);
-    arows_ = acols_.transposed();
+    arow_start_.assign(m_ + 1, 0);
+    for (const auto& e : acol_) ++arow_start_[e.index + 1];
+    for (std::size_t r = 0; r < m_; ++r) arow_start_[r + 1] += arow_start_[r];
+    arow_.resize(acol_.size());
+    arow_next_.assign(arow_start_.begin(), arow_start_.end() - 1);
+    for (std::size_t j = 0; j < n_; ++j) {
+      for (const auto& e : acol(j)) arow_[arow_next_[e.index]++] = {j, e.value};
+    }
     art_sign_.assign(m_, 1.0);
     for (std::size_t r = 0; r < m_; ++r) {
       const std::size_t s = slack(r);
@@ -78,7 +100,7 @@ class Tableau {
       ub_[s] = model.row_upper(r) == kInf ? kInf
                                           : model.row_upper(r) / row_scale_[r];
     }
-    basis_.resize(m_);
+    basis_.assign(m_, 0);
   }
 
   /// Cold start: every structural at its bound nearest zero (or 0 if free);
@@ -88,10 +110,11 @@ class Tableau {
     for (std::size_t j = 0; j < n_; ++j) {
       set_nonbasic_start(j);
     }
-    std::vector<double> activity(m_, 0.0);
+    std::vector<double>& activity = rhs_;  // free until the first factor
+    activity.assign(m_, 0.0);
     for (std::size_t j = 0; j < n_; ++j) {
       if (value_[j] == 0.0) continue;
-      linalg::axpy_scatter(value_[j], acols_.col(j), activity);
+      linalg::axpy_scatter(value_[j], acol(j), activity);
     }
     for (std::size_t r = 0; r < m_; ++r) {
       const std::size_t s = slack(r);
@@ -129,12 +152,12 @@ class Tableau {
   /// start — when structurally incompatible or numerically singular.
   bool init_warm(const Basis& b) {
     if (b.cols.size() != n_ || b.rows.size() > m_) return false;
-    std::vector<std::size_t> basics;
-    for (std::size_t j = 0; j < n_; ++j) apply_status(j, b.cols[j], basics);
+    basics_.clear();
+    for (std::size_t j = 0; j < n_; ++j) apply_status(j, b.cols[j], basics_);
     for (std::size_t r = 0; r < m_; ++r) {
       const BasisStatus st =
           r < b.rows.size() ? b.rows[r] : BasisStatus::Basic;
-      apply_status(slack(r), st, basics);
+      apply_status(slack(r), st, basics_);
     }
     // Artificials play no part in a warm solve: pinned nonbasic at zero.
     for (std::size_t r = 0; r < m_; ++r) {
@@ -145,8 +168,8 @@ class Tableau {
       value_[a] = 0.0;
       status_[a] = BasisStatus::AtLower;
     }
-    if (basics.size() != m_) return false;
-    for (std::size_t i = 0; i < m_; ++i) basis_[i] = basics[i];
+    if (basics_.size() != m_) return false;
+    for (std::size_t i = 0; i < m_; ++i) basis_[i] = basics_[i];
     return refactorize();
   }
 
@@ -174,12 +197,21 @@ class Tableau {
   std::size_t artificial(std::size_t r) const { return n_ + m_ + r; }
   std::size_t total_cols() const { return n_ + 2 * m_; }
 
+  /// Scaled structural column j (rows ascending) and row r (columns
+  /// ascending) of the CSC/CSR copy.
+  std::span<const linalg::SparseEntry> acol(std::size_t j) const {
+    return {acol_.data() + acol_start_[j], acol_start_[j + 1] - acol_start_[j]};
+  }
+  std::span<const linalg::SparseEntry> arow(std::size_t r) const {
+    return {arow_.data() + arow_start_[r], arow_start_[r + 1] - arow_start_[r]};
+  }
+
   /// Applies f(row, value) over the nonzeros of tableau column j: structural
   /// columns from the CSC view, slacks/artificials as implicit singletons.
   template <typename F>
   void for_col(std::size_t j, F&& f) const {
     if (j < n_) {
-      for (const auto& [r, v] : acols_.col(j)) f(r, v);
+      for (const auto& [r, v] : acol(j)) f(r, v);
     } else if (j < n_ + m_) {
       f(j - n_, -1.0);
     } else {
@@ -200,7 +232,7 @@ class Tableau {
       if (lb_[s] != -kInf) bound_scale = std::max(bound_scale, std::fabs(lb_[s]));
       if (ub_[s] != kInf) bound_scale = std::max(bound_scale, std::fabs(ub_[s]));
     }
-    return opt_.feasibility_tol * (1.0 + bound_scale);
+    return opt_->feasibility_tol * (1.0 + bound_scale);
   }
 
   void set_nonbasic_start(std::size_t j) {
@@ -290,7 +322,7 @@ class Tableau {
       ub_[a] = 0.0;
       if (status_[a] != BasisStatus::Basic) status_[a] = BasisStatus::AtLower;
     }
-    for (std::size_t j = 0; j < n_; ++j) cost_[j] = model_.objective(j);
+    for (std::size_t j = 0; j < n_; ++j) cost_[j] = model_->objective(j);
     const auto p2 = primal(/*phase2=*/true, sol.iterations);
     finalize(sol, p2);
     return sol;
@@ -299,10 +331,12 @@ class Tableau {
   Solution run_warm_impl() {
     Solution sol;
     sol.warm_started = true;
-    for (std::size_t j = 0; j < n_; ++j) cost_[j] = model_.objective(j);
+    for (std::size_t j = 0; j < n_; ++j) cost_[j] = model_->objective(j);
 
     const auto repaired = dual_repair(sol.iterations);
-    if (repaired == Status::Infeasible) {
+    // A singular rebuild also stops the repair with Infeasible, so the flag
+    // is read first: that stop proves nothing about the model.
+    if (repaired == Status::Infeasible && !singular_failure_) {
       sol.status = Status::Infeasible;
       return sol;
     }
@@ -331,39 +365,48 @@ class Tableau {
 
   /// True when the factorization carries Forrest-Tomlin updates, i.e.
   /// solves are no longer against fresh factors.
-  bool stale_factor() const { return ft_factor_ && ft_factor_->updates() > 0; }
+  bool stale_factor() const { return factored_ && lu().updates() > 0; }
+
+  /// The factors every solve runs against; lu_[1 - active_] is the spare a
+  /// refactorization builds into while these are in use.
+  linalg::UpdatableLU& lu() { return lu_[active_]; }
+  const linalg::UpdatableLU& lu() const { return lu_[active_]; }
 
   /// Rebuilds the Markowitz sparse LU of the current basis, drops the
   /// accumulated FT updates, and recomputes basic values
   /// x_B = B^{-1} (-N x_N) exactly. Returns false (leaving the previous
   /// factorization and values untouched) if the basis is numerically
-  /// singular.
+  /// singular: with factors in use the spare buffer is factored and only
+  /// swapped in on success; the first factorization of a solve has nothing
+  /// to keep and reuses the active buffer.
   bool refactorize() {
     if (m_ == 0) return true;
     std::size_t bnnz = 0;
-    std::vector<std::vector<linalg::SparseEntry>> bcols(m_);
+    if (bcols_.size() < m_) bcols_.resize(m_);
     for (std::size_t i = 0; i < m_; ++i) {
+      bcols_[i].clear();
       for_col(basis_[i], [&](std::size_t r, double v) {
-        bcols[i].push_back({r, v});
+        bcols_[i].push_back({r, v});
       });
-      bnnz += bcols[i].size();
+      bnnz += bcols_[i].size();
     }
-    auto factor = linalg::SparseLU::factor(m_, bcols);
-    if (!factor) return false;
-    stats_.lu_fill = factor->nnz();
-    // The updatable wrapper owns a copy of the factors.
-    ft_factor_.emplace(*factor);
+    const std::size_t target = factored_ ? 1 - active_ : active_;
+    if (!lu_[target].refactor(std::span(bcols_).first(m_))) return false;
+    active_ = target;
+    factored_ = true;
+    stats_.lu_fill = lu().nnz();
     ++stats_.refactorizations;
     stats_.basis_nnz = bnnz;
 
-    std::vector<double> rhs(m_, 0.0);
+    rhs_.assign(m_, 0.0);
     for (std::size_t j = 0; j < total_cols(); ++j) {
       if (status_[j] == BasisStatus::Basic || value_[j] == 0.0) continue;
       const double xj = value_[j];
-      for_col(j, [&](std::size_t r, double v) { rhs[r] -= v * xj; });
+      for_col(j, [&](std::size_t r, double v) { rhs_[r] -= v * xj; });
     }
-    const auto xb = ft_factor_->solve(std::move(rhs));
-    for (std::size_t i = 0; i < m_; ++i) value_[basis_[i]] = xb[i];
+    xb_.resize(m_);
+    lu().solve(rhs_, xb_);
+    for (std::size_t i = 0; i < m_; ++i) value_[basis_[i]] = xb_[i];
     return true;
   }
 
@@ -378,51 +421,63 @@ class Tableau {
   /// exceed it) against what a dense kernel pays for the same call, m^2
   /// plus m per basis update folded in.
   void bill_kernel() const {
-    stats_.kernel_flops += std::min(ft_factor_->nnz(), m_ * m_);
-    stats_.kernel_dense_flops += m_ * m_ + ft_factor_->updates() * m_;
+    stats_.kernel_flops += std::min(lu().nnz(), m_ * m_);
+    stats_.kernel_dense_flops += m_ * m_ + lu().updates() * m_;
   }
 
-  /// v := B^{-1} v for the entering column; the factor also captures the
-  /// partially transformed column (the spike) a following push_update(p)
-  /// will splice into U.
-  std::vector<double> ftran_entering(std::vector<double> v) {
-    if (m_ == 0) return v;
+  /// w_ := B^{-1} a_q for the entering column q; the factor also captures
+  /// the partially transformed column (the spike) a following
+  /// push_update(p) will splice into U.
+  void ftran_entering(std::size_t q) {
+    rhs_.assign(m_, 0.0);
+    for_col(q, [&](std::size_t r, double v) { rhs_[r] = v; });
+    w_.resize(m_);
+    if (m_ == 0) return;
     bill_kernel();
-    return ft_factor_->solve_entering(std::move(v));
+    lu().solve_entering(rhs_, w_);
   }
 
-  /// v := B^{-T} v.
-  std::vector<double> btran(std::vector<double> v) const {
-    if (m_ == 0) return v;
+  /// out := B^{-T} rhs_ (rhs_ is consumed).
+  void btran(std::vector<double>& out) {
+    out.resize(m_);
+    if (m_ == 0) return;
     bill_kernel();
-    return ft_factor_->solve_transpose(std::move(v));
+    lu().solve_transpose(rhs_, out);
+  }
+
+  /// rho_ := B^{-T} e_p, row p of the basis inverse.
+  void btran_unit(std::size_t p) {
+    rhs_.assign(m_, 0.0);
+    rhs_[p] = 1.0;
+    btran(rho_);
   }
 
   /// Records the pivot in row p as a Forrest-Tomlin column replacement, with
   /// adaptive refactorization on fill growth or an unstable update and the
-  /// interval as backstop. Returns false on a singular rebuild.
+  /// interval as backstop. Returns false on a singular rebuild, which
+  /// fresh_factor() flags so the caller falls back (warm -> cold,
+  /// cold -> Bland's rule).
   bool push_update(std::size_t p) {
     ++stats_.pivots;
-    const std::size_t fill_before = ft_factor_->update_fill();
-    if (ft_factor_->update(p) == linalg::UpdatableLU::UpdateResult::Ok) {
+    const std::size_t fill_before = lu().update_fill();
+    if (lu().update(p) == linalg::UpdatableLU::UpdateResult::Ok) {
       ++stats_.ft_updates;
-      stats_.ft_fill_nnz += ft_factor_->update_fill() - fill_before;
-      if (ft_factor_->nnz() >
-          static_cast<double>(ft_factor_->base_fill()) *
-              opt_.refactor_fill_ratio) {
+      stats_.ft_fill_nnz += lu().update_fill() - fill_before;
+      if (lu().nnz() >
+          static_cast<double>(lu().base_fill()) * opt_->refactor_fill_ratio) {
         ++stats_.refactor_fill_hits;
-        return refactorize();
+        return fresh_factor();
       }
-      if (ft_factor_->updates() >= opt_.refactor_interval) {
+      if (lu().updates() >= opt_->refactor_interval) {
         ++stats_.refactor_interval_hits;
-        return refactorize();
+        return fresh_factor();
       }
       return true;
     }
     // The replacement left a negligible diagonal: the updated factors are
     // unusable, so rebuild from the (already pivoted) basis.
     ++stats_.refactor_drift_hits;
-    return refactorize();
+    return fresh_factor();
   }
 
   void compute_duals() {
@@ -430,9 +485,9 @@ class Tableau {
       duals_.clear();
       return;
     }
-    std::vector<double> cb(m_);
-    for (std::size_t i = 0; i < m_; ++i) cb[i] = cost_[basis_[i]];
-    duals_ = btran(std::move(cb));
+    rhs_.resize(m_);
+    for (std::size_t i = 0; i < m_; ++i) rhs_[i] = cost_[basis_[i]];
+    btran(duals_);
   }
 
   double reduced_cost(std::size_t j) const {
@@ -448,11 +503,11 @@ class Tableau {
   int favorable(std::size_t j, double d) const {
     if ((status_[j] == BasisStatus::AtLower ||
          status_[j] == BasisStatus::Free) &&
-        d < -opt_.optimality_tol)
+        d < -opt_->optimality_tol)
       return +1;
     if ((status_[j] == BasisStatus::AtUpper ||
          status_[j] == BasisStatus::Free) &&
-        d > opt_.optimality_tol)
+        d > opt_->optimality_tol)
       return -1;
     return 0;
   }
@@ -560,9 +615,8 @@ class Tableau {
     const double apq = w[p];
     const double wq = devex_w_[q];
     if (!cand_.empty()) {
-      std::vector<double> e(m_, 0.0);
-      e[p] = 1.0;
-      const std::vector<double> rho = btran(std::move(e));
+      btran_unit(p);
+      const std::vector<double>& rho = rho_;
       for (const std::size_t j : cand_) {
         if (j == q) continue;
         double apj = 0.0;
@@ -586,10 +640,10 @@ class Tableau {
     std::size_t degenerate_run = 0;
     devex_w_.assign(total_cols(), 1.0);
     cand_.clear();
-    while (iterations < opt_.max_iterations) {
+    while (iterations < opt_->max_iterations) {
       compute_duals();
 
-      const bool bland = degenerate_run >= opt_.bland_threshold;
+      const bool bland = degenerate_run >= opt_->bland_threshold;
       std::optional<std::size_t> entering;
       int direction = 0;
       if (bland) {
@@ -612,12 +666,8 @@ class Tableau {
       const std::size_t q = *entering;
 
       // Direction of basic variables: delta x_B = -dir * B^{-1} A_q.
-      std::vector<double> w;
-      if (m_ > 0) {
-        std::vector<double> aq(m_, 0.0);
-        for_col(q, [&](std::size_t r, double v) { aq[r] = v; });
-        w = ftran_entering(std::move(aq));
-      }
+      ftran_entering(q);
+      const std::vector<double>& w = w_;
 
       // Ratio test. The pivot tolerance is relative to the direction's
       // scale: accepting a pivot many orders below ||w|| makes the next
@@ -721,7 +771,7 @@ class Tableau {
   /// violating row cannot be repaired by any in-bounds move of the
   /// nonbasics), IterationLimit on trouble.
   Status dual_repair(std::size_t& iterations) {
-    while (iterations < opt_.max_iterations) {
+    while (iterations < opt_->max_iterations) {
       std::optional<std::size_t> pos;
       double worst = 0.0;
       bool above = false;
@@ -730,7 +780,7 @@ class Tableau {
         const double v = value_[b];
         if (ub_[b] != kInf) {
           const double viol = v - ub_[b];
-          if (viol > opt_.feasibility_tol * (1.0 + std::fabs(ub_[b])) &&
+          if (viol > opt_->feasibility_tol * (1.0 + std::fabs(ub_[b])) &&
               viol > worst) {
             worst = viol;
             pos = i;
@@ -739,7 +789,7 @@ class Tableau {
         }
         if (lb_[b] != -kInf) {
           const double viol = lb_[b] - v;
-          if (viol > opt_.feasibility_tol * (1.0 + std::fabs(lb_[b])) &&
+          if (viol > opt_->feasibility_tol * (1.0 + std::fabs(lb_[b])) &&
               viol > worst) {
             worst = viol;
             pos = i;
@@ -757,16 +807,15 @@ class Tableau {
       // walking only the CSR rows where rho is nonzero (plus the implicit
       // slack/artificial singletons of those rows) instead of pricing every
       // column of the tableau.
-      std::vector<double> e(m_, 0.0);
-      e[p] = 1.0;
-      const std::vector<double> rho = btran(std::move(e));
+      btran_unit(p);
+      const std::vector<double>& rho = rho_;
       compute_duals();
 
       alpha_scatter_.clear();
       for (std::size_t r = 0; r < m_; ++r) {
         const double rr = rho[r];
         if (rr == 0.0) continue;
-        for (const auto& [c, v] : arows_.col(r)) {
+        for (const auto& [c, v] : arow(r)) {
           alpha_scatter_.add(c, rr * v);
         }
         alpha_scatter_.add(slack(r), -rr);
@@ -819,12 +868,8 @@ class Tableau {
       }
 
       const std::size_t q = *entering;
-      std::vector<double> w;
-      {
-        std::vector<double> aq(m_, 0.0);
-        for_col(q, [&](std::size_t r, double v) { aq[r] = v; });
-        w = ftran_entering(std::move(aq));
-      }
+      ftran_entering(q);
+      const std::vector<double>& w = w_;
       double wmax = 0.0;
       for (double wi : w) wmax = std::max(wmax, std::fabs(wi));
       if (std::fabs(w[p]) < 1e-7 * std::max(1.0, wmax)) {
@@ -882,15 +927,15 @@ class Tableau {
       sol.duals[r] /= row_scale_[r];
     sol.objective = 0.0;
     for (std::size_t j = 0; j < n_; ++j)
-      sol.objective += model_.objective(j) * sol.x[j];
+      sol.objective += model_->objective(j) * sol.x[j];
     if (p2 == Status::Optimal) {
       double viol = 0.0;
       for (std::size_t r = 0; r < m_; ++r) {
-        const double act = model_.row_activity(r, sol.x);
-        if (model_.row_lower(r) != -kInf)
-          viol = std::max(viol, model_.row_lower(r) - act);
-        if (model_.row_upper(r) != kInf)
-          viol = std::max(viol, act - model_.row_upper(r));
+        const double act = model_->row_activity(r, sol.x);
+        if (model_->row_lower(r) != -kInf)
+          viol = std::max(viol, model_->row_lower(r) - act);
+        if (model_->row_upper(r) != kInf)
+          viol = std::max(viol, act - model_->row_upper(r));
       }
       // Variable bounds too: a solution inside every row but outside a box
       // is just as infeasible (and is what a buggy warm repair would give).
@@ -916,31 +961,45 @@ class Tableau {
     }
   }
 
-  const Model& model_;
-  const Options& opt_;
-  std::size_t n_, m_;
-  linalg::SparseMatrix acols_;  // scaled structural columns (CSC)
-  linalg::SparseMatrix arows_;  // their CSR companion (row traversals)
+  const Model* model_ = nullptr;
+  const Options* opt_ = nullptr;
+  std::size_t n_ = 0, m_ = 0;
+  // Scaled structural columns (CSC) and their CSR companion (row
+  // traversals); arow_next_ is the counting sort's cursor.
+  std::vector<std::size_t> acol_start_, arow_start_, arow_next_;
+  std::vector<linalg::SparseEntry> acol_, arow_;
   std::vector<double> art_sign_;
   std::vector<double> lb_, ub_, cost_, value_;
   std::vector<BasisStatus> status_;
   std::vector<std::size_t> basis_;
+  std::vector<std::size_t> basics_;  // init_warm's basic list
   std::vector<double> row_scale_;
-  std::optional<linalg::UpdatableLU> ft_factor_;
+  // Basis factors: two buffers, so a singular rebuild keeps the current one.
+  std::vector<std::vector<linalg::SparseEntry>> bcols_;
+  std::array<linalg::UpdatableLU, 2> lu_;
+  std::size_t active_ = 0;
+  bool factored_ = false;
+  // FTRAN/BTRAN work vectors: the consumed right-hand side, the entering
+  // direction, row p of the inverse, basic values after a refactor.
+  std::vector<double> rhs_, w_, rho_, xb_;
   std::vector<double> duals_;
   // Pricing state.
   std::vector<double> devex_w_;
   std::vector<std::size_t> cand_;
-  linalg::Scatter alpha_scatter_;
+  linalg::Scatter alpha_scatter_{0};
   // Mutable: ftran/btran are const solves but account their kernel work.
   mutable SolveStats stats_;
   bool singular_failure_ = false;
   bool warm_trouble_ = false;
 };
 
-}  // namespace
+Solver::Solver() : tableau_(std::make_unique<Tableau>()) {}
+Solver::~Solver() = default;
+Solver::Solver(Solver&&) noexcept = default;
+Solver& Solver::operator=(Solver&&) noexcept = default;
 
-Solution solve(const Model& model, const Options& options) {
+Solution Solver::solve(const Model& model, const Options& options) {
+  Tableau& t = *tableau_;
   // Crossed boxes (branching artifacts) make the simplex loops meaningless;
   // the model is trivially infeasible.
   for (std::size_t j = 0; j < model.num_cols(); ++j) {
@@ -959,7 +1018,7 @@ Solution solve(const Model& model, const Options& options) {
   }
 
   if (options.warm_start != nullptr && !options.warm_start->empty()) {
-    Tableau t(model, options);
+    t.reset(model, options);
     if (t.init_warm(*options.warm_start)) {
       Solution sol = t.run_warm();
       // Audit the warm answer: dual repair plus primal cleanup must land on
@@ -1012,7 +1071,7 @@ Solution solve(const Model& model, const Options& options) {
       return full;
     }
   }
-  Tableau t(model, cold);
+  t.reset(model, cold);
   t.init_cold();
   Solution sol = t.run_cold();
   if (t.singular_failure()) {
@@ -1020,14 +1079,18 @@ Solution solve(const Model& model, const Options& options) {
     // choices avoid the aggressive Dantzig path that went singular.
     Options retry = cold;
     retry.bland_threshold = 0;
-    Tableau t2(model, retry);
-    t2.init_cold();
-    sol = t2.run_cold();
-    if (t2.singular_failure()) {
+    t.reset(model, retry);
+    t.init_cold();
+    sol = t.run_cold();
+    if (t.singular_failure()) {
       log::warn() << "simplex: singular basis persisted after Bland retry";
     }
   }
   return sol;
+}
+
+Solution solve(const Model& model, const Options& options) {
+  return Solver().solve(model, options);
 }
 
 }  // namespace hslb::lp

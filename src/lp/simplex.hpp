@@ -15,14 +15,19 @@
 // factorization instead of a growing product-form eta file. Refactorization
 // is adaptive — triggered by update-fill growth or a numerically unstable
 // update, with the interval as a backstop cap. Answers are checked from the
-// model alone by lp::certify (lp/certify.hpp). Entering variables are chosen by candidate-list partial pricing under a
-// Devex reference framework instead of a full Dantzig sweep (cf. DESIGN.md).
+// model alone by lp::certify (lp/certify.hpp). Entering variables are
+// chosen by candidate-list partial pricing under a Devex reference
+// framework instead of a full Dantzig sweep (cf. DESIGN.md). An lp::Solver
+// keeps all of this storage across solves, so a branch-and-bound worker
+// re-solving node LPs of tens of rows allocates little beyond each
+// returned Solution.
 //
 // Plays the role CLP plays under MINOTAUR in the paper (§III-E).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -161,7 +166,32 @@ struct Solution {
   SolveStats stats;
 };
 
-/// Solves the LP; deterministic for a fixed model and options.
+class Tableau;  // the engine's storage and simplex loops (simplex.cpp)
+
+/// A reusable simplex engine. It keeps every array a solve needs from one
+/// solve to the next: the scaled CSC/CSR copy of the model, the bound,
+/// value, status, Devex and scatter arrays, the FTRAN/BTRAN work vectors and
+/// two LU buffers (a singular rebuild leaves the current factors intact).
+/// Storage only grows, so after one warm-up a 0-pivot warm re-solve
+/// allocates nothing beyond the returned Solution. Every result is
+/// bit-identical to a fresh engine's, whatever the engine solved before.
+/// One engine serves one thread at a time; branch-and-bound gives each
+/// concurrent worker its own for the length of one search.
+class Solver {
+ public:
+  Solver();
+  ~Solver();
+  Solver(Solver&&) noexcept;
+  Solver& operator=(Solver&&) noexcept;
+
+  /// Solves the LP; deterministic for a fixed model and options.
+  Solution solve(const Model& model, const Options& options = {});
+
+ private:
+  std::unique_ptr<Tableau> tableau_;
+};
+
+/// Solves the LP with a temporary engine (Solver().solve(model, options)).
 Solution solve(const Model& model, const Options& options = {});
 
 }  // namespace hslb::lp

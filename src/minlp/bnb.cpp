@@ -1,6 +1,7 @@
 #include "minlp/bnb.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <optional>
@@ -217,7 +218,7 @@ class Solver {
   Solver(const Model& model, const BnbOptions& opt) : model_(model), opt_(opt) {
     // Cold LP solves (root rounds, rejected warm starts, degenerate-vertex
     // guards) run through the LP presolve when enabled; warm re-solves
-    // bypass it inside lp::solve.
+    // bypass it inside the LP solve.
     opt_.kelley.lp.presolve = opt_.presolve;
     for (std::size_t v = 0; v < model.num_vars(); ++v) {
       HSLB_EXPECTS(std::isfinite(model.lower(v)));
@@ -269,9 +270,16 @@ class Solver {
       result_.seed_accepted = has_incumbent_;
     }
 
+    // One LP engine per concurrently running worker, kept for the whole
+    // search (root rounds, node LPs, guards, QG completions and dives) and
+    // freed when the search returns; engine reuse leaves every LP answer
+    // bit-identical, so which worker ran a node never shows.
+    std::vector<lp::Solver> engines(1);
+
     // Root NLP relaxation: seeds the cut pool (the "initial linearization
     // point" of §III-E) and gives the first global bound.
-    KelleyResult root = solve_relaxation(model_, pool_, root_bounds, opt_.kelley);
+    KelleyResult root = solve_relaxation(model_, pool_, root_bounds,
+                                         opt_.kelley, &engines[0]);
     result_.lp_solves += root.lp_solves;
     result_.lp_pivots += root.lp_pivots;
     result_.lp_stats.merge(root.lp_stats);
@@ -297,6 +305,7 @@ class Solver {
     // in wave order. The wave composition depends only on wave_size, so the
     // whole search is bit-identical for every solver_threads value.
     ThreadPool threads(opt_.solver_threads);
+    engines.resize(threads.size());
     while (!heap_.empty()) {
       if (result_.nodes >= opt_.max_nodes) {
         result_.status = BnbStatus::NodeLimit;
@@ -329,10 +338,15 @@ class Solver {
       // against; lifecycle changes apply at the merge barrier only, so the
       // snapshot (and the whole search) is thread-count independent.
       const std::vector<std::size_t> wave_active = pool_.active_ids();
+      // Each engine slot pulls wave nodes until none is left; outcomes are
+      // stored by wave index, so the merge order never depends on the slot.
       std::vector<Outcome> outcomes(wave.size());
-      threads.parallel_for(wave.size(), [&](std::size_t i) {
-        outcomes[i] = process(wave[i], wave_active);
-      });
+      std::atomic<std::size_t> next{0};
+      threads.parallel_for(
+          std::min(engines.size(), wave.size()), [&](std::size_t slot) {
+            for (std::size_t i = next++; i < wave.size(); i = next++)
+              outcomes[i] = process(wave[i], wave_active, engines[slot]);
+          });
       for (std::size_t i = 0; i < wave.size(); ++i)
         merge(wave[i], wave_active, std::move(outcomes[i]));
     }
@@ -543,7 +557,8 @@ class Solver {
   /// fixed-integer NLP completes it into an incumbent candidate.
   void round_and_complete(const lp::Model& relax, const std::vector<double>& x0,
                           const lp::Basis& basis0, const BoundOverrides& bounds,
-                          CutLedger& local, Outcome& out) const {
+                          CutLedger& local, lp::Solver& engine,
+                          Outcome& out) const {
     lp::Model dive = relax;
     std::vector<double> x = x0;
     lp::Basis basis = basis0;
@@ -571,7 +586,7 @@ class Solver {
         }
         lp::Options lp_opt = opt_.kelley.lp;
         if (opt_.warm_start && !basis.empty()) lp_opt.warm_start = &basis;
-        lp::Solution sol = lp::solve(trial, lp_opt);
+        lp::Solution sol = engine.solve(trial, lp_opt);
         ++out.lp_solves;
         out.lp_pivots += sol.iterations;
         out.lp_stats.merge(sol.stats);
@@ -616,7 +631,7 @@ class Solver {
         trial.set_col_upper(*pick, r);
         lp::Options lp_opt = opt_.kelley.lp;
         if (opt_.warm_start && !basis.empty()) lp_opt.warm_start = &basis;
-        lp::Solution sol = lp::solve(trial, lp_opt);
+        lp::Solution sol = engine.solve(trial, lp_opt);
         ++out.lp_solves;
         out.lp_pivots += sol.iterations;
         out.lp_stats.merge(sol.stats);
@@ -649,7 +664,7 @@ class Solver {
     }
     KelleyOptions nlp_opt = opt_.kelley;
     if (opt_.warm_start && !basis.empty()) nlp_opt.lp.warm_start = &basis;
-    KelleyResult nlp = solve_relaxation(model_, local, fixed, nlp_opt);
+    KelleyResult nlp = solve_relaxation(model_, local, fixed, nlp_opt, engine);
     out.lp_solves += nlp.lp_solves;
     out.lp_pivots += nlp.lp_pivots;
     out.lp_stats.merge(nlp.lp_stats);
@@ -663,11 +678,11 @@ class Solver {
   /// Expands one node. Read-only with respect to shared state (safe to run
   /// concurrently within a wave); everything it wants to change is recorded
   /// in the returned Outcome.
-  Outcome process(std::size_t node,
-                  std::span<const std::size_t> wave_active) const {
+  Outcome process(std::size_t node, std::span<const std::size_t> wave_active,
+                  lp::Solver& engine) const {
     Outcome out;
     CutLedger ledger(pool_, wave_active);  // wave-start layout, private tail
-    expand(node, ledger, wave_active, out);
+    expand(node, ledger, wave_active, engine, out);
     out.new_cuts = ledger.take_appended();
     out.reactivated = ledger.reactivated();
     return out;
@@ -702,7 +717,8 @@ class Solver {
   }
 
   void expand(std::size_t node, CutLedger& ledger,
-              std::span<const std::size_t> wave_active, Outcome& out) const {
+              std::span<const std::size_t> wave_active, lp::Solver& engine,
+              Outcome& out) const {
     BoundOverrides bounds = materialize(node);
     // Domain propagation: push the branching decision through the linear
     // rows and SOS sets. An emptied domain fathoms the node before any
@@ -726,13 +742,13 @@ class Solver {
     for (std::size_t pass = 0; pass < opt_.max_passes_per_node; ++pass) {
       for (std::size_t c = cuts_in_relax; c < ledger.num_cuts(); ++c) {
         relax.add_constraint(ledger.cut(c).coeffs, -lp::kInf,
-                             ledger.cut(c).rhs, "oa");
+                             ledger.cut(c).rhs);
       }
       cuts_in_relax = ledger.num_cuts();
 
       lp::Options lp_opt = opt_.kelley.lp;
       if (opt_.warm_start && !basis.empty()) lp_opt.warm_start = &basis;
-      lp::Solution sol = lp::solve(relax, lp_opt);
+      lp::Solution sol = engine.solve(relax, lp_opt);
       ++out.lp_solves;
       out.lp_pivots += sol.iterations;
       out.lp_stats.merge(sol.stats);
@@ -784,7 +800,7 @@ class Solver {
       if (bv && sol.warm_started &&
           sol.objective <=
               parent_bound + 1e-9 * (1.0 + std::fabs(parent_bound))) {
-        lp::Solution cold = lp::solve(relax, opt_.kelley.lp);
+        lp::Solution cold = engine.solve(relax, opt_.kelley.lp);
         ++out.lp_solves;
         out.lp_pivots += cold.iterations;
         out.lp_stats.merge(cold.stats);
@@ -812,7 +828,7 @@ class Solver {
              sol.objective <
                  incumbent_obj_ - 0.01 * (1.0 + std::fabs(incumbent_obj_)));
         if (worth_diving)
-          round_and_complete(relax, sol.x, basis, bounds, ledger, out);
+          round_and_complete(relax, sol.x, basis, bounds, ledger, engine, out);
         if (sos) {
           branch_sos(*sos, sol.x, sol.objective, out);
         } else {
@@ -849,7 +865,8 @@ class Solver {
       }
       KelleyOptions nlp_opt = opt_.kelley;
       if (opt_.warm_start) nlp_opt.lp.warm_start = &basis;
-      KelleyResult nlp = solve_relaxation(model_, ledger, fixed, nlp_opt);
+      KelleyResult nlp =
+          solve_relaxation(model_, ledger, fixed, nlp_opt, engine);
       out.lp_solves += nlp.lp_solves;
       out.lp_pivots += nlp.lp_pivots;
       out.lp_stats.merge(nlp.lp_stats);

@@ -1,6 +1,7 @@
 #include "minlp/kelley.hpp"
 
 #include <cmath>
+#include <optional>
 
 #include "common/contracts.hpp"
 #include "common/log.hpp"
@@ -19,13 +20,13 @@ lp::Model build_variables_and_linear_rows(const Model& model,
     // Branching can produce an empty box; encode it as an infeasible pair of
     // rows rather than violating the lp::Model lb<=ub contract.
     if (lb > ub) {
-      const std::size_t col = out.add_variable(ub, lb, model.objective_coeff(v),
-                                               model.var_name(v));
-      out.add_constraint({{col, 1.0}}, lb, lp::kInf, "empty_lo");
-      out.add_constraint({{col, 1.0}}, -lp::kInf, ub, "empty_hi");
+      const std::size_t col =
+          out.add_variable(ub, lb, model.objective_coeff(v));
+      out.add_constraint({{col, 1.0}}, lb, lp::kInf);
+      out.add_constraint({{col, 1.0}}, -lp::kInf, ub);
       continue;
     }
-    out.add_variable(lb, ub, model.objective_coeff(v), model.var_name(v));
+    out.add_variable(lb, ub, model.objective_coeff(v));
   }
   for (std::size_t r = 0; r < model.num_linear(); ++r) {
     out.add_constraint(model.linear_coeffs(r), model.linear_lower(r),
@@ -41,7 +42,7 @@ lp::Model build_lp_relaxation(const Model& model, const CutLedger& ledger,
   lp::Model out = build_variables_and_linear_rows(model, bounds);
   for (std::size_t i = 0; i < ledger.num_cuts(); ++i) {
     const Cut& c = ledger.cut(i);
-    out.add_constraint(c.coeffs, -lp::kInf, c.rhs, "oa");
+    out.add_constraint(c.coeffs, -lp::kInf, c.rhs);
   }
   return out;
 }
@@ -51,14 +52,15 @@ lp::Model build_lp_relaxation(const Model& model, const CutPool& pool,
   lp::Model out = build_variables_and_linear_rows(model, bounds);
   for (const std::size_t id : pool.active_ids()) {
     const Cut& c = pool.cuts()[id];
-    out.add_constraint(c.coeffs, -lp::kInf, c.rhs, "oa");
+    out.add_constraint(c.coeffs, -lp::kInf, c.rhs);
   }
   return out;
 }
 
 KelleyResult solve_relaxation(const Model& model, CutLedger& ledger,
                               const BoundOverrides& bounds,
-                              const KelleyOptions& options) {
+                              const KelleyOptions& options,
+                              lp::Solver& engine) {
   KelleyResult result;
   result.status = KelleyResult::Status::RoundLimit;
 
@@ -72,7 +74,7 @@ KelleyResult solve_relaxation(const Model& model, CutLedger& ledger,
   for (std::size_t round = 0; round < options.max_rounds; ++round) {
     lp::Options lp_opt = options.lp;
     if (!basis.empty()) lp_opt.warm_start = &basis;
-    const lp::Solution sol = lp::solve(relax, lp_opt);
+    const lp::Solution sol = engine.solve(relax, lp_opt);
     ++result.lp_solves;
     result.lp_pivots += sol.iterations;
     result.lp_stats.merge(sol.stats);
@@ -111,8 +113,7 @@ KelleyResult solve_relaxation(const Model& model, CutLedger& ledger,
       return result;
     }
     for (std::size_t c = cuts_in_relax; c < ledger.num_cuts(); ++c) {
-      relax.add_constraint(ledger.cut(c).coeffs, -lp::kInf, ledger.cut(c).rhs,
-                           "oa");
+      relax.add_constraint(ledger.cut(c).coeffs, -lp::kInf, ledger.cut(c).rhs);
     }
     cuts_in_relax = ledger.num_cuts();
   }
@@ -121,10 +122,14 @@ KelleyResult solve_relaxation(const Model& model, CutLedger& ledger,
 
 KelleyResult solve_relaxation(const Model& model, CutPool& pool,
                               const BoundOverrides& bounds,
-                              const KelleyOptions& options) {
+                              const KelleyOptions& options,
+                              lp::Solver* engine) {
   const std::vector<std::size_t> active = pool.active_ids();
   CutLedger ledger(pool, active);
-  KelleyResult result = solve_relaxation(model, ledger, bounds, options);
+  std::optional<lp::Solver> temporary;
+  if (engine == nullptr) engine = &temporary.emplace();
+  KelleyResult result =
+      solve_relaxation(model, ledger, bounds, options, *engine);
   // Serial caller: fold the ledger straight back into the pool.
   for (const std::size_t id : ledger.reactivated()) pool.reactivate(id);
   for (Cut& c : ledger.take_appended()) pool.insert(std::move(c));

@@ -62,17 +62,21 @@ lp::Model build_lp_relaxation(const Model& model, const CutPool& pool,
 
 /// Solves the continuous relaxation against a node ledger; cuts gained
 /// along the way land in the ledger (appended or reactivated), never in
-/// the shared pool — the caller merges them in deterministic order.
+/// the shared pool — the caller merges them in deterministic order. Every
+/// round's LP runs on the caller's `engine`.
 KelleyResult solve_relaxation(const Model& model, CutLedger& ledger,
                               const BoundOverrides& bounds,
-                              const KelleyOptions& options = {});
+                              const KelleyOptions& options,
+                              lp::Solver& engine);
 
 /// Solves the continuous relaxation; new cuts are appended to `pool` (they
 /// are globally valid and reused by the caller's tree search) and retired
-/// pool cuts found violated are reactivated.
+/// pool cuts found violated are reactivated. The LPs run on `engine` when
+/// given, else on a temporary one.
 KelleyResult solve_relaxation(const Model& model, CutPool& pool,
                               const BoundOverrides& bounds,
-                              const KelleyOptions& options = {});
+                              const KelleyOptions& options = {},
+                              lp::Solver* engine = nullptr);
 
 /// Convenience overload with no overrides.
 KelleyResult solve_relaxation(const Model& model, CutPool& pool,

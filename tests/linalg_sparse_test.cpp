@@ -12,98 +12,6 @@
 namespace hslb::linalg {
 namespace {
 
-TEST(SparseMatrix, FromTripletsSumsDuplicatesAndDropsZeros) {
-  const auto m = SparseMatrix::from_triplets(
-      3, 3,
-      {{0, 0, 1.0}, {2, 0, 4.0}, {1, 1, 2.0}, {1, 1, -2.0}, {0, 2, 3.0},
-       {0, 2, 0.5}});
-  EXPECT_EQ(m.rows(), 3u);
-  EXPECT_EQ(m.cols(), 3u);
-  EXPECT_EQ(m.nnz(), 3u);  // (1,1) cancelled; (0,2) summed to 3.5
-  ASSERT_EQ(m.col(0).size(), 2u);
-  EXPECT_EQ(m.col(0)[0].index, 0u);
-  EXPECT_DOUBLE_EQ(m.col(0)[0].value, 1.0);
-  EXPECT_EQ(m.col(0)[1].index, 2u);
-  EXPECT_DOUBLE_EQ(m.col(0)[1].value, 4.0);
-  EXPECT_TRUE(m.col(1).empty());
-  ASSERT_EQ(m.col(2).size(), 1u);
-  EXPECT_DOUBLE_EQ(m.col(2)[0].value, 3.5);
-}
-
-TEST(SparseMatrix, FromColumnsRejectsUnorderedRows) {
-  EXPECT_THROW(SparseMatrix::from_columns(3, {{{2, 1.0}, {1, 2.0}}}),
-               ContractViolation);
-  EXPECT_THROW(SparseMatrix::from_columns(3, {{{1, 1.0}, {1, 2.0}}}),
-               ContractViolation);
-}
-
-TEST(SparseMatrix, TransposedRoundTrip) {
-  Rng rng(31);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t rows = static_cast<std::size_t>(rng.uniform_int(1, 12));
-    const std::size_t cols = static_cast<std::size_t>(rng.uniform_int(1, 12));
-    std::vector<Triplet> trips;
-    Matrix dense(rows, cols);
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        if (rng.uniform(0.0, 1.0) < 0.3) {
-          const double v = rng.uniform(-2.0, 2.0);
-          trips.push_back({r, c, v});
-          dense(r, c) = v;
-        }
-      }
-    }
-    const auto m = SparseMatrix::from_triplets(rows, cols, trips);
-    const auto t = m.transposed();
-    EXPECT_EQ(t.rows(), cols);
-    EXPECT_EQ(t.cols(), rows);
-    EXPECT_EQ(t.nnz(), m.nnz());
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (const auto& [c, v] : t.col(r)) {
-        EXPECT_DOUBLE_EQ(v, dense(r, c));
-      }
-    }
-    // Transposing twice restores the original entry for entry.
-    const auto tt = t.transposed();
-    for (std::size_t c = 0; c < cols; ++c) {
-      ASSERT_EQ(tt.col(c).size(), m.col(c).size());
-      for (std::size_t k = 0; k < m.col(c).size(); ++k) {
-        EXPECT_EQ(tt.col(c)[k].index, m.col(c)[k].index);
-        EXPECT_DOUBLE_EQ(tt.col(c)[k].value, m.col(c)[k].value);
-      }
-    }
-  }
-}
-
-TEST(SparseMatrix, MulMatchesDense) {
-  Rng rng(77);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t rows = static_cast<std::size_t>(rng.uniform_int(1, 10));
-    const std::size_t cols = static_cast<std::size_t>(rng.uniform_int(1, 10));
-    std::vector<Triplet> trips;
-    Matrix dense(rows, cols);
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        if (rng.uniform(0.0, 1.0) < 0.4) {
-          const double v = rng.uniform(-3.0, 3.0);
-          trips.push_back({r, c, v});
-          dense(r, c) = v;
-        }
-      }
-    }
-    const auto m = SparseMatrix::from_triplets(rows, cols, trips);
-    Vector x(cols), y(rows);
-    for (auto& v : x) v = rng.uniform(-2.0, 2.0);
-    for (auto& v : y) v = rng.uniform(-2.0, 2.0);
-    const auto ax = m.mul(x);
-    const auto dax = dense.mul(x);
-    for (std::size_t i = 0; i < rows; ++i) EXPECT_NEAR(ax[i], dax[i], 1e-12);
-    const auto aty = m.mul_transpose(y);
-    const auto daty = dense.mul_transpose(y);
-    for (std::size_t i = 0; i < cols; ++i) EXPECT_NEAR(aty[i], daty[i], 1e-12);
-  }
-}
-
 TEST(Scatter, PatternTracksTouchedAndClearIsSparse) {
   Scatter s(8);
   s.add(3, 1.5);
@@ -130,28 +38,44 @@ std::vector<std::vector<SparseEntry>> to_columns(const Matrix& a) {
   return cols;
 }
 
-TEST(SparseLU, SolvesKnownSystemNeedingPivoting) {
+/// x = A^{-1} b and w = A^{-T} b through the span API (b is consumed).
+Vector solve(const UpdatableLU& lu, Vector b) {
+  Vector x(b.size());
+  lu.solve(b, x);
+  return x;
+}
+
+Vector solve_transpose(const UpdatableLU& lu, Vector b) {
+  Vector w(b.size());
+  lu.solve_transpose(b, w);
+  return w;
+}
+
+TEST(UpdatableLURefactor, SolvesKnownSystemNeedingPivoting) {
   const auto a = Matrix::from_rows({{0.0, 2.0}, {1.0, 1.0}});
-  const auto lu = SparseLU::factor(2, to_columns(a));
-  ASSERT_TRUE(lu.has_value());
-  const auto x = lu->solve({4.0, 3.0});
+  UpdatableLU lu;
+  ASSERT_TRUE(lu.refactor(to_columns(a)));
+  const auto x = solve(lu, {4.0, 3.0});
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
-  const auto xt = lu->solve_transpose({4.0, 3.0});
+  const auto xt = solve_transpose(lu, {4.0, 3.0});
   // A^T x = b: x = (3, 1/2): row checks 0*3+1*0.5... solve numerically below.
   const auto atx = a.mul_transpose(xt);
   EXPECT_NEAR(atx[0], 4.0, 1e-12);
   EXPECT_NEAR(atx[1], 3.0, 1e-12);
 }
 
-TEST(SparseLU, DetectsSingular) {
+TEST(UpdatableLURefactor, DetectsSingular) {
   const auto a = Matrix::from_rows({{1.0, 2.0}, {2.0, 4.0}});
-  EXPECT_FALSE(SparseLU::factor(2, to_columns(a)).has_value());
+  UpdatableLU lu;
+  EXPECT_FALSE(lu.refactor(to_columns(a)));
+  EXPECT_THROW(solve(lu, {1.0, 2.0}), ContractViolation);  // no factors
   // A structurally empty column is singular too.
-  EXPECT_FALSE(SparseLU::factor(2, {{{0, 1.0}, {1, 1.0}}, {}}).has_value());
+  EXPECT_FALSE(lu.refactor(std::vector<std::vector<SparseEntry>>{
+      {{0, 1.0}, {1, 1.0}}, {}}));
 }
 
-TEST(SparseLU, PropertyRandomSparseSolveMatchesDenseLU) {
+TEST(UpdatableLURefactor, PropertyRandomSparseSolveMatchesDenseLU) {
   Rng rng(55);
   for (int trial = 0; trial < 40; ++trial) {
     const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 24));
@@ -162,22 +86,22 @@ TEST(SparseLU, PropertyRandomSparseSolveMatchesDenseLU) {
       }
       a(i, i) += 3.0;  // keep it nonsingular and well-conditioned
     }
-    const auto slu = SparseLU::factor(n, to_columns(a));
-    ASSERT_TRUE(slu.has_value());
+    UpdatableLU slu;
+    ASSERT_TRUE(slu.refactor(to_columns(a)));
     Vector b(n);
     for (auto& v : b) v = rng.uniform(-5.0, 5.0);
 
-    const auto x = slu->solve(b);
+    const auto x = solve(slu, b);
     const auto ax = a.mul(x);
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(ax[i], b[i], 1e-8);
 
-    const auto xt = slu->solve_transpose(b);
+    const auto xt = solve_transpose(slu, b);
     const auto atxt = a.mul_transpose(xt);
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(atxt[i], b[i], 1e-8);
   }
 }
 
-TEST(SparseLU, HypersparseUnitRhsSolves) {
+TEST(UpdatableLURefactor, HypersparseUnitRhsSolves) {
   // A basis-like matrix: identity plus a few couplings. Solving against
   // unit vectors must reproduce columns/rows of the inverse.
   Rng rng(9);
@@ -189,17 +113,17 @@ TEST(SparseLU, HypersparseUnitRhsSolves) {
     const auto j = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
     if (i != j) a(i, j) = rng.uniform(-0.5, 0.5);
   }
-  const auto slu = SparseLU::factor(n, to_columns(a));
-  ASSERT_TRUE(slu.has_value());
+  UpdatableLU slu;
+  ASSERT_TRUE(slu.refactor(to_columns(a)));
   for (std::size_t k = 0; k < n; ++k) {
     Vector e(n, 0.0);
     e[k] = 1.0;
-    const auto x = slu->solve(e);
+    const auto x = solve(slu, e);
     const auto ax = a.mul(x);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(ax[i], i == k ? 1.0 : 0.0, 1e-9);
     }
-    const auto xt = slu->solve_transpose(e);
+    const auto xt = solve_transpose(slu, e);
     const auto atxt = a.mul_transpose(xt);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(atxt[i], i == k ? 1.0 : 0.0, 1e-9);
@@ -207,7 +131,7 @@ TEST(SparseLU, HypersparseUnitRhsSolves) {
   }
 }
 
-TEST(SparseLU, FillStaysNearBasisNnzOnSingletonHeavyBasis) {
+TEST(UpdatableLURefactor, FillStaysNearBasisNnzOnSingletonHeavyBasis) {
   // Slack-heavy simplex basis shape: mostly singleton columns, a few dense-ish
   // structural columns. Markowitz should keep fill close to the input nnz.
   const std::size_t n = 50;
@@ -241,9 +165,72 @@ TEST(SparseLU, FillStaysNearBasisNnzOnSingletonHeavyBasis) {
   }
   input_nnz = 0;
   for (const auto& c : cols) input_nnz += c.size();
-  const auto slu = SparseLU::factor(n, cols);
-  ASSERT_TRUE(slu.has_value());
-  EXPECT_LE(slu->nnz(), 2 * input_nnz + n);
+  UpdatableLU slu;
+  ASSERT_TRUE(slu.refactor(cols));
+  EXPECT_EQ(slu.nnz(), slu.base_fill());
+  EXPECT_LE(slu.nnz(), 2 * input_nnz + n);
+}
+
+
+/// Random sparse n x n matrix with a dominant diagonal, as columns.
+std::vector<std::vector<SparseEntry>> random_dominant(Rng& rng, std::size_t n) {
+  Matrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (rng.uniform(0.0, 1.0) < 0.25) a(i, j) = rng.uniform(-2.0, 2.0);
+    }
+    a(i, i) += 3.0;
+  }
+  return to_columns(a);
+}
+
+TEST(UpdatableLURefactor, ReusedObjectSolvesExactlyLikeFreshOnes) {
+  // One object refactored through bases that grow and shrink (with updates
+  // in between) must give bit-identical factors and solves to a fresh
+  // object per basis: no state may leak from one factorization to the next.
+  Rng rng(77);
+  UpdatableLU reused;
+  for (const std::size_t n : {12, 3, 30, 1, 30, 7, 18, 0, 9}) {
+    const auto cols = random_dominant(rng, n);
+    UpdatableLU fresh;
+    ASSERT_TRUE(fresh.refactor(cols));
+    ASSERT_TRUE(reused.refactor(cols));
+    EXPECT_EQ(reused.nnz(), fresh.nnz());
+    Vector b(n);
+    for (auto& v : b) v = rng.uniform(-5.0, 5.0);
+    EXPECT_EQ(solve(reused, b), solve(fresh, b));
+    EXPECT_EQ(solve_transpose(reused, b), solve_transpose(fresh, b));
+    if (n == 0) continue;
+    // One Forrest-Tomlin update on both, so the next refactor of `reused`
+    // starts from a state carrying row etas and moved steps.
+    Vector aq(n, 0.0), x(n);
+    for (std::size_t i = 0; i < n; ++i) aq[i] = rng.uniform(-1.0, 1.0);
+    aq[n / 2] += 4.0;
+    Vector aq2 = aq;
+    reused.solve_entering(aq, x);
+    fresh.solve_entering(aq2, x);
+    ASSERT_EQ(reused.update(n / 2), fresh.update(n / 2));
+    EXPECT_EQ(solve(reused, b), solve(fresh, b));
+    EXPECT_EQ(solve_transpose(reused, b), solve_transpose(fresh, b));
+  }
+}
+
+TEST(UpdatableLURefactor, SingularRefactorLeavesTheOtherBufferUsable) {
+  // The simplex keeps two factor buffers and refactors into the spare: a
+  // singular basis must fail cleanly and leave the active factors intact.
+  const auto good = Matrix::from_rows({{2.0, 1.0}, {1.0, 3.0}});
+  const auto singular = Matrix::from_rows({{1.0, 2.0}, {2.0, 4.0}});
+  UpdatableLU active, spare;
+  ASSERT_TRUE(active.refactor(to_columns(good)));
+  ASSERT_TRUE(spare.refactor(to_columns(good)));
+  EXPECT_FALSE(spare.refactor(to_columns(singular)));
+  const auto x = solve(active, {5.0, 10.0});
+  const auto ax = good.mul(x);
+  EXPECT_NEAR(ax[0], 5.0, 1e-12);
+  EXPECT_NEAR(ax[1], 10.0, 1e-12);
+  // The failed object factors again normally afterwards.
+  ASSERT_TRUE(spare.refactor(to_columns(good)));
+  EXPECT_EQ(solve(spare, {5.0, 10.0}), x);
 }
 
 }  // namespace

@@ -103,12 +103,21 @@ TEST(LpModel, EqualityHelper) {
   EXPECT_DOUBLE_EQ(m.row_upper(r), 2.5);
 }
 
-TEST(LpModel, NamesDefaulted) {
+TEST(LpModel, ConstraintSortsColumnsAndSumsDuplicatesInTheOrderGiven) {
   Model m;
-  const auto x = m.add_variable(0.0, 1.0, 0.0);
-  EXPECT_EQ(m.col_name(x), "x0");
-  const auto r = m.add_constraint({{x, 1.0}}, 0.0, 1.0);
-  EXPECT_EQ(m.row_name(r), "r0");
+  const auto x = m.add_variable(0.0, 10.0, 1.0);
+  const auto y = m.add_variable(0.0, 10.0, 1.0);
+  // x's entries sum left to right: 1e16 + 1 rounds back to 1e16, so the
+  // three cancel exactly and x leaves the row.
+  const auto r = m.add_constraint(
+      {{y, 0.5}, {x, 1e16}, {x, 1.0}, {y, 0.25}, {x, -1e16}}, 0.0, 5.0);
+  ASSERT_EQ(m.row(r).size(), 1u);
+  EXPECT_EQ(m.row(r)[0].first, y);
+  EXPECT_EQ(m.row(r)[0].second, 0.75);
+  const auto r2 = m.add_constraint({{y, 2.0}, {x, 1.0}}, 0.0, 5.0);
+  ASSERT_EQ(m.row(r2).size(), 2u);
+  EXPECT_EQ(m.row(r2)[0].first, x);
+  EXPECT_EQ(m.row(r2)[1].first, y);
 }
 
 }  // namespace

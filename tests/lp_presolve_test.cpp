@@ -18,9 +18,9 @@ Options presolve_on() {
 
 TEST(Presolve, FixedColumnIsSubstitutedOut) {
   Model m;
-  const auto x = m.add_variable(3.0, 3.0, 1.0, "x");   // fixed
-  const auto y = m.add_variable(0.0, 10.0, 1.0, "y");
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, 5.0, kInf, "r");
+  const auto x = m.add_variable(3.0, 3.0, 1.0);   // fixed
+  const auto y = m.add_variable(0.0, 10.0, 1.0);
+  m.add_constraint({{x, 1.0}, {y, 1.0}}, 5.0, kInf);
 
   const Presolve pre = Presolve::run(m);
   ASSERT_EQ(pre.status(), Presolve::Status::Reduced);
@@ -36,8 +36,8 @@ TEST(Presolve, FixedColumnIsSubstitutedOut) {
 
 TEST(Presolve, SingletonRowBecomesABound) {
   Model m;
-  const auto x = m.add_variable(0.0, 100.0, -1.0, "x");
-  m.add_constraint({{x, 2.0}}, -kInf, 12.0, "cap");  // x <= 6
+  const auto x = m.add_variable(0.0, 100.0, -1.0);
+  m.add_constraint({{x, 2.0}}, -kInf, 12.0);  // x <= 6
 
   const Presolve pre = Presolve::run(m);
   EXPECT_GE(pre.rows_removed(), 1u);
@@ -55,9 +55,9 @@ TEST(Presolve, SingletonRowBecomesABound) {
 
 TEST(Presolve, RedundantAndEmptyRowsAreDropped) {
   Model m;
-  const auto x = m.add_variable(0.0, 1.0, 1.0, "x");
-  m.add_constraint({{x, 1.0}}, -kInf, 50.0, "slack_cap");  // never binds
-  m.add_constraint({{x, 1.0}}, -5.0, kInf, "slack_floor"); // never binds
+  const auto x = m.add_variable(0.0, 1.0, 1.0);
+  m.add_constraint({{x, 1.0}}, -kInf, 50.0);  // never binds
+  m.add_constraint({{x, 1.0}}, -5.0, kInf); // never binds
 
   const Presolve pre = Presolve::run(m);
   ASSERT_EQ(pre.status(), Presolve::Status::Reduced);
@@ -71,8 +71,8 @@ TEST(Presolve, RedundantAndEmptyRowsAreDropped) {
 
 TEST(Presolve, InfeasibleEmptyRowDetected) {
   Model m;
-  const auto x = m.add_variable(2.0, 2.0, 0.0, "x");
-  m.add_constraint({{x, 1.0}}, 5.0, kInf, "impossible");  // 2 >= 5
+  const auto x = m.add_variable(2.0, 2.0, 0.0);
+  m.add_constraint({{x, 1.0}}, 5.0, kInf);  // 2 >= 5
 
   const Presolve pre = Presolve::run(m);
   EXPECT_EQ(pre.status(), Presolve::Status::Infeasible);
@@ -84,9 +84,9 @@ TEST(Presolve, DominatedColumnPinnedAtBound) {
   Model m;
   // y only appears with positive coefficients in <=-rows and has c > 0:
   // every pull is downward, so presolve pins it at its lower bound.
-  const auto x = m.add_variable(0.0, 4.0, -1.0, "x");
-  const auto y = m.add_variable(1.0, 9.0, 2.0, "y");
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, -kInf, 8.0, "r");
+  const auto x = m.add_variable(0.0, 4.0, -1.0);
+  const auto y = m.add_variable(1.0, 9.0, 2.0);
+  m.add_constraint({{x, 1.0}, {y, 1.0}}, -kInf, 8.0);
 
   const Presolve pre = Presolve::run(m);
   EXPECT_GE(pre.cols_removed(), 1u);
@@ -102,9 +102,9 @@ TEST(Presolve, ImpliedFreeColumnSingletonSubstituted) {
   Model m;
   // s appears only in the equality row and its huge box never binds, so the
   // pair (s, row) is substituted out; postsolve recomputes s from the row.
-  const auto x = m.add_variable(0.0, 3.0, -1.0, "x");
-  const auto s = m.add_variable(-100.0, 100.0, 0.5, "s");
-  m.add_equality({{x, 1.0}, {s, 1.0}}, 5.0, "link");
+  const auto x = m.add_variable(0.0, 3.0, -1.0);
+  const auto s = m.add_variable(-100.0, 100.0, 0.5);
+  m.add_equality({{x, 1.0}, {s, 1.0}}, 5.0);
 
   const Presolve pre = Presolve::run(m);
   EXPECT_GE(pre.cols_removed(), 1u);
@@ -122,9 +122,9 @@ TEST(Presolve, ImpliedFreeColumnSingletonSubstituted) {
 TEST(Presolve, ActivityBoundTighteningCounts) {
   Model m;
   // x + y >= 9 with y <= 5 implies x >= 4 (x's own bound is 0).
-  const auto x = m.add_variable(0.0, 10.0, 1.0, "x");
-  const auto y = m.add_variable(0.0, 5.0, 1.0, "y");
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, 9.0, kInf, "cover");
+  const auto x = m.add_variable(0.0, 10.0, 1.0);
+  const auto y = m.add_variable(0.0, 5.0, 1.0);
+  m.add_constraint({{x, 1.0}, {y, 1.0}}, 9.0, kInf);
 
   const Presolve pre = Presolve::run(m);
   ASSERT_EQ(pre.status(), Presolve::Status::Reduced);
@@ -216,11 +216,11 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PresolveParity, ::testing::Range(0, 60));
 /// onto the binding row). Checks c - A^T y is a valid reduced-cost vector.
 TEST(Presolve, SingletonRowDualsAreStationary) {
   Model m;
-  const auto x = m.add_variable(0.0, 100.0, 3.0, "x");
-  const auto y = m.add_variable(0.0, 100.0, -5.0, "y");
-  m.add_constraint({{x, 1.0}}, -kInf, 4.0, "x_cap");
-  m.add_constraint({{y, 2.0}}, -kInf, 12.0, "y_cap");
-  m.add_constraint({{x, 3.0}, {y, 2.0}}, -kInf, 18.0, "mix");
+  const auto x = m.add_variable(0.0, 100.0, 3.0);
+  const auto y = m.add_variable(0.0, 100.0, -5.0);
+  m.add_constraint({{x, 1.0}}, -kInf, 4.0);
+  m.add_constraint({{y, 2.0}}, -kInf, 12.0);
+  m.add_constraint({{x, 3.0}, {y, 2.0}}, -kInf, 18.0);
 
   const Solution sol = solve(m, presolve_on());
   ASSERT_EQ(sol.status, Status::Optimal);

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -318,10 +323,10 @@ INSTANTIATE_TEST_SUITE_P(Sweep, SimplexRandomWide, ::testing::Range(0, 100));
 // tightened variable bounds (branching) and appended rows (OA cuts).
 // ---------------------------------------------------------------------------
 
-Model random_bounded_lp(Rng& rng) {
+Model random_bounded_lp(Rng& rng, int max_cols = 10, int max_rows = 6) {
   Model m;
-  const int n = static_cast<int>(rng.uniform_int(4, 10));
-  const int rows = static_cast<int>(rng.uniform_int(2, 6));
+  const int n = static_cast<int>(rng.uniform_int(4, max_cols));
+  const int rows = static_cast<int>(rng.uniform_int(2, max_rows));
   for (int j = 0; j < n; ++j)
     m.add_variable(0.0, rng.uniform(2.0, 8.0), rng.uniform(-1.0, 1.0));
   for (int r = 0; r < rows; ++r) {
@@ -456,6 +461,182 @@ TEST_P(SimplexCertifiedSweep, OptimalSolvesCertifyAndCountersHold) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SimplexCertifiedSweep,
                          ::testing::Range(0, 60));
+
+// ---------------------------------------------------------------------------
+// Engine reuse: one lp::Solver carried through models of growing and
+// shrinking size answers every solve exactly as a fresh lp::solve does.
+// ---------------------------------------------------------------------------
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](double x, double y) { return same_bits(x, y); });
+}
+
+void expect_identical(const Solution& got, const Solution& want,
+                      const std::string& what) {
+  EXPECT_EQ(got.status, want.status) << what;
+  EXPECT_TRUE(same_bits(got.objective, want.objective)) << what;
+  EXPECT_TRUE(same_bits(got.x, want.x)) << what;
+  EXPECT_TRUE(same_bits(got.duals, want.duals)) << what;
+  EXPECT_EQ(got.iterations, want.iterations) << what;
+  EXPECT_TRUE(same_bits(got.max_primal_violation, want.max_primal_violation))
+      << what;
+  EXPECT_TRUE(got.basis.cols == want.basis.cols) << what;
+  EXPECT_TRUE(got.basis.rows == want.basis.rows) << what;
+  EXPECT_EQ(got.warm_started, want.warm_started) << what;
+  const SolveStats& g = got.stats;
+  const SolveStats& w = want.stats;
+  const std::array<std::pair<std::size_t, std::size_t>, 17> fields{{
+      {g.pivots, w.pivots},
+      {g.kernel_flops, w.kernel_flops},
+      {g.kernel_dense_flops, w.kernel_dense_flops},
+      {g.refactorizations, w.refactorizations},
+      {g.basis_nnz, w.basis_nnz},
+      {g.lu_fill, w.lu_fill},
+      {g.ft_updates, w.ft_updates},
+      {g.ft_fill_nnz, w.ft_fill_nnz},
+      {g.refactor_interval_hits, w.refactor_interval_hits},
+      {g.refactor_fill_hits, w.refactor_fill_hits},
+      {g.refactor_drift_hits, w.refactor_drift_hits},
+      {g.dual_pivots, w.dual_pivots},
+      {g.phase1_pivots, w.phase1_pivots},
+      {g.dual_phase1_avoided, w.dual_phase1_avoided},
+      {g.presolve_rows_removed, w.presolve_rows_removed},
+      {g.presolve_cols_removed, w.presolve_cols_removed},
+      {g.presolve_bounds_tightened, w.presolve_bounds_tightened},
+  }};
+  for (std::size_t i = 0; i < fields.size(); ++i)
+    EXPECT_EQ(fields[i].first, fields[i].second)
+        << what << ", stats field " << i;
+}
+
+/// One solve: a model, its options and the warm-start basis (none if empty).
+struct ReuseJob {
+  std::string name;
+  Model model;
+  Options options;
+  Basis basis;
+};
+
+/// The certified sweep's 60 LPs, the warm-branch and warm-cut sequences
+/// (each warm child also solved cold), larger LPs cold and warm, an
+/// infeasible and an unbounded model, and presolved cold solves.
+std::vector<ReuseJob> reuse_jobs() {
+  std::vector<ReuseJob> jobs;
+  for (int p = 0; p < 60; ++p) {
+    Rng rng(static_cast<std::uint64_t>(p) * 9551 + 17);
+    jobs.push_back(
+        {"certified " + std::to_string(p), random_bounded_lp(rng), {}, {}});
+  }
+  for (int p = 0; p < 50; ++p) {
+    Rng rng(static_cast<std::uint64_t>(p) * 6151 + 3);
+    const Model parent = random_bounded_lp(rng);
+    const Solution psol = solve(parent);
+    if (psol.status != Status::Optimal) continue;
+    for (int variant = 0; variant < 4; ++variant) {
+      Model child = parent;
+      const int k = static_cast<int>(rng.uniform_int(1, 3));
+      for (int j = 0; j < k; ++j) {
+        const auto v = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<long long>(parent.num_cols()) - 1));
+        if (rng.uniform() < 0.5)
+          child.set_col_upper(v, std::floor(psol.x[v]));
+        else
+          child.set_col_lower(v, std::ceil(psol.x[v] + 0.5));
+      }
+      const std::string name = "branch " + std::to_string(p) + "." +
+                               std::to_string(variant);
+      jobs.push_back({name + " warm", child, {}, psol.basis});
+      jobs.push_back({name + " cold", std::move(child), {}, {}});
+    }
+  }
+  for (int p = 0; p < 50; ++p) {
+    Rng rng(static_cast<std::uint64_t>(p) * 7673 + 11);
+    const Model parent = random_bounded_lp(rng);
+    const Solution psol = solve(parent);
+    if (psol.status != Status::Optimal) continue;
+    Model child = parent;
+    const int k = static_cast<int>(rng.uniform_int(1, 3));
+    for (int r = 0; r < k; ++r) {
+      std::vector<Coeff> coeffs;
+      double activity = 0.0;
+      for (std::size_t j = 0; j < parent.num_cols(); ++j) {
+        if (rng.uniform() < 0.6) {
+          const double a = rng.uniform(-1.0, 1.0);
+          coeffs.push_back({j, a});
+          activity += a * psol.x[j];
+        }
+      }
+      if (coeffs.empty()) coeffs.push_back({0, 1.0});
+      const double rhs = r == 0 ? activity - rng.uniform(0.05, 0.5)
+                                : activity + rng.uniform(0.0, 1.0);
+      child.add_constraint(std::move(coeffs), -kInf, rhs);
+    }
+    const std::string name = "cuts " + std::to_string(p);
+    jobs.push_back({name + " warm", child, {}, psol.basis});
+    jobs.push_back({name + " cold", std::move(child), {}, {}});
+  }
+  for (int p = 0; p < 6; ++p) {
+    Rng rng(static_cast<std::uint64_t>(p) * 131 + 5);
+    Model big = random_bounded_lp(rng, 60, 40);
+    const Solution bsol = solve(big);
+    const std::string name = "large " + std::to_string(p);
+    jobs.push_back({name, big, {}, {}});
+    big.set_col_upper(0, std::floor(bsol.x[0] * 0.5));
+    jobs.push_back({name + " branched warm", std::move(big), {}, bsol.basis});
+  }
+  Options presolve;
+  presolve.presolve = true;
+  for (int p = 0; p < 4; ++p) {
+    Rng rng(static_cast<std::uint64_t>(p) * 977 + 1);
+    Model m = random_bounded_lp(rng, 30, 20);
+    m.set_col_upper(1, m.col_lower(1));  // a fixed column presolve removes
+    m.add_constraint({{2, 1.0}}, -kInf, 1.5);  // a singleton row
+    jobs.push_back(
+        {"presolved " + std::to_string(p), std::move(m), presolve, {}});
+  }
+  Model infeasible;
+  const auto x = infeasible.add_variable(0.0, 1.0, 1.0);
+  infeasible.add_constraint({{x, 1.0}}, 2.0, kInf);
+  jobs.push_back({"infeasible", std::move(infeasible), {}, {}});
+  Model unbounded;
+  const auto u = unbounded.add_variable(0.0, kInf, -1.0);
+  const auto v = unbounded.add_variable(0.0, kInf, -1.0);
+  unbounded.add_constraint({{u, 1.0}, {v, -1.0}}, -kInf, 1.0);
+  jobs.push_back({"unbounded", std::move(unbounded), {}, {}});
+  return jobs;
+}
+
+TEST(SimplexEngineReuse, EverySolveMatchesAFreshSolveBitForBit) {
+  std::vector<ReuseJob> jobs = reuse_jobs();
+  // Seeded shuffle: sizes grow and shrink, warm follows cold at random.
+  Rng rng(2026);
+  for (std::size_t i = jobs.size() - 1; i > 0; --i)
+    std::swap(jobs[i], jobs[static_cast<std::size_t>(
+                           rng.uniform_int(0, static_cast<long long>(i)))]);
+  Solver engine;
+  std::size_t warm = 0, presolved = 0, infeasible = 0, unbounded = 0;
+  for (const ReuseJob& job : jobs) {
+    Options opt = job.options;
+    if (!job.basis.empty()) opt.warm_start = &job.basis;
+    const Solution fresh = solve(job.model, opt);
+    const Solution reused = engine.solve(job.model, opt);
+    expect_identical(reused, fresh, job.name);
+    warm += reused.warm_started ? 1 : 0;
+    presolved += reused.stats.presolve_cols_removed > 0 ? 1 : 0;
+    infeasible += reused.status == Status::Infeasible ? 1 : 0;
+    unbounded += reused.status == Status::Unbounded ? 1 : 0;
+  }
+  EXPECT_EQ(jobs.size(), 578u);
+  EXPECT_GT(warm, 150u);
+  EXPECT_EQ(presolved, 4u);
+  EXPECT_GT(infeasible, 0u);
+  EXPECT_EQ(unbounded, 1u);
+}
 
 TEST(Certify, FlagsPlantedWrongAnswers) {
   // min x + 2y  s.t.  x + y >= 1,  x, y in [0, 2]: x = 1 on the active
