@@ -64,7 +64,7 @@ namespace {
 /// The CESM substrate behind the hslb::Pipeline engine: gather_plan's
 /// per-component node counts, order-independent simulator probes, the
 /// Table I layout MINLP as the Solve step, and a full simulated coupled
-/// run as Execute.
+/// run, chunk by chunk, as Execute.
 class CesmApplication final : public Application, public BaselineReporter {
  public:
   CesmApplication(Resolution r, long long total_nodes,
@@ -98,19 +98,8 @@ class CesmApplication final : public Application, public BaselineReporter {
     return outcome_from(solution_);
   }
 
-  double execute(const SolveOutcome&) override {
-    const auto machine =
-        Simulator::machine_for(options_.layout, solution_.nodes);
-    run_ = sim_.run_coupled(options_.layout, solution_.nodes,
-                            options_.coupling_intervals,
-                            make_perturb(machine.nodes));
-    actual_seconds_ = run_.component_seconds;
-    actual_total_ = run_.total_seconds;
-    executed_ = true;
-    return actual_total_;
-  }
-
-  // --- Closed-loop hooks: the coupled run in intervals_per_epoch chunks ---
+  // --- Epoch hooks: the coupled run in intervals_per_epoch chunks, with no
+  // controller on a static run (Application::execute) ---
 
   bool supports_epochs() const override { return true; }
 

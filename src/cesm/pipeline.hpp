@@ -5,8 +5,9 @@
 //                (ocean probes only its sweet-spot counts);
 //   2. Fit     — per-component performance models with R^2 diagnostics;
 //   3. Solve   — the layout MINLP of Table I via LP/NLP branch-and-bound;
-//   4. Execute — a full simulated run at the chosen allocation, reported
-//                next to the prediction exactly like Table III's
+//   4. Execute — a full simulated coupled run at the chosen allocation
+//                (CoupledChunkRunner in intervals_per_epoch chunks),
+//                reported next to the prediction exactly like Table III's
 //                "Predicted Time" / "Actual Time" columns.
 #pragma once
 
@@ -43,11 +44,14 @@ struct PipelineOptions {
   double fail_downtime = std::numeric_limits<double>::infinity();
 
   /// Closed-loop rebalancing (hslb::Controller): when `rebalance.adaptive`
-  /// is set, the Execute step runs the coupled simulation in chunks of
-  /// `intervals_per_epoch` coupling intervals and the monitor -> refit ->
-  /// re-solve -> migrate loop reacts between chunks. Off, or on but never
-  /// triggered, the run is bit-identical to the static pipeline.
+  /// is set, the monitor -> refit -> re-solve -> migrate loop reacts
+  /// between chunks. Off, or on but never triggered, the run is
+  /// bit-identical to the static pipeline.
   RebalancePolicy rebalance;
+  /// Coupling intervals per chunk of the Execute step, static or adaptive
+  /// (CoupledChunkRunner). The chunk size does not change a static run,
+  /// not even one stopped by a permanent failure; it sets how often the
+  /// controller may act.
   int intervals_per_epoch = 4;
   /// Data each re-placed node drags along when the layout moves (restart
   /// state, GB per node); 0 makes migrations free.

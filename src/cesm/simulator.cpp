@@ -10,23 +10,16 @@
 
 #include "common/contracts.hpp"
 #include "common/stats.hpp"
+#include "sim/noise.hpp"
 
 namespace hslb::cesm {
 
 Simulator::Simulator(Resolution r, SimulatorOptions options)
-    : resolution_(r),
-      options_(options),
-      noise_(options.noise_cv, options.seed),
-      ice_noise_(options.ice_noise_cv, options.seed ^ 0x9e3779b97f4a7c15ull) {}
+    : resolution_(r), options_(options) {}
 
 double Simulator::true_seconds(Component c, long long nodes) const {
   HSLB_EXPECTS(nodes >= 1);
   return ground_truth(resolution_, c).eval(static_cast<double>(nodes));
-}
-
-double Simulator::benchmark(Component c, long long nodes) {
-  const double truth = true_seconds(c, nodes);
-  return c == Component::Ice ? ice_noise_.perturb(truth) : noise_.perturb(truth);
 }
 
 double Simulator::benchmark_at(Component c, long long nodes,
@@ -38,18 +31,6 @@ double Simulator::benchmark_at(Component c, long long nodes,
                   static_cast<std::uint64_t>(nodes) * 4096 + rep);
   sim::NoiseModel noise(cv, seed);
   return noise.perturb(true_seconds(c, nodes));
-}
-
-std::array<double, 4> Simulator::run_components(
-    const std::array<long long, 4>& nodes) {
-  std::array<double, 4> out{};
-  for (Component c : kComponents) out[index(c)] = benchmark(c, nodes[index(c)]);
-  return out;
-}
-
-double Simulator::run_total(Layout layout,
-                            const std::array<long long, 4>& nodes) {
-  return layout_total(layout, run_components(nodes));
 }
 
 long long Simulator::layout_width(Layout layout,
@@ -113,8 +94,7 @@ constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 /// already completed (a failure re-run) are dropped — the run clock covers
 /// them. `barrier` carries the previous interval's coupler-barrier tasks
 /// in and leaves this interval's behind. Returns runtime ids (kNone = not
-/// added); both run_coupled and the chunk runner build through here, so
-/// the mono and epoch-split schedules cannot drift apart.
+/// added).
 std::array<std::size_t, 4> add_interval(sim::Runtime& rt, Layout layout,
                                         const std::array<sim::NodeSet, 4>& blocks,
                                         const std::array<double, 4>& seconds,
@@ -163,52 +143,13 @@ std::array<std::size_t, 4> add_interval(sim::Runtime& rt, Layout layout,
 Simulator::CoupledRun Simulator::run_coupled(
     Layout layout, const std::array<long long, 4>& nodes, int intervals,
     const sim::Perturbation& perturb) const {
-  HSLB_EXPECTS(intervals >= 1);
-  CoupledRun out;
-  out.intervals = intervals;
-
-  const sim::Machine machine = machine_for(layout, nodes);
-  sim::Runtime rt(machine);
-  const auto blocks = blocks_for(layout, nodes, 0);
-
-  // Per-interval durations are keyed (order-independent) draws — the same
-  // convention as benchmark_at probes, offset into a dedicated rep range.
-  const double inv = 1.0 / static_cast<double>(intervals);
-  constexpr std::array<char, 4> kAllPending{1, 1, 1, 1};
-
-  std::vector<std::pair<std::size_t, Component>> placed;
-  placed.reserve(static_cast<std::size_t>(intervals) * kComponents.size());
-  std::vector<std::size_t> barrier;  // what the next interval waits on
-  for (int k = 0; k < intervals; ++k) {
-    std::array<double, 4> seconds;
-    for (Component c : kComponents) {
-      seconds[index(c)] =
-          benchmark_at(c, nodes[index(c)],
-                       (1ull << 20) + static_cast<std::uint64_t>(k)) *
-          inv;
-    }
-    const auto ids =
-        add_interval(rt, layout, blocks, seconds,
-                     "interval" + std::to_string(k), kAllPending, barrier);
-    for (Component c : kComponents) placed.emplace_back(ids[index(c)], c);
-  }
-
-  const auto rr = rt.run(perturb);
-  out.trace = rr.trace;
-  out.completed = rr.completed;
-  out.restarts = rr.restarts;
-  out.total_seconds = rr.makespan;
-  out.events = rr.trace.events.size();
-  for (const auto& [id, c] : placed) {
-    const auto& s = rr.tasks[id];
-    if (std::isfinite(s.end))
-      out.component_seconds[index(c)] += s.end - s.start;
-  }
-
-  // Barrier-free reference: the paper's formula on the summed times.
-  out.coupling_loss_seconds =
-      out.total_seconds - layout_total(layout, out.component_seconds);
-  return out;
+  // One chunk with no controller: the step either finishes the run or
+  // stops it at a permanent-failure pause.
+  CoupledChunkRunner runner(*this, layout, intervals, intervals,
+                            machine_for(layout, nodes), perturb);
+  runner.install(nodes);
+  runner.step();
+  return runner.finish();
 }
 
 CoupledChunkRunner::CoupledChunkRunner(const Simulator& sim, Layout layout,
@@ -290,7 +231,6 @@ EpochOutcome CoupledChunkRunner::step() {
     // gather_plan's floor: a partition under 8 nodes cannot host a
     // re-solved CESM layout.
     if (budget() < 8) {
-      unrecoverable_ = true;
       done_ = true;
       out_.completed = false;
       r.done = true;
@@ -342,6 +282,7 @@ double CoupledChunkRunner::migration_volume(
 }
 
 Simulator::CoupledRun CoupledChunkRunner::finish() {
+  if (!done_) out_.completed = false;
   out_.intervals = intervals_;
   out_.trace = core_.trace();
   out_.restarts = core_.restarts();

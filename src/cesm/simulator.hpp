@@ -17,7 +17,6 @@
 #include "hslb/pipeline.hpp"
 #include "sim/epoch.hpp"
 #include "sim/machine.hpp"
-#include "sim/noise.hpp"
 #include "sim/runtime.hpp"
 #include "sim/trace.hpp"
 
@@ -29,24 +28,17 @@ struct SimulatorOptions {
   std::uint64_t seed = 11;
 };
 
+/// Immutable after construction: every draw is keyed, so one Simulator may
+/// serve concurrent probes and runs.
 class Simulator {
  public:
   Simulator(Resolution r, SimulatorOptions options = {});
 
-  /// One benchmark probe: component `c` run on `nodes` nodes (noisy).
-  /// Draws from the simulator's shared RNG streams (stateful).
-  double benchmark(Component c, long long nodes);
-
-  /// Order-independent probe for the parallel Gather stage: the noise draw
-  /// is derived from (seed, component, nodes, rep) only, so concurrent
-  /// probes return identical values for every thread count and call order.
+  /// One benchmark probe: component `c` run on `nodes` nodes, repetition
+  /// `rep`. The noise draw is derived from (seed, component, nodes, rep)
+  /// only, so concurrent probes return identical values for every thread
+  /// count and call order.
   double benchmark_at(Component c, long long nodes, std::uint64_t rep) const;
-
-  /// A full coupled run at the given allocation: per-component times.
-  std::array<double, 4> run_components(const std::array<long long, 4>& nodes);
-
-  /// Full-run wall-clock under a layout's sequencing semantics.
-  double run_total(Layout layout, const std::array<long long, 4>& nodes);
 
   /// Noise-free component time (for oracle comparisons in tests/benches).
   double true_seconds(Component c, long long nodes) const;
@@ -93,7 +85,9 @@ class Simulator {
   /// real time that the paper's wall-clock formula (layout_total) cannot
   /// see — run_coupled measures that loss. Per-interval durations are keyed
   /// (order-independent) draws; `perturb` adds stragglers and fail-stop on
-  /// top (its own noise_cv is usually left 0).
+  /// top (its own noise_cv is usually left 0). This is CoupledChunkRunner
+  /// on machine_for(layout, nodes) in one chunk with no controller: a
+  /// permanent failure stops the run at its pause, incomplete.
   CoupledRun run_coupled(Layout layout, const std::array<long long, 4>& nodes,
                          int intervals = 24,
                          const sim::Perturbation& perturb = {}) const;
@@ -101,16 +95,15 @@ class Simulator {
  private:
   Resolution resolution_;
   SimulatorOptions options_;
-  sim::NoiseModel noise_;
-  sim::NoiseModel ice_noise_;
 };
 
-/// Epoch-by-epoch coupled run for the closed-loop controller: each step()
-/// runs a chunk of coupling intervals on a sim::EpochCore — the coupler
-/// barrier joins every node, so a run that never rebalances reproduces
-/// run_coupled's schedule, trace and accounting bit-identically
+/// The coupled run, chunk by chunk: each step() runs a chunk of coupling
+/// intervals on a sim::EpochCore. The coupler barrier joins every node, so
+/// the schedule, trace and accounting do not depend on the chunk size
 /// (per-interval durations are keyed by the absolute interval index, which
-/// the chunk split preserves).
+/// the chunk split preserves): Simulator::run_coupled is one chunk, a
+/// static pipeline run intervals_per_epoch-sized chunks with no
+/// controller, an adaptive run the same chunks under hslb::Controller.
 ///
 /// On a permanent node failure the chunk pauses (failure_detected): the
 /// caller re-solves the layout over budget() — the largest contiguous
@@ -121,7 +114,7 @@ class CoupledChunkRunner {
  public:
   /// `machine` is the partition the run occupies (machine_for, optionally
   /// with finite link bandwidth so migration has a price); `perturb` adds
-  /// stragglers / fail-stop exactly as run_coupled would.
+  /// stragglers / fail-stop on top of the keyed per-interval noise.
   CoupledChunkRunner(const Simulator& sim, Layout layout, int intervals,
                      int intervals_per_epoch, sim::Machine machine,
                      sim::Perturbation perturb);
@@ -154,8 +147,9 @@ class CoupledChunkRunner {
 
   const sim::Machine& machine() const { return core_.machine(); }
 
-  /// Finalizes accounting (same shape run_coupled returns). Call once,
-  /// after step() reported done.
+  /// Finalizes accounting (same shape run_coupled returns). Call once:
+  /// after step() reported done, or to stop the run early (it is then
+  /// incomplete).
   Simulator::CoupledRun finish();
 
  private:
@@ -172,7 +166,6 @@ class CoupledChunkRunner {
   int cursor_ = 0;  ///< first interval not yet fully completed
   std::vector<std::array<char, 4>> pending_;  ///< [interval][component]
   bool done_ = false;
-  bool unrecoverable_ = false;
 
   Simulator::CoupledRun out_;
 };

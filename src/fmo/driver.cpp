@@ -93,17 +93,6 @@ class FmoApplication final : public Application, public BaselineReporter {
     return out;
   }
 
-  double execute(const SolveOutcome& solution) override {
-    probe_and_fit_dimers();
-    hslb_ = run_hslb(sys_, cost_, solution.allocation, nodes_,
-                     dimer_predictions_, options_.run);
-    const std::size_t dlb_groups =
-        options_.dlb_groups == 0 ? sys_.num_fragments() : options_.dlb_groups;
-    dlb_ = run_dlb(sys_, cost_, GroupLayout::uniform(nodes_, dlb_groups),
-                   options_.run);
-    return hslb_.scc_seconds;
-  }
-
   sim::Machine machine() const override {
     if (options_.run.machine.nodes > 0) return options_.run.machine;
     return sim::Machine{"intrepid", static_cast<std::size_t>(nodes_), 4};
@@ -130,10 +119,11 @@ class FmoApplication final : public Application, public BaselineReporter {
     return out;
   }
 
-  // -- Adaptive execution (closed loop) -------------------------------------
+  // -- Epoch execution --------------------------------------------------------
   // One SCC iteration (wave + sync) per epoch, then one dimer-phase epoch,
-  // on the fmo::EpochRunner that execute() runs through run_hslb, so an
-  // untriggered adaptive run matches execute() by construction.
+  // on an fmo::EpochRunner. A static run is these epochs with no
+  // controller (Application::execute), so an untriggered adaptive run
+  // matches it by construction.
 
   bool supports_epochs() const override { return true; }
 

@@ -16,6 +16,8 @@ namespace hslb::fmo {
 
 namespace {
 
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
 /// Tasks (by fragment or dimer index) in descending work order — the shared
 /// counter in GAMESS hands out big fragments first.
 template <typename SizeOf>
@@ -222,332 +224,277 @@ ExecutionResult run_dlb(const System& sys, const CostModel& cost,
 // EpochRunner: the HSLB schedule, one barrier-aligned epoch at a time on the
 // shared sim::EpochCore. run_hslb is this runner with no controller.
 
-struct EpochRunner::Impl {
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-
-  const System& sys;
-  const CostModel& cost;
-  const DimerPredictions dimers;
-  const RunOptions options;
-  sim::EpochCore core;
-
-  std::vector<perf::Model> monomers;
-  std::vector<std::size_t> pairs;
-
-  // Installed layout: contiguous fragment blocks from the segment start.
-  std::vector<long long> group_nodes;
-  std::vector<sim::NodeSet> frag_nodes;
-  bool installed = false;
-
-  // Progress cursors.
-  int iter = 0;  ///< next (or in-flight) SCC iteration
-  bool in_dimer = false;
-  bool done = false;  ///< no epoch left to run (out.completed says why)
-  std::vector<char> pending_monomers;  ///< current iteration's open wave
-  std::vector<char> pending_dimers;
-
-  ExecutionResult out;
-  std::vector<char> monomer_energy_added;
-  std::vector<char> dimer_energy_added;
-
-  Impl(const System& s, const CostModel& c, long long nodes,
-       const DimerPredictions& d, const RunOptions& o)
-      : sys(s), cost(c), dimers(d), options(o), core(epoch_core(o, nodes)) {
-    HSLB_EXPECTS(!sys.fragments.empty());
-    HSLB_EXPECTS(options.scc_iterations >= 1);
-    HSLB_EXPECTS(dimers.models.empty() ||
-                 dimers.models.size() == sys.scf_dimers.size());
-    HSLB_EXPECTS(options.task_scale.empty() ||
-                 options.task_scale.size() == sys.fragments.size());
-    monomers.reserve(sys.fragments.size());
-    for (const auto& f : sys.fragments) monomers.push_back(cost.monomer(f));
-    const auto counts = sys.scf_neighbor_counts();
-    pairs.assign(counts.begin(), counts.end());
-    pending_monomers.assign(sys.fragments.size(), 1);
-    pending_dimers.assign(sys.scf_dimers.size(), 1);
-    monomer_energy_added.assign(sys.fragments.size(), 0);
-    dimer_energy_added.assign(sys.scf_dimers.size(), 0);
-    out.scc_iterations = options.scc_iterations;
-    out.group_busy.assign(sys.fragments.size(), 0.0);
-  }
-
-  /// Node count per fragment, in fragment order.
-  std::vector<long long> nodes_of(const Allocation& allocation) const {
-    HSLB_EXPECTS(allocation.tasks.size() == sys.fragments.size());
-    std::vector<long long> nodes;
-    nodes.reserve(sys.fragments.size());
-    for (const auto& frag : sys.fragments)
-      nodes.push_back(allocation.find(frag.name).nodes);
-    return nodes;
-  }
-
-  void install(const Allocation& allocation) {
-    group_nodes = nodes_of(allocation);
-    frag_nodes = core.pack(group_nodes);
-    out.group_nodes = group_nodes;
-    installed = true;
-  }
-
-  /// After a failure pause: false, and the run marked incomplete, when the
-  /// survivors cannot host one node per fragment.
-  bool survives() {
-    if (core.budget() >= static_cast<long long>(sys.fragments.size()))
-      return true;
-    done = true;
-    out.completed = false;
-    return false;
-  }
-
-  EpochOutcome step() {
-    HSLB_EXPECTS(installed);
-    if (done) {
-      EpochOutcome r;
-      r.done = true;
-      return r;
-    }
-    return in_dimer ? run_dimer_unit() : run_scc_unit();
-  }
-
-  EpochOutcome run_scc_unit() {
-    const double epoch_start = core.clock();
-    std::vector<sim::WaveSlot> wave;
-    for (std::size_t f = 0; f < sys.fragments.size(); ++f) {
-      if (!pending_monomers[f]) continue;
-      const auto& frag = sys.fragments[f];
-      wave.push_back({f, frag.name,
-                      monomers[f].eval(static_cast<double>(group_nodes[f])) *
-                          drift_scale(options, f, iter),
-                      frag_nodes[f],
-                      {frag.halo_gb * static_cast<double>(pairs[f]),
-                       frag.memory_gb}});
-      // Converged densities: the final iteration records monomer energies
-      // at build (flags stop a re-run after a failure from double-counting).
-      if (iter + 1 == options.scc_iterations && !monomer_energy_added[f]) {
-        out.energy.monomer += monomer_energy(frag);
-        monomer_energy_added[f] = 1;
-      }
-    }
-    const sim::WaveRun w = core.run_wave(wave, "scc" + std::to_string(iter),
-                                         options.sync_overhead);
-    for (const auto& [f, t] : w.ran) {
-      out.group_busy[f] += t;
-      out.busy_node_seconds += t * static_cast<double>(group_nodes[f]);
-      out.monomer_task_seconds += t;
-      pending_monomers[f] = 0;
-    }
-    EpochOutcome r;
-    for (const auto& [f, seconds] : w.observed) {
-      r.observations.push_back({sys.fragments[f].name,
-                                static_cast<double>(group_nodes[f]), seconds,
-                                0});
-    }
-    if (w.failure) {
-      r.failure_detected = true;
-      r.done = !survives();
-    } else {
-      out.scc_seconds = core.clock();
-      ++iter;
-      pending_monomers.assign(sys.fragments.size(), 1);
-      if (iter >= options.scc_iterations) in_dimer = true;
-      r.imbalance = w.imbalance;
-    }
-    r.epochs_remaining =
-        static_cast<double>(options.scc_iterations - iter) + 1.0;
-    r.epoch_seconds = core.clock() - epoch_start;
-    return r;
-  }
-
-  EpochOutcome run_dimer_unit() {
-    const double epoch_start = core.clock();
-    sim::Runtime rt(core.machine());
-    const long long budget = core.budget();
-
-    std::vector<std::size_t> active;
-    for (std::size_t d = 0; d < pending_dimers.size(); ++d)
-      if (pending_dimers[d]) active.push_back(d);
-
-    std::vector<std::pair<std::size_t, std::size_t>> built;  // (id, d)
-    std::vector<long long> built_nodes;   // group size per task
-    std::vector<std::size_t> built_group; // ECT path: monomer group (kNone = wave)
-    std::vector<std::size_t> dimer_ids;
-    if (!active.empty()) {
-      const bool can_repartition =
-          !dimers.models.empty() &&
-          static_cast<long long>(active.size()) <= budget;
-      if (can_repartition) {
-        // GDDI re-split: min-max wave over the pending dimers' predicted
-        // models, blocks packed from the segment start.
-        std::vector<BudgetTask> tasks;
-        tasks.reserve(active.size());
-        for (std::size_t d : active) {
-          tasks.push_back(BudgetTask{"d" + std::to_string(d),
-                                     dimers.models[d], 1, budget});
-        }
-        const auto wave_alloc = solve_min_max(tasks, budget);
-        std::size_t offset = core.segment().first;
-        for (std::size_t k = 0; k < active.size(); ++k) {
-          const std::size_t d = active[k];
-          const auto& pair = sys.scf_dimers[d];
-          const auto model =
-              cost.dimer(sys.fragments[pair.i], sys.fragments[pair.j]);
-          const long long n = wave_alloc.tasks[k].nodes;
-          const std::size_t id = rt.add_task(
-              dimer_name(sys, d), model.eval(static_cast<double>(n)),
-              {offset, static_cast<std::size_t>(n)}, {}, "dimer", false);
-          offset += static_cast<std::size_t>(n);
-          built.emplace_back(id, d);
-          built_nodes.push_back(n);
-          built_group.push_back(kNone);
-          dimer_ids.push_back(id);
-        }
-      } else {
-        // ECT fallback onto the monomer groups, longest dimer first.
-        const auto order = descending_order(active.size(), [&](std::size_t k) {
-          return dimer_nbf(sys, active[k]);
-        });
-        const std::size_t groups = group_nodes.size();
-        std::vector<double> pred_finish(groups, 0.0);
-        std::vector<std::size_t> tail(groups, kNone);
-        for (std::size_t k : order) {
-          const std::size_t i = active[k];
-          const auto& d = sys.scf_dimers[i];
-          std::size_t best = 0;
-          double best_eta = std::numeric_limits<double>::infinity();
-          for (std::size_t g = 0; g < groups; ++g) {
-            const double ng = static_cast<double>(group_nodes[g]);
-            const double pred =
-                dimers.models.empty()
-                    ? dimer_nbf(sys, i) * dimer_nbf(sys, i) * dimer_nbf(sys, i) /
-                          ng
-                    : dimers.models[i].eval(ng);
-            const double eta = pred_finish[g] + pred;
-            if (eta < best_eta) {
-              best_eta = eta;
-              best = g;
-            }
-          }
-          pred_finish[best] = best_eta;
-          const auto model =
-              cost.dimer(sys.fragments[d.i], sys.fragments[d.j]);
-          std::vector<std::size_t> deps;
-          if (tail[best] != kNone) deps.push_back(tail[best]);
-          const std::size_t id = rt.add_task(
-              dimer_name(sys, i),
-              model.eval(static_cast<double>(group_nodes[best])),
-              frag_nodes[best], std::move(deps), "dimer", false);
-          tail[best] = id;
-          built.emplace_back(id, i);
-          built_nodes.push_back(group_nodes[best]);
-          built_group.push_back(best);
-          dimer_ids.push_back(id);
-        }
-      }
-      // Dimer corrections in build order (longest first on the ECT path).
-      for (const auto& b : built) add_dimer_energy(b.second);
-    }
-    // Aggregated ES dimers: analytic tail over the barrier span, scaled to
-    // the surviving budget after a failure.
-    const std::size_t es_id =
-        rt.add_task("es-dimers", cost.es_dimer_time(sys, budget),
-                    core.segment(), std::move(dimer_ids), "dimer", true);
-
-    const auto epoch = core.run(rt, es_id);
-    for (std::size_t k = 0; k < built.size(); ++k) {
-      const auto [id, d] = built[k];
-      if (!epoch.state.ran[id]) continue;
-      const auto& ts = epoch.result.tasks[id];
-      const double t = ts.end - ts.start;
-      if (built_group[k] != kNone) out.group_busy[built_group[k]] += t;
-      out.busy_node_seconds += t * static_cast<double>(built_nodes[k]);
-      pending_dimers[d] = 0;
-    }
-
-    EpochOutcome r;
-    if (epoch.result.failure_paused) {
-      r.failure_detected = true;
-      r.done = !survives();
-      r.epochs_remaining = 1.0;
-    } else {
-      done = true;
-      r.done = true;
-    }
-    r.epoch_seconds = core.clock() - epoch_start;
-    return r;
-  }
-
-  void add_dimer_energy(std::size_t d) {
-    if (dimer_energy_added[d]) return;
-    const auto& pair = sys.scf_dimers[d];
-    out.energy.scf_dimer += scf_dimer_correction(
-        sys.fragments[pair.i], sys.fragments[pair.j], pair.separation);
-    dimer_energy_added[d] = 1;
-  }
-
-  double migration_volume(const Allocation& next) const {
-    HSLB_EXPECTS(installed);
-    const auto blocks = core.pack(nodes_of(next));
-    double volume = 0.0;
-    for (std::size_t f = 0; f < sys.fragments.size(); ++f) {
-      const auto& frag = sys.fragments[f];
-      if (blocks[f] != frag_nodes[f]) {
-        volume += frag.memory_gb > 0.0
-                      ? frag.memory_gb
-                      : 8e-9 * static_cast<double>(frag.basis_functions) *
-                            static_cast<double>(frag.basis_functions);
-      }
-    }
-    return volume;
-  }
-
-  ExecutionResult finish() {
-    // A run stopped before it was done (by the caller, or for want of
-    // survivors) is incomplete but still reports the full FMO2 energy: the
-    // terms of work it never built are added here.
-    if (!done) out.completed = false;
-    for (std::size_t f = 0; f < sys.fragments.size(); ++f)
-      if (!monomer_energy_added[f])
-        out.energy.monomer += monomer_energy(sys.fragments[f]);
-    for (std::size_t d = 0; d < sys.scf_dimers.size(); ++d) add_dimer_energy(d);
-    out.energy.es_dimer = fmo2_energy(sys).es_dimer;
-    out.trace = core.trace();
-    out.restarts = core.restarts();
-    out.comm_seconds = core.comm_seconds();
-    out.page_seconds = core.page_seconds();
-    out.total_seconds = core.clock();
-    if (!out.completed && !in_dimer) out.scc_seconds = core.clock();
-    out.dimer_seconds = out.total_seconds - out.scc_seconds;
-    return std::move(out);
-  }
-};
-
 EpochRunner::EpochRunner(const System& sys, const CostModel& cost,
-                         long long total_nodes, const DimerPredictions& dimers,
+                         long long total_nodes,
+                         const DimerPredictions& dimers,
                          const RunOptions& options)
-    : impl_(new Impl(sys, cost, total_nodes, dimers, options)) {}
-
-EpochRunner::~EpochRunner() { delete impl_; }
-
-void EpochRunner::install(const Allocation& allocation) {
-  impl_->install(allocation);
+    : sys_(sys),
+      cost_(cost),
+      dimers_(dimers),
+      options_(options),
+      core_(epoch_core(options, total_nodes)) {
+  HSLB_EXPECTS(!sys_.fragments.empty());
+  HSLB_EXPECTS(options_.scc_iterations >= 1);
+  HSLB_EXPECTS(dimers_.models.empty() ||
+               dimers_.models.size() == sys_.scf_dimers.size());
+  HSLB_EXPECTS(options_.task_scale.empty() ||
+               options_.task_scale.size() == sys_.fragments.size());
+  monomers_.reserve(sys_.fragments.size());
+  for (const auto& f : sys_.fragments) monomers_.push_back(cost_.monomer(f));
+  const auto counts = sys_.scf_neighbor_counts();
+  pairs_.assign(counts.begin(), counts.end());
+  pending_monomers_.assign(sys_.fragments.size(), 1);
+  pending_dimers_.assign(sys_.scf_dimers.size(), 1);
+  monomer_energy_added_.assign(sys_.fragments.size(), 0);
+  dimer_energy_added_.assign(sys_.scf_dimers.size(), 0);
+  out_.scc_iterations = options_.scc_iterations;
+  out_.group_busy.assign(sys_.fragments.size(), 0.0);
 }
 
-EpochOutcome EpochRunner::step() { return impl_->step(); }
+std::vector<long long> EpochRunner::nodes_of(
+    const Allocation& allocation) const {
+  HSLB_EXPECTS(allocation.tasks.size() == sys_.fragments.size());
+  std::vector<long long> nodes;
+  nodes.reserve(sys_.fragments.size());
+  for (const auto& frag : sys_.fragments)
+    nodes.push_back(allocation.find(frag.name).nodes);
+  return nodes;
+}
 
-double EpochRunner::migrate(double volume_gb) {
-  return impl_->core.migrate(volume_gb);
+void EpochRunner::install(const Allocation& allocation) {
+  group_nodes_ = nodes_of(allocation);
+  frag_nodes_ = core_.pack(group_nodes_);
+  out_.group_nodes = group_nodes_;
+  installed_ = true;
+}
+
+bool EpochRunner::survives() {
+  if (core_.budget() >= static_cast<long long>(sys_.fragments.size()))
+    return true;
+  done_ = true;
+  out_.completed = false;
+  return false;
+}
+
+EpochOutcome EpochRunner::step() {
+  HSLB_EXPECTS(installed_);
+  if (done_) {
+    EpochOutcome r;
+    r.done = true;
+    return r;
+  }
+  return in_dimer_ ? run_dimer_unit() : run_scc_unit();
+}
+
+EpochOutcome EpochRunner::run_scc_unit() {
+  const double epoch_start = core_.clock();
+  std::vector<sim::WaveSlot> wave;
+  for (std::size_t f = 0; f < sys_.fragments.size(); ++f) {
+    if (!pending_monomers_[f]) continue;
+    const auto& frag = sys_.fragments[f];
+    wave.push_back({f, frag.name,
+                    monomers_[f].eval(static_cast<double>(group_nodes_[f])) *
+                        drift_scale(options_, f, iter_),
+                    frag_nodes_[f],
+                    {frag.halo_gb * static_cast<double>(pairs_[f]),
+                     frag.memory_gb}});
+    // Converged densities: the final iteration records monomer energies
+    // at build (flags stop a re-run after a failure from double-counting).
+    if (iter_ + 1 == options_.scc_iterations && !monomer_energy_added_[f]) {
+      out_.energy.monomer += monomer_energy(frag);
+      monomer_energy_added_[f] = 1;
+    }
+  }
+  const sim::WaveRun w = core_.run_wave(
+      wave, "scc" + std::to_string(iter_), options_.sync_overhead);
+  for (const auto& [f, t] : w.ran) {
+    out_.group_busy[f] += t;
+    out_.busy_node_seconds += t * static_cast<double>(group_nodes_[f]);
+    out_.monomer_task_seconds += t;
+    pending_monomers_[f] = 0;
+  }
+  EpochOutcome r;
+  for (const auto& [f, seconds] : w.observed) {
+    r.observations.push_back({sys_.fragments[f].name,
+                              static_cast<double>(group_nodes_[f]), seconds,
+                              0});
+  }
+  if (w.failure) {
+    r.failure_detected = true;
+    r.done = !survives();
+  } else {
+    out_.scc_seconds = core_.clock();
+    ++iter_;
+    pending_monomers_.assign(sys_.fragments.size(), 1);
+    if (iter_ >= options_.scc_iterations) in_dimer_ = true;
+    r.imbalance = w.imbalance;
+  }
+  r.epochs_remaining =
+      static_cast<double>(options_.scc_iterations - iter_) + 1.0;
+  r.epoch_seconds = core_.clock() - epoch_start;
+  return r;
+}
+
+EpochOutcome EpochRunner::run_dimer_unit() {
+  const double epoch_start = core_.clock();
+  sim::Runtime rt(core_.machine());
+  const long long budget = core_.budget();
+
+  std::vector<std::size_t> active;
+  for (std::size_t d = 0; d < pending_dimers_.size(); ++d)
+    if (pending_dimers_[d]) active.push_back(d);
+
+  std::vector<std::pair<std::size_t, std::size_t>> built;  // (id, d)
+  std::vector<long long> built_nodes;    // group size per task
+  std::vector<std::size_t> built_group;  // ECT: monomer group (kNone = wave)
+  std::vector<std::size_t> dimer_ids;
+  if (!active.empty()) {
+    const bool can_repartition =
+        !dimers_.models.empty() &&
+        static_cast<long long>(active.size()) <= budget;
+    if (can_repartition) {
+      // GDDI re-split: min-max wave over the pending dimers' predicted
+      // models, blocks packed from the segment start.
+      std::vector<BudgetTask> tasks;
+      tasks.reserve(active.size());
+      for (std::size_t d : active) {
+        tasks.push_back(BudgetTask{"d" + std::to_string(d),
+                                   dimers_.models[d], 1, budget});
+      }
+      const auto wave_alloc = solve_min_max(tasks, budget);
+      std::size_t offset = core_.segment().first;
+      for (std::size_t k = 0; k < active.size(); ++k) {
+        const std::size_t d = active[k];
+        const auto& pair = sys_.scf_dimers[d];
+        const auto model =
+            cost_.dimer(sys_.fragments[pair.i], sys_.fragments[pair.j]);
+        const long long n = wave_alloc.tasks[k].nodes;
+        const std::size_t id = rt.add_task(
+            dimer_name(sys_, d), model.eval(static_cast<double>(n)),
+            {offset, static_cast<std::size_t>(n)}, {}, "dimer", false);
+        offset += static_cast<std::size_t>(n);
+        built.emplace_back(id, d);
+        built_nodes.push_back(n);
+        built_group.push_back(kNone);
+        dimer_ids.push_back(id);
+      }
+    } else {
+      // ECT fallback onto the monomer groups, longest dimer first.
+      const auto order = descending_order(active.size(), [&](std::size_t k) {
+        return dimer_nbf(sys_, active[k]);
+      });
+      const std::size_t groups = group_nodes_.size();
+      std::vector<double> pred_finish(groups, 0.0);
+      std::vector<std::size_t> tail(groups, kNone);
+      for (std::size_t k : order) {
+        const std::size_t i = active[k];
+        const auto& d = sys_.scf_dimers[i];
+        std::size_t best = 0;
+        double best_eta = std::numeric_limits<double>::infinity();
+        for (std::size_t g = 0; g < groups; ++g) {
+          const double ng = static_cast<double>(group_nodes_[g]);
+          const double nbf = dimer_nbf(sys_, i);
+          const double pred = dimers_.models.empty()
+                                  ? nbf * nbf * nbf / ng
+                                  : dimers_.models[i].eval(ng);
+          const double eta = pred_finish[g] + pred;
+          if (eta < best_eta) {
+            best_eta = eta;
+            best = g;
+          }
+        }
+        pred_finish[best] = best_eta;
+        const auto model =
+            cost_.dimer(sys_.fragments[d.i], sys_.fragments[d.j]);
+        std::vector<std::size_t> deps;
+        if (tail[best] != kNone) deps.push_back(tail[best]);
+        const std::size_t id = rt.add_task(
+            dimer_name(sys_, i),
+            model.eval(static_cast<double>(group_nodes_[best])),
+            frag_nodes_[best], std::move(deps), "dimer", false);
+        tail[best] = id;
+        built.emplace_back(id, i);
+        built_nodes.push_back(group_nodes_[best]);
+        built_group.push_back(best);
+        dimer_ids.push_back(id);
+      }
+    }
+    // Dimer corrections in build order (longest first on the ECT path).
+    for (const auto& b : built) add_dimer_energy(b.second);
+  }
+  // Aggregated ES dimers: analytic tail over the barrier span, scaled to
+  // the surviving budget after a failure.
+  const std::size_t es_id =
+      rt.add_task("es-dimers", cost_.es_dimer_time(sys_, budget),
+                  core_.segment(), std::move(dimer_ids), "dimer", true);
+
+  const auto epoch = core_.run(rt, es_id);
+  for (std::size_t k = 0; k < built.size(); ++k) {
+    const auto [id, d] = built[k];
+    if (!epoch.state.ran[id]) continue;
+    const auto& ts = epoch.result.tasks[id];
+    const double t = ts.end - ts.start;
+    if (built_group[k] != kNone) out_.group_busy[built_group[k]] += t;
+    out_.busy_node_seconds += t * static_cast<double>(built_nodes[k]);
+    pending_dimers_[d] = 0;
+  }
+
+  EpochOutcome r;
+  if (epoch.result.failure_paused) {
+    r.failure_detected = true;
+    r.done = !survives();
+    r.epochs_remaining = 1.0;
+  } else {
+    done_ = true;
+    r.done = true;
+  }
+  r.epoch_seconds = core_.clock() - epoch_start;
+  return r;
+}
+
+void EpochRunner::add_dimer_energy(std::size_t d) {
+  if (dimer_energy_added_[d]) return;
+  const auto& pair = sys_.scf_dimers[d];
+  out_.energy.scf_dimer += scf_dimer_correction(
+      sys_.fragments[pair.i], sys_.fragments[pair.j], pair.separation);
+  dimer_energy_added_[d] = 1;
 }
 
 double EpochRunner::migration_volume(const Allocation& next) const {
-  return impl_->migration_volume(next);
+  HSLB_EXPECTS(installed_);
+  const auto blocks = core_.pack(nodes_of(next));
+  double volume = 0.0;
+  for (std::size_t f = 0; f < sys_.fragments.size(); ++f) {
+    const auto& frag = sys_.fragments[f];
+    if (blocks[f] != frag_nodes_[f]) {
+      volume += frag.memory_gb > 0.0
+                    ? frag.memory_gb
+                    : 8e-9 * static_cast<double>(frag.basis_functions) *
+                          static_cast<double>(frag.basis_functions);
+    }
+  }
+  return volume;
 }
 
-long long EpochRunner::budget() const { return impl_->core.budget(); }
-
-const sim::Machine& EpochRunner::machine() const {
-  return impl_->core.machine();
+ExecutionResult EpochRunner::finish() {
+  // A run stopped before it was done (by the caller, or for want of
+  // survivors) is incomplete but still reports the full FMO2 energy: the
+  // terms of work it never built are added here.
+  if (!done_) out_.completed = false;
+  for (std::size_t f = 0; f < sys_.fragments.size(); ++f)
+    if (!monomer_energy_added_[f])
+      out_.energy.monomer += monomer_energy(sys_.fragments[f]);
+  for (std::size_t d = 0; d < sys_.scf_dimers.size(); ++d) add_dimer_energy(d);
+  out_.energy.es_dimer = fmo2_energy(sys_).es_dimer;
+  out_.trace = core_.trace();
+  out_.restarts = core_.restarts();
+  out_.comm_seconds = core_.comm_seconds();
+  out_.page_seconds = core_.page_seconds();
+  out_.total_seconds = core_.clock();
+  if (!out_.completed && !in_dimer_) out_.scc_seconds = core_.clock();
+  out_.dimer_seconds = out_.total_seconds - out_.scc_seconds;
+  return std::move(out_);
 }
-
-ExecutionResult EpochRunner::finish() { return impl_->finish(); }
 
 ExecutionResult run_hslb(const System& sys, const CostModel& cost,
                          const Allocation& allocation, long long total_nodes,

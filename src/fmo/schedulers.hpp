@@ -37,7 +37,9 @@
 #include "hslb/pipeline.hpp"
 #include "perf/fit.hpp"
 #include "perf/model.hpp"
+#include "sim/epoch.hpp"
 #include "sim/machine.hpp"
+#include "sim/runtime.hpp"
 #include "sim/trace.hpp"
 
 namespace hslb::fmo {
@@ -160,7 +162,6 @@ class EpochRunner {
  public:
   EpochRunner(const System& sys, const CostModel& cost, long long total_nodes,
               const DimerPredictions& dimers, const RunOptions& options);
-  ~EpochRunner();
 
   /// Installs `allocation` (one entry per fragment) for subsequent epochs:
   /// fragment groups occupy contiguous blocks in fragment order from the
@@ -176,7 +177,7 @@ class EpochRunner {
   /// Charges a mid-run migration of `volume_gb` to the run clock
   /// (sim::Machine::migration_seconds) and records a fixed "migrate" trace
   /// event over the surviving segment. Returns the stall in seconds.
-  double migrate(double volume_gb);
+  double migrate(double volume_gb) { return core_.migrate(volume_gb); }
 
   /// Data volume (GB) a switch to `next` would move: the working set of
   /// every fragment whose absolute node block would change (memory_gb, or
@@ -185,9 +186,9 @@ class EpochRunner {
 
   /// Nodes currently available for allocation: the run's node budget,
   /// clipped to the largest contiguous segment a permanent failure left.
-  long long budget() const;
+  long long budget() const { return core_.budget(); }
 
-  const sim::Machine& machine() const;
+  const sim::Machine& machine() const { return core_.machine(); }
 
   /// Finalizes accounting and returns the accumulated execution result.
   /// Call once: after step() reported done, or to stop the run early (the
@@ -196,8 +197,39 @@ class EpochRunner {
   ExecutionResult finish();
 
  private:
-  struct Impl;
-  Impl* impl_;
+  /// Node count per fragment, in fragment order.
+  std::vector<long long> nodes_of(const Allocation& allocation) const;
+  /// After a failure pause: false, and the run marked incomplete, when the
+  /// survivors cannot host one node per fragment.
+  bool survives();
+  EpochOutcome run_scc_unit();
+  EpochOutcome run_dimer_unit();
+  void add_dimer_energy(std::size_t d);
+
+  const System& sys_;
+  const CostModel& cost_;
+  const DimerPredictions dimers_;
+  const RunOptions options_;
+  sim::EpochCore core_;
+
+  std::vector<perf::Model> monomers_;
+  std::vector<std::size_t> pairs_;
+
+  // Installed layout: contiguous fragment blocks from the segment start.
+  std::vector<long long> group_nodes_;
+  std::vector<sim::NodeSet> frag_nodes_;
+  bool installed_ = false;
+
+  // Progress cursors.
+  int iter_ = 0;  ///< next (or in-flight) SCC iteration
+  bool in_dimer_ = false;
+  bool done_ = false;  ///< no epoch left to run (out_.completed says why)
+  std::vector<char> pending_monomers_;  ///< current iteration's open wave
+  std::vector<char> pending_dimers_;
+
+  ExecutionResult out_;
+  std::vector<char> monomer_energy_added_;
+  std::vector<char> dimer_energy_added_;
 };
 
 }  // namespace hslb::fmo

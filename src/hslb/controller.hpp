@@ -7,10 +7,10 @@
 //           -> accept test (gain x remaining epochs vs migration stall)
 //           -> migrate
 //
-// until the application reports done. The static pipeline is the
-// degenerate case: with no trigger the controller executes every epoch
-// under the initial allocation and the run is bit-identical to the
-// one-shot execute() path.
+// until the application reports done. A static run is the same epochs
+// with no controller (Application::execute's default), stopped at a
+// permanent-failure pause: with no trigger the controller executes every
+// epoch under the initial allocation and the run is bit-identical to it.
 //
 // Every decision is a pure function of the epoch outcomes and the policy —
 // no wall-clock, no shared mutable state — so the rebalance sequence is

@@ -57,6 +57,16 @@ SolverStats SolverStats::from_bnb(const minlp::BnbResult& bnb,
   return out;
 }
 
+double Application::execute(const SolveOutcome& solution) {
+  HSLB_EXPECTS(supports_epochs());
+  begin_epochs(solution);
+  for (std::size_t epoch = 0;; ++epoch) {
+    const EpochOutcome eo = execute_epoch(epoch);
+    if (eo.done || eo.failure_detected) break;
+  }
+  return finish_epochs();
+}
+
 double PipelineReport::total_seconds() const {
   return gather_seconds + fit_seconds + solve_seconds + execute_seconds;
 }
@@ -275,8 +285,8 @@ PipelineRun Pipeline::run(Application& app, ThreadPool& pool) const {
 
   // -- Step 4: Execute -------------------------------------------------------
   // The adaptive path routes execution through the closed-loop controller;
-  // one-shot execute() is the degenerate no-rebalance case of the same
-  // machinery, and an adaptive run whose monitor never trips produces a
+  // a static run is execute(), by default the same epochs with no
+  // controller, so an adaptive run whose monitor never trips produces a
   // byte-identical report. The pool is idle here, so the controller runs
   // each trigger's refits on it.
   t0 = std::chrono::steady_clock::now();

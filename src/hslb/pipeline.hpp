@@ -3,7 +3,8 @@
 //   Gather -> Fit -> Solve -> Execute
 //
 // Any application plugs in via the Application interface — a benchmark
-// plan, a probe function, a problem builder (Solve), and an executor — and
+// plan, a probe function, a problem builder (Solve), and an executor (the
+// epoch hooks, run with no controller unless the run is adaptive) — and
 // the engine runs the four steps, parallelizing the embarrassingly
 // parallel Gather and Fit stages over a fixed-size thread pool, and
 // returns a PipelineReport with per-stage wall time, per-task fit R²,
@@ -185,7 +186,7 @@ struct PipelineReport {
 
   // Closed-loop execution (hslb::Controller). A static run — and an
   // adaptive run that never trips the monitor — reports exactly one epoch
-  // and zeros below, so its report is byte-identical to the one-shot path.
+  // and zeros below, so the two reports are byte-identical.
   std::size_t epochs = 1;          ///< allocation regimes executed (rebalances + 1)
   std::size_t rebalances = 0;      ///< accepted mid-run reallocations
   double migration_seconds = 0.0;  ///< total stall charged by migrations
@@ -233,8 +234,12 @@ class Application {
 
   // -- Execute --------------------------------------------------------------
   /// Runs the application under the allocation; returns the actual value of
-  /// the metric `SolveOutcome::predicted_total` predicts.
-  virtual double execute(const SolveOutcome& solution) = 0;
+  /// the metric `SolveOutcome::predicted_total` predicts. The default is the
+  /// epoch loop with no controller: begin_epochs, then execute_epoch until
+  /// it reports done or a permanent-failure pause (with nothing to
+  /// reallocate, the run then ends incomplete), then finish_epochs.
+  /// Requires supports_epochs().
+  virtual double execute(const SolveOutcome& solution);
 
   /// Machine the Execute step runs on; a zero-node machine (the default)
   /// means "not described" and is omitted from the report.
@@ -257,14 +262,16 @@ class Application {
     return {};
   }
 
-  // -- Adaptive execution (closed loop) -------------------------------------
+  // -- Epoch execution (static and closed loop) -----------------------------
   // Substrates that can run Execute as a sequence of epochs implement the
-  // hooks below; hslb::Controller then drives monitor -> refit -> warm
-  // re-solve -> migrate between epochs. The defaults keep the one-shot
-  // execute() path, so existing applications are untouched.
+  // hooks below. The default execute() runs them with no controller; an
+  // adaptive run hands them to hslb::Controller, which drives monitor ->
+  // refit -> warm re-solve -> migrate between epochs. An application that
+  // implements none of them must override execute().
 
-  /// True when the epoch hooks are implemented. An adaptive Pipeline run
-  /// routes Execute through hslb::Controller only when this returns true.
+  /// True when the epoch hooks are implemented: the default execute()
+  /// requires it, and an adaptive Pipeline run routes Execute through
+  /// hslb::Controller only when it holds.
   virtual bool supports_epochs() const { return false; }
 
   /// Never read: the Fit step always fits the power law (perf::fit). Kept
@@ -276,13 +283,13 @@ class Application {
   virtual void begin_epochs(const SolveOutcome& solution) { (void)solution; }
 
   /// Runs the next epoch under the allocation most recently installed by
-  /// begin_epochs / apply_allocation. `epoch` is the controller's monotone
-  /// call counter (used to stamp observations); the application keeps its
-  /// own progress cursor — after a failure_detected pause it re-runs the
+  /// begin_epochs / apply_allocation. `epoch` is the caller's monotone call
+  /// counter (used to stamp observations); the application keeps its own
+  /// progress cursor — after a failure_detected pause it re-runs the
   /// wedged work on the next call, and when a failure is unrecoverable it
   /// reports done with execution_completed() false. An epoch split must
-  /// align with the run's synchronization barriers so that executing
-  /// epoch-by-epoch without rebalancing reproduces execute() bit-exactly.
+  /// align with the run's synchronization barriers so that the schedule
+  /// does not depend on where the epochs are cut.
   virtual EpochOutcome execute_epoch(std::size_t epoch) {
     (void)epoch;
     return {};
@@ -315,13 +322,14 @@ class Application {
   }
 
   /// Ends epoch execution; returns the actual value of the metric
-  /// SolveOutcome::predicted_total predicts (execute()'s return).
+  /// SolveOutcome::predicted_total predicts (execute()'s return). A run
+  /// stopped before execute_epoch reported done ends incomplete.
   virtual double finish_epochs() { return 0.0; }
 };
 
 /// When and how the closed-loop controller rebalances a running
-/// application. `adaptive = false` (the default) keeps the classic
-/// one-shot pipeline byte-identically.
+/// application. `adaptive = false` (the default) runs Execute statically:
+/// the allocation the Solve step chose, never rebalanced.
 struct RebalancePolicy {
   bool adaptive = false;  ///< route Execute through hslb::Controller
   /// Rebalance when an epoch's busy-time imbalance (max/mean - 1) exceeds

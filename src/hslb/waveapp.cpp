@@ -229,26 +229,11 @@ double WaveApplication::apply_allocation(const SolveOutcome& solution) {
 }
 
 double WaveApplication::finish_epochs() {
+  // A run stopped before its last wave (a static run at a permanent-failure
+  // pause) is incomplete.
+  if (!done_) completed_ = false;
   hslb_total_ = core_.clock();
   return hslb_total_;
-}
-
-double WaveApplication::execute(const SolveOutcome& solution) {
-  // Execute *is* the epoch loop, so an untriggered adaptive run is
-  // bit-identical by construction. With no controller to reallocate, a
-  // permanent-failure pause ends the run incomplete (the static-schedule
-  // brittleness the robustness benches measure).
-  begin_epochs(solution);
-  for (std::size_t e = 0; !done_; ++e) {
-    const EpochOutcome eo = execute_epoch(e);
-    if (eo.done) break;
-    if (eo.failure_detected) {
-      done_ = true;
-      completed_ = false;
-      break;
-    }
-  }
-  return finish_epochs();
 }
 
 double WaveApplication::dlb_total_seconds() {

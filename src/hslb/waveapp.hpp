@@ -8,7 +8,7 @@
 // synchronous codes all fit.  WaveApplication implements the full
 // hslb::Application contract — Gather probes, Fit, budgeted Solve (greedy
 // or MINLP), simulated Execute with noise/straggler/fail-stop
-// perturbations, and the PR 8 epoch hooks (one wave per epoch) — over a
+// perturbations through the epoch hooks (one wave per epoch) — over a
 // declarative task list, so a new substrate only has to *describe* its
 // tasks (src/fmm, src/amrex) instead of re-implementing the engine.
 //
@@ -16,7 +16,9 @@
 // count, repetition); execution noise is keyed per (wave phase, task,
 // attempt) by sim::Perturbation.  Results are identical for every thread
 // count, and an untriggered adaptive run is bit-identical to the static
-// one because execute() *is* the epoch loop.
+// one because a static run is the same epochs with no controller
+// (Application::execute); with nothing to reallocate, it ends incomplete
+// at a permanent-failure pause.
 #pragma once
 
 #include <cstdint>
@@ -96,7 +98,6 @@ class WaveApplication final : public Application, public BaselineReporter {
                std::uint64_t rep) override;
   SolveOutcome solve(const std::vector<std::pair<std::string, perf::FitResult>>&
                          fits) override;
-  double execute(const SolveOutcome& solution) override;
   sim::Machine machine() const override { return mach_; }
   const sim::Trace* execution_trace() const override { return &core_.trace(); }
   bool execution_completed() const override { return completed_; }

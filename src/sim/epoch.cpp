@@ -39,7 +39,7 @@ std::vector<NodeSet> EpochCore::pack(std::span<const long long> sizes) const {
 
 EpochCore::Epoch EpochCore::run(const Runtime& rt, std::size_t barrier) {
   EpochOptions options;
-  options.initial_node_free.assign(machine_.nodes, clock_);
+  options.start = clock_;
   options.stop_on_failure = true;
   Epoch epoch;
   epoch.result = rt.run(perturbation_, options, &epoch.state);

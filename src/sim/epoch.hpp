@@ -1,19 +1,22 @@
 // Epoch execution on the surviving node segment: the machinery every
-// closed-loop runner shares (fmo::EpochRunner, cesm::CoupledChunkRunner,
-// hslb::WaveApplication). A runner keeps only its task graph, its
-// accounting and its rule for giving up; EpochCore owns the rest.
+// substrate's runner shares (fmo::EpochRunner, cesm::CoupledChunkRunner,
+// hslb::WaveApplication), static and closed-loop runs alike. A runner
+// keeps only its task graph, its accounting and its rule for giving up;
+// EpochCore owns the rest.
 //
 // Each epoch runs on a fresh sim::Runtime whose node clocks all start at
-// the carried run clock, so a run that never rebalances reproduces the
-// one-shot schedule bit-identically (noise draws are keyed by phase, task
-// and attempt, which the epoch split preserves). A permanent node failure
-// pauses the epoch: the core confines the run to the larger contiguous
-// segment either side of the failed node (ties keep the low half, so
-// layouts stay anchored at the machine front) and advances the clock past
-// all in-flight work there. The runner then re-solves over budget(),
-// installs blocks packed from the segment start (pack), charges the stall
-// (migrate), and re-runs only the work the failure left unfinished, with
-// barriers confined to the segment.
+// the carried run clock. Epochs end at barriers that join every node, so
+// the schedule does not depend on where the epochs are cut (noise draws
+// are keyed by phase, task and attempt, which the split preserves), and a
+// closed-loop run that never rebalances is the static run. A permanent
+// node failure pauses the epoch: the core confines the run to the larger
+// contiguous segment either side of the failed node (ties keep the low
+// half, so layouts stay anchored at the machine front) and advances the
+// clock past all in-flight work there. A static run (no controller) stops
+// at the pause, incomplete. Under the controller the runner re-solves
+// over budget(), installs blocks packed from the segment start (pack),
+// charges the stall (migrate), and re-runs only the work the failure left
+// unfinished, with barriers confined to the segment.
 #pragma once
 
 #include <cstddef>

@@ -177,8 +177,7 @@ RunResult Runtime::run(const Perturbation& perturbation) const {
 
 RunResult Runtime::run(const Perturbation& perturbation,
                        const EpochOptions& epoch, EpochState* epoch_out) const {
-  HSLB_EXPECTS(epoch.initial_node_free.empty() ||
-               epoch.initial_node_free.size() == machine_.nodes);
+  HSLB_EXPECTS(epoch.start >= 0.0);
   RunResult out;
   out.trace.machine = machine_.name;
   out.trace.nodes = machine_.nodes;
@@ -220,19 +219,7 @@ RunResult Runtime::run(const Perturbation& perturbation,
   std::vector<Bucket> buckets;
   std::unordered_map<std::uint64_t, std::size_t> bucket_of;
   NodeFreeTree node_free(machine_.nodes);
-  if (!epoch.initial_node_free.empty()) {
-    // Carried-in free times, applied as runs of equal values so the common
-    // barrier-aligned case (every node free at the same clock) is one
-    // range assign.
-    const auto& init = epoch.initial_node_free;
-    for (std::size_t lo = 0; lo < init.size();) {
-      HSLB_EXPECTS(init[lo] >= 0.0);
-      std::size_t hi = lo + 1;
-      while (hi < init.size() && init[hi] == init[lo]) ++hi;
-      if (init[lo] > 0.0) node_free.assign(lo, hi, init[lo]);
-      lo = hi;
-    }
-  }
+  if (epoch.start > 0.0) node_free.assign(0, machine_.nodes, epoch.start);
   using Claim = std::tuple<double, std::size_t, std::size_t>;  // start, id, bkt
   std::priority_queue<Claim, std::vector<Claim>, std::greater<>> claims;
 
@@ -351,10 +338,6 @@ RunResult Runtime::run(const Perturbation& perturbation,
       claims.push({fresh.first, fresh.second, c_bkt});
       continue;
     }
-    // Claims pop in (start, id) order, so once the global argmin's start
-    // reaches the horizon every remaining task would too: stop dispatching
-    // and leave the rest deferred for the next epoch.
-    if (fresh.first >= epoch.horizon) break;
     const std::size_t best = fresh.second;
     const double best_start = fresh.first;
     if (!b.released.empty() && b.released.top() == best) {
@@ -417,9 +400,10 @@ RunResult Runtime::run(const Perturbation& perturbation,
     }
     if (infeasible) {
       if (epoch.stop_on_failure) {
-        // Pause for the controller: the task stays pending (deferred, to be
-        // re-placed by a new allocation) instead of cascading failure
-        // through its dependents. Aborted-attempt events stay in the trace.
+        // Pause for the caller: the task stays pending (to be re-placed by
+        // a new allocation, or left unrun when the run stops) instead of
+        // cascading failure through its dependents. Aborted-attempt events
+        // stay in the trace.
         out.failure_paused = true;
         out.paused_task = best;
         break;
@@ -442,10 +426,8 @@ RunResult Runtime::run(const Perturbation& perturbation,
     // the auction for the next pick, exactly like the full rescan saw them.
     resolve(best, /*failed=*/false);
   }
-  for (State s : state) {
+  for (State s : state)
     if (s == State::Failed) out.completed = false;
-    if (s == State::Pending) ++out.deferred;
-  }
   if (out.failure_paused) out.completed = false;
   if (epoch_out != nullptr) {
     epoch_out->node_free.resize(machine_.nodes);

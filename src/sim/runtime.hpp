@@ -16,6 +16,10 @@
 // and restart; with infinite downtime a static task pinned to that node
 // can never run, while the dynamic queue simply re-dispatches elsewhere —
 // the brittleness-vs-resilience trade the robustness bench measures).
+//
+// sim::EpochCore drives the static mode for every substrate's Execute
+// step, one Runtime per epoch: started at the carried run clock
+// (EpochOptions) and paused at a permanent failure instead of cascading.
 #pragma once
 
 #include <cstdint>
@@ -122,22 +126,18 @@ struct Perturbation {
                                         std::uint64_t seed);
 };
 
-/// Epoch controls for Runtime::run: resume from carried node free times,
-/// stop dispatching at a time horizon, pause on a permanent failure. The
+/// Epoch controls for Runtime::run (sim::EpochCore sets them): start every
+/// node at the carried run clock, and pause on a permanent failure. The
 /// defaults reproduce the one-shot run exactly (same code path).
 struct EpochOptions {
-  /// Initial per-node free times carried in from a previous epoch. Empty =
-  /// all nodes free at 0; otherwise size must equal the machine's nodes.
-  std::vector<double> initial_node_free;
-
-  /// Tasks whose start would land at or past the horizon are deferred (left
-  /// unrun, counted in RunResult::deferred) instead of scheduled.
-  double horizon = std::numeric_limits<double>::infinity();
+  /// Time every node is free from: the clock the previous epoch's barrier
+  /// left (0 = a fresh run).
+  double start = 0.0;
 
   /// When a task becomes permanently infeasible (its node set lost a node
-  /// forever), pause the run — defer the task and everything after it — so
-  /// a controller can reallocate, instead of cascading failure through the
-  /// dependents the way the one-shot scheduler does.
+  /// forever), pause the run — leave the task and everything after it
+  /// unrun — so the caller can reallocate or stop, instead of cascading
+  /// failure through the dependents the way the one-shot scheduler does.
   bool stop_on_failure = false;
 };
 
@@ -145,7 +145,7 @@ struct EpochOptions {
 /// node's clock stands, and what was observed for refitting.
 struct EpochState {
   /// Per-node free time after the epoch (successful task ends applied over
-  /// the initial free times).
+  /// the start clock).
   std::vector<double> node_free;
 
   /// Per task id: 1 when the task ran to completion this epoch.
@@ -171,9 +171,6 @@ struct RunResult {
   std::size_t rejected = 0;
   double comm_seconds = 0.0;  ///< total link-serialization charge
   double page_seconds = 0.0;  ///< total paging charge
-  /// Tasks left unrun by an epoch horizon or a stop_on_failure pause (their
-  /// placements stay at infinity); always 0 for a one-shot run.
-  std::size_t deferred = 0;
   /// The run paused at a permanently infeasible task (stop_on_failure);
   /// `completed` is false and the task id is in `paused_task`.
   bool failure_paused = false;
@@ -221,11 +218,11 @@ class Runtime {
   /// with the perturbation applied per attempt.
   RunResult run(const Perturbation& perturbation = {}) const;
 
-  /// Epoch execution: the same scheduler resumed from carried node free
-  /// times, cut off at a horizon, and pausable on permanent failure. With
-  /// default EpochOptions this is bit-identical to run(perturbation) — the
-  /// one-shot path is the degenerate single epoch. `state`, when non-null,
-  /// receives the resumable epoch state.
+  /// Epoch execution: the same scheduler started from a carried clock and
+  /// pausable on permanent failure. With default EpochOptions this is
+  /// bit-identical to run(perturbation) — the one-shot path is the
+  /// degenerate single epoch. `state`, when non-null, receives the
+  /// resumable epoch state.
   RunResult run(const Perturbation& perturbation, const EpochOptions& epoch,
                 EpochState* state = nullptr) const;
 

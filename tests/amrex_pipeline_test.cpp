@@ -171,7 +171,8 @@ TEST(AmrexPipeline, PinnedStaticRun) {
   const pinning::Pinned want{0, 0, 56, 15,
                              {},
                              {9, 11, 4, 2, 2, 2},
-                             0.87333773973160234};
+                             0.87333773973160234,
+                             0x7c738014149086dbull};
   pinning::expect_pinned("amrex_static",
                          [&] {
                            return SubstrateRegistry::instance().make(spec);
@@ -188,7 +189,8 @@ TEST(AmrexPipeline, PinnedFailStopRun) {
   const pinning::Pinned want{1, 1, 57, 15,
                              {21, 19, 11, 11, 15, 15, 11},
                              {8, 11, 4, 2, 2, 2},
-                             0.87539777042456091};
+                             0.87539777042456091,
+                             0xac036ca2eaaf9f10ull};
   pinning::expect_pinned("amrex_failstop",
                          [&] {
                            return SubstrateRegistry::instance().make(spec);

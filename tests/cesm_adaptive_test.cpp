@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "cesm/pipeline.hpp"
 #include "pinned_run.hpp"
@@ -109,7 +111,7 @@ TEST(CesmAdaptive, DecisionsDeterministicAcrossThreads) {
 
 // ADPT-C5: the fail-stop recovery of ADPT-C3 pinned to captured values —
 // rebalances, restarts, trace events, the B&B nodes of every re-solve, the
-// final layout, and the makespan.
+// final layout, the makespan and the trace digest.
 TEST(CesmAdaptive, PinnedFailStopRun) {
   PipelineOptions opt;
   opt.fail_node = 0;
@@ -121,11 +123,128 @@ TEST(CesmAdaptive, PinnedFailStopRun) {
   const pinning::Pinned want{1, 1, 98, 9,
                              {5, 7},
                              {14, 91, 105, 22},
-                             535.91326602556649};
+                             535.91326602556649,
+                             0xbe5c74383ce02506ull};
   pinning::expect_pinned(
       "cesm_failstop",
       [&] { return make_application(Resolution::Deg1, 128, opt); }, policy,
       want);
+}
+
+// Static runs (no controller) pinned to captured values: layouts 1-3 at
+// 128 nodes with execution noise and stragglers, and layout 1 under a
+// transient fail-stop of node 0.
+TEST(CesmAdaptive, PinnedStaticRuns) {
+  struct Setup {
+    std::string name;
+    Layout layout;
+    long long fail_node;
+  };
+  const Setup setups[] = {{"layout1", Layout::Hybrid, -1},
+                          {"layout2", Layout::SequentialAtmGroup, -1},
+                          {"layout3", Layout::FullySequential, -1},
+                          {"transient", Layout::Hybrid, 0}};
+  const pinning::Pinned want[] = {
+      {0, 0, 96, 9, {}, {14, 94, 108, 20}, 793.16800642973067,
+       0xc087683492027ee0ull},
+      {0, 0, 96, 5, {}, {108, 108, 108, 20}, 794.85872322364264,
+       0xfe5b41e1226e196dull},
+      {0, 0, 96, 1, {}, {128, 128, 128, 128}, 893.65789063259126,
+       0xe59fd514f57d6b3aull},
+      {0, 1, 97, 9, {}, {14, 94, 108, 20}, 824.47807501938519,
+       0xdf3977a77c84f558ull},
+  };
+  for (std::size_t s = 0; s < std::size(setups); ++s) {
+    PipelineOptions opt;
+    opt.layout = setups[s].layout;
+    opt.straggler_cv = 0.3;
+    opt.fail_node = setups[s].fail_node;
+    opt.fail_time = 200.0;
+    opt.fail_downtime = 30.0;
+    pinning::expect_pinned(
+        "cesm_static_" + setups[s].name,
+        [&] { return make_application(Resolution::Deg1, 128, opt); },
+        RebalancePolicy{}, want[s]);
+  }
+}
+
+// A static run under a permanent fail-stop stops at the failure pause,
+// incomplete: the aborted attempt is the last event and the run ends once
+// the surviving nodes' in-flight work is done.
+TEST(CesmAdaptive, PinnedStaticFailStopRun) {
+  PipelineOptions opt;
+  opt.fail_node = 0;
+  opt.fail_time = 200.0;
+  const pinning::Pinned want{0, 1, 45, 9, {}, {14, 94, 108, 20}, 200.0,
+                             0x8caaa30762dc19c0ull};
+  pinning::expect_pinned(
+      "cesm_static_failstop",
+      [&] { return make_application(Resolution::Deg1, 128, opt); },
+      RebalancePolicy{}, want);
+  const auto res = run_pipeline(Resolution::Deg1, 128, opt);
+  EXPECT_FALSE(res.coupled.completed);
+  EXPECT_FALSE(res.report.exec_completed);
+  ASSERT_FALSE(res.coupled.trace.events.empty());
+  EXPECT_TRUE(res.coupled.trace.events.back().aborted);
+}
+
+// The coupled run's schedule does not depend on where it is cut into
+// chunks: Simulator::run_coupled (one chunk, no controller) equals the
+// static pipeline's Execute at every intervals_per_epoch, on every layout,
+// with stragglers and no fault, a transient fail-stop, or a permanent one
+// (both then stop at the failure pause).
+TEST(CesmAdaptive, ChunkSizeInvariance) {
+  constexpr double kForever = std::numeric_limits<double>::infinity();
+  struct Fault {
+    const char* name;
+    long long node;
+    double downtime;
+  };
+  const Fault faults[] = {
+      {"none", -1, kForever}, {"transient", 0, 30.0}, {"permanent", 0, kForever}};
+  for (Layout layout :
+       {Layout::Hybrid, Layout::SequentialAtmGroup, Layout::FullySequential}) {
+    for (const Fault& fault : faults) {
+      PipelineOptions opt;
+      opt.layout = layout;
+      opt.straggler_cv = 0.3;
+      opt.fail_node = fault.node;
+      opt.fail_time = 200.0;
+      opt.fail_downtime = fault.downtime;
+      Simulator::CoupledRun mono;
+      for (int chunk : {1, 4, 5, 24}) {
+        SCOPED_TRACE(std::string(to_string(layout)) + ", " + fault.name +
+                     ", " + std::to_string(chunk) + " intervals per epoch");
+        opt.intervals_per_epoch = chunk;
+        const auto res = run_pipeline(Resolution::Deg1, 128, opt);
+        if (mono.intervals == 0) {
+          sim::Perturbation perturb;
+          perturb.seed = opt.sim.seed;
+          perturb.node_slowdown = sim::Perturbation::stragglers(
+              Simulator::machine_for(layout, res.solution.nodes).nodes,
+              opt.straggler_cv, opt.sim.seed);
+          perturb.fail_node = opt.fail_node;
+          perturb.fail_time = opt.fail_time;
+          perturb.fail_downtime = opt.fail_downtime;
+          mono = Simulator(Resolution::Deg1, opt.sim)
+                     .run_coupled(layout, res.solution.nodes,
+                                  opt.coupling_intervals, perturb);
+          EXPECT_EQ(mono.completed, fault.name != std::string("permanent"));
+          if (fault.node >= 0) {
+            EXPECT_GT(mono.restarts, 0u);
+          }
+        }
+        EXPECT_EQ(res.coupled.trace.to_csv(), mono.trace.to_csv());
+        EXPECT_EQ(res.coupled.total_seconds, mono.total_seconds);
+        EXPECT_EQ(res.coupled.component_seconds, mono.component_seconds);
+        EXPECT_EQ(res.coupled.coupling_loss_seconds,
+                  mono.coupling_loss_seconds);
+        EXPECT_EQ(res.coupled.restarts, mono.restarts);
+        EXPECT_EQ(res.coupled.completed, mono.completed);
+        EXPECT_EQ(res.actual_total, mono.total_seconds);
+      }
+    }
+  }
 }
 
 }  // namespace

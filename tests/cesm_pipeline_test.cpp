@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/contracts.hpp"
 
@@ -156,9 +157,11 @@ TEST(Simulator, IceIsNoisierThanLand) {
   double ice_spread = 0.0, lnd_spread = 0.0;
   const double ice_true = sim.true_seconds(Component::Ice, 100);
   const double lnd_true = sim.true_seconds(Component::Lnd, 100);
-  for (int i = 0; i < 200; ++i) {
-    ice_spread += std::fabs(sim.benchmark(Component::Ice, 100) - ice_true);
-    lnd_spread += std::fabs(sim.benchmark(Component::Lnd, 100) - lnd_true);
+  for (std::uint64_t rep = 0; rep < 200; ++rep) {
+    ice_spread +=
+        std::fabs(sim.benchmark_at(Component::Ice, 100, rep) - ice_true);
+    lnd_spread +=
+        std::fabs(sim.benchmark_at(Component::Lnd, 100, rep) - lnd_true);
   }
   EXPECT_GT(ice_spread / ice_true, lnd_spread / lnd_true);
 }
@@ -204,21 +207,6 @@ TEST(Simulator, CoupledRunValidatesIntervals) {
   Simulator sim(Resolution::Deg1);
   EXPECT_THROW(sim.run_coupled(Layout::Hybrid, {1, 1, 2, 2}, 0),
                ContractViolation);
-}
-
-TEST(Simulator, RunTotalMatchesLayoutFormula) {
-  SimulatorOptions opt;
-  opt.noise_cv = 0.0;
-  opt.ice_noise_cv = 0.0;
-  Simulator sim(Resolution::Deg1, opt);
-  const std::array<long long, 4> nodes{24, 80, 104, 24};
-  const auto comps = sim.run_components(nodes);
-  std::array<double, 4> expected{};
-  for (Component c : kComponents)
-    expected[index(c)] = sim.true_seconds(c, nodes[index(c)]);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(comps[i], expected[i]);
-  EXPECT_DOUBLE_EQ(sim.run_total(Layout::Hybrid, nodes),
-                   layout_total(Layout::Hybrid, expected));
 }
 
 }  // namespace

@@ -188,7 +188,8 @@ TEST(FmmPipeline, PinnedStaticRun) {
   const pinning::Pinned want{0, 0, 56, 7,
                              {},
                              {1, 5, 5, 1, 12, 6},
-                             3627.9960362371557};
+                             3627.9960362371557,
+                             0x9330c9c07040fa6eull};
   pinning::expect_pinned("fmm_static",
                          [&] {
                            return SubstrateRegistry::instance().make(spec);
@@ -205,7 +206,8 @@ TEST(FmmPipeline, PinnedFailStopRun) {
   const pinning::Pinned want{1, 1, 57, 7,
                              {3, 5, 7, 5, 5, 5, 7, 5},
                              {1, 5, 5, 1, 11, 6},
-                             3646.6787473661834};
+                             3646.6787473661834,
+                             0x6fd2db484e3b452eull};
   pinning::expect_pinned("fmm_failstop",
                          [&] {
                            return SubstrateRegistry::instance().make(spec);

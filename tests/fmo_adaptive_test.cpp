@@ -215,7 +215,8 @@ TEST(FmoAdaptive, PinnedStragglerRun) {
   const pinning::Pinned want{8, 0, 131, 19,
                              {7, 3, 3, 3, 5, 5, 5, 3, 7, 7},
                              {2, 1, 1, 1, 37, 1, 2, 1, 1, 1},
-                             8.8584944755356627};
+                             8.8584944755356627,
+                             0x296b100244241a50ull};
   pinning::expect_pinned(
       "fmo_straggler",
       [&] { return make_application(small_system(55), CostModel{}, 64, opt); },
@@ -233,7 +234,8 @@ TEST(FmoAdaptive, PinnedDriftRun) {
   const pinning::Pinned want{5, 0, 132, 13,
                              {9, 7, 7, 3, 3, 11, 5, 5, 5, 11},
                              {12, 10, 1, 1, 5, 1, 5, 1, 2, 1},
-                             24.049128656084864};
+                             24.049128656084864,
+                             0x30130131ced851aaull};
   pinning::expect_pinned(
       "fmo_drift", [&] { return make_application(sys, CostModel{}, 64, opt); },
       policy, want);
@@ -248,7 +250,8 @@ TEST(FmoAdaptive, PinnedFailStopRun) {
   const pinning::Pinned want{1, 1, 132, 5,
                              {3},
                              {1, 7, 1, 1, 1, 24, 25, 1, 1, 1},
-                             5.7191427420670147};
+                             5.7191427420670147,
+                             0xa24100774e4c7ea6ull};
   pinning::expect_pinned(
       "fmo_failstop",
       [&] { return make_application(small_system(52), CostModel{}, 64, opt); },
@@ -257,15 +260,15 @@ TEST(FmoAdaptive, PinnedFailStopRun) {
 
 // ADPT-9: static runs of every static setup through the MINLP path, pinned
 // to captured values — trace events, the B&B nodes of the Solve, the
-// allocation, and the makespan; no rebalance, no restart.
+// allocation, the makespan and the trace digest; no rebalance, no restart.
 TEST(FmoAdaptive, PinnedStaticRuns) {
   const pinning::Pinned want[] = {
       {0, 0, 132, 11, {}, {1, 1, 1, 1, 8, 1, 31, 8, 27, 1},
-       5.6111345382185815},
+       5.6111345382185815, 0xe621694388b8901full},
       {0, 0, 152, 53, {}, {18, 4, 12, 1, 4, 11, 5, 1, 10, 3, 13, 14},
-       93.498751471612849},
+       93.498751471612849, 0x18662a2f721fbfd9ull},
       {0, 0, 177, 5, {}, {1, 1, 1, 1, 1, 1, 5, 1, 6, 1, 1, 1},
-       31.143958224596155},
+       31.143958224596155, 0x735f8273130745eaull},
   };
   const auto setups = static_setups();
   for (std::size_t s = 0; s < setups.size(); ++s) {

@@ -292,6 +292,30 @@ TEST(PipelineEngine, InterleavedRunsOnSharedPoolMatchSequential) {
   expect_same(got_b, expect_b);
 }
 
+// Execute's default is the epoch loop with no controller. An application
+// that implements neither the epoch hooks nor execute() is rejected by that
+// default's precondition instead of looping on the default execute_epoch.
+TEST(PipelineEngine, ApplicationWithoutAnExecutePathIsRejected) {
+  class NoExecuteApp final : public Application {
+   public:
+    std::string name() const override { return "no-execute"; }
+    GatherPlan gather_plan() override { return toy_.gather_plan(); }
+    double probe(const std::string& task, long long n,
+                 std::uint64_t rep) override {
+      return toy_.probe(task, n, rep);
+    }
+    SolveOutcome solve(
+        const std::vector<std::pair<std::string, perf::FitResult>>& fits)
+        override {
+      return toy_.solve(fits);
+    }
+
+   private:
+    ToyApp toy_;
+  } app;
+  EXPECT_THROW(Pipeline().run(app), ContractViolation);
+}
+
 TEST(PipelineEngine, PropagatesProbeFailure) {
   class FailingApp : public ToyApp {
    public:

@@ -1,17 +1,19 @@
-// Test helper for pinned closed-loop runs: a forwarding hslb::Application
-// that records what the controller did to the wrapped substrate (the B&B
-// node count of every warm re-solve and the allocation left installed),
-// plus a checker that compares one-thread and four-thread runs against
-// values captured from a reference build.
+// Test helper for pinned runs, static and closed-loop: a forwarding
+// hslb::Application that records what the controller did to the wrapped
+// substrate (the B&B node count of every warm re-solve and the allocation
+// left installed), plus a checker that compares one-thread and four-thread
+// runs against values captured from a reference build, including a 64-bit
+// FNV-1a digest of the whole execution trace (Trace::to_csv).
 //
-// Set HSLB_TRACE_DIR to a directory to also write every pinned run's
-// execution trace there as <name>.csv, so two builds can be diffed byte
-// for byte (`diff -r dirA dirB`).
+// When a digest fails, set HSLB_TRACE_DIR to a directory to write every
+// pinned run's trace there as <name>.csv, and diff it against the same
+// directory written by the reference build (`diff -r dirA dirB`).
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -21,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "hslb/pipeline.hpp"
 
 namespace hslb::pinning {
@@ -99,6 +102,7 @@ struct Pinned {
   std::vector<std::size_t> resolve_nodes;
   std::vector<long long> allocation;  ///< final node counts, task order
   double makespan = 0.0;              ///< to 1e-12 relative
+  std::uint64_t trace_digest = 0;     ///< hash::Fnv1a of Trace::to_csv()
 };
 
 /// Runs a fresh application from `make` through the engine (closed loop
@@ -107,7 +111,7 @@ struct Pinned {
 /// runs against `want`; the four-thread trace must equal the one-thread
 /// trace byte for byte. When HSLB_TRACE_DIR is set, the one-thread trace is
 /// written to $HSLB_TRACE_DIR/<name>.csv. On a mismatch the failure message
-/// carries the observed values in Pinned's field order.
+/// carries the observed values in Pinned's field order, ready to paste.
 inline void expect_pinned(
     const std::string& name,
     const std::function<std::shared_ptr<Application>()>& make,
@@ -128,6 +132,8 @@ inline void expect_pinned(
     got.resolve_nodes = rec.resolve_nodes;
     for (const auto& t : rec.installed.tasks) got.allocation.push_back(t.nodes);
     got.makespan = run.report.exec.makespan;
+    const std::string trace = run.trace.to_csv();
+    got.trace_digest = hash::Fnv1a().mix(trace).value();
 
     std::ostringstream seen;
     seen.precision(17);
@@ -137,7 +143,8 @@ inline void expect_pinned(
     for (std::size_t n : got.resolve_nodes) seen << n << ",";
     seen << "}, {";
     for (long long n : got.allocation) seen << n << ",";
-    seen << "}, " << got.makespan << "}";
+    seen << "}, " << got.makespan << ", 0x" << std::hex << got.trace_digest
+         << "ull}";
     SCOPED_TRACE(seen.str());
 
     EXPECT_EQ(got.rebalances, want.rebalances);
@@ -147,8 +154,8 @@ inline void expect_pinned(
     EXPECT_EQ(got.resolve_nodes, want.resolve_nodes);
     EXPECT_EQ(got.allocation, want.allocation);
     EXPECT_NEAR(got.makespan, want.makespan, 1e-12 * std::fabs(want.makespan));
+    EXPECT_EQ(got.trace_digest, want.trace_digest);
 
-    const std::string trace = run.trace.to_csv();
     if (threads == 1) {
       serial_trace = trace;
       if (const char* dir = std::getenv("HSLB_TRACE_DIR"))

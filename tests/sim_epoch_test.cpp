@@ -1,8 +1,8 @@
 // Epoch controls of Runtime::run (EpochOptions / EpochState): the
-// resumable substrate under the closed-loop rebalance controller. The
-// anchor property is that epochs are a pure refactoring of the one-shot
-// run — defaults are bit-identical, and a horizon-split run stitched back
-// together reproduces the one-shot schedule exactly.
+// resumable substrate under every epoch runner. The anchor property is
+// that the defaults are bit-identical to the one-shot run; that an epoch
+// split leaves a substrate's schedule unchanged is checked where the
+// substrates cut their epochs (e.g. CesmAdaptive.ChunkSizeInvariance).
 #include "sim/runtime.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/contracts.hpp"
 #include "sim/trace.hpp"
 
 namespace hslb::sim {
@@ -34,7 +35,6 @@ TEST(SimEpoch, DefaultOptionsMatchOneShot) {
 
   EXPECT_EQ(one.trace.to_csv(), ep.trace.to_csv());
   EXPECT_EQ(one.makespan, ep.makespan);
-  EXPECT_EQ(ep.deferred, 0u);
   EXPECT_FALSE(ep.failure_paused);
   ASSERT_EQ(state.ran.size(), rt.num_tasks());
   for (std::uint8_t r : state.ran) EXPECT_EQ(r, 1);
@@ -42,70 +42,27 @@ TEST(SimEpoch, DefaultOptionsMatchOneShot) {
   EXPECT_EQ(state.observed.size(), rt.num_tasks());
 }
 
-TEST(SimEpoch, HorizonDefersLateTasks) {
+TEST(SimEpoch, StartClockShiftsSchedule) {
   const Runtime rt = diamond_runtime();
+  const RunResult one = rt.run();
   EpochOptions epoch;
-  epoch.horizon = 3.0;  // c starts at 3.0 -> c and d defer
+  epoch.start = 5.0;
   EpochState state;
   const RunResult r = rt.run({}, epoch, &state);
-
-  EXPECT_EQ(r.deferred, 2u);
-  // Deferral is not failure: nothing failed, so completed stays true and
-  // the controller distinguishes "more epochs to run" via `deferred`.
-  EXPECT_TRUE(r.completed);
-  EXPECT_EQ(state.ran[0], 1);
-  EXPECT_EQ(state.ran[1], 1);
-  EXPECT_EQ(state.ran[2], 0);
-  EXPECT_EQ(state.ran[3], 0);
-  EXPECT_TRUE(std::isinf(r.tasks[2].start));
-  EXPECT_TRUE(std::isinf(r.tasks[3].start));
-}
-
-// The closed loop's correctness anchor: run to a horizon, carry the node
-// clocks into a fresh epoch, and the union of the two schedules is the
-// one-shot schedule, task for task and bit for bit.
-TEST(SimEpoch, HorizonSplitReproducesOneShot) {
-  const Runtime rt = diamond_runtime();
-  const RunResult one = rt.run();
-
-  EpochOptions first;
-  first.horizon = 3.0;
-  EpochState state;
-  const RunResult r1 = rt.run({}, first, &state);
-
-  // Second epoch: rebuild the remaining graph with completed deps dropped,
-  // resuming from the carried node clocks.
-  Runtime rest(Machine::workstation(4));
-  const auto c = rest.add_task("c", 1.0, {0, 4});
-  rest.add_task("d", 2.0, {1, 2}, {c});
-  EpochOptions second;
-  second.initial_node_free = state.node_free;
-  const RunResult r2 = rest.run({}, second, nullptr);
-
-  EXPECT_EQ(r2.tasks[0].start, one.tasks[2].start);
-  EXPECT_EQ(r2.tasks[0].end, one.tasks[2].end);
-  EXPECT_EQ(r2.tasks[1].start, one.tasks[3].start);
-  EXPECT_EQ(r2.tasks[1].end, one.tasks[3].end);
-  EXPECT_EQ(r2.makespan, one.makespan);
-
-  // Stitched trace = epoch-1 completions + epoch-2 events.
-  Trace merged = r1.trace;
-  merged.append(r2.trace);
-  EXPECT_EQ(merged.events.size(), one.trace.events.size());
-  EXPECT_EQ(merged.makespan(), one.trace.makespan());
-  EXPECT_EQ(merged.busy_node_seconds(), one.trace.busy_node_seconds());
-}
-
-TEST(SimEpoch, InitialNodeFreeShiftsSchedule) {
-  const Runtime rt = diamond_runtime();
-  const RunResult one = rt.run();
-  EpochOptions epoch;
-  epoch.initial_node_free.assign(4, 5.0);
-  const RunResult r = rt.run({}, epoch, nullptr);
   for (std::size_t t = 0; t < rt.num_tasks(); ++t) {
     EXPECT_DOUBLE_EQ(r.tasks[t].start, one.tasks[t].start + 5.0);
     EXPECT_DOUBLE_EQ(r.tasks[t].end, one.tasks[t].end + 5.0);
   }
+  // The node clocks after the epoch carry the shift too: c (all nodes)
+  // ends at 5 + 4, d (nodes 1-2) at 5 + 6.
+  ASSERT_EQ(state.node_free.size(), 4u);
+  EXPECT_DOUBLE_EQ(state.node_free[0], 9.0);
+  EXPECT_DOUBLE_EQ(state.node_free[1], 11.0);
+  EXPECT_DOUBLE_EQ(state.node_free[3], 9.0);
+
+  EpochOptions negative;
+  negative.start = -1.0;
+  EXPECT_THROW(rt.run({}, negative, nullptr), ContractViolation);
 }
 
 // stop_on_failure pauses the run at the first permanently infeasible task
@@ -127,7 +84,6 @@ TEST(SimEpoch, StopOnFailurePausesInsteadOfCascading) {
   EXPECT_FALSE(r.completed);
   EXPECT_TRUE(r.failure_paused);
   EXPECT_EQ(r.paused_task, 0u);  // a's node set lost node 0 forever
-  EXPECT_GT(r.deferred, 0u);
   EXPECT_EQ(state.ran[0], 0);
   // b lives on nodes {2,3} and is unaffected by the pause ordering only if
   // it was dispatched before the pause; either way it never ran on node 0.
