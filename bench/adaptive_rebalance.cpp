@@ -208,8 +208,8 @@ int main() {
   // --- Warm vs cold re-solve on the scenario's budget MINLP. -------------
   // What a previous solve alone gives a re-solve: lift its allocation into
   // a feasible incumbent (minlp_warm_start), re-linearize at it, and insert
-  // its cut pool. (The controller's re-solve goes through
-  // seed_bnb_options, whose incumbent is the exact greedy.)
+  // its cut pool. (The controller's re-solve is the certified greedy and
+  // runs no tree; this A/B keeps the B&B's seeding measured.)
   // Heuristic dives are disabled on both sides so the measured pruning
   // comes from the seeds, not from the dive heuristic rediscovering the
   // optimum at the root.

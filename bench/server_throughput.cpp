@@ -8,12 +8,14 @@
 //     of identical requests. GATES: every repeat hits the cache with a
 //     byte-identical payload, and the mean hit latency is at least 10x
 //     below the cold-solve latency;
-//   * cross-instance warm starts — a perturbed-repeat fmo family (same
-//     system, growing node budget) solved by a warm service seeding each
-//     miss from its nearest cached neighbor, next to a cold service
-//     solving every instance from scratch. Heuristic dives are disabled on
-//     both sides so the measured pruning comes from the seeds. GATES: every
-//     warm solve matches the cold objective exactly, and the family's
+//   * cross-instance warm starts — a perturbed-repeat solve-kind family
+//     (the same 16 power laws, growing node budget) solved by a warm
+//     service seeding each miss from its nearest cached neighbor, next to
+//     a cold service solving every instance from scratch. Solve-kind
+//     misses run the greedy-seeded branch-and-bound (fmo-kind ones are the
+//     certified greedy, with no tree to warm), and heuristic dives are off
+//     on both sides, so the measured pruning comes from the seeds. GATES:
+//     every warm solve matches the cold objective exactly, and the family's
 //     warm-seeded solves search fewer total B&B nodes than the cold ones;
 //   * throughput — a mixed 32-request solve-kind stream on 4 worker
 //     threads: requests/sec, p50/p99 latency, hit rate, and the mean
@@ -71,6 +73,20 @@ service::Request solve_request(long long budget, double scale) {
   return r;
 }
 
+/// The warm-start family's instance: 16 convex power laws (c = 1), the
+/// same at every budget, so a donor's cut pool carries over verbatim.
+service::Request family_request(long long budget) {
+  service::Request r;
+  r.kind = service::RequestKind::Solve;
+  r.budget = budget;
+  for (int i = 0; i < 16; ++i) {
+    r.tasks.push_back(task("f" + std::to_string(10 + i),
+                           60.0 * (1 + i % 7) + 9.0 * i, 0.02 * (1 + i % 3),
+                           1.0, 0.1 * (i % 4)));
+  }
+  return r;
+}
+
 }  // namespace
 
 int main() {
@@ -113,15 +129,15 @@ int main() {
   }
 
   // --- Cross-instance warm starts on a perturbed-repeat family. -----------
-  // The same 16-fragment system at a growing budget: fits are identical, so
-  // the donor's cut pool transfers verbatim and only the budget row moves.
-  // Both services start every miss from the exact greedy; the warm one also
-  // from the donor's seed.
+  // The same 16 models at a growing budget, so the donor's cut pool
+  // transfers verbatim and only the budget row moves. Both services start
+  // every miss from the exact greedy; the warm one also from the donor's
+  // seed.
   {
     const std::vector<long long> budgets = {64, 68, 72, 76, 80};
     std::vector<service::Request> script;
     script.reserve(budgets.size());
-    for (long long b : budgets) script.push_back(fmo_request(b, 16));
+    for (long long b : budgets) script.push_back(family_request(b));
 
     service::ServiceOptions warm_opt;
     warm_opt.batch = 1;
@@ -148,7 +164,7 @@ int main() {
                  warm[i].warm_seeded ? "yes" : "no",
                  Table::num(warm[i].objective_value, 6)});
     }
-    std::printf("\nperturbed-repeat family (16 fragments, budget 64 -> 80):\n%s\n",
+    std::printf("\nperturbed-repeat family (16 tasks, budget 64 -> 80):\n%s\n",
                 t.str().c_str());
     bench::merge_json(
         kJsonPath, "server/warm_family",

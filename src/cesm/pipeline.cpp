@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <set>
 
@@ -184,19 +185,20 @@ class CesmApplication final : public Application, public BaselineReporter {
   /// Naive static baseline: the node budget split evenly over the four
   /// components (remainder to the first), same layout, intervals, and
   /// perturbation — what an allocation-blind launch of the coupled model
-  /// costs. Computed lazily (run_coupled is const and keyed, so this never
-  /// perturbs the HSLB run's results).
+  /// costs; infinite when a permanent failure stops it. Computed lazily
+  /// (run_coupled is const and keyed, so this never perturbs the HSLB run's
+  /// results).
   double dlb_total_seconds() override {
     if (!dlb_ran_) {
       const long long q = std::max<long long>(1, total_nodes_ / 4);
       const std::array<long long, 4> nodes{
           std::max<long long>(1, total_nodes_ - 3 * q), q, q, q};
       const auto machine = Simulator::machine_for(options_.layout, nodes);
-      dlb_total_ = sim_
-                       .run_coupled(options_.layout, nodes,
-                                    options_.coupling_intervals,
-                                    make_perturb(machine.nodes))
-                       .total_seconds;
+      const auto run = sim_.run_coupled(options_.layout, nodes,
+                                        options_.coupling_intervals,
+                                        make_perturb(machine.nodes));
+      dlb_total_ = run.completed ? run.total_seconds
+                                 : std::numeric_limits<double>::infinity();
       dlb_ran_ = true;
     }
     return dlb_total_;

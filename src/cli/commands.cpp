@@ -175,8 +175,9 @@ int usage(int code) {
       "\n"
       "  serve replays a request script through the long-running allocation\n"
       "  service: exact repeats hit a bounded LRU solution cache, and every\n"
-      "  miss warm-starts its branch-and-bound from the nearest cached\n"
-      "  instance (--no-warm-start solves every miss cold). Requests are\n"
+      "  solve-kind miss warm-starts its branch-and-bound from the nearest\n"
+      "  cached instance (--no-warm-start solves every miss cold; fmo-kind\n"
+      "  misses run the certified greedy, no tree). Requests are\n"
       "  processed in --batch-sized groups (part of the service definition,\n"
       "  like the B&B wave size); response payloads and the hit/miss\n"
       "  sequence are identical for every --threads value. client formats\n"
@@ -187,8 +188,8 @@ int usage(int code) {
       "  concurrency; allocations are identical for any T).\n"
       "  --solver-threads S parallelizes the branch-and-bound node re-solves\n"
       "  (0 = hardware concurrency; results are bit-identical for any S).\n"
-      "  For fmo, --minlp routes Solve through the branch-and-bound instead\n"
-      "  of the exact greedy (the path --solver-threads parallelizes).\n"
+      "  For fmo, --minlp proves the exact greedy optimal (no tree runs)\n"
+      "  and reports the Solve as certified.\n"
       "  --no-presolve turns the LP presolve off for cold solver LPs;\n"
       "  --cut-age-limit K retires an OA cut after K consecutive slack\n"
       "  observations (0 keeps every cut forever).\n"
@@ -286,7 +287,10 @@ int cmd_cesm(const Args& args) {
 
   const auto res = cesm::run_pipeline(r, nodes, opt);
 
-  Table t({"component", "nodes", "fit R^2", "predicted s", "actual s"});
+  // A run a permanent failure stopped reports actuals only up to the stop.
+  const bool partial = !res.coupled.completed;
+  Table t({"component", "nodes", "fit R^2", "predicted s",
+           partial ? "partial actual s" : "actual s"});
   for (cesm::Component c : cesm::kComponents) {
     const auto i = cesm::index(c);
     t.add_row({cesm::to_string(c),
@@ -299,9 +303,10 @@ int cmd_cesm(const Args& args) {
               cesm::to_string(opt.layout), nodes,
               opt.ocean_constrained ? "" : " (unconstrained ocean)",
               t.str().c_str());
-  std::printf("total: predicted %.2f s, actual %.2f s "
+  std::printf("total: predicted %.2f s, actual %.2f s%s "
               "(bnb: %zu nodes, %zu cuts, %.3f s, %s)\n",
               res.solution.predicted_total, res.actual_total,
+              partial ? " partial" : "",
               res.solution.stats.nodes, res.solution.stats.cuts,
               res.solution.stats.seconds,
               minlp::to_string(res.solution.stats.status).c_str());

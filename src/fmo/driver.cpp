@@ -52,7 +52,8 @@ class FmoApplication final : public Application, public BaselineReporter {
         options_(options),
         // The predicted SCC loop runs one wave of all fragments per
         // iteration.
-        solver_(options.objective, options.solve_with_minlp, options.bnb,
+        solver_(options.objective, options.solve_with_minlp,
+                options.bnb.gap_tol,
                 static_cast<double>(options.run.scc_iterations),
                 options.run.sync_overhead) {
     hi_ = probe_ceiling(sys, nodes);
@@ -87,8 +88,7 @@ class FmoApplication final : public Application, public BaselineReporter {
                          fits) override {
     auto tasks = make_budget_tasks(sys_, fits, hi_);
     add_machine_terms(tasks);
-    SolveOutcome out = solver_.solve(tasks, nodes_, options_.solve_seed);
-    seed_accepted_ = solver_.seed_accepted();
+    SolveOutcome out = solver_.solve(tasks, nodes_);
     predicted_scc_seconds_ = out.predicted_total;
     return out;
   }
@@ -181,9 +181,6 @@ class FmoApplication final : public Application, public BaselineReporter {
   ExecutionResult hslb_;
   ExecutionResult dlb_;
   std::vector<SolverStats> resolve_stats_;
-  bool seed_accepted_ = false;
-
-  const SolveSeed& learned() const { return solver_.learned(); }
 
  private:
   /// Extends each fragment's fitted model with the pinned machine charges:
@@ -359,15 +356,6 @@ PipelineResult run_pipeline(const System& sys, const CostModel& cost,
   out.dlb = std::move(app.dlb_);
   out.report = std::move(run.report);
   out.resolve_stats = std::move(app.resolve_stats_);
-  out.seed_accepted = app.seed_accepted_;
-  if (options.solve_with_minlp) {
-    // Export what the search learned so a later run can start warm (the
-    // allocation service caches this next to the allocation). Node counts
-    // come from the final allocation, in task order.
-    out.solve_export = app.learned();
-    for (const auto& t : out.allocation.tasks)
-      out.solve_export.nodes_by_task.push_back(t.nodes);
-  }
   return out;
 }
 

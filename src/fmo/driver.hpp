@@ -6,8 +6,8 @@
 //   2. Fit     — per-fragment performance models (variable-projection
 //                least squares, R^2 diagnostics);
 //   3. Solve   — min-max node allocation over the fitted models (exact
-//                greedy; build_budget_minlp/branch-and-bound cross-check
-//                available for small systems);
+//                greedy; the MINLP path proves it with
+//                hslb::certify_budget);
 //   4. Execute — run the simulated FMO2 calculation under the static
 //                allocation; run the DLB baseline on the same system.
 #pragma once
@@ -37,18 +37,13 @@ struct PipelineOptions {
 
   Objective objective = Objective::MinMax;
 
-  /// Route the Solve step through the general MINLP branch-and-bound
-  /// (build_budget_minlp + minlp::solve) instead of the exact greedy —
-  /// the paper's §III-E solver path, and the one `bnb.solver_threads`
-  /// parallelizes. Requires objective != MaxMin (no MINLP encoding).
+  /// Route the Solve step through the MINLP path (hslb::BudgetSolver):
+  /// the exact greedy, reported as certified when hslb::certify_budget
+  /// proves it within `bnb.gap_tol`, in place of the paper's §III-E
+  /// branch-and-bound. No tree runs, so only `bnb.gap_tol` is read.
+  /// Requires objective != MaxMin (no MINLP encoding).
   bool solve_with_minlp = false;
   minlp::BnbOptions bnb;
-
-  /// Cross-instance warm seed for the Solve step (MINLP path only; ignored
-  /// by the greedy solver). Seeding never changes the optimum — the
-  /// incumbent is the exact greedy and stale cuts are excluded by the
-  /// task-model equality check — it only prunes the tree.
-  SolveSeed solve_seed;
 
   /// Number of representative SCF dimers probed during Gather (spread over
   /// the combined-size range); models for the remaining dimers are scaled
@@ -113,13 +108,6 @@ struct PipelineResult {
   /// Solver diagnostics of every warm re-solve the closed-loop controller
   /// ran (empty for static runs and for adaptive runs that never tripped).
   std::vector<SolverStats> resolve_stats;
-
-  /// What the Solve step learned, exported for seeding a later run
-  /// (PipelineOptions::solve_seed). Empty on the greedy path.
-  SolveSeed solve_export;
-  /// True when options.solve_seed seeded the search, i.e. the Solve step
-  /// started warm from a donor (minlp path only).
-  bool seed_accepted = false;
 };
 
 /// Runs the full pipeline on `nodes` nodes via the shared hslb::Pipeline

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <queue>
 
 #include "common/contracts.hpp"
@@ -33,6 +34,13 @@ double eval(const BudgetTask& t, long long n) {
   return t.model.eval(static_cast<double>(n));
 }
 
+std::vector<long long> node_counts(const Allocation& allocation) {
+  std::vector<long long> nodes(allocation.tasks.size());
+  std::ranges::transform(allocation.tasks, nodes.begin(),
+                         &TaskAllocation::nodes);
+  return nodes;
+}
+
 Allocation finish(std::span<const BudgetTask> tasks,
                   const std::vector<long long>& nodes, Objective objective) {
   Allocation out;
@@ -44,7 +52,77 @@ Allocation finish(std::span<const BudgetTask> tasks,
   return out;
 }
 
+/// min-max half of certify_budget: no allocation gets every task below
+/// T* - gap_tol within the budget.
+bool certify_min_max(std::span<const BudgetTask> tasks, long long budget,
+                     double makespan, double gap_tol) {
+  const double target = makespan - gap_tol;
+  long long need = 0;
+  for (const auto& t : tasks) {
+    const long long lo = effective_min(t);
+    const auto [cap, best] = t.model.argmin_int(lo, t.max_nodes);
+    if (best >= target) return true;  // this task never gets that fast
+    // T_f is non-increasing on [lo, cap] and below target at cap: bisect
+    // for the least node count that gets there.
+    long long a = lo, b = cap;
+    while (a < b) {
+      const long long mid = a + (b - a) / 2;
+      if (eval(t, mid) < target) {
+        b = mid;
+      } else {
+        a = mid + 1;
+      }
+    }
+    need += a;
+    if (need > budget) return true;
+  }
+  return false;
+}
+
+/// min-sum half of certify_budget: no node moved onto a task gains more
+/// than eps beyond what the node it came from loses.
+bool certify_min_sum(std::span<const BudgetTask> tasks, long long budget,
+                     std::span<const long long> nodes, long long used,
+                     double gap_tol) {
+  double gain = -std::numeric_limits<double>::infinity();  // best up-move
+  double loss = std::numeric_limits<double>::infinity();   // least down-move
+  for (std::size_t f = 0; f < tasks.size(); ++f) {
+    const double here = eval(tasks[f], nodes[f]);
+    if (nodes[f] < tasks[f].max_nodes)
+      gain = std::max(gain, here - eval(tasks[f], nodes[f] + 1));
+    if (nodes[f] > effective_min(tasks[f]))
+      loss = std::min(loss, eval(tasks[f], nodes[f] - 1) - here);
+  }
+  // A task past its argmin would gain from giving a node back.
+  if (loss < 0.0) return false;
+  const double eps = gap_tol / static_cast<double>(budget);
+  return gain <= eps || (used == budget && gain <= loss + eps);
+}
+
 }  // namespace
+
+bool certify_budget(std::span<const BudgetTask> tasks, long long budget,
+                    Objective objective, std::span<const long long> nodes,
+                    double gap_tol) {
+  HSLB_EXPECTS(tasks.size() == nodes.size());
+  HSLB_EXPECTS(gap_tol >= 0.0);
+  if (objective == Objective::MaxMin) return false;
+  long long used = 0;
+  for (std::size_t f = 0; f < tasks.size(); ++f) {
+    const auto& t = tasks[f];
+    if (!t.model.is_convex()) return false;
+    // The effective floor is at least 1, so every evaluation below is at
+    // a positive node count.
+    if (nodes[f] < effective_min(t) || nodes[f] > t.max_nodes) return false;
+    used += nodes[f];
+  }
+  if (used > budget) return false;
+  const double value = evaluate_objective(tasks, nodes, objective);
+  if (!std::isfinite(value)) return false;
+  return objective == Objective::MinMax
+             ? certify_min_max(tasks, budget, value, gap_tol)
+             : certify_min_sum(tasks, budget, nodes, used, gap_tol);
+}
 
 double evaluate_objective(std::span<const BudgetTask> tasks,
                           std::span<const long long> nodes,
@@ -337,9 +415,8 @@ std::vector<perf::CostModel> task_models(std::span<const BudgetTask> tasks) {
 bool seed_bnb_options(minlp::BnbOptions& bnb,
                       std::span<const BudgetTask> tasks, long long budget,
                       Objective objective, const SolveSeed& seed) {
-  std::vector<long long> nodes(tasks.size());
-  std::ranges::transform(solve_budget(tasks, budget, objective).tasks,
-                         nodes.begin(), &TaskAllocation::nodes);
+  std::vector<long long> nodes =
+      node_counts(solve_budget(tasks, budget, objective));
   bnb.seed_incumbent = minlp_warm_start(tasks, nodes, objective);
   bnb.seed_points.push_back(bnb.seed_incumbent);
   bnb.heuristic_dives = false;
@@ -364,44 +441,40 @@ bool seed_bnb_options(minlp::BnbOptions& bnb,
   return warm;
 }
 
-BudgetSolver::BudgetSolver(Objective objective, bool minlp,
-                           minlp::BnbOptions bnb, double waves, double sync)
+BudgetSolver::BudgetSolver(Objective objective, bool certify, double gap_tol,
+                           double waves, double sync)
     : objective_(objective),
-      minlp_(minlp),
-      bnb_(std::move(bnb)),
+      certify_(certify),
+      gap_tol_(gap_tol),
       waves_(waves),
-      sync_(sync) {}
+      sync_(sync) {
+  HSLB_EXPECTS(!certify || objective != Objective::MaxMin);
+  HSLB_EXPECTS(gap_tol >= 0.0);
+}
 
 SolveOutcome BudgetSolver::search(std::span<const BudgetTask> tasks,
-                                  long long budget, const SolveSeed& seed) {
+                                  long long budget, bool resolve) const {
   SolveOutcome out;
-  if (!minlp_) {
-    out.allocation = solve_budget(tasks, budget, objective_);
-    // A seeded greedy solve is a closed-loop re-solve; the seed itself
-    // only warms branch-and-bound.
-    out.solver.status = to_string(objective_) + " exact greedy" +
-                        (seed.nodes_by_task.empty() ? "" : " (warm)");
+  out.allocation = solve_budget(tasks, budget, objective_);
+  if (certify_ && certify_budget(tasks, budget, objective_,
+                                 node_counts(out.allocation), gap_tol_)) {
+    out.solver.certified = true;  // status "optimal", no tree
     return out;
   }
-  const auto model = build_budget_minlp(tasks, budget, objective_);
-  minlp::BnbOptions options = bnb_;
-  seed_accepted_ = seed_bnb_options(options, tasks, budget, objective_, seed);
-  const auto bnb = minlp::solve(model, options);
-  out.allocation = allocation_from_minlp(tasks, bnb.x, objective_);
-  out.solver = SolverStats::from_bnb(bnb, bnb_.solver_threads);
-  learned_ = {{}, bnb.x, bnb.pool_cuts, task_models(tasks)};
+  out.solver.status = to_string(objective_) + " exact greedy" +
+                      (resolve ? " (warm)" : "");
   return out;
 }
 
 SolveOutcome BudgetSolver::solve(std::span<const BudgetTask> tasks,
-                                 long long budget, const SolveSeed& seed) {
-  SolveOutcome out = search(tasks, budget, seed);
+                                 long long budget) const {
+  SolveOutcome out = search(tasks, budget, false);
   double slowest = 0.0;
   for (const auto& t : out.allocation.tasks)
     slowest = std::max(slowest, t.predicted_seconds);
   out.predicted_total = waves_ * (slowest + sync_);
   // Term-wise predicted task-seconds over all waves (allocation entries
-  // are in task order for both solver paths).
+  // are in task order).
   for (std::size_t f = 0; f < tasks.size(); ++f) {
     const double n = static_cast<double>(out.allocation.tasks[f].nodes);
     for (const auto& [term, seconds] : tasks[f].model.term_seconds(n)) {
@@ -420,19 +493,18 @@ SolveOutcome BudgetSolver::solve(std::span<const BudgetTask> tasks,
 
 ResolveOutcome BudgetSolver::resolve(std::span<const BudgetTask> tasks,
                                      long long budget,
-                                     const Allocation& incumbent) {
-  SolveSeed seed = learned_;
-  for (const auto& t : tasks)
-    seed.nodes_by_task.push_back(incumbent.find(t.name).nodes);
+                                     const Allocation& incumbent) const {
+  std::vector<long long> installed;
+  installed.reserve(tasks.size());
+  for (const auto& t : tasks) installed.push_back(incumbent.find(t.name).nodes);
   ResolveOutcome out;
-  out.solution = search(tasks, budget, seed);
-  std::vector<long long> nodes;
-  nodes.reserve(out.solution.allocation.tasks.size());
-  for (const auto& t : out.solution.allocation.tasks) nodes.push_back(t.nodes);
+  out.solution = search(tasks, budget, true);
   out.solution.predicted_total =
-      evaluate_objective(tasks, nodes, objective_) + sync_;
+      evaluate_objective(tasks, node_counts(out.solution.allocation),
+                         objective_) +
+      sync_;
   out.incumbent_predicted =
-      evaluate_objective(tasks, seed.nodes_by_task, objective_) + sync_;
+      evaluate_objective(tasks, installed, objective_) + sync_;
   return out;
 }
 

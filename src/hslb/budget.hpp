@@ -15,14 +15,30 @@
 //               convexifiable with our cut machinery; §III-D only uses it
 //               as an ablation baseline).
 //
-// build_budget_minlp() expresses the same problem as a general MINLP for
-// the branch-and-bound path, which starts from the greedy and proves it
-// (or improves on it where the greedy is not exact). An unseeded search
-// cross-checks the specialized solvers (bench/fmo_solver_crosscheck and the
-// property tests do exactly that).
+// certify_budget() proves an allocation optimal without search when every
+// T_f is convex, in O(F log N) model evaluations and no LP:
 //
-// BudgetSolver is the Solve step built on top: greedy or branch-and-bound,
-// warm-seeded from what an earlier search learned (SolveSeed).
+//  * min-max — with T* the allocation's makespan, any allocation beating
+//    T* - gap_tol needs every task below that time. On [min, argmin] a
+//    convex T_f is non-increasing, so a bisection finds the least such n_f;
+//    when some task has none, or these n_f sum past the budget, nothing
+//    beats T* by more than gap_tol;
+//  * min-sum — the first differences D_f(n) = T_f(n) - T_f(n+1) are
+//    non-increasing. With eps = gap_tol / N, either no task gains more than
+//    eps from one more node, or the budget is spent and no such gain
+//    exceeds the least loss of giving one back plus eps; in both cases
+//    every loss is >= 0. Another allocation makes U <= N up-moves against
+//    at least as many down-moves when the budget is spent, so it gains at
+//    most U * eps <= gap_tol.
+//
+// build_budget_minlp() expresses the same problem as a general MINLP for
+// branch-and-bound, which starts from the greedy and proves it
+// (seed_bnb_options): the allocation service's solve-kind requests take
+// that path, and an unseeded search cross-checks the specialized solvers
+// (bench/fmo_solver_crosscheck and the property tests do exactly that).
+//
+// BudgetSolver is the Solve step built on top: the greedy, proved by the
+// certificate on the MINLP path. It runs no tree.
 #pragma once
 
 #include <span>
@@ -96,18 +112,26 @@ std::vector<double> minlp_warm_start(std::span<const BudgetTask> tasks,
                                      std::span<const long long> nodes,
                                      Objective objective);
 
+/// True only when `nodes` — inside its boxes (the effective floor to
+/// max_nodes) and within `budget` — provably has no feasible allocation
+/// better by more than `gap_tol` (see the file comment). Refuses max-min,
+/// any model that is not is_convex(), and any allocation outside its boxes
+/// or over the budget; a refusal proves nothing either way.
+bool certify_budget(std::span<const BudgetTask> tasks, long long budget,
+                    Objective objective, std::span<const long long> nodes,
+                    double gap_tol);
+
 /// Objective value of an allocation under the given criterion.
 double evaluate_objective(std::span<const BudgetTask> tasks,
                           std::span<const long long> nodes,
                           Objective objective);
 
 /// What one MINLP solve learned, for seeding a later solve of a related
-/// instance: the next closed-loop re-solve of the same run, or — through
-/// the allocation service — another pipeline's Solve step. The incumbent
-/// always comes from the exact greedy (seed_bnb_options), so a seed only
-/// adds linearization points and cuts: it never changes the optimum (stale
-/// cuts are dropped by the model check), it only prunes the tree. An empty
-/// seed is a cold solve.
+/// instance through the allocation service. The incumbent always comes
+/// from the exact greedy (seed_bnb_options), so a seed only adds
+/// linearization points and cuts: it never changes the optimum (stale cuts
+/// are dropped by the model check), it only prunes the tree. An empty seed
+/// is a cold solve.
 struct SolveSeed {
   /// One node count per task in task order (empty = none), re-linearized
   /// against the new model after clamping into the tasks' boxes.
@@ -133,53 +157,43 @@ std::vector<perf::CostModel> task_models(std::span<const BudgetTask> tasks);
 /// into the tasks' boxes, and its optimum become further linearization
 /// points; its cuts carry over only when the seed's models equal the
 /// tasks'. Returns true when the seed added a point or its cuts: the search
-/// is warm, seeded from a donor or from the previous search.
+/// is warm, seeded from a donor.
 bool seed_bnb_options(minlp::BnbOptions& bnb,
                       std::span<const BudgetTask> tasks, long long budget,
                       Objective objective, const SolveSeed& seed);
 
 /// The Solve step of substrates whose tasks run as barrier-closed waves
-/// (the FMO SCC loop, hslb::WaveApplication): the exact greedy, or
-/// branch-and-bound started from it and warm-seeded from a SolveSeed. It
-/// keeps what its last search learned, so a closed-loop re-solve starts
-/// warm.
+/// (the FMO SCC loop, hslb::WaveApplication): the exact greedy, which the
+/// MINLP path (`certify`) proves with certify_budget and reports as
+/// certified. The greedy is exact for the convex models the Fit produces
+/// (Ibaraki & Katoh), so a refusal returns it as the exact greedy.
 class BudgetSolver {
  public:
-  /// `minlp` selects branch-and-bound (with `bnb`) over the greedy. A run
-  /// is predicted as `waves` waves, each its slowest task plus `sync`.
-  BudgetSolver(Objective objective, bool minlp, minlp::BnbOptions bnb,
+  /// `certify` selects the MINLP path: the certificate at `gap_tol`
+  /// (min-max or min-sum only). A run is predicted as `waves` waves, each
+  /// its slowest task plus `sync`.
+  BudgetSolver(Objective objective, bool certify, double gap_tol,
                double waves, double sync);
 
   /// Solves `tasks` within `budget`: allocation, solver stats, waves x
   /// (slowest + sync) prediction, and term-wise predicted task-seconds.
-  /// `seed` warms the branch-and-bound.
-  SolveOutcome solve(std::span<const BudgetTask> tasks, long long budget,
-                     const SolveSeed& seed = {});
+  SolveOutcome solve(std::span<const BudgetTask> tasks,
+                     long long budget) const;
 
-  /// Closed-loop warm re-solve: seeded with the installed allocation's node
-  /// counts and the last search's optimum, pool and task models. Predictions
-  /// are per epoch (objective + sync), for the proposal and for the
-  /// installed allocation.
+  /// Closed-loop re-solve. Predictions are per epoch (objective + sync),
+  /// for the proposal and for the installed allocation `incumbent`.
   ResolveOutcome resolve(std::span<const BudgetTask> tasks, long long budget,
-                         const Allocation& incumbent);
-
-  /// What the last branch-and-bound search learned (no node counts).
-  const SolveSeed& learned() const { return learned_; }
-  /// True when the last search was seeded from a donor or from the
-  /// previous search (seed_bnb_options' result), not from the greedy alone.
-  bool seed_accepted() const { return seed_accepted_; }
+                         const Allocation& incumbent) const;
 
  private:
   SolveOutcome search(std::span<const BudgetTask> tasks, long long budget,
-                      const SolveSeed& seed);
+                      bool resolve) const;
 
   Objective objective_;
-  bool minlp_;
-  minlp::BnbOptions bnb_;
+  bool certify_;
+  double gap_tol_;
   double waves_;
   double sync_;
-  SolveSeed learned_;
-  bool seed_accepted_ = false;
 };
 
 }  // namespace hslb

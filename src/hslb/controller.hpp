@@ -3,7 +3,7 @@
 //
 //   repeat: execute epoch -> monitor (imbalance / drift / failure)
 //           -> refit (fold observed durations into the gathered samples)
-//           -> warm re-solve (seeded from the incumbent allocation)
+//           -> re-solve (refitted models, surviving budget)
 //           -> accept test (gain x remaining epochs vs migration stall)
 //           -> migrate
 //

@@ -111,9 +111,10 @@ std::string PipelineReport::str() const {
       "  fit      %8.3f s  (%zu tasks, R^2 min %.4f mean %.4f)\n", fit_seconds,
       fits.size(), min_r2(), mean_r2());
   out += strings::format(
-      "  solve    %8.3f s  (%s: %zu nodes, %zu cuts, gap %g (rel %g), "
+      "  solve    %8.3f s  (%s%s: %zu nodes, %zu cuts, gap %g (rel %g), "
       "%.3f s)\n",
-      solve_seconds, solver.status.c_str(), solver.nodes, solver.cuts,
+      solve_seconds, solver.status.c_str(),
+      solver.certified ? ", greedy certified" : "", solver.nodes, solver.cuts,
       solver.gap, solver.rel_gap, solver.seconds);
   if (solver.lp_solves > 0) {
     out += strings::format(
@@ -168,9 +169,17 @@ std::string PipelineReport::str() const {
     }
     out += " (predicted/actual)\n";
   }
-  out += strings::format(
-      "  predicted %.3f s, actual %.3f s (error %+.1f%%)\n", predicted_total,
-      actual_total, 100.0 * prediction_error());
+  // An incomplete run's actual covers only the part before the stop, so
+  // it predicts nothing: no error against it.
+  if (exec_completed) {
+    out += strings::format(
+        "  predicted %.3f s, actual %.3f s (error %+.1f%%)\n",
+        predicted_total, actual_total, 100.0 * prediction_error());
+  } else {
+    out += strings::format(
+        "  predicted %.3f s, actual %.3f s partial (run incomplete)\n",
+        predicted_total, actual_total);
+  }
   return out;
 }
 

@@ -81,6 +81,9 @@ struct SolverStats {
   std::size_t nodes_propagated_infeasible = 0;  ///< nodes pruned pre-LP
   std::size_t cuts_retired = 0;           ///< pool cuts aged out of node LPs
   std::size_t cuts_reactivated = 0;       ///< retired cuts pulled back
+  /// The exact greedy was proved optimal by hslb::certify_budget, so no
+  /// tree ran: status "optimal" and zero nodes, cuts and LP counters.
+  bool certified = false;
 
   /// A branch-and-bound run in report shape — the one conversion every
   /// substrate's MINLP path uses. `solver_threads` is the BnbOptions value
@@ -295,9 +298,9 @@ class Application {
     return {};
   }
 
-  /// Warm re-solve against refitted models. Implementations should seed
-  /// their solver from `incumbent` (minlp_warm_start, BnbOptions seeds) so
-  /// the re-solve reuses what the previous search learned.
+  /// Re-solve against refitted models. `incumbent` is the installed
+  /// solution; its predicted epoch under the same models
+  /// (ResolveOutcome::incumbent_predicted) is the accept test's baseline.
   virtual ResolveOutcome resolve(
       const std::vector<std::pair<std::string, perf::FitResult>>& fits,
       const SolveOutcome& incumbent) {

@@ -41,8 +41,9 @@ WaveApplication::WaveApplication(WaveWorkload workload, long long nodes,
       options_(std::move(options)),
       mach_(wave_machine(options_, nodes_)),
       perturb_(wave_perturbation(options_, mach_.nodes)),
-      solver_(options_.objective, options_.solve_with_minlp, options_.bnb,
-              static_cast<double>(workload_.waves), workload_.sync_overhead),
+      solver_(options_.objective, options_.solve_with_minlp,
+              options_.bnb.gap_tol, static_cast<double>(workload_.waves),
+              workload_.sync_overhead),
       core_(mach_, perturb_, nodes_) {
   const auto tasks = static_cast<long long>(workload_.tasks.size());
   HSLB_EXPECTS(tasks >= 1);

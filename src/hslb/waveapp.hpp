@@ -7,7 +7,7 @@
 // mesh+particle step (per-block advance + regrid barrier), and many bulk-
 // synchronous codes all fit.  WaveApplication implements the full
 // hslb::Application contract — Gather probes, Fit, budgeted Solve (greedy
-// or MINLP), simulated Execute with noise/straggler/fail-stop
+// or certified greedy), simulated Execute with noise/straggler/fail-stop
 // perturbations through the epoch hooks (one wave per epoch) — over a
 // declarative task list, so a new substrate only has to *describe* its
 // tasks (src/fmm, src/amrex) instead of re-implementing the engine.
@@ -68,6 +68,8 @@ struct WaveOptions {
 
   // Solve.
   Objective objective = Objective::MinMax;
+  /// The MINLP path: the greedy proved by hslb::certify_budget within
+  /// `bnb.gap_tol`, the one field hslb::BudgetSolver reads.
   bool solve_with_minlp = false;
   minlp::BnbOptions bnb;
 

@@ -265,9 +265,6 @@ class Solver {
         opt_.seed_incumbent.size() == model_.num_vars()) {
       maybe_update_incumbent(opt_.seed_incumbent,
                              model_.objective_value(opt_.seed_incumbent));
-      // The audit outcome: an incumbent now means the seed survived the
-      // feasibility check and the search starts warm.
-      result_.seed_accepted = has_incumbent_;
     }
 
     // One LP engine per concurrently running worker, kept for the whole

@@ -129,12 +129,6 @@ struct BnbResult {
   /// The final cut pool, exported for seeding a later warm re-solve
   /// (BnbOptions::seed_cuts) when the nonlinear constraints are unchanged.
   std::vector<Cut> pool_cuts;
-  /// True when BnbOptions::seed_incumbent passed the feasibility audit
-  /// against this model and became the starting incumbent. False when no
-  /// seed was given or the audit rejected it. Budget MINLPs always pass the
-  /// exact greedy here (hslb::seed_bnb_options), so for them this says
-  /// nothing about warmth; seed_bnb_options reports that.
-  bool seed_accepted = false;
 };
 
 /// Propagates the node's bound overrides through the model's linear rows

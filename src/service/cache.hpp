@@ -3,9 +3,10 @@
 // Keyed by the canonicalized instance signature (service/protocol.hpp).
 // Each entry stores the response payload (for exact-repeat hits, returned
 // byte-identically) AND what the solve learned (SolveSeed: the
-// allocation, the MINLP optimum, the cut pool, the fit parameters) so a
-// *different* instance can seed its branch-and-bound from the nearest
-// cached neighbor (cross-instance warm starts).
+// allocation, the MINLP optimum, the cut pool, the task cost models; empty
+// for a miss that ran no tree) so a *different* instance can seed its
+// branch-and-bound from the nearest cached neighbor (cross-instance warm
+// starts).
 //
 // Determinism contract: lookups and nearest-neighbor scans are pure
 // functions of the entry set and its recency order; ties in nearest() are

@@ -208,13 +208,16 @@ std::uint64_t signature(const Request& c) {
 
 double signature_distance(const Request& a, const Request& b) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  if (a.kind != b.kind || a.objective != b.objective) return kInf;
+  // A donor seed lifts only into the same variable space: two solve-kind
+  // requests of one objective with the same tasks by name and bounds
+  // structure. An fmo-kind request runs no tree, so nothing lifts into it.
+  if (a.kind != RequestKind::Solve || b.kind != RequestKind::Solve ||
+      a.objective != b.objective || a.tasks.size() != b.tasks.size())
+    return kInf;
 
-  // Relative gap of two nonnegative parameters: 0 when equal, 1 when one
-  // side is zero/infinite and the other is not.
+  // Relative gap of two nonnegative parameters: 0 when equal.
   auto rel = [](double x, double y) {
     if (x == y) return 0.0;
-    if (!std::isfinite(x) || !std::isfinite(y)) return 1.0;
     return std::fabs(x - y) / std::max({std::fabs(x), std::fabs(y), 1e-12});
   };
   // Node-count distance on a log2 scale (doubling the budget is "one step
@@ -224,34 +227,16 @@ double signature_distance(const Request& a, const Request& b) {
                      std::log2(static_cast<double>(std::max(y, 1LL))));
   };
 
-  if (a.kind == RequestKind::Solve) {
-    // A donor seed lifts only into the same variable space: same tasks by
-    // name and bounds structure.
-    if (a.tasks.size() != b.tasks.size()) return kInf;
-    double d = 2.0 * log_gap(a.budget, b.budget);
-    for (std::size_t i = 0; i < a.tasks.size(); ++i) {
-      const auto& ta = a.tasks[i];
-      const auto& tb = b.tasks[i];
-      if (ta.name != tb.name) return kInf;
-      d += rel(ta.a, tb.a) + rel(ta.b, tb.b) + rel(ta.c, tb.c) +
-           rel(ta.d, tb.d);
-      d += 0.5 * (log_gap(ta.min_nodes, tb.min_nodes) +
-                  log_gap(ta.max_nodes, tb.max_nodes));
-    }
-    return d;
-  }
-
-  // fmo kind: the seed's node vector is per fragment, so the family and
-  // fragment count must match exactly.
-  if (a.family != b.family || a.fragments != b.fragments) return kInf;
   double d = 2.0 * log_gap(a.budget, b.budget);
-  d += 4.0 * (a.system_seed != b.system_seed ? 1.0 : 0.0);
-  d += 1.0 * (a.bench_seed != b.bench_seed ? 1.0 : 0.0);
-  d += 10.0 * rel(a.noise_cv, b.noise_cv);
-  d += rel(a.link_gb, b.link_gb) + rel(a.mem_gb, b.mem_gb) +
-       rel(a.page_s_per_gb, b.page_s_per_gb);
-  d += 0.25 * log_gap(a.fit_points, b.fit_points);
-  d += 0.25 * log_gap(a.repetitions, b.repetitions);
+  for (std::size_t i = 0; i < a.tasks.size(); ++i) {
+    const auto& ta = a.tasks[i];
+    const auto& tb = b.tasks[i];
+    if (ta.name != tb.name) return kInf;
+    d += rel(ta.a, tb.a) + rel(ta.b, tb.b) + rel(ta.c, tb.c) +
+         rel(ta.d, tb.d);
+    d += 0.5 * (log_gap(ta.min_nodes, tb.min_nodes) +
+                log_gap(ta.max_nodes, tb.max_nodes));
+  }
   return d;
 }
 

@@ -83,9 +83,9 @@ Request canonicalize(const Request& r);
 std::uint64_t signature(const Request& canonical);
 
 /// Dissimilarity between two canonicalized instances, used to pick the
-/// nearest cached donor for cross-instance warm starts. Infinity when the
-/// instances live in different solution spaces (different kind, objective,
-/// family, or task structure — a donor seed could not be lifted); otherwise
+/// nearest cached donor for cross-instance warm starts. Infinity unless
+/// both are solve-kind requests in one solution space (same objective and
+/// task structure — otherwise a donor seed could not be lifted); otherwise
 /// a weighted sum of parameter distances where 0 means identical.
 double signature_distance(const Request& a, const Request& b);
 
@@ -109,7 +109,8 @@ struct Response {
   std::size_t bnb_cuts = 0;
   /// The solve was seeded from a donor: its allocation, optimum or cuts
   /// (seed_bnb_options). Always false on cold solves, which start from the
-  /// exact greedy alone.
+  /// exact greedy alone, and on fmo-kind and max-min solves, which run no
+  /// tree.
   bool warm_seeded = false;
   /// The warm result failed the service's feasibility audit and this
   /// response came from the cold re-solve.

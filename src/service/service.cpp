@@ -38,6 +38,15 @@ double predicted_percent_imbalance(std::span<const double> times,
   return (worst / mean - 1.0) * 100.0;
 }
 
+/// Whether a miss runs branch-and-bound, the one solve a donor can seed:
+/// solve-kind min-max and min-sum requests. An fmo-kind miss is the
+/// certified greedy (hslb::BudgetSolver) and a max-min one the greedy
+/// alone, so neither takes a donor.
+bool branches(const Request& canonical) {
+  return canonical.kind == RequestKind::Solve &&
+         canonical.objective != Objective::MaxMin;
+}
+
 }  // namespace
 
 double ServiceReport::percentile(double q) const {
@@ -69,8 +78,8 @@ std::string ServiceReport::str() const {
       hits, misses, 100.0 * hit_rate(), evictions);
   out += strings::format(
       "  solves   %zu warm (%zu B&B nodes) / %zu cold (%zu B&B nodes), "
-      "%zu audit fallback%s\n",
-      warm_solves, warm_bnb_nodes, cold_solves, cold_bnb_nodes,
+      "%zu without a tree, %zu audit fallback%s\n",
+      warm_solves, warm_bnb_nodes, cold_solves, cold_bnb_nodes, greedy_solves,
       audit_fallbacks, audit_fallbacks == 1 ? "" : "s");
   out += strings::format("  latency  p50 %.6f s, p99 %.6f s\n", p50_latency(),
                          p99_latency());
@@ -99,8 +108,8 @@ AllocationService::Solved AllocationService::solve_kind_solve(
   Response& resp = out.response;
   std::vector<long long> nodes(tasks.size());
 
-  if (canonical.objective == Objective::MaxMin) {
-    // No MINLP encoding for max-min — exact greedy, never warm-seeded.
+  if (!branches(canonical)) {
+    // No MINLP encoding for max-min: the greedy alone.
     resp.allocation = solve_budget(tasks, canonical.budget, canonical.objective);
     resp.status = to_string(canonical.objective) + " exact greedy";
   } else {
@@ -136,16 +145,17 @@ AllocationService::Solved AllocationService::solve_kind_solve(
 }
 
 AllocationService::Solved AllocationService::solve_kind_fmo(
-    const Request& canonical, const SolveSeed& seed) const {
+    const Request& canonical) const {
   fmo::PipelineOptions popt;
   popt.fit_points = static_cast<std::size_t>(canonical.fit_points);
   popt.repetitions = static_cast<std::size_t>(canonical.repetitions);
   popt.bench_noise_cv = canonical.noise_cv;
   popt.seed = canonical.bench_seed;
   popt.objective = canonical.objective;
-  // Warm seeding lives in the MINLP path, so the service always routes the
-  // Solve step through branch-and-bound.
-  popt.solve_with_minlp = true;
+  // The MINLP path: the greedy, reported certified when proved optimal.
+  // Max-min has no certificate, so it takes the greedy alone, as its
+  // solve-kind requests do.
+  popt.solve_with_minlp = canonical.objective != Objective::MaxMin;
   popt.bnb = opt_.bnb;
   // Inner stages stay serial: batch-level parallelism owns the pool.
   popt.threads = 1;
@@ -157,7 +167,6 @@ AllocationService::Solved AllocationService::solve_kind_fmo(
     m.page_s_per_gb = canonical.page_s_per_gb;
     popt.run.machine = m;
   }
-  popt.solve_seed = seed;
 
   const fmo::System sys = fmo::make_system(
       canonical.family, static_cast<std::size_t>(canonical.fragments),
@@ -171,7 +180,6 @@ AllocationService::Solved AllocationService::solve_kind_fmo(
   resp.status = res.report.solver.status;
   resp.bnb_nodes = res.report.solver.nodes;
   resp.bnb_cuts = res.report.solver.cuts;
-  resp.warm_seeded = res.seed_accepted;
   resp.predicted_total = res.predicted_scc_seconds;
   resp.actual_total = res.hslb.scc_seconds;
   resp.percent_imbalance = res.report.exec.percent_imbalance;
@@ -179,7 +187,6 @@ AllocationService::Solved AllocationService::solve_kind_fmo(
   times.reserve(res.allocation.tasks.size());
   for (const auto& t : res.allocation.tasks) times.push_back(t.predicted_seconds);
   resp.objective_value = fold_objective(canonical.objective, times);
-  out.seed = res.solve_export;
   return out;
 }
 
@@ -190,7 +197,7 @@ AllocationService::Solved AllocationService::solve_request(
   const SolveSeed& seed = donor != nullptr ? donor->seed : kCold;
   Solved out = canonical.kind == RequestKind::Solve
                    ? solve_kind_solve(canonical, seed)
-                   : solve_kind_fmo(canonical, seed);
+                   : solve_kind_fmo(canonical);
   out.response.signature = sig;
   out.response.donor_signature = donor != nullptr ? donor->signature : 0;
   return out;
@@ -272,7 +279,8 @@ std::vector<Response> AllocationService::run_script(
       p.index = i;
       p.canonical = std::move(canonical);
       p.sig = sig;
-      if (opt_.warm_start) p.donor = cache_.nearest(p.canonical);
+      if (opt_.warm_start && branches(p.canonical))
+        p.donor = cache_.nearest(p.canonical);
       route[i - begin] = work.size();
       work.push_back(std::move(p));
     }
@@ -307,7 +315,9 @@ std::vector<Response> AllocationService::run_script(
         }
         p.solve_seconds += seconds_since(t0);
         ++report_.misses;
-        if (p.solved.response.warm_seeded) {
+        if (!branches(p.canonical)) {
+          ++report_.greedy_solves;
+        } else if (p.solved.response.warm_seeded) {
           ++report_.warm_solves;
           report_.warm_bnb_nodes += p.solved.response.bnb_nodes;
         } else {

@@ -7,13 +7,15 @@
 //      exact signature match against the cache is a hit (the cached payload
 //      is returned byte-identically), a duplicate of an earlier request in
 //      the same batch aliases its result (also a hit), and every remaining
-//      miss selects its warm-start donor — the nearest cached instance by
-//      signature_distance — against the cache contents as of the BATCH
-//      START;
+//      miss that runs branch-and-bound selects its warm-start donor — the
+//      nearest cached instance by signature_distance — against the cache
+//      contents as of the BATCH START;
 //   2. solve (parallel): unique misses solve concurrently on the pool,
-//      each started from the exact greedy and seeded from its donor
-//      (re-linearization points and, when the task cost models match
-//      exactly, the cut pool);
+//      each branch-and-bound started from the exact greedy and seeded from
+//      its donor (re-linearization points and, when the task cost models
+//      match exactly, the cut pool). An fmo-kind miss is the certified
+//      greedy (hslb::BudgetSolver) and a max-min miss the greedy alone:
+//      they run no tree, so they select no donor;
 //   3. commit (sequential, script order): warm results are audited —
 //      allocation complete, budget and bounds respected, finite
 //      predictions — and a failing result is replaced by a cold re-solve
@@ -59,8 +61,11 @@ struct ServiceReport {
   std::size_t requests = 0;
   std::size_t hits = 0;    ///< exact-repeat + in-batch duplicates
   std::size_t misses = 0;  ///< actual solves
-  std::size_t warm_solves = 0;  ///< misses seeded from a donor
-  std::size_t cold_solves = 0;  ///< misses seeded from the greedy alone
+  std::size_t warm_solves = 0;  ///< B&B misses seeded from a donor
+  std::size_t cold_solves = 0;  ///< B&B misses seeded from the greedy alone
+  /// Misses that ran no tree (fmo kind, max-min), counted apart so warm
+  /// and cold B&B nodes per solve compare.
+  std::size_t greedy_solves = 0;
   std::size_t audit_fallbacks = 0;  ///< warm results replaced by cold
   std::size_t evictions = 0;        ///< LRU evictions (mirror of the cache)
   /// B&B nodes summed over warm-seeded vs cold solves (the bench's
@@ -106,12 +111,13 @@ class AllocationService {
   };
 
   /// Solves one canonicalized request, seeded from `donor` (nullptr =
-  /// cold). Pure apart from wall-clock latency stamping.
+  /// cold; always null for misses that run no tree). Pure apart from
+  /// wall-clock latency stamping.
   Solved solve_request(const Request& canonical, std::uint64_t sig,
                        const CacheEntry* donor) const;
   Solved solve_kind_solve(const Request& canonical,
                           const SolveSeed& seed) const;
-  Solved solve_kind_fmo(const Request& canonical, const SolveSeed& seed) const;
+  Solved solve_kind_fmo(const Request& canonical) const;
 
   /// Feasibility audit of a solved response against its request: complete
   /// allocation, budget and per-task bounds respected, finite numbers,

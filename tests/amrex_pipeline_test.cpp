@@ -135,7 +135,10 @@ TEST(AmrexPipeline, MinlpSolvePathWorks) {
   spec.minlp = true;
   const auto run = run_spec(spec);
   EXPECT_TRUE(run.report.exec_completed);
-  EXPECT_GT(run.report.solver.nodes, 0u);
+  // The convex min-max greedy is proved by certificate: no tree runs.
+  EXPECT_TRUE(run.report.solver.certified);
+  EXPECT_EQ(run.report.solver.status, "optimal");
+  EXPECT_EQ(run.report.solver.nodes, 0u);
 
   // Greedy and MINLP agree on the min-max optimum's predicted value.
   const auto greedy = run_spec(base_spec());
@@ -164,11 +167,11 @@ TEST(AmrexWorkload, VariantsAndValidation) {
 
 // Triggered and static runs through the MINLP path, pinned to captured
 // values. The wave engine's static path has no independent reference, so
-// it is pinned too.
+// it is pinned too. Every Solve and re-solve is certified, so no tree runs.
 TEST(AmrexPipeline, PinnedStaticRun) {
   auto spec = base_spec();
   spec.minlp = true;
-  const pinning::Pinned want{0, 0, 56, 15,
+  const pinning::Pinned want{0, 0, 56, 0,
                              {},
                              {9, 11, 4, 2, 2, 2},
                              0.87333773973160234,
@@ -186,8 +189,8 @@ TEST(AmrexPipeline, PinnedFailStopRun) {
   spec.rebalance.adaptive = true;
   spec.fail_node = 0;
   spec.fail_time = 0.5;
-  const pinning::Pinned want{1, 1, 57, 15,
-                             {21, 19, 11, 11, 15, 15, 11},
+  const pinning::Pinned want{1, 1, 57, 0,
+                             {0, 0, 0, 0, 0, 0, 0},
                              {8, 11, 4, 2, 2, 2},
                              0.87539777042456091,
                              0xac036ca2eaaf9f10ull};

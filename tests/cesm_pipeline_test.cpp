@@ -141,6 +141,12 @@ TEST(CesmPipeline, ReportMatchesResult) {
   EXPECT_DOUBLE_EQ(res.report.actual_total, res.actual_total);
   EXPECT_EQ(res.report.solver.status, "optimal");
   EXPECT_GT(res.report.solver.nodes, 0u);
+  // CESM's coupled layouts branch, so the report carries the LP counters.
+  EXPECT_FALSE(res.report.solver.certified);
+  EXPECT_GT(res.report.solver.lp_solves, 0u);
+  EXPECT_GT(res.report.solver.refactorizations, 0u);
+  EXPECT_GT(res.report.solver.basis_nnz, 0u);
+  EXPECT_GT(res.report.solver.lu_fill, 0u);
   EXPECT_NE(res.report.str().find("solve"), std::string::npos);
 }
 

@@ -167,25 +167,28 @@ TEST(FmmWorkload, VariantsAndValidation) {
   EXPECT_THROW(fmm::tree_workload(opt), std::invalid_argument);
 }
 
-// Triggered and static runs through the MINLP path, pinned to captured
-// values. The wave engine's static path has no independent reference, so
-// it is pinned too.
-// The MINLP path reports the full solver stats row, LP factorization
-// counters included, like the FMO and CESM substrates.
-TEST(FmmPipeline, MinlpReportCarriesLpCounters) {
+// The MINLP path's Solve is the convex greedy proved by certificate: the
+// report's solver row says so and carries no tree or LP counters (CESM,
+// which still branches, carries those).
+TEST(FmmPipeline, MinlpReportShowsCertifiedSolve) {
   auto spec = base_spec();
   spec.minlp = true;
   const auto run = run_spec(spec);
-  ASSERT_GT(run.report.solver.lp_solves, 0u);
-  EXPECT_GT(run.report.solver.refactorizations, 0u);
-  EXPECT_GT(run.report.solver.basis_nnz, 0u);
-  EXPECT_GT(run.report.solver.lu_fill, 0u);
+  EXPECT_TRUE(run.report.solver.certified);
+  EXPECT_EQ(run.report.solver.status, "optimal");
+  EXPECT_EQ(run.report.solver.nodes, 0u);
+  EXPECT_EQ(run.report.solver.lp_solves, 0u);
+  EXPECT_NE(run.report.str().find("(optimal, greedy certified: 0 nodes"),
+            std::string::npos);
 }
 
+// Triggered and static runs through the MINLP path, pinned to captured
+// values. The wave engine's static path has no independent reference, so
+// it is pinned too. Every Solve and re-solve is certified, so no tree runs.
 TEST(FmmPipeline, PinnedStaticRun) {
   auto spec = base_spec();
   spec.minlp = true;
-  const pinning::Pinned want{0, 0, 56, 7,
+  const pinning::Pinned want{0, 0, 56, 0,
                              {},
                              {1, 5, 5, 1, 12, 6},
                              3627.9960362371557,
@@ -203,8 +206,8 @@ TEST(FmmPipeline, PinnedFailStopRun) {
   spec.rebalance.adaptive = true;
   spec.fail_node = 0;
   spec.fail_time = 0.5;
-  const pinning::Pinned want{1, 1, 57, 7,
-                             {3, 5, 7, 5, 5, 5, 7, 5},
+  const pinning::Pinned want{1, 1, 57, 0,
+                             {0, 0, 0, 0, 0, 0, 0, 0},
                              {1, 5, 5, 1, 11, 6},
                              3646.6787473661834,
                              0x6fd2db484e3b452eull};

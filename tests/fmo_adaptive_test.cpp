@@ -196,7 +196,8 @@ TEST(FmoAdaptive, DriftTriggersRebalance) {
 
 // ADPT-6..8: triggered closed-loop runs through the MINLP path, pinned to
 // captured values — rebalances, restarts, trace events, the B&B nodes of
-// every warm re-solve, the final allocation, and the makespan.
+// every warm re-solve (0: each one is certified), the final allocation,
+// and the makespan.
 PipelineOptions pinned_options() {
   PipelineOptions opt;
   opt.solve_with_minlp = true;
@@ -212,8 +213,8 @@ RebalancePolicy adaptive_policy() {
 TEST(FmoAdaptive, PinnedStragglerRun) {
   PipelineOptions opt = pinned_options();
   opt.run.straggler_cv = 0.4;
-  const pinning::Pinned want{8, 0, 131, 19,
-                             {7, 3, 3, 3, 5, 5, 5, 3, 7, 7},
+  const pinning::Pinned want{8, 0, 131, 0,
+                             {0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
                              {2, 1, 1, 1, 37, 1, 2, 1, 1, 1},
                              8.8584944755356627,
                              0x296b100244241a50ull};
@@ -231,8 +232,8 @@ TEST(FmoAdaptive, PinnedDriftRun) {
   opt.run.drift_onset = 3;
   RebalancePolicy policy = adaptive_policy();
   policy.imbalance_threshold = 0.15;
-  const pinning::Pinned want{5, 0, 132, 13,
-                             {9, 7, 7, 3, 3, 11, 5, 5, 5, 11},
+  const pinning::Pinned want{5, 0, 132, 0,
+                             {0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
                              {12, 10, 1, 1, 5, 1, 5, 1, 2, 1},
                              24.049128656084864,
                              0x30130131ced851aaull};
@@ -247,8 +248,8 @@ TEST(FmoAdaptive, PinnedFailStopRun) {
   opt.run.fail_time = 1.0;
   opt.run.machine = sim::Machine{"intrepid", 64, 4};
   opt.run.machine.link_gb_per_s = 0.425;
-  const pinning::Pinned want{1, 1, 132, 5,
-                             {3},
+  const pinning::Pinned want{1, 1, 132, 0,
+                             {0},
                              {1, 7, 1, 1, 1, 24, 25, 1, 1, 1},
                              5.7191427420670147,
                              0xa24100774e4c7ea6ull};
@@ -259,15 +260,16 @@ TEST(FmoAdaptive, PinnedFailStopRun) {
 }
 
 // ADPT-9: static runs of every static setup through the MINLP path, pinned
-// to captured values — trace events, the B&B nodes of the Solve, the
-// allocation, the makespan and the trace digest; no rebalance, no restart.
+// to captured values — trace events, the B&B nodes of the Solve (0: it is
+// certified), the allocation, the makespan and the trace digest; no
+// rebalance, no restart.
 TEST(FmoAdaptive, PinnedStaticRuns) {
   const pinning::Pinned want[] = {
-      {0, 0, 132, 11, {}, {1, 1, 1, 1, 8, 1, 31, 8, 27, 1},
+      {0, 0, 132, 0, {}, {1, 1, 1, 1, 8, 1, 31, 8, 27, 1},
        5.6111345382185815, 0xe621694388b8901full},
-      {0, 0, 152, 53, {}, {18, 4, 12, 1, 4, 11, 5, 1, 10, 3, 13, 14},
+      {0, 0, 152, 0, {}, {18, 4, 12, 1, 4, 11, 5, 1, 10, 3, 13, 14},
        93.498751471612849, 0x18662a2f721fbfd9ull},
-      {0, 0, 177, 5, {}, {1, 1, 1, 1, 1, 1, 5, 1, 6, 1, 1, 1},
+      {0, 0, 177, 0, {}, {1, 1, 1, 1, 1, 1, 5, 1, 6, 1, 1, 1},
        31.143958224596155, 0x735f8273130745eaull},
   };
   const auto setups = static_setups();

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
@@ -201,19 +202,46 @@ TEST_P(MaxMinExhaustive, ExchangeHeuristicNearBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, MaxMinExhaustive, ::testing::Range(0, 30));
 
+/// Pins the BudgetVsBnb machine charges on every other task: a comm slope
+/// when `kind` is 1, a memory row when it is 2 (none otherwise). Memory
+/// floors of at most budget / count nodes keep the instance feasible.
+void pin_charges(Rng& rng, std::vector<BudgetTask>& tasks, long long budget,
+                 int kind) {
+  const auto count = static_cast<long long>(tasks.size());
+  for (std::size_t f = 1; f < tasks.size(); f += 2) {
+    if (kind == 1)
+      tasks[f].model.pin_comm(rng.uniform(0.01, 0.5), 1.0 / 0.425);
+    if (kind == 2)
+      tasks[f].model.pin_memory(
+          rng.uniform(1.0, 2.0 * static_cast<double>(budget / count)), 2.0,
+          1.5);
+  }
+}
+
+long long floor_of(const BudgetTask& t) {
+  return std::max(t.min_nodes, t.model.min_feasible_nodes());
+}
+
+std::vector<long long> nodes_of(const Allocation& alloc) {
+  std::vector<long long> nodes;
+  for (const auto& t : alloc.tasks) nodes.push_back(t.nodes);
+  return nodes;
+}
+
 TEST(BudgetVsBnb, GreedySeededAndUnseededSearchesAgree) {
   // FMO-6 as a differential sweep: the exact greedy, an unseeded
-  // branch-and-bound and the BudgetSolver, whose search starts from the
-  // greedy, reach one objective, and the seeded searches solve far fewer
-  // node LPs in total. Instances 0-24 draw 2-5 power laws on 6-40 nodes,
-  // 25-28 draw 8-20 on 3-5 nodes per task; a third of them pin a comm slope
-  // and a third a memory row on every other task. Min-sum runs up to 12
-  // tasks: past that even the seeded search needs hundreds of nodes
-  // (seconds) to prove its optimum. The large draws stop at 20 tasks: a
-  // 24-task comm-slope draw's unseeded search alone takes over 2 s. Node
-  // totals are not compared: without dives the seeded tree gets no cuts
-  // away from the greedy and can be the larger one (1,040 against 828
-  // nodes here).
+  // branch-and-bound and a search seeded with the greedy (seed_bnb_options,
+  // as the allocation service's solve-kind requests run it) reach one
+  // objective, the seeded searches solve far fewer node LPs in total, and
+  // the BudgetSolver certifies the greedy without a tree. Instances 0-24
+  // draw 2-5 power laws on 6-40 nodes, 25-28 draw 8-20 on 3-5 nodes per
+  // task; a third of them pin a comm slope and a third a memory row on
+  // every other task. Min-sum runs up to 12 tasks: past that even the
+  // seeded search needs hundreds of nodes (seconds) to prove its optimum.
+  // The large draws stop at 20 tasks: a 24-task comm-slope draw's unseeded
+  // search alone takes over 2 s. Node totals are not compared: without
+  // dives the seeded tree gets no cuts away from the greedy and can be the
+  // larger one (1,040 against 828 nodes here).
   std::size_t seeded_lps = 0, unseeded_lps = 0;
   constexpr int kLarge[] = {8, 12, 16, 20};
   for (int instance = 0; instance < 29; ++instance) {
@@ -229,15 +257,7 @@ TEST(BudgetVsBnb, GreedySeededAndUnseededSearchesAgree) {
       tasks = random_tasks(rng, budget, count);
     }
     const auto count = static_cast<long long>(tasks.size());
-    for (std::size_t f = 1; f < tasks.size(); f += 2) {
-      if (instance % 3 == 1)
-        tasks[f].model.pin_comm(rng.uniform(0.01, 0.5), 1.0 / 0.425);
-      // Memory floors of at most budget / count nodes keep it feasible.
-      if (instance % 3 == 2)
-        tasks[f].model.pin_memory(
-            rng.uniform(1.0, 2.0 * static_cast<double>(budget / count)), 2.0,
-            1.5);
-    }
+    pin_charges(rng, tasks, budget, instance % 3);
     SCOPED_TRACE("instance " + std::to_string(instance) + ": " +
                  std::to_string(count) + " tasks on " +
                  std::to_string(budget) + " nodes");
@@ -246,32 +266,319 @@ TEST(BudgetVsBnb, GreedySeededAndUnseededSearchesAgree) {
       if (obj == Objective::MinSum && count > 12) continue;
       SCOPED_TRACE(to_string(obj));
       const auto greedy = solve_budget(tasks, budget, obj);
-      const auto unseeded = minlp::solve(build_budget_minlp(tasks, budget, obj));
+      const auto model = build_budget_minlp(tasks, budget, obj);
+      const auto unseeded = minlp::solve(model);
       ASSERT_EQ(unseeded.status, minlp::BnbStatus::Optimal);
-      BudgetSolver solver(obj, true, minlp::BnbOptions{}, 1.0, 0.0);
-      const auto seeded = solver.solve(tasks, budget);
-      ASSERT_EQ(seeded.solver.status, "optimal");
-      EXPECT_FALSE(solver.seed_accepted());  // the greedy alone is cold
+      minlp::BnbOptions seeded_options;
+      // The greedy alone is cold.
+      EXPECT_FALSE(seed_bnb_options(seeded_options, tasks, budget, obj, {}));
+      const auto seeded = minlp::solve(model, seeded_options);
+      ASSERT_EQ(seeded.status, minlp::BnbStatus::Optimal);
+      const BudgetSolver solver(obj, true, minlp::BnbOptions{}.gap_tol, 1.0,
+                                0.0);
+      const auto certified = solver.solve(tasks, budget);
+      EXPECT_TRUE(certified.solver.certified);
+      EXPECT_EQ(certified.solver.status, "optimal");
+      EXPECT_EQ(certified.solver.nodes, 0u);
+      EXPECT_EQ(nodes_of(certified.allocation), nodes_of(greedy));
 
+      const auto seeded_alloc = allocation_from_minlp(tasks, seeded.x, obj);
       const auto unseeded_alloc = allocation_from_minlp(tasks, unseeded.x, obj);
       const double want = greedy.predicted_total;
-      EXPECT_NEAR(seeded.allocation.predicted_total, want, 1e-9 * (1.0 + want));
+      EXPECT_NEAR(seeded_alloc.predicted_total, want, 1e-9 * (1.0 + want));
       EXPECT_NEAR(unseeded_alloc.predicted_total, want, 1e-9 * (1.0 + want));
       for (const Allocation* alloc :
-           {&greedy, &seeded.allocation, &unseeded_alloc}) {
+           {&greedy, &seeded_alloc, &unseeded_alloc}) {
         EXPECT_LE(alloc->total_nodes(), budget);
         for (std::size_t f = 0; f < tasks.size(); ++f) {
-          EXPECT_GE(alloc->tasks[f].nodes,
-                    std::max(tasks[f].min_nodes,
-                             tasks[f].model.min_feasible_nodes()));
+          EXPECT_GE(alloc->tasks[f].nodes, floor_of(tasks[f]));
           EXPECT_LE(alloc->tasks[f].nodes, tasks[f].max_nodes);
         }
       }
-      seeded_lps += seeded.solver.lp_solves;
+      seeded_lps += seeded.lp_solves;
       unseeded_lps += unseeded.lp_solves;
     }
   }
   EXPECT_LT(2 * seeded_lps, unseeded_lps);
+}
+
+/// Best objective over every allocation inside the tasks' boxes within
+/// `budget` (exhaustive; small instances only).
+double brute_force(std::span<const BudgetTask> tasks, long long budget,
+                   Objective obj) {
+  double best = std::numeric_limits<double>::infinity();
+  std::vector<long long> nodes(tasks.size());
+  std::function<void(std::size_t, long long)> rec = [&](std::size_t i,
+                                                        long long left) {
+    if (i == tasks.size()) {
+      best = std::min(best, evaluate_objective(tasks, nodes, obj));
+      return;
+    }
+    long long later = 0;
+    for (std::size_t g = i + 1; g < tasks.size(); ++g) later += floor_of(tasks[g]);
+    for (long long n = floor_of(tasks[i]);
+         n <= std::min(tasks[i].max_nodes, left - later); ++n) {
+      nodes[i] = n;
+      rec(i + 1, left - n);
+    }
+  };
+  rec(0, budget);
+  return best;
+}
+
+TEST(BudgetCertificate, AcceptsEveryGreedyAndNothingWorse) {
+  // Adversarial sweep: 2-4 tasks on 4-16 nodes drawn as BudgetVsBnb draws
+  // them, a third with comm slopes and a third with memory rows, under both
+  // objectives. The certificate must accept every exact greedy and never
+  // accept an allocation worse than the optimum by more than gap_tol; the
+  // perturbations are one node moved between two tasks, one node removed,
+  // and the greedy of budget B checked against B + 1. Brute force is the
+  // oracle.
+  const double gap_tol = minlp::BnbOptions{}.gap_tol;
+  std::size_t greedies = 0, accepted = 0, refused = 0;
+  for (int instance = 0; instance < 400; ++instance) {
+    Rng rng(static_cast<std::uint64_t>(instance) * 7703 + 11);
+    const long long budget = rng.uniform_int(4, 16);
+    auto tasks = random_tasks(
+        rng, budget, static_cast<int>(rng.uniform_int(2, std::min(4LL, budget))));
+    pin_charges(rng, tasks, budget, instance % 3);
+    SCOPED_TRACE("instance " + std::to_string(instance) + ": " +
+                 std::to_string(tasks.size()) + " tasks on " +
+                 std::to_string(budget) + " nodes");
+
+    for (Objective obj : {Objective::MinMax, Objective::MinSum}) {
+      SCOPED_TRACE(to_string(obj));
+      const double best = brute_force(tasks, budget, obj);
+      const auto greedy = nodes_of(solve_budget(tasks, budget, obj));
+      EXPECT_NEAR(evaluate_objective(tasks, greedy, obj), best,
+                  1e-9 * (1.0 + best));
+      EXPECT_TRUE(certify_budget(tasks, budget, obj, greedy, gap_tol));
+      ++greedies;
+
+      // Every accepted perturbation must be within gap_tol of the optimum.
+      auto check = [&](const std::vector<long long>& nodes, long long b,
+                       double optimum) {
+        if (certify_budget(tasks, b, obj, nodes, gap_tol)) {
+          ++accepted;
+          EXPECT_LE(evaluate_objective(tasks, nodes, obj), optimum + gap_tol);
+        } else {
+          ++refused;
+        }
+      };
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        if (greedy[i] <= floor_of(tasks[i])) continue;
+        auto removed = greedy;
+        --removed[i];
+        check(removed, budget, best);
+        for (std::size_t j = 0; j < tasks.size(); ++j) {
+          if (j == i || greedy[j] >= tasks[j].max_nodes) continue;
+          auto moved = removed;
+          ++moved[j];
+          check(moved, budget, best);
+        }
+      }
+      check(greedy, budget + 1, brute_force(tasks, budget + 1, obj));
+    }
+  }
+  EXPECT_EQ(greedies, 800u);
+  // Most perturbations are strictly worse, so most are refused.
+  EXPECT_GT(refused, accepted);
+}
+
+TEST(BudgetCertificate, AgreesWithUnseededSearchOnLargerDraws) {
+  // Beyond brute force: 6-12 tasks on 3-5 nodes each, charges pinned as
+  // above, with an unseeded branch-and-bound as the oracle. The certified
+  // greedy matches it, and no allocation one node off the greedy is
+  // accepted unless it is as good.
+  const double gap_tol = minlp::BnbOptions{}.gap_tol;
+  for (int instance = 0; instance < 6; ++instance) {
+    Rng rng(static_cast<std::uint64_t>(instance) * 4099 + 17);
+    const int count = static_cast<int>(rng.uniform_int(6, 12));
+    const long long budget = count * rng.uniform_int(3, 5);
+    auto tasks = random_tasks(rng, budget, count);
+    pin_charges(rng, tasks, budget, instance % 3);
+    SCOPED_TRACE("instance " + std::to_string(instance) + ": " +
+                 std::to_string(count) + " tasks on " +
+                 std::to_string(budget) + " nodes");
+    for (Objective obj : {Objective::MinMax, Objective::MinSum}) {
+      SCOPED_TRACE(to_string(obj));
+      const auto greedy = nodes_of(solve_budget(tasks, budget, obj));
+      EXPECT_TRUE(certify_budget(tasks, budget, obj, greedy, gap_tol));
+      const auto bnb = minlp::solve(build_budget_minlp(tasks, budget, obj));
+      ASSERT_EQ(bnb.status, minlp::BnbStatus::Optimal);
+      const double want = evaluate_objective(tasks, greedy, obj);
+      const double optimum =
+          allocation_from_minlp(tasks, bnb.x, obj).predicted_total;
+      EXPECT_NEAR(optimum, want, 1e-9 * (1.0 + want));
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        if (greedy[i] <= floor_of(tasks[i])) continue;
+        for (std::size_t j = 0; j <= tasks.size(); ++j) {
+          auto nodes = greedy;
+          --nodes[i];
+          if (j < tasks.size()) {  // j == size: the node is removed
+            if (j == i || nodes[j] >= tasks[j].max_nodes) continue;
+            ++nodes[j];
+          }
+          if (certify_budget(tasks, budget, obj, nodes, gap_tol)) {
+            EXPECT_LE(evaluate_objective(tasks, nodes, obj), optimum + gap_tol);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BudgetCertificate, ProvesSaturatedGreedyWithBudgetLeft) {
+  // The serial task's time is its floor at any node count, so the greedy
+  // stops with most of the budget unspent; the certificate proves it by
+  // that task alone.
+  const std::vector<BudgetTask> tasks{task("serial", 0.0, 50.0, 1000),
+                                      task("scalable", 100.0, 0.0, 1000)};
+  const auto greedy = nodes_of(solve_min_max(tasks, 1000));
+  ASSERT_LT(greedy[0] + greedy[1], 1000);
+  EXPECT_TRUE(certify_budget(tasks, 1000, Objective::MinMax, greedy, 1e-9));
+}
+
+TEST(BudgetCertificate, RefusesWhatItCannotProve) {
+  const double gap_tol = minlp::BnbOptions{}.gap_tol;
+  const std::vector<BudgetTask> tasks{task("a", 300, 1, 16),
+                                      task("b", 100, 2, 16)};
+  const auto greedy = nodes_of(solve_min_max(tasks, 16));
+  ASSERT_TRUE(certify_budget(tasks, 16, Objective::MinMax, greedy, gap_tol));
+
+  // A non-convex model (b > 0, c < 1), even at its own greedy.
+  std::vector<BudgetTask> concave = tasks;
+  concave[1].model = perf::Model{100, 2.0, 0.5, 2};
+  EXPECT_FALSE(certify_budget(concave, 16, Objective::MinMax,
+                              nodes_of(solve_min_max(concave, 16)), gap_tol));
+  // max-min has no certificate.
+  EXPECT_FALSE(certify_budget(tasks, 16, Objective::MaxMin,
+                              nodes_of(solve_max_min(tasks, 16)), gap_tol));
+  // Over the budget: the greedy of 16 against 15 nodes.
+  EXPECT_FALSE(certify_budget(tasks, 15, Objective::MinMax, greedy, gap_tol));
+  // Outside the boxes: past max_nodes, and below a memory floor.
+  std::vector<BudgetTask> capped = tasks;
+  capped[0].max_nodes = greedy[0] - 1;
+  EXPECT_FALSE(certify_budget(capped, 16, Objective::MinMax, greedy, gap_tol));
+  std::vector<BudgetTask> floored = tasks;
+  floored[1].model.pin_memory(2.0 * static_cast<double>(greedy[1] + 1), 2.0,
+                              0.0);
+  EXPECT_FALSE(certify_budget(floored, 16, Objective::MinMax, greedy, gap_tol));
+  // A min-sum allocation with a task past its argmin (T_r = 4/n + n is
+  // least at 2): no task gains from one more node, but handing one back
+  // would.
+  const std::vector<BudgetTask> rising{
+      BudgetTask{"r", perf::Model{4, 1.0, 1.0, 0}, 1, 8}, task("s", 1, 0, 1)};
+  const std::vector<long long> past{4, 1};
+  EXPECT_FALSE(certify_budget(rising, 5, Objective::MinSum, past, gap_tol));
+  EXPECT_TRUE(certify_budget(rising, 5, Objective::MinSum,
+                             nodes_of(solve_min_sum(rising, 5)), gap_tol));
+}
+
+TEST(BudgetBnbParity, GreedySeededSearchIsThreadIndependent) {
+  // No substrate run reaches the greedy-seeded budget B&B any more (only
+  // the service's solve-kind requests do), so it is checked here: on
+  // FMO/FMM/AMReX-shaped instances (8-20 tasks with comm slopes and memory
+  // rows) its answer and every work counter are bit-identical at 1 and 4
+  // solver threads.
+  constexpr int kCounts[] = {8, 12, 16, 20};
+  for (int i = 0; i < 4; ++i) {
+    Rng rng(static_cast<std::uint64_t>(i) * 3301 + 5);
+    const int count = kCounts[i];
+    const long long budget = count * rng.uniform_int(3, 5);
+    auto tasks = random_tasks(rng, budget, count);
+    for (std::size_t f = 0; f < tasks.size(); ++f) {
+      if (f % 2 == 1)
+        tasks[f].model.pin_comm(rng.uniform(0.01, 0.5), 1.0 / 0.425);
+      if (f % 3 == 2)
+        tasks[f].model.pin_memory(
+            rng.uniform(1.0, 2.0 * static_cast<double>(budget / count)), 2.0,
+            1.5);
+    }
+    SCOPED_TRACE(std::to_string(count) + " tasks on " +
+                 std::to_string(budget) + " nodes");
+    for (Objective obj : {Objective::MinMax, Objective::MinSum}) {
+      if (obj == Objective::MinSum && count > 12) continue;  // see BudgetVsBnb
+      SCOPED_TRACE(to_string(obj));
+      const auto model = build_budget_minlp(tasks, budget, obj);
+      minlp::BnbResult serial;
+      for (std::size_t threads : {1u, 4u}) {
+        minlp::BnbOptions options;
+        options.solver_threads = threads;
+        seed_bnb_options(options, tasks, budget, obj, {});
+        const auto r = minlp::solve(model, options);
+        ASSERT_EQ(r.status, minlp::BnbStatus::Optimal);
+        if (threads == 1) {
+          EXPECT_GT(r.nodes, 0u);
+          serial = r;
+          continue;
+        }
+        EXPECT_EQ(r.x, serial.x);
+        EXPECT_EQ(r.objective, serial.objective);
+        EXPECT_EQ(r.nodes, serial.nodes);
+        EXPECT_EQ(r.cuts, serial.cuts);
+        EXPECT_EQ(r.waves, serial.waves);
+        EXPECT_EQ(r.lp_solves, serial.lp_solves);
+        EXPECT_EQ(r.lp_pivots, serial.lp_pivots);
+        EXPECT_EQ(r.warm_solves, serial.warm_solves);
+        EXPECT_EQ(r.lp_stats.refactorizations,
+                  serial.lp_stats.refactorizations);
+      }
+    }
+  }
+}
+
+TEST(BudgetSolverPaths, CertifiesTheGreedyOrReturnsItAsExact) {
+  const std::vector<BudgetTask> tasks{task("a", 300, 1, 16),
+                                      task("b", 100, 2, 16)};
+  const auto greedy = nodes_of(solve_min_max(tasks, 16));
+  const BudgetSolver certifying(Objective::MinMax, true, 1e-9, 2.0, 0.5);
+  const BudgetSolver greedy_only(Objective::MinMax, false, 1e-9, 2.0, 0.5);
+
+  // The MINLP path proves the greedy and says so; two waves of the
+  // slowest task plus sync.
+  const auto proved = certifying.solve(tasks, 16);
+  EXPECT_TRUE(proved.solver.certified);
+  EXPECT_EQ(proved.solver.status, "optimal");
+  EXPECT_EQ(proved.solver.nodes, 0u);
+  EXPECT_EQ(nodes_of(proved.allocation), greedy);
+  EXPECT_DOUBLE_EQ(proved.predicted_total,
+                   2.0 * (proved.allocation.predicted_total + 0.5));
+
+  // The greedy path, and the MINLP path on a model the certificate refuses
+  // (b > 0, c < 1), return the greedy as the exact greedy.
+  const auto plain = greedy_only.solve(tasks, 16);
+  EXPECT_FALSE(plain.solver.certified);
+  EXPECT_EQ(plain.solver.status, "min-max exact greedy");
+  EXPECT_EQ(nodes_of(plain.allocation), greedy);
+  std::vector<BudgetTask> concave = tasks;
+  concave[1].model = perf::Model{100, 2.0, 0.5, 2};
+  const auto refused = certifying.solve(concave, 16);
+  EXPECT_FALSE(refused.solver.certified);
+  EXPECT_EQ(refused.solver.status, "min-max exact greedy");
+  EXPECT_EQ(nodes_of(refused.allocation),
+            nodes_of(solve_min_max(concave, 16)));
+
+  // A re-solve predicts one epoch (objective + sync) for the proposal and
+  // for the installed allocation.
+  const Allocation installed = solve_min_max(tasks, 12);
+  const auto re = certifying.resolve(tasks, 16, installed);
+  EXPECT_TRUE(re.solution.solver.certified);
+  EXPECT_EQ(nodes_of(re.solution.allocation), greedy);
+  EXPECT_DOUBLE_EQ(re.solution.predicted_total,
+                   proved.allocation.predicted_total + 0.5);
+  EXPECT_DOUBLE_EQ(re.incumbent_predicted, installed.predicted_total + 0.5);
+  EXPECT_EQ(greedy_only.resolve(tasks, 16, installed).solution.solver.status,
+            "min-max exact greedy (warm)");
+}
+
+TEST(BudgetSolverPaths, MinlpPathRejectsMaxMin) {
+  EXPECT_THROW(BudgetSolver(Objective::MaxMin, true, 1e-9, 1.0, 0.0),
+               ContractViolation);
+  const BudgetSolver greedy_only(Objective::MaxMin, false, 1e-9, 1.0, 0.0);
+  const std::vector<BudgetTask> tasks{task("a", 10, 0, 8), task("b", 10, 0, 8)};
+  EXPECT_EQ(nodes_of(greedy_only.solve(tasks, 8).allocation),
+            nodes_of(solve_max_min(tasks, 8)));
 }
 
 TEST(BudgetMinlp, RejectsMaxMin) {

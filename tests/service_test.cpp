@@ -9,7 +9,6 @@
 
 #include <cmath>
 #include <cstddef>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -239,8 +238,18 @@ TEST(AllocationService, MaxMinRequestsUseExactGreedyAndNeverWarm) {
     EXPECT_NE(r.status.find("exact greedy"), std::string::npos);
     EXPECT_FALSE(r.warm_seeded);
     EXPECT_EQ(r.bnb_nodes, 0u);
+    EXPECT_EQ(r.donor_signature, 0u);  // no tree to seed
   }
-  EXPECT_EQ(srv.report().warm_solves, 0u);
+  EXPECT_EQ(srv.report().warm_solves + srv.report().cold_solves, 0u);
+  EXPECT_EQ(srv.report().greedy_solves, 2u);
+
+  // An fmo max-min request runs its pipeline on the greedy too.
+  Request fmo = fmo_request(48, 6, 42);
+  fmo.objective = Objective::MaxMin;
+  const Response r = srv.handle(fmo);
+  EXPECT_EQ(r.status, "max-min exact greedy");
+  EXPECT_EQ(r.allocation.tasks.size(), 6u);
+  EXPECT_EQ(srv.report().greedy_solves, 3u);
 }
 
 TEST(AllocationService, PercentImbalanceMatchesDefinition) {
@@ -259,7 +268,7 @@ TEST(AllocationService, PercentImbalanceMatchesDefinition) {
   EXPECT_GE(resp.percent_imbalance, 0.0);
 }
 
-TEST(AllocationService, FmoRequestsRunTheFullPipelineAndWarmStart) {
+TEST(AllocationService, FmoRequestsRunTheFullPipelineWithoutADonor) {
   ServiceOptions opt;
   opt.batch = 1;
   AllocationService srv(opt);
@@ -277,11 +286,17 @@ TEST(AllocationService, FmoRequestsRunTheFullPipelineAndWarmStart) {
   EXPECT_TRUE(out[1].cache_hit);
   EXPECT_EQ(out[0].to_line(), out[1].to_line());
 
-  // The perturbed instance seeds from its neighbor and still agrees with a
-  // cold solve on the final objective.
+  // The perturbed instance's Solve is the certified greedy: no tree, so it
+  // takes no donor (solve-kind requests, which branch, cover warm starts)
+  // and counts apart from warm and cold B&B solves. It agrees with a cold
+  // service on the final objective.
   EXPECT_FALSE(out[2].cache_hit);
-  EXPECT_EQ(out[2].donor_signature, signature(canonicalize(f1)));
-  EXPECT_TRUE(out[2].warm_seeded);
+  EXPECT_EQ(out[2].status, "optimal");
+  EXPECT_EQ(out[2].donor_signature, 0u);
+  EXPECT_FALSE(out[2].warm_seeded);
+  EXPECT_EQ(out[2].bnb_nodes, 0u);
+  EXPECT_EQ(srv.report().greedy_solves, 2u);
+  EXPECT_EQ(srv.report().warm_solves + srv.report().cold_solves, 0u);
 
   ServiceOptions cold_opt;
   cold_opt.warm_start = false;
@@ -289,23 +304,6 @@ TEST(AllocationService, FmoRequestsRunTheFullPipelineAndWarmStart) {
   const Response cold_f2 = cold.handle(f2);
   EXPECT_NEAR(out[2].objective_value, cold_f2.objective_value,
               1e-9 * std::abs(cold_f2.objective_value));
-
-  // A donor whose machine charged link bandwidth solved a MINLP with comm
-  // split variables; its cuts must not carry over to the same system on an
-  // unmodeled machine, whose fits are identical but whose MINLP has no such
-  // variables.
-  const Request charged = parse_request(
-      "fmo objective=min-max budget=96 family=comm fragments=12 "
-      "system_seed=50 bench_seed=42 noise_cv=0.03 fit_points=5 reps=1 "
-      "link_gb=0.425");
-  Request plain = charged;
-  plain.link_gb = std::numeric_limits<double>::infinity();
-  AllocationService chain(opt);
-  const auto pair = chain.run_script({charged, plain});
-  EXPECT_EQ(pair[1].donor_signature, signature(canonicalize(charged)));
-  const Response cold_plain = cold.handle(plain);
-  EXPECT_NEAR(pair[1].objective_value, cold_plain.objective_value,
-              1e-9 * std::abs(cold_plain.objective_value));
 }
 
 }  // namespace
