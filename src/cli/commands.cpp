@@ -37,7 +37,7 @@ cesm::Resolution parse_resolution(long long r) {
   return r == 1 ? cesm::Resolution::Deg1 : cesm::Resolution::EighthDeg;
 }
 
-/// Solver knobs shared by the cesm and fmo subcommands.
+/// Branch-and-bound knobs shared by the cesm and serve subcommands.
 void apply_bnb_args(const Args& args, minlp::BnbOptions& bnb) {
   bnb.solver_threads =
       static_cast<std::size_t>(args.get_int("solver-threads", 1LL, 0));
@@ -137,9 +137,7 @@ int usage(int code) {
       "                                 full simulated pipeline\n"
       "  hslb fmo    --fragments F --nodes N [--peptide|--comm-bound]\n"
       "              [--minlp] [--objective min-max] [--threads T]\n"
-      "              [--solver-threads S] [--no-presolve]\n"
-      "              [--cut-age-limit K] [--refactor-interval R]\n"
-      "              [--refactor-fill-ratio F] [--link-gb GB/s] [--mem-gb GB]\n"
+      "              [--link-gb GB/s] [--mem-gb GB]\n"
       "              [--page-s-per-gb S] [--compute-only-model]\n"
       "              [--trace out.csv] [--straggler-cv CV] [--fail-node I]\n"
       "              [--fail-time S] [--fail-downtime S] [--adaptive]\n"
@@ -186,10 +184,12 @@ int usage(int code) {
       "\n"
       "  --threads T parallelizes the Gather and Fit stages (0 = hardware\n"
       "  concurrency; allocations are identical for any T).\n"
-      "  --solver-threads S parallelizes the branch-and-bound node re-solves\n"
-      "  (0 = hardware concurrency; results are bit-identical for any S).\n"
-      "  For fmo, --minlp proves the exact greedy optimal (no tree runs)\n"
-      "  and reports the Solve as certified.\n"
+      "  --solver-threads S (cesm, serve) parallelizes the branch-and-bound\n"
+      "  node re-solves (0 = hardware concurrency; results are bit-identical\n"
+      "  for any S). For fmo, --minlp proves the exact greedy optimal (no\n"
+      "  tree runs, so fmo takes no solver knobs) and reports the Solve as\n"
+      "  certified. fmo executes on the wave engine run uses for fmm and\n"
+      "  amrex: its SCC loop as waves, its dimer phase as one planned stage.\n"
       "  --no-presolve turns the LP presolve off for cold solver LPs;\n"
       "  --cut-age-limit K retires an OA cut after K consecutive slack\n"
       "  observations (0 keeps every cut forever).\n"
@@ -344,7 +344,6 @@ int cmd_fmo(const Args& args) {
   // 0 = hardware concurrency for both thread counts.
   opt.threads = static_cast<std::size_t>(args.get_int("threads", 0LL, 0));
   opt.solve_with_minlp = args.flag("minlp");
-  apply_bnb_args(args, opt.bnb);
   apply_execution_args(args, opt.run.straggler_cv, opt.run.fail_node,
                        opt.run.fail_time, opt.run.fail_downtime);
   apply_rebalance_args(args, opt.rebalance);

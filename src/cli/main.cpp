@@ -32,19 +32,16 @@ int main(int argc, char** argv) {
     }
     if (cmd == "fmo") {
       return cmd_fmo(Args(argc - 1, argv + 1,
-                          {"peptide", "comm-bound", "minlp", "no-presolve",
+                          {"peptide", "comm-bound", "minlp",
                            "compute-only-model", "adaptive"},
                           {"fragments", "nodes", "objective", "threads",
-                           "solver-threads", "cut-age-limit",
-                           "refactor-interval", "refactor-fill-ratio",
                            "trace", "straggler-cv", "fail-node", "fail-time",
                            "fail-downtime", "link-gb", "mem-gb",
                            "page-s-per-gb", "rebalance-threshold",
                            "refit-window", "max-epochs"}));
     }
     if (cmd == "run") {
-      return cmd_run(Args(argc - 1, argv + 1,
-                          {"minlp", "no-presolve", "adaptive"},
+      return cmd_run(Args(argc - 1, argv + 1, {"minlp", "adaptive"},
                           {"substrate", "variant", "tasks", "nodes",
                            "objective", "threads", "fit-points", "system-seed",
                            "bench-seed", "bench-noise-cv", "noise-cv",

@@ -21,7 +21,6 @@
 #include "hslb/gather.hpp"
 #include "hslb/objective.hpp"
 #include "hslb/pipeline.hpp"
-#include "minlp/bnb.hpp"
 #include "perf/fit.hpp"
 
 namespace hslb::fmo {
@@ -39,11 +38,9 @@ struct PipelineOptions {
 
   /// Route the Solve step through the MINLP path (hslb::BudgetSolver):
   /// the exact greedy, reported as certified when hslb::certify_budget
-  /// proves it within `bnb.gap_tol`, in place of the paper's §III-E
-  /// branch-and-bound. No tree runs, so only `bnb.gap_tol` is read.
-  /// Requires objective != MaxMin (no MINLP encoding).
+  /// proves it, in place of the paper's §III-E branch-and-bound. Requires
+  /// objective != MaxMin (no MINLP encoding).
   bool solve_with_minlp = false;
-  minlp::BnbOptions bnb;
 
   /// Number of representative SCF dimers probed during Gather (spread over
   /// the combined-size range); models for the remaining dimers are scaled
@@ -116,11 +113,12 @@ struct PipelineResult {
 PipelineResult run_pipeline(const System& sys, const CostModel& cost,
                             long long nodes, const PipelineOptions& options = {});
 
-/// The FMO substrate as a self-contained hslb::Application (by value: the
-/// returned application owns copies of its inputs), for registry-driven
-/// pipelines. Also implements hslb::BaselineReporter (HSLB vs DLB totals).
-/// A run through the shared engine with equal options produces results
-/// bit-identical to run_pipeline.
+/// The FMO substrate as a self-contained hslb::Application — the wave
+/// engine (hslb::WaveApplication) over hslb_workload, owning copies of its
+/// inputs — for registry-driven pipelines. Also implements
+/// hslb::BaselineReporter (HSLB vs DLB totals). A run through the shared
+/// engine with equal options produces results bit-identical to
+/// run_pipeline.
 std::shared_ptr<Application> make_application(System sys, CostModel cost,
                                               long long nodes,
                                               PipelineOptions options = {});

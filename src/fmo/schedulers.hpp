@@ -19,14 +19,16 @@
 // dimers are statically assigned to the monomer groups by predicted
 // earliest completion time.
 //
-// The HSLB schedule exists once, in EpochRunner: the closed-loop
-// controller drives it epoch by epoch, and run_hslb is the same runner
-// with no controller (one allocation, stopped at a permanent-failure
-// pause), so static and adaptive runs share one schedule by construction.
+// The HSLB schedule runs on the shared wave engine (hslb::WaveApplication):
+// hslb_workload maps the system to a wave workload — the fragments as
+// `scc_iterations` waves, then a planned dimer stage whose slots
+// DimerStage places. The closed-loop controller drives it epoch by epoch,
+// and run_hslb is the same engine with no controller (one allocation,
+// stopped at a permanent-failure pause), so static and adaptive runs share
+// one schedule by construction.
 #pragma once
 
-#include <cstdint>
-#include <limits>
+#include <memory>
 #include <vector>
 
 #include "fmo/cost.hpp"
@@ -34,43 +36,26 @@
 #include "fmo/fragment.hpp"
 #include "fmo/gddi.hpp"
 #include "hslb/allocation.hpp"
-#include "hslb/pipeline.hpp"
-#include "perf/fit.hpp"
+#include "hslb/waveapp.hpp"
 #include "perf/model.hpp"
-#include "sim/epoch.hpp"
 #include "sim/machine.hpp"
-#include "sim/runtime.hpp"
 #include "sim/trace.hpp"
 
 namespace hslb::fmo {
 
-struct RunOptions {
+/// The run's machine and perturbations (ExecutionOptions: a zero-node
+/// machine means an Intrepid-like partition exactly covering the layout),
+/// plus the FMO schedule's shape.
+struct RunOptions : ExecutionOptions {
   int scc_iterations = 10;
   /// Per-iteration global synchronization / charge-exchange overhead (s).
   double sync_overhead = 0.05;
-  /// Coefficient of variation of per-task execution noise. Draws are keyed
-  /// by (seed, phase, task, attempt) so they are invariant to scheduling
-  /// order and shared between HSLB and DLB runs of the same system.
-  double noise_cv = 0.02;
-  std::uint64_t seed = 7;
-
-  /// Machine the run is placed on. A zero-node machine (the default) means
-  /// "derive an Intrepid-like partition exactly covering the layout".
-  sim::Machine machine;
-  /// Coefficient of variation of per-node straggler slowdown factors
-  /// (>= 1, keyed off `seed`); 0 disables stragglers.
-  double straggler_cv = 0.0;
-  /// Fail-stop injection: `fail_node` (-1 = none) goes down at `fail_time`
-  /// for `fail_downtime` seconds (infinity = permanent).
-  long long fail_node = -1;
-  double fail_time = 0.0;
-  double fail_downtime = std::numeric_limits<double>::infinity();
 
   /// Mid-run cost drift: per-fragment multipliers (size = #fragments)
   /// applied to the true monomer cost from SCC iteration `drift_onset`
   /// onwards; empty = no drift. Every scheduler (static HSLB, DLB, the
-  /// adaptive epoch runner) sees the same drifted truth, so adaptive gains
-  /// come from reacting, not from a different workload.
+  /// adaptive run) sees the same drifted truth, so adaptive gains come from
+  /// reacting, not from a different workload.
   std::vector<double> task_scale;
   int drift_onset = 0;
 };
@@ -137,7 +122,7 @@ ExecutionResult run_dlb(const System& sys, const CostModel& cost,
 /// HSLB static execution on `total_nodes` nodes: `allocation` must contain
 /// one entry per fragment (task names = fragment names) giving its group's
 /// node count. `dimers` optionally carries predicted dimer models (see
-/// DimerPredictions). Runs an EpochRunner with no controller until it is
+/// DimerPredictions). Runs the wave engine with no controller until it is
 /// done or a permanent failure pauses it; a paused run ends incomplete.
 ExecutionResult run_hslb(const System& sys, const CostModel& cost,
                          const Allocation& allocation, long long total_nodes,
@@ -149,87 +134,60 @@ ExecutionResult run_hslb(const System& sys, const CostModel& cost,
                          const Allocation& allocation, long long total_nodes,
                          const RunOptions& options);
 
-/// Epoch-by-epoch HSLB execution: each step() runs one SCC iteration (one
-/// concurrent wave + its sync barrier), and the final step runs the dimer
-/// phase plus the ES tail, all on a sim::EpochCore.
-///
-/// On a permanent node failure the epoch pauses (failure_detected): the
-/// caller re-solves over budget() — the largest contiguous surviving node
-/// segment — installs the new allocation (install), charges the stall
-/// (migrate), and the next step() re-runs only the work the failure left
-/// unfinished, with barriers packed inside the surviving segment.
-class EpochRunner {
+// -- The HSLB schedule on hslb::WaveApplication ------------------------------
+
+/// FMO's side of the dimer stage: it places the pending SCF dimers and
+/// builds the FMO2 energy as they are built. Owns the system and cost model
+/// the schedule runs.
+class DimerStage {
  public:
-  EpochRunner(const System& sys, const CostModel& cost, long long total_nodes,
-              const DimerPredictions& dimers, const RunOptions& options);
+  DimerStage(System sys, CostModel cost);
 
-  /// Installs `allocation` (one entry per fragment) for subsequent epochs:
-  /// fragment groups occupy contiguous blocks in fragment order from the
-  /// surviving segment's start. Must be called once before the first
-  /// step() and after every accepted rebalance.
-  void install(const Allocation& allocation);
+  const System& system() const { return sys_; }
+  const CostModel& cost() const { return cost_; }
 
-  /// Runs the next epoch (or re-runs what a failure left unfinished).
-  /// Observations are monomer compute seconds, machine charges excluded;
-  /// the epoch stamp is left to the controller.
-  EpochOutcome step();
+  /// Starts a run: `predictions` (empty = ECT) steer the placement, and no
+  /// dimer energy is built yet.
+  void begin(DimerPredictions predictions);
 
-  /// Charges a mid-run migration of `volume_gb` to the run clock
-  /// (sim::Machine::migration_seconds) and records a fixed "migrate" trace
-  /// event over the surviving segment. Returns the stall in seconds.
-  double migrate(double volume_gb) { return core_.migrate(volume_gb); }
+  /// Places the pending dimers (hslb::PlannedStage::plan). When predicted
+  /// models exist and the pending dimers fit the budget: a min-max
+  /// re-split over their predicted models, blocks packed from the segment
+  /// start. Otherwise: chains on the installed fragment blocks by
+  /// predicted earliest completion time, longest dimer first. The barrier
+  /// is the ES-dimer tail at the surviving budget. Each dimer's energy
+  /// correction is built the first time it is placed.
+  StagePlan plan(const StageView& view);
 
-  /// Data volume (GB) a switch to `next` would move: the working set of
-  /// every fragment whose absolute node block would change (memory_gb, or
-  /// an nbf^2 density-matrix estimate when the fragment models no memory).
-  double migration_volume(const Allocation& next) const;
-
-  /// Nodes currently available for allocation: the run's node budget,
-  /// clipped to the largest contiguous segment a permanent failure left.
-  long long budget() const { return core_.budget(); }
-
-  const sim::Machine& machine() const { return core_.machine(); }
-
-  /// Finalizes accounting and returns the accumulated execution result.
-  /// Call once: after step() reported done, or to stop the run early (the
-  /// result is then incomplete, its scc_seconds the clock if it stopped in
-  /// the SCC phase, and its energy still the full FMO2 sum).
-  ExecutionResult finish();
+  /// The FMO2 energy: the monomer terms, the dimer corrections in build
+  /// order and then those never built, the ES tail. A run stopped early
+  /// still reports the full sum.
+  EnergyBreakdown energy() const;
 
  private:
-  /// Node count per fragment, in fragment order.
-  std::vector<long long> nodes_of(const Allocation& allocation) const;
-  /// After a failure pause: false, and the run marked incomplete, when the
-  /// survivors cannot host one node per fragment.
-  bool survives();
-  EpochOutcome run_scc_unit();
-  EpochOutcome run_dimer_unit();
-  void add_dimer_energy(std::size_t d);
-
-  const System& sys_;
-  const CostModel& cost_;
-  const DimerPredictions dimers_;
-  const RunOptions options_;
-  sim::EpochCore core_;
-
-  std::vector<perf::Model> monomers_;
-  std::vector<std::size_t> pairs_;
-
-  // Installed layout: contiguous fragment blocks from the segment start.
-  std::vector<long long> group_nodes_;
-  std::vector<sim::NodeSet> frag_nodes_;
-  bool installed_ = false;
-
-  // Progress cursors.
-  int iter_ = 0;  ///< next (or in-flight) SCC iteration
-  bool in_dimer_ = false;
-  bool done_ = false;  ///< no epoch left to run (out_.completed says why)
-  std::vector<char> pending_monomers_;  ///< current iteration's open wave
-  std::vector<char> pending_dimers_;
-
-  ExecutionResult out_;
-  std::vector<char> monomer_energy_added_;
-  std::vector<char> dimer_energy_added_;
+  System sys_;
+  CostModel cost_;
+  DimerPredictions predictions_;
+  std::vector<char> built_;
+  double scf_dimer_ = 0.0;
 };
+
+/// The HSLB schedule as a staged wave workload: one task per fragment
+/// (its monomer cost, drift, halo and working set) over `scc_iterations`
+/// waves in phases "scc<i>", then the "dimer" stage placed by `dimers` and
+/// closed by the "es-dimers" tail.
+WaveWorkload hslb_workload(const std::shared_ptr<DimerStage>& dimers,
+                           const RunOptions& options);
+
+/// The wave engine's options for `options` on `total_nodes` nodes, the
+/// default machine resolved (see RunOptions).
+WaveOptions execution_options(const RunOptions& options,
+                              long long total_nodes);
+
+/// The ExecutionResult of the run `app` (built by hslb_workload over
+/// `dimers`) just finished.
+ExecutionResult hslb_result(const WaveApplication& app,
+                            const RunOptions& options,
+                            const DimerStage& dimers);
 
 }  // namespace hslb::fmo

@@ -9,16 +9,15 @@
 
 namespace hslb {
 
-namespace {
-
-sim::Machine wave_machine(const WaveOptions& options, long long nodes) {
+sim::Machine wave_machine(const ExecutionOptions& options, long long nodes) {
+  HSLB_EXPECTS(nodes >= 1);
   if (options.machine.nodes == 0)
     return sim::Machine{"cluster", static_cast<std::size_t>(nodes), 1};
   HSLB_EXPECTS(options.machine.nodes >= static_cast<std::size_t>(nodes));
   return options.machine;
 }
 
-sim::Perturbation wave_perturbation(const WaveOptions& options,
+sim::Perturbation wave_perturbation(const ExecutionOptions& options,
                                     std::size_t machine_nodes) {
   sim::Perturbation p;
   p.noise_cv = options.noise_cv;
@@ -32,7 +31,12 @@ sim::Perturbation wave_perturbation(const WaveOptions& options,
   return p;
 }
 
-}  // namespace
+long long probe_ceiling(long long tasks, long long nodes) {
+  HSLB_EXPECTS(tasks >= 1);
+  HSLB_EXPECTS(nodes >= tasks);
+  const long long fair = std::max<long long>(1, nodes / tasks);
+  return std::max<long long>(8, std::min(nodes - tasks + 1, 8 * fair));
+}
 
 WaveApplication::WaveApplication(WaveWorkload workload, long long nodes,
                                  WaveOptions options)
@@ -42,18 +46,14 @@ WaveApplication::WaveApplication(WaveWorkload workload, long long nodes,
       mach_(wave_machine(options_, nodes_)),
       perturb_(wave_perturbation(options_, mach_.nodes)),
       solver_(options_.objective, options_.solve_with_minlp,
-              options_.bnb.gap_tol, static_cast<double>(workload_.waves),
-              workload_.sync_overhead),
+              minlp::BnbOptions{}.gap_tol,
+              static_cast<double>(workload_.waves), workload_.sync_overhead),
       core_(mach_, perturb_, nodes_) {
   const auto tasks = static_cast<long long>(workload_.tasks.size());
-  HSLB_EXPECTS(tasks >= 1);
-  HSLB_EXPECTS(nodes_ >= tasks);
   HSLB_EXPECTS(workload_.waves >= 1);
   HSLB_EXPECTS(options_.fit_points >= 2);
-  // Same probe ceiling rationale as FMO: a task can never get more than
-  // budget - (T-1) nodes, and probing past several fair shares is wasted.
-  const long long fair = std::max<long long>(1, nodes_ / tasks);
-  hi_ = std::max<long long>(8, std::min(nodes_ - tasks + 1, 8 * fair));
+  for (const auto& stage : workload_.stages) HSLB_EXPECTS(stage.plan != nullptr);
+  hi_ = probe_ceiling(tasks, nodes_);
   counts_ = geometric_node_counts(
       1, hi_, static_cast<std::size_t>(options_.fit_points));
   for (std::size_t t = 0; t < workload_.tasks.size(); ++t)
@@ -97,20 +97,22 @@ std::vector<BudgetTask> WaveApplication::budget_tasks(
   tasks.reserve(fits.size());
   for (const auto& [name, fit] : fits)
     tasks.push_back(BudgetTask{name, fit.model, 1, max_nodes});
-  // Pinned machine term: each task's working set against node memory (no
-  // halo traffic in the wave model, so no comm term). A no-op on machines
-  // that do not model memory.
-  if (mach_.models_memory()) {
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      if (workload_.tasks[t].memory_gb > 0.0)
-        tasks[t].model.pin_memory(workload_.tasks[t].memory_gb,
-                                  mach_.memory_gb_per_node,
-                                  mach_.page_s_per_gb);
-      // The memory knapsack can force a wider span than the probe ceiling;
-      // feasibility wins over staying inside the interpolated range.
-      tasks[t].max_nodes =
-          std::max(tasks[t].max_nodes, tasks[t].model.min_feasible_nodes());
-    }
+  // Pinned machine terms: each task's halo traffic over link bandwidth and
+  // its working set against node memory. No-ops on machines that model
+  // neither.
+  if (!options_.machine_cost_terms) return tasks;
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
+    const WaveTask& task = workload_.tasks[t];
+    if (mach_.models_communication() && task.comm_gb > 0.0)
+      tasks[t].model.pin_comm(task.comm_gb, 1.0 / mach_.link_gb_per_s);
+    if (!mach_.models_memory()) continue;
+    if (task.memory_gb > 0.0)
+      tasks[t].model.pin_memory(task.memory_gb, mach_.memory_gb_per_node,
+                                mach_.page_s_per_gb);
+    // The memory knapsack can force a wider span than the probe ceiling;
+    // feasibility wins over staying inside the interpolated range.
+    tasks[t].max_nodes =
+        std::max(tasks[t].max_nodes, tasks[t].model.min_feasible_nodes());
   }
   return tasks;
 }
@@ -132,11 +134,15 @@ std::vector<long long> WaveApplication::nodes_of(
 
 void WaveApplication::reset_run_state() {
   core_ = sim::EpochCore(mach_, perturb_, nodes_);
+  stage_ = 0;
   wave_ = 0;
   done_ = false;
   pending_.assign(workload_.tasks.size(), 1);
   completed_ = true;
+  busy_.assign(workload_.tasks.size(), 0.0);
+  busy_node_seconds_ = 0.0;
   task_seconds_ = 0.0;
+  waves_end_ = 0.0;
   hslb_total_ = 0.0;
   dlb_ran_ = false;
   installed_ = false;
@@ -161,24 +167,56 @@ EpochOutcome WaveApplication::execute_epoch(std::size_t) {
     return r;
   }
   const double epoch_start = core_.clock();
-  std::vector<sim::WaveSlot> wave;
-  for (std::size_t t = 0; t < workload_.tasks.size(); ++t) {
-    if (!pending_[t]) continue;
-    const auto& task = workload_.tasks[t];
-    wave.push_back({t, task.name,
-                    task.truth.eval(static_cast<double>(alloc_nodes_[t])),
-                    blocks_[t], {0.0, task.memory_gb}});
+  const bool waves = stage_ == 0;
+  const PlannedStage* stage = waves ? nullptr : &workload_.stages[stage_ - 1];
+  // The epoch's plan: the pending tasks on their installed blocks, or where
+  // the planned stage places its pending tasks.
+  std::vector<std::size_t> pending;
+  pending.reserve(pending_.size());
+  for (std::size_t t = 0; t < pending_.size(); ++t)
+    if (pending_[t]) pending.push_back(t);
+  StagePlan plan;
+  if (waves) {
+    plan.slots.reserve(pending.size());
+    for (std::size_t t : pending) plan.slots.push_back({t, blocks_[t], {}, t});
+    plan.barrier_seconds = workload_.sync_overhead;
+  } else {
+    plan = stage->plan({pending, core_, alloc_nodes_, blocks_});
   }
-  const sim::WaveRun w = core_.run_wave(wave, "wave" + std::to_string(wave_),
-                                        workload_.sync_overhead);
-  for (const auto& [t, seconds] : w.ran) {
-    task_seconds_ += seconds;
-    pending_[t] = 0;
+  const std::vector<WaveTask>& tasks = waves ? workload_.tasks : stage->tasks;
+  const bool drifted = waves && wave_ >= workload_.drift_onset;
+  std::vector<sim::WaveSlot> slots;
+  slots.reserve(plan.slots.size());
+  for (const StageSlot& s : plan.slots) {
+    HSLB_EXPECTS(s.task < tasks.size() && pending_[s.task]);
+    HSLB_EXPECTS(!s.group || *s.group < workload_.tasks.size());
+    const WaveTask& task = tasks[s.task];
+    slots.push_back({task.name,
+                     task.truth.eval(static_cast<double>(s.nodes.count)) *
+                         (drifted ? task.drift : 1.0),
+                     s.nodes, {task.comm_gb, task.memory_gb}, s.after});
   }
-  for (const auto& [t, seconds] : w.observed) {
-    r.observations.push_back({workload_.tasks[t].name,
-                              static_cast<double>(alloc_nodes_[t]), seconds,
-                              0});
+  const sim::WaveRun w =
+      waves ? core_.run_wave(slots, workload_.phase + std::to_string(wave_),
+                             "sync", plan.barrier_seconds)
+            : core_.run_wave(slots, stage->phase, stage->barrier,
+                             plan.barrier_seconds);
+  for (const auto& [k, seconds] : w.ran) {
+    const StageSlot& s = plan.slots[k];
+    pending_[s.task] = 0;
+    if (s.group) busy_[*s.group] += seconds;
+    busy_node_seconds_ += seconds * static_cast<double>(s.nodes.count);
+    if (waves) task_seconds_ += seconds;
+  }
+  // The monitor watches the allocated tasks only: a planned stage runs on
+  // its own placement.
+  if (waves) {
+    for (const auto& [k, seconds] : w.observed) {
+      const std::size_t t = plan.slots[k].task;
+      r.observations.push_back({tasks[t].name,
+                                static_cast<double>(alloc_nodes_[t]), seconds,
+                                0});
+    }
   }
   if (w.failure) {
     r.failure_detected = true;
@@ -189,15 +227,30 @@ EpochOutcome WaveApplication::execute_epoch(std::size_t) {
       r.done = true;
     }
   } else {
-    ++wave_;
-    pending_.assign(workload_.tasks.size(), 1);
-    if (wave_ >= workload_.waves) done_ = true;
+    if (waves) r.imbalance = w.imbalance;
+    advance();
     r.done = done_;
-    r.imbalance = w.imbalance;
   }
-  r.epochs_remaining = static_cast<double>(workload_.waves - wave_);
+  const long long waves_left = waves ? workload_.waves - wave_ : 0;
+  const std::size_t stages_done = stage_ == 0 ? 0 : stage_ - 1;
+  r.epochs_remaining = static_cast<double>(
+      waves_left +
+      static_cast<long long>(workload_.stages.size() - stages_done));
   r.epoch_seconds = core_.clock() - epoch_start;
   return r;
+}
+
+void WaveApplication::advance() {
+  if (stage_ == 0 && ++wave_ < workload_.waves) {
+    pending_.assign(workload_.tasks.size(), 1);
+    return;
+  }
+  if (stage_ == 0) waves_end_ = core_.clock();
+  if (++stage_ > workload_.stages.size()) {
+    done_ = true;
+    return;
+  }
+  pending_.assign(workload_.stages[stage_ - 1].tasks.size(), 1);
 }
 
 ResolveOutcome WaveApplication::resolve(
@@ -211,9 +264,11 @@ ResolveOutcome WaveApplication::resolve(
 double WaveApplication::migration_volume(const Allocation& next) const {
   const auto moved = core_.pack(nodes_of(next));
   double volume = 0.0;
-  for (std::size_t t = 0; t < workload_.tasks.size(); ++t)
-    if (!installed_ || moved[t] != blocks_[t])
-      volume += workload_.tasks[t].memory_gb;
+  for (std::size_t t = 0; t < workload_.tasks.size(); ++t) {
+    if (installed_ && moved[t] == blocks_[t]) continue;
+    const WaveTask& task = workload_.tasks[t];
+    volume += task.migration_gb > 0.0 ? task.migration_gb : task.memory_gb;
+  }
   return volume;
 }
 
@@ -230,9 +285,10 @@ double WaveApplication::apply_allocation(const SolveOutcome& solution) {
 }
 
 double WaveApplication::finish_epochs() {
-  // A run stopped before its last wave (a static run at a permanent-failure
-  // pause) is incomplete.
+  // A run stopped before its last epoch (a static run at a permanent-
+  // failure pause) is incomplete.
   if (!done_) completed_ = false;
+  if (stage_ == 0) waves_end_ = core_.clock();
   hslb_total_ = core_.clock();
   return hslb_total_;
 }
@@ -248,8 +304,7 @@ void WaveApplication::run_dlb_baseline() {
   // chained by the sync overhead. Phase/task names match the HSLB run, so
   // the keyed noise draws are shared between the two schedules.
   dlb_ran_ = true;
-  const std::size_t G = options_.dlb_groups == 0 ? workload_.tasks.size()
-                                                 : options_.dlb_groups;
+  const std::size_t G = workload_.tasks.size();
   std::vector<sim::NodeSet> groups;
   groups.reserve(G);
   const std::size_t base = mach_.nodes / G;
@@ -274,13 +329,15 @@ void WaveApplication::run_dlb_baseline() {
     std::vector<sim::Runtime::QueueTask> queue;
     queue.reserve(order.size());
     for (std::size_t t : order) {
-      const perf::Model& truth = workload_.tasks[t].truth;
-      queue.push_back({workload_.tasks[t].name,
-                       [truth](long long n) {
-                         return truth.eval(static_cast<double>(n));
+      const WaveTask& task = workload_.tasks[t];
+      const perf::Model truth = task.truth;
+      const double scale = w >= workload_.drift_onset ? task.drift : 1.0;
+      queue.push_back({task.name,
+                       [truth, scale](long long n) {
+                         return truth.eval(static_cast<double>(n)) * scale;
                        },
-                       "wave" + std::to_string(w), 0.0,
-                       workload_.tasks[t].memory_gb});
+                       workload_.phase + std::to_string(w), task.comm_gb,
+                       task.memory_gb});
     }
     const auto res =
         sim::Runtime::run_queue(mach_, groups, queue, perturb_, start);

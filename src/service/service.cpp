@@ -156,7 +156,6 @@ AllocationService::Solved AllocationService::solve_kind_fmo(
   // Max-min has no certificate, so it takes the greedy alone, as its
   // solve-kind requests do.
   popt.solve_with_minlp = canonical.objective != Objective::MaxMin;
-  popt.bnb = opt_.bnb;
   // Inner stages stay serial: batch-level parallelism owns the pool.
   popt.threads = 1;
   if (std::isfinite(canonical.link_gb) || std::isfinite(canonical.mem_gb)) {

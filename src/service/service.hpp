@@ -53,7 +53,8 @@ struct ServiceOptions {
   /// Master switch for cross-instance warm starts (false = every miss
   /// solves cold; the A/B lever of bench/server_throughput).
   bool warm_start = true;
-  /// Branch-and-bound options for every MINLP solve the service runs.
+  /// Branch-and-bound options of solve-kind misses (fmo-kind misses run
+  /// the certified greedy, no tree).
   minlp::BnbOptions bnb;
 };
 

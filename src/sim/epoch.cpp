@@ -67,18 +67,25 @@ EpochCore::Epoch EpochCore::run(const Runtime& rt, std::size_t barrier) {
 }
 
 WaveRun EpochCore::run_wave(const std::vector<WaveSlot>& slots,
-                            const std::string& phase, double sync_seconds) {
+                            const std::string& phase,
+                            const std::string& barrier,
+                            double barrier_seconds) {
   // Slot i is runtime task i; the barrier comes last.
   Runtime rt(machine_);
   std::vector<std::size_t> ids;
   ids.reserve(slots.size());
   for (const auto& s : slots) {
-    ids.push_back(
-        rt.add_task(s.name, s.seconds, s.nodes, {}, phase, false, s.demand));
+    std::vector<std::size_t> deps;
+    if (s.after) {
+      HSLB_EXPECTS(*s.after < ids.size());
+      deps.push_back(*s.after);
+    }
+    ids.push_back(rt.add_task(s.name, s.seconds, s.nodes, std::move(deps),
+                              phase, false, s.demand));
   }
-  const std::size_t sync =
-      rt.add_task("sync", sync_seconds, segment_, std::move(ids), phase, true);
-  const Epoch epoch = run(rt, sync);
+  const std::size_t barrier_id = rt.add_task(
+      barrier, barrier_seconds, segment_, std::move(ids), phase, true);
+  const Epoch epoch = run(rt, barrier_id);
 
   WaveRun out;
   out.failure = epoch.result.failure_paused;
@@ -86,11 +93,10 @@ WaveRun EpochCore::run_wave(const std::vector<WaveSlot>& slots,
   for (std::size_t i = 0; i < slots.size(); ++i) {
     if (!epoch.state.ran[i]) continue;
     const auto& ts = epoch.result.tasks[i];
-    out.ran.emplace_back(slots[i].key, ts.end - ts.start);
+    out.ran.emplace_back(i, ts.end - ts.start);
     durations.push_back(ts.end - ts.start);
   }
-  for (const auto& [id, seconds] : epoch.state.observed)
-    out.observed.emplace_back(slots[id].key, seconds);
+  out.observed = epoch.state.observed;
   if (!out.failure && !durations.empty())
     out.imbalance = stats::imbalance(durations);
   return out;

@@ -1,6 +1,6 @@
-// Epoch execution on the surviving node segment: the machinery every
-// substrate's runner shares (fmo::EpochRunner, cesm::CoupledChunkRunner,
-// hslb::WaveApplication), static and closed-loop runs alike. A runner
+// Epoch execution on the surviving node segment: the machinery both
+// runners share (hslb::WaveApplication, which runs FMO, FMM and AMReX, and
+// cesm::CoupledChunkRunner), static and closed-loop runs alike. A runner
 // keeps only its task graph, its accounting and its rule for giving up;
 // EpochCore owns the rest.
 //
@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -33,18 +34,21 @@ namespace hslb::sim {
 
 /// One task of a barrier-closed wave (EpochCore::run_wave).
 struct WaveSlot {
-  std::size_t key = 0;  ///< the caller's task index, echoed in WaveRun
   std::string name;
   double seconds = 0.0;  ///< unperturbed duration on `nodes`
   NodeSet nodes;
   TaskDemand demand;
+  /// An earlier slot this one waits for (a chain of tasks on one block);
+  /// none = it starts with the epoch.
+  std::optional<std::size_t> after;
 };
 
 /// What one barrier-closed wave did.
 struct WaveRun {
-  /// (key, seconds) of every slot that ran to completion, in slot order.
+  /// (slot index, seconds) of every slot that ran to completion, in slot
+  /// order.
   std::vector<std::pair<std::size_t, double>> ran;
-  /// (key, compute seconds) of the same slots: wall time minus the
+  /// (slot index, compute seconds) of the same slots: wall time minus the
   /// machine's comm/paging charges (EpochState::observed).
   std::vector<std::pair<std::size_t, double>> observed;
   bool failure = false;    ///< a permanent failure paused the wave
@@ -83,10 +87,12 @@ class EpochCore {
   /// the segment shrinks and the clock passes the survivors' work.
   Epoch run(const Runtime& rt, std::size_t barrier = kMakespan);
 
-  /// One barrier-closed wave as an epoch: every slot on its nodes, then a
-  /// fixed "sync" barrier of `sync_seconds` over the segment.
+  /// One barrier-closed wave as an epoch: every slot on its nodes (after
+  /// its predecessor, if any), then a fixed barrier task named `barrier`
+  /// of `barrier_seconds` over the segment, all in trace phase `phase`.
   WaveRun run_wave(const std::vector<WaveSlot>& slots,
-                   const std::string& phase, double sync_seconds);
+                   const std::string& phase, const std::string& barrier,
+                   double barrier_seconds);
 
   /// Charges a migration of `volume_gb` (Machine::migration_seconds): a
   /// "migrate" trace event over the segment, the clock advanced past it.

@@ -31,6 +31,19 @@ sim::Machine extended_machine(const ScenarioSpec& spec, long long nodes) {
   return mach;
 }
 
+/// The spec's machine (when extended) and execution perturbations.
+ExecutionOptions execution_options(const ScenarioSpec& spec, long long nodes) {
+  ExecutionOptions opt;
+  opt.noise_cv = spec.noise_cv;
+  opt.seed = spec.run_seed;
+  opt.straggler_cv = spec.straggler_cv;
+  opt.fail_node = spec.fail_node;
+  opt.fail_time = spec.fail_time;
+  opt.fail_downtime = spec.fail_downtime;
+  if (machine_extended(spec)) opt.machine = extended_machine(spec, nodes);
+  return opt;
+}
+
 std::shared_ptr<Application> make_fmo(const ScenarioSpec& spec) {
   const long long fragments = spec.tasks > 0 ? spec.tasks : 24;
   const long long nodes = spec.nodes > 0 ? spec.nodes : 16 * fragments;
@@ -44,13 +57,7 @@ std::shared_ptr<Application> make_fmo(const ScenarioSpec& spec) {
   opt.seed = spec.bench_seed;
   opt.objective = spec.objective;
   opt.solve_with_minlp = spec.minlp;
-  opt.run.noise_cv = spec.noise_cv;
-  opt.run.seed = spec.run_seed;
-  opt.run.straggler_cv = spec.straggler_cv;
-  opt.run.fail_node = spec.fail_node;
-  opt.run.fail_time = spec.fail_time;
-  opt.run.fail_downtime = spec.fail_downtime;
-  if (machine_extended(spec)) opt.run.machine = extended_machine(spec, nodes);
+  static_cast<ExecutionOptions&>(opt.run) = execution_options(spec, nodes);
   opt.rebalance = spec.rebalance;
   return fmo::make_application(std::move(sys), fmo::CostModel{}, nodes,
                                std::move(opt));
@@ -83,18 +90,12 @@ std::shared_ptr<Application> make_cesm(const ScenarioSpec& spec) {
 
 WaveOptions wave_options(const ScenarioSpec& spec, long long nodes) {
   WaveOptions opt;
+  static_cast<ExecutionOptions&>(opt) = execution_options(spec, nodes);
   opt.fit_points = spec.fit_points;
   opt.bench_noise_cv = spec.bench_noise_cv;
   opt.bench_seed = spec.bench_seed;
   opt.objective = spec.objective;
   opt.solve_with_minlp = spec.minlp;
-  opt.noise_cv = spec.noise_cv;
-  opt.seed = spec.run_seed;
-  opt.straggler_cv = spec.straggler_cv;
-  opt.fail_node = spec.fail_node;
-  opt.fail_time = spec.fail_time;
-  opt.fail_downtime = spec.fail_downtime;
-  if (machine_extended(spec)) opt.machine = extended_machine(spec, nodes);
   return opt;
 }
 

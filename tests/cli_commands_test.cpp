@@ -17,12 +17,26 @@ Args fmo_args(std::vector<const char*> extra) {
   std::vector<const char*> argv = {"fmo", "--fragments", "4", "--nodes", "32"};
   argv.insert(argv.end(), extra.begin(), extra.end());
   return Args(static_cast<int>(argv.size()), argv.data(),
-              {"peptide", "comm-bound", "minlp", "no-presolve",
-               "compute-only-model", "adaptive"},
-              {"fragments", "nodes", "objective", "threads", "solver-threads",
-               "cut-age-limit", "refactor-interval", "refactor-fill-ratio",
-               "trace", "straggler-cv", "fail-node", "fail-time",
-               "fail-downtime", "link-gb", "mem-gb", "page-s-per-gb",
+              {"peptide", "comm-bound", "minlp", "compute-only-model",
+               "adaptive"},
+              {"fragments", "nodes", "objective", "threads", "trace",
+               "straggler-cv", "fail-node", "fail-time", "fail-downtime",
+               "link-gb", "mem-gb", "page-s-per-gb", "rebalance-threshold",
+               "refit-window", "max-epochs"});
+}
+
+// Mirrors the cesm registration in main.cpp: its layout MINLP branches, so
+// it is the subcommand that reads the branch-and-bound knobs.
+Args cesm_args(std::vector<const char*> extra) {
+  std::vector<const char*> argv = {"cesm", "--resolution", "1", "--nodes",
+                                   "128", "--threads", "1"};
+  argv.insert(argv.end(), extra.begin(), extra.end());
+  return Args(static_cast<int>(argv.size()), argv.data(),
+              {"unconstrained-ocean", "no-presolve", "adaptive"},
+              {"resolution", "nodes", "layout", "tsync", "export-ampl",
+               "threads", "solver-threads", "cut-age-limit",
+               "refactor-interval", "refactor-fill-ratio", "trace",
+               "straggler-cv", "fail-node", "fail-time", "fail-downtime",
                "rebalance-threshold", "refit-window", "max-epochs"});
 }
 
@@ -56,18 +70,18 @@ TEST(CliCommands, CommBoundAndPeptideRejected) {
 }
 
 TEST(CliCommands, RefactorIntervalBelowOneRejected) {
-  EXPECT_THROW(cmd_fmo(fmo_args({"--refactor-interval", "0"})),
+  EXPECT_THROW(cmd_cesm(cesm_args({"--refactor-interval", "0"})),
                std::invalid_argument);
 }
 
 TEST(CliCommands, RefactorFillRatioBelowOneRejected) {
-  EXPECT_THROW(cmd_fmo(fmo_args({"--refactor-fill-ratio", "0.5"})),
+  EXPECT_THROW(cmd_cesm(cesm_args({"--refactor-fill-ratio", "0.5"})),
                std::invalid_argument);
 }
 
 TEST(CliCommands, RefactorKnobsAccepted) {
-  EXPECT_EQ(cmd_fmo(fmo_args({"--refactor-interval", "16",
-                              "--refactor-fill-ratio", "1.5"})),
+  EXPECT_EQ(cmd_cesm(cesm_args({"--refactor-interval", "16",
+                                "--refactor-fill-ratio", "1.5"})),
             0);
 }
 

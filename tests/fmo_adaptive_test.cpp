@@ -286,5 +286,47 @@ TEST(FmoAdaptive, PinnedStaticRuns) {
   }
 }
 
+// ADPT-10: a permanent failure inside the dimer phase (node 63 at 4.7473 s;
+// the SCC loop ends at 4.332 s), static and adaptive, on the re-split path
+// and on the ECT fallback (no dimer probes), pinned. Each run aborts one
+// dimer attempt; the static runs stop there, incomplete, and the adaptive
+// runs re-solve once and re-run the pending dimers, with the ES tail
+// rescaled to the surviving budget (and ECT on the shrunken segment).
+TEST(FmoAdaptive, PinnedDimerPhaseFailStop) {
+  struct Case {
+    std::string name;
+    std::size_t dimer_probes;
+    bool adaptive;
+    pinning::Pinned want;
+  };
+  const std::size_t probes = PipelineOptions{}.dimer_probe_count;
+  const Case cases[] = {
+      {"fmo_dimer_failstop_resplit", probes, false,
+       {0, 1, 129, 0, {}, {1, 7, 1, 1, 1, 24, 26, 1, 1, 1},
+        5.7162229484136109, 0xc41184dcce31212aull}},
+      {"fmo_dimer_failstop_resplit_adaptive", probes, true,
+       {1, 1, 131, 0, {0}, {1, 7, 1, 1, 1, 24, 25, 1, 1, 1},
+        5.7369226176952095, 0xf0d8fbd305ffd4a6ull}},
+      {"fmo_dimer_failstop_ect", 0, false,
+       {0, 1, 120, 0, {}, {1, 7, 1, 1, 1, 24, 26, 1, 1, 1},
+        5.4559828670701647, 0x718d7814037fe632ull}},
+      {"fmo_dimer_failstop_ect_adaptive", 0, true,
+       {1, 1, 131, 0, {0}, {1, 7, 1, 1, 1, 24, 25, 1, 1, 1},
+        6.4592930994508873, 0xdd8b480d3b05a5bfull}},
+  };
+  for (const auto& c : cases) {
+    PipelineOptions opt = pinned_options();
+    opt.dimer_probe_count = c.dimer_probes;
+    opt.run.fail_node = 63;
+    opt.run.fail_time = 4.7473;  // permanent (default downtime = infinity)
+    pinning::expect_pinned(
+        c.name,
+        [&] {
+          return make_application(small_system(52), CostModel{}, 64, opt);
+        },
+        c.adaptive ? adaptive_policy() : RebalancePolicy{}, c.want);
+  }
+}
+
 }  // namespace
 }  // namespace hslb::fmo
