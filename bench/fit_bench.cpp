@@ -1,6 +1,6 @@
 // Microbenchmarks of the Fit step: the variable-projection fit (exponent
-// grid and golden-section refinement over exact box least squares) on the
-// paper's performance-function family.
+// grid and Brent refinement over exact box least squares) on the paper's
+// performance-function family.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
@@ -32,6 +32,27 @@ void BM_FitSingleComponent(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FitSingleComponent)->Arg(4)->Arg(6)->Arg(10);
+
+void BM_FitFoldedRefit(benchmark::State& state) {
+  // A controller refit's shape: 5 node counts x 2 gather repetitions, plus
+  // 3 epoch observations folded in at weight 4 (fold_observations enters
+  // each 4 times): 22 samples over 5 distinct counts.
+  perf::SampleSet gathered;
+  for (std::uint64_t rep = 0; rep < 2; ++rep) {
+    const auto sweep = make_samples(5, 0.03, 40 + rep);
+    gathered.insert(gathered.end(), sweep.begin(), sweep.end());
+  }
+  std::vector<perf::Observed> observed;
+  for (std::size_t i = 1; i <= 3; ++i)
+    observed.push_back({"t", gathered[i].nodes, 1.4 * gathered[i].seconds, 2});
+  const auto samples =
+      perf::fold_observations(gathered, observed, "t", 2, 2, 4.0);
+  for (auto _ : state) {
+    const auto fit = perf::fit(samples);
+    benchmark::DoNotOptimize(fit.sse);
+  }
+}
+BENCHMARK(BM_FitFoldedRefit);
 
 void BM_FitManyFragments(benchmark::State& state) {
   // The FMO pipeline fits one model per fragment: hundreds of small fits.

@@ -69,9 +69,9 @@ const std::vector<long long>& ocean_allowed_nodes(Resolution r);
 /// plain integer range instead (see layouts.hpp).
 const std::vector<long long>& atm_allowed_nodes_deg1();
 
-/// Ground-truth scaling model for a component, fitted once through the
-/// published observations (cached). These are the simulator's "true"
-/// curves.
+/// Ground-truth scaling model for a component: the Fit of its published
+/// observations, pinned as constants so the simulator's "true" curves do
+/// not move with the Fit.
 const perf::Model& ground_truth(Resolution r, Component c);
 
 /// Ground-truth fit quality (R^2 against the published points), for

@@ -7,63 +7,69 @@
 
 namespace hslb::linalg {
 
-QR::QR(const Matrix& a) : qr_(a), rows_(a.rows()), cols_(a.cols()) {
-  HSLB_EXPECTS(rows_ >= cols_);
+void QR::factor(const Matrix& a) {
+  HSLB_EXPECTS(a.rows() >= a.cols() && a.cols() >= 1);
+  rows_ = a.rows();
+  cols_ = a.cols();
+  qr_.resize(rows_ * cols_);
+  for (std::size_t i = 0; i < rows_; ++i) {
+    const auto row = a.row(i);
+    for (std::size_t j = 0; j < cols_; ++j) qr_[j * rows_ + i] = row[j];
+  }
   tau_.assign(cols_, 0.0);
   for (std::size_t k = 0; k < cols_; ++k) {
+    double* const v = &qr_[k * rows_];
     // Householder vector for column k over rows k..rows-1.
     double norm = 0.0;
-    for (std::size_t i = k; i < rows_; ++i) norm += qr_(i, k) * qr_(i, k);
+    for (std::size_t i = k; i < rows_; ++i) norm += v[i] * v[i];
     norm = std::sqrt(norm);
-    if (norm == 0.0) {
-      tau_[k] = 0.0;
-      continue;
-    }
-    const double alpha = qr_(k, k) >= 0 ? -norm : norm;
-    const double v0 = qr_(k, k) - alpha;
+    if (norm == 0.0) continue;
+    const double alpha = v[k] >= 0 ? -norm : norm;
+    const double v0 = v[k] - alpha;
     // Normalize so that the implicit v has v[k] = 1.
-    for (std::size_t i = k + 1; i < rows_; ++i) qr_(i, k) /= v0;
+    for (std::size_t i = k + 1; i < rows_; ++i) v[i] /= v0;
     tau_[k] = -v0 / alpha;  // = 2 / (v^T v) with v[k]=1 normalization
-    qr_(k, k) = alpha;      // R diagonal
+    v[k] = alpha;           // R diagonal
     // Apply H = I - tau v v^T to remaining columns.
     for (std::size_t j = k + 1; j < cols_; ++j) {
-      double s = qr_(k, j);
-      for (std::size_t i = k + 1; i < rows_; ++i) s += qr_(i, k) * qr_(i, j);
+      double* const col = &qr_[j * rows_];
+      double s = col[k];
+      for (std::size_t i = k + 1; i < rows_; ++i) s += v[i] * col[i];
       s *= tau_[k];
-      qr_(k, j) -= s;
-      for (std::size_t i = k + 1; i < rows_; ++i) qr_(i, j) -= s * qr_(i, k);
+      col[k] -= s;
+      for (std::size_t i = k + 1; i < rows_; ++i) col[i] -= s * v[i];
     }
   }
 }
 
 double QR::min_abs_diag_r() const {
-  double m = std::fabs(qr_(0, 0));
-  for (std::size_t k = 1; k < cols_; ++k) m = std::min(m, std::fabs(qr_(k, k)));
+  HSLB_EXPECTS(cols_ >= 1);
+  double m = std::fabs(qr_[0]);
+  for (std::size_t k = 1; k < cols_; ++k)
+    m = std::min(m, std::fabs(qr_[k * rows_ + k]));
   return m;
 }
 
-Vector QR::solve(std::span<const double> b) const {
-  HSLB_EXPECTS(b.size() == rows_);
-  HSLB_EXPECTS(min_abs_diag_r() > 1e-13 * (1.0 + std::fabs(qr_(0, 0))));
-  Vector y(b.begin(), b.end());
+void QR::solve(std::span<double> b, std::span<double> x) const {
+  HSLB_EXPECTS(b.size() == rows_ && x.size() == cols_);
+  HSLB_EXPECTS(min_abs_diag_r() > 1e-13 * (1.0 + std::fabs(qr_[0])));
   // Apply Q^T: product of Householder reflections in order.
   for (std::size_t k = 0; k < cols_; ++k) {
     if (tau_[k] == 0.0) continue;
-    double s = y[k];
-    for (std::size_t i = k + 1; i < rows_; ++i) s += qr_(i, k) * y[i];
+    const double* const v = &qr_[k * rows_];
+    double s = b[k];
+    for (std::size_t i = k + 1; i < rows_; ++i) s += v[i] * b[i];
     s *= tau_[k];
-    y[k] -= s;
-    for (std::size_t i = k + 1; i < rows_; ++i) y[i] -= s * qr_(i, k);
+    b[k] -= s;
+    for (std::size_t i = k + 1; i < rows_; ++i) b[i] -= s * v[i];
   }
-  // Back-substitute R x = y[0..cols).
-  Vector x(cols_);
+  // Back-substitute R x = b[0..cols).
   for (std::size_t kk = cols_; kk > 0; --kk) {
     const std::size_t k = kk - 1;
-    double v = y[k];
-    for (std::size_t j = k + 1; j < cols_; ++j) v -= qr_(k, j) * x[j];
-    x[k] = v / qr_(k, k);
+    double r = b[k];
+    for (std::size_t j = k + 1; j < cols_; ++j) r -= qr_[j * rows_ + k] * x[j];
+    x[k] = r / qr_[k * rows_ + k];
   }
-  return x;
 }
 
 std::optional<LU> LU::factor(const Matrix& a, double pivot_tol) {
@@ -541,10 +547,6 @@ UpdatableLU::UpdateResult UpdatableLU::update(std::size_t basis_pos) {
   }
   ++updates_;
   return UpdateResult::Ok;
-}
-
-Vector lstsq(const Matrix& a, std::span<const double> b) {
-  return QR(a).solve(b);
 }
 
 }  // namespace hslb::linalg

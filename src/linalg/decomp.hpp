@@ -22,22 +22,28 @@
 
 namespace hslb::linalg {
 
-/// Householder QR factorization A = Q R for rows >= cols.
+/// Householder QR factorization A = Q R for rows >= cols, factored in place
+/// into storage retained across factor() calls and solved into caller
+/// spans, so an object refactored for matrices no larger than an earlier one
+/// allocates nothing.
 class QR {
  public:
-  explicit QR(const Matrix& a);
+  /// Factors A (rows >= cols >= 1), replacing any previous factors.
+  void factor(const Matrix& a);
 
-  /// Least-squares solve: minimizes ||A x - b||_2. Requires full column
-  /// rank (throws ContractViolation on numerically rank-deficient R).
-  Vector solve(std::span<const double> b) const;
+  /// Least-squares solve: x (cols entries) minimizes ||A x - b||_2. b (rows
+  /// entries) is overwritten: it serves as the work vector. Requires full
+  /// column rank (throws ContractViolation on numerically rank-deficient R).
+  void solve(std::span<double> b, std::span<double> x) const;
 
   /// Absolute value of the smallest diagonal entry of R (rank indicator).
   double min_abs_diag_r() const;
 
  private:
-  Matrix qr_;           // Householder vectors below diagonal, R on/above
-  Vector tau_;          // Householder coefficients
-  std::size_t rows_, cols_;
+  // Column-major: Householder vectors below the diagonal, R on and above.
+  std::vector<double> qr_;
+  Vector tau_;  // Householder coefficients
+  std::size_t rows_ = 0, cols_ = 0;
 };
 
 /// LU factorization with partial pivoting: P A = L U.
@@ -201,8 +207,5 @@ class UpdatableLU {
   std::vector<std::size_t> singletons_;
   Scatter scatter_{0};
 };
-
-/// Convenience: least-squares solution via QR.
-Vector lstsq(const Matrix& a, std::span<const double> b);
 
 }  // namespace hslb::linalg

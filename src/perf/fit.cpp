@@ -4,8 +4,8 @@
 #include <array>
 #include <cmath>
 #include <limits>
-#include <optional>
-#include <set>
+#include <span>
+#include <vector>
 
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
@@ -21,15 +21,15 @@ namespace {
 constexpr double kMaxC = 3.0;
 constexpr double kAScale = 50.0;
 constexpr double kDScale = 2.0;
-/// Grid points over [min_c, kMaxC], and the width at which the
-/// golden-section refinement of the best grid bracket stops.
+/// Grid points over [min_c, kMaxC], and the bracket width at which Brent's
+/// refinement of the best grid bracket stops.
 constexpr std::size_t kGridPoints = 33;
 constexpr double kCTolerance = 1e-10;
 /// A free set whose unit-norm columns leave some |R_kk| at or below this is
 /// rank-deficient (QR::solve's own floor is 1e-13 * (1 + |R_00|) = 2e-13).
 constexpr double kRankTolerance = 1e-12;
 
-/// The best model at one exponent and its sum of squared errors.
+/// The best model at one exponent and its SSE over the distinct-count rows.
 struct Candidate {
   Model model;
   double sse = std::numeric_limits<double>::infinity();
@@ -44,107 +44,200 @@ bool better(const Candidate& x, const Candidate& y) {
 /// linear in (a, b, d), with columns 1/n, n^c and 1, and the best
 /// coefficients inside the box [0, hi] solve a bounded least-squares
 /// problem exactly.
+///
+/// At a fixed c the SSE depends on the samples only through each distinct
+/// node count n_k's sample count w_k and mean time t_k:
+///   sum_i (y_i - T(n_i))^2 = sum_k w_k (t_k - T(n_k))^2 + const,
+/// where the constant (the spread of the samples about their count's mean)
+/// does not depend on the model. So the projection works on one row per
+/// distinct count, scaled by sqrt(w_k), and compares SSEs without the
+/// constant; fit() scores the winner on the raw samples.
+///
+/// Every one of the 27 active sets (each coefficient free, at 0 or at its
+/// upper bound) is solved by QR on its unit-norm free columns, and the
+/// feasible solution with the least SSE wins. A rank-deficient free set is
+/// skipped: the box is bounded, so its minimizers include one on a smaller
+/// face. Only the n^c column depends on c, so the 9 active sets with b at 0
+/// are solved once, in the constructor, and so are the factorizations of
+/// the free sets without b; each exponent refactors the 4 free sets with b
+/// and solves the active sets that depend on c (see per_exponent()).
+/// Nothing is allocated per exponent.
 class Projection {
  public:
-  /// Validates the samples and sets the box from their scales.
-  explicit Projection(const SampleSet& samples) : samples_(samples) {
+  /// Validates the samples, collapses them to one row per distinct node
+  /// count, sets the box from their scales and solves the c-free sets.
+  explicit Projection(const SampleSet& samples) {
     HSLB_EXPECTS(samples.size() >= 2);
-    std::set<double> distinct;
     double max_y = 0.0, min_y = samples.front().seconds, max_an = 0.0;
     for (const auto& s : samples) {
       HSLB_EXPECTS(s.nodes >= 1.0);
       HSLB_EXPECTS(s.seconds > 0.0);
-      distinct.insert(s.nodes);
       max_y = std::max(max_y, s.seconds);
       min_y = std::min(min_y, s.seconds);
       max_an = std::max(max_an, s.seconds * s.nodes);
     }
-    HSLB_EXPECTS(distinct.size() >= 2);
     // Positivity constraints (Table II, line 11) bound every coefficient
     // below by 0.
     hi_ = {kAScale * max_an, std::max(max_y, 1.0), kDScale * min_y};
-    for (auto& col : cols_) col.resize(samples.size());
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      cols_[0][i] = 1.0 / samples[i].nodes;
-      cols_[2][i] = 1.0;
+
+    // Sorted by (nodes, seconds), so the rows and their sums do not depend
+    // on the samples' order.
+    SampleSet sorted = samples;
+    nodes_.reserve(sorted.size());
+    cols_[0].reserve(sorted.size());
+    cols_[2].reserve(sorted.size());
+    target_.reserve(sorted.size());
+    std::sort(sorted.begin(), sorted.end(), [](const Sample& x, const Sample& y) {
+      return x.nodes < y.nodes || (x.nodes == y.nodes && x.seconds < y.seconds);
+    });
+    for (std::size_t i = 0; i < sorted.size();) {
+      std::size_t j = i;
+      double sum = 0.0;
+      for (; j < sorted.size() && sorted[j].nodes == sorted[i].nodes; ++j)
+        sum += sorted[j].seconds;
+      const double w = static_cast<double>(j - i), root_w = std::sqrt(w);
+      nodes_.push_back(sorted[i].nodes);
+      cols_[0].push_back(root_w / sorted[i].nodes);
+      cols_[2].push_back(root_w);
+      target_.push_back(root_w * (sum / w));
+      i = j;
     }
+    rows_ = nodes_.size();
+    HSLB_EXPECTS(rows_ >= 2);
+    cols_[1].resize(rows_);
+    rhs_.resize(rows_);
     norms_[0] = linalg::norm2(cols_[0]);
     norms_[2] = linalg::norm2(cols_[2]);
+
+    for (std::size_t mask = 1; mask < 8; ++mask) {
+      FreeSet& set = free_[mask];
+      for (std::size_t j = 0; j < 3; ++j)
+        if ((mask >> j & 1) != 0) set.cols[set.k++] = j;
+      if (set.k > rows_) continue;
+      set.a = linalg::Matrix(rows_, set.k);
+      for (std::size_t f = 0; f < set.k; ++f)
+        if (set.cols[f] != 1)
+          for (std::size_t i = 0; i < rows_; ++i)
+            set.a(i, f) = cols_[set.cols[f]][i] / norms_[set.cols[f]];
+      if ((mask & kB) == 0) factor(set);
+    }
+    for (int code = 0; code < 27; ++code)
+      if (state(code, 1) == kAtZero) solve(code, 0.0, fixed_best_);
   }
 
-  /// The least-SSE (a, b, d) in the box at exponent c. Every one of the 27
-  /// active sets (each coefficient free, at 0 or at its upper bound) is
-  /// solved by QR on its unit-norm free columns; the feasible solution with
-  /// the least SSE wins. A rank-deficient free set is skipped: the box is
-  /// bounded, so its minimizers include one on a smaller face. Active sets
-  /// with the same free columns differ only in the right-hand side, so each
-  /// of the 7 free-column sets is factored once, on first use.
-  Candidate at(double c) {
-    const std::size_t m = samples_.size();
-    for (std::size_t i = 0; i < m; ++i)
-      cols_[1][i] = std::pow(samples_[i].nodes, c);
-    norms_[1] = linalg::norm2(cols_[1]);
-
-    Candidate best;
-    linalg::Vector rhs(m);
-    // By free-column bit mask; empty once factored when rank-deficient.
-    std::array<std::optional<linalg::QR>, 8> qr_of;
-    std::array<bool, 8> factored{};
-    for (int code = 0; code < 27; ++code) {
-      // state[j]: 0 = free, 1 = at 0, 2 = at hi_[j].
-      const int state[3] = {code % 3, code / 3 % 3, code / 9};
-      double theta[3];
-      std::size_t free_cols[3], k = 0, mask = 0;
-      for (std::size_t j = 0; j < 3; ++j) {
-        theta[j] = state[j] == 2 ? hi_[j] : 0.0;
-        if (state[j] == 0) {
-          free_cols[k++] = j;
-          mask |= std::size_t{1} << j;
-        }
-      }
-      if (k > m) continue;
-      if (k > 0) {
-        std::optional<linalg::QR>& qr = qr_of[mask];
-        if (!factored[mask]) {
-          factored[mask] = true;
-          linalg::Matrix a(m, k);
-          for (std::size_t i = 0; i < m; ++i)
-            for (std::size_t f = 0; f < k; ++f)
-              a(i, f) = cols_[free_cols[f]][i] / norms_[free_cols[f]];
-          qr.emplace(a);
-          if (!(qr->min_abs_diag_r() > kRankTolerance)) qr.reset();
-        }
-        if (!qr) continue;
-        for (std::size_t i = 0; i < m; ++i) {
-          rhs[i] = samples_[i].seconds;
-          for (std::size_t j = 0; j < 3; ++j)
-            if (state[j] == 2) rhs[i] -= theta[j] * cols_[j][i];
-        }
-        const linalg::Vector x = qr->solve(rhs);
-        bool feasible = true;
-        for (std::size_t f = 0; f < k; ++f) {
-          const std::size_t j = free_cols[f];
-          theta[j] = x[f] / norms_[j];
-          feasible = feasible && theta[j] >= 0.0 && theta[j] <= hi_[j];
-        }
-        if (!feasible) continue;
-      }
-      double sse = 0.0;
-      for (std::size_t i = 0; i < m; ++i) {
-        const double r = samples_[i].seconds - theta[0] * cols_[0][i] -
-                         theta[1] * cols_[1][i] - theta[2] * cols_[2][i];
-        sse += r * r;
-      }
-      if (sse < best.sse) best = {Model{theta[0], theta[1], c, theta[2]}, sse};
+  /// dSSE/dc at `model`, the least-SSE coefficients at its exponent: by the
+  /// envelope theorem only the explicit dependence on c counts,
+  ///   -2 b sum_k w_k (t_k - T(n_k)) n_k^c ln n_k.
+  double slope(const Model& model) const {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < rows_; ++i) {
+      const double nc = std::pow(nodes_[i], model.c);
+      const double r =
+          target_[i] - cols_[2][i] * (model.a / nodes_[i] + model.b * nc + model.d);
+      sum += r * cols_[2][i] * nc * std::log(nodes_[i]);
     }
+    return -2.0 * model.b * sum;
+  }
+
+  /// The least-SSE (a, b, d) in the box at exponent c.
+  Candidate at(double c) {
+    for (std::size_t i = 0; i < rows_; ++i)
+      cols_[1][i] = cols_[2][i] * std::pow(nodes_[i], c);
+    norms_[1] = linalg::norm2(cols_[1]);
+    for (std::size_t mask = 1; mask < 8; ++mask) {
+      FreeSet& set = free_[mask];
+      if ((mask & kB) == 0 || set.k > rows_) continue;
+      for (std::size_t f = 0; f < set.k; ++f)
+        if (set.cols[f] == 1)
+          for (std::size_t i = 0; i < rows_; ++i)
+            set.a(i, f) = cols_[1][i] / norms_[1];
+      factor(set);
+    }
+    Candidate best = fixed_best_;
+    best.model.c = c;
+    for (int code = 0; code < 27; ++code)
+      if (per_exponent(code, c)) solve(code, c, best);
     return best;
   }
 
  private:
-  const SampleSet& samples_;
-  std::array<double, 3> hi_;
-  std::array<linalg::Vector, 3> cols_;  ///< 1/n, n^c and 1 per sample
-  std::array<double, 3> norms_;
+  /// Coefficient states of an active set, and the n^c column's mask bit.
+  static constexpr int kFree = 0, kAtZero = 1, kAtHi = 2;
+  static constexpr std::size_t kB = 2;
+
+  /// One set of free columns (by bit mask over a, b, d) and its QR.
+  struct FreeSet {
+    std::array<std::size_t, 3> cols{};
+    std::size_t k = 0;
+    linalg::Matrix a;  ///< its unit-norm columns, rows_ x k
+    linalg::QR qr;
+    bool full_rank = false;
+  };
+
+  static int state(int code, std::size_t j) {
+    return j == 0 ? code % 3 : j == 1 ? code / 3 % 3 : code / 9;
+  }
+
+  /// Whether active set `code` is solved at each exponent: every set with
+  /// b free, and of the 9 with b at its bound max(max y, 1) only a = d = 0
+  /// when c >= 0, since then every n_k^c >= 1, so the b term alone reaches
+  /// every mean time and any a, d >= 0 only lengthens each residual. The
+  /// sets with b at 0 are solved once.
+  static bool per_exponent(int code, double c) {
+    constexpr int kOnlyBAtHi = kAtZero + 3 * kAtHi + 9 * kAtZero;
+    return state(code, 1) == kFree ||
+           (state(code, 1) == kAtHi && (c < 0.0 || code == kOnlyBAtHi));
+  }
+
+  static void factor(FreeSet& set) {
+    set.qr.factor(set.a);
+    set.full_rank = set.qr.min_abs_diag_r() > kRankTolerance;
+  }
+
+  /// Solves active set `code` at exponent c (the n^c column must hold c's)
+  /// and replaces `best` when its solution is feasible with a lower SSE.
+  void solve(int code, double c, Candidate& best) {
+    std::array<double, 3> theta{};
+    std::size_t mask = 0;
+    for (std::size_t j = 0; j < 3; ++j) {
+      if (state(code, j) == kAtHi) theta[j] = hi_[j];
+      if (state(code, j) == kFree) mask |= std::size_t{1} << j;
+    }
+    if (mask != 0) {
+      const FreeSet& set = free_[mask];
+      if (set.k > rows_ || !set.full_rank) return;
+      for (std::size_t i = 0; i < rows_; ++i) {
+        rhs_[i] = target_[i];
+        for (std::size_t j = 0; j < 3; ++j)
+          if (state(code, j) == kAtHi) rhs_[i] -= theta[j] * cols_[j][i];
+      }
+      std::array<double, 3> x{};
+      set.qr.solve(rhs_, std::span<double>(x.data(), set.k));
+      for (std::size_t f = 0; f < set.k; ++f) {
+        const std::size_t j = set.cols[f];
+        theta[j] = x[f] / norms_[j];
+        if (!(theta[j] >= 0.0 && theta[j] <= hi_[j])) return;
+      }
+    }
+    double sse = 0.0;
+    for (std::size_t i = 0; i < rows_; ++i) {
+      const double r = target_[i] - theta[0] * cols_[0][i] -
+                       theta[1] * cols_[1][i] - theta[2] * cols_[2][i];
+      sse += r * r;
+    }
+    if (sse < best.sse) best = {Model{theta[0], theta[1], c, theta[2]}, sse};
+  }
+
+  std::size_t rows_ = 0;  ///< distinct node counts
+  std::array<double, 3> hi_{};
+  std::vector<double> nodes_;  ///< n_k, ascending
+  /// sqrt(w_k) times 1/n_k, n_k^c and 1, and the column norms.
+  std::array<std::vector<double>, 3> cols_;
+  std::array<double, 3> norms_{};
+  std::vector<double> target_;  ///< sqrt(w_k) times the mean time at n_k
+  std::vector<double> rhs_;     ///< the solves' work vector
+  std::array<FreeSet, 8> free_;  ///< by free-column mask; [0] unused
+  Candidate fixed_best_;         ///< the best active set with b at 0
 };
 
 /// The SSE, R² and RMSE of `model` over the samples.
@@ -152,6 +245,8 @@ FitResult score(const SampleSet& samples, const Model& model) {
   FitResult out;
   out.model = model;
   std::vector<double> observed, predicted;
+  observed.reserve(samples.size());
+  predicted.reserve(samples.size());
   for (const auto& s : samples) {
     observed.push_back(s.seconds);
     predicted.push_back(model.eval(s.nodes));
@@ -171,39 +266,103 @@ FitResult fit(const SampleSet& samples, const FitOptions& options) {
     return options.min_c + (kMaxC - options.min_c) * static_cast<double>(k) /
                                static_cast<double>(kGridPoints - 1);
   };
+  std::array<double, kGridPoints> grid_sse;
   Candidate best;
   std::size_t best_k = 0;
   for (std::size_t k = 0; k < kGridPoints; ++k) {
     const Candidate cand = projection.at(grid_c(k));
+    grid_sse[k] = cand.sse;
     if (better(cand, best)) {
       best = cand;
       best_k = k;
     }
   }
+  const std::size_t lo_k = best_k == 0 ? 0 : best_k - 1;
+  const std::size_t hi_k = std::min(best_k + 1, kGridPoints - 1);
+  // A bracket flat to the last bit is a b = 0 fit: every exponent in it
+  // fits equally well, and the tie rule keeps the lowest.
+  if (grid_sse[lo_k] == best.sse && grid_sse[hi_k] == best.sse)
+    return score(samples, best.model);
+  // A grid minimum on an exponent bound where the SSE rises into the bracket
+  // is the bracket's minimum (Brent's method, too, takes the bracket as
+  // unimodal); golden steps toward the bound would take about 20 to say so.
+  if ((best_k == 0 && projection.slope(best.model) > 0.0) ||
+      (best_k == kGridPoints - 1 && projection.slope(best.model) < 0.0))
+    return score(samples, best.model);
 
-  // Golden-section refinement between the best grid point's neighbours.
-  const double g = (std::sqrt(5.0) - 1.0) / 2.0;
-  double lo = grid_c(best_k == 0 ? 0 : best_k - 1);
-  double hi = grid_c(std::min(best_k + 1, kGridPoints - 1));
-  double x1 = hi - g * (hi - lo), x2 = lo + g * (hi - lo);
-  Candidate f1 = projection.at(x1), f2 = projection.at(x2);
-  for (const Candidate* f : {&f1, &f2})
-    if (better(*f, best)) best = *f;
-  while (hi - lo > kCTolerance) {
-    if (f1.sse <= f2.sse) {
-      hi = x2;
-      x2 = x1;
-      f2 = f1;
-      x1 = hi - g * (hi - lo);
-      f1 = projection.at(x1);
-      if (better(f1, best)) best = f1;
+  // Brent's method (Brent 1973, ch. 5) on [a, b], the best grid point's
+  // bracket: parabolic steps through the three best points so far (x, w,
+  // v), golden-section steps when the parabola would leave the bracket or
+  // fail to halve the step before last. It starts from the grid's three
+  // points, so its first step is usually the parabola through them. It stops
+  // once x lies within tol2 of both ends, so the bracket is at most
+  // kCTolerance wide.
+  const double golden = (3.0 - std::sqrt(5.0)) / 2.0;
+  double a = grid_c(lo_k), b = grid_c(hi_k);
+  double x = grid_c(best_k), fx = best.sse;
+  const bool lo_lower = grid_sse[lo_k] <= grid_sse[hi_k];
+  double w = lo_lower ? a : b, fw = lo_lower ? grid_sse[lo_k] : grid_sse[hi_k];
+  double v = lo_lower ? b : a, fv = lo_lower ? grid_sse[hi_k] : grid_sse[lo_k];
+  double d = b - a, e = b - a;  // the last two steps
+  for (;;) {
+    const double mid = 0.5 * (a + b);
+    const double tol1 =
+        std::numeric_limits<double>::epsilon() * std::fabs(x) + kCTolerance / 4;
+    const double tol2 = 2.0 * tol1;
+    if (std::fabs(x - mid) <= tol2 - 0.5 * (b - a)) break;
+    bool parabolic = false;
+    if (std::fabs(e) > tol1) {
+      const double r = (x - w) * (fx - fv);
+      double q = (x - v) * (fx - fw);
+      double p = (x - v) * q - (x - w) * r;
+      q = 2.0 * (q - r);
+      if (q > 0.0) p = -p;
+      q = std::fabs(q);
+      const double before_last = e;
+      e = d;
+      if (std::fabs(p) < std::fabs(0.5 * q * before_last) && p > q * (a - x) &&
+          p < q * (b - x)) {
+        d = p / q;
+        parabolic = true;
+        if (x + d - a < tol2 || b - (x + d) < tol2)
+          d = mid >= x ? tol1 : -tol1;
+      }
+    }
+    if (!parabolic) {
+      e = x >= mid ? a - x : b - x;
+      d = golden * e;
+    }
+    const double u = x + (std::fabs(d) >= tol1 ? d : (d >= 0.0 ? tol1 : -tol1));
+    const Candidate cand = projection.at(u);
+    if (better(cand, best)) best = cand;
+    const double fu = cand.sse;
+    if (fu <= fx) {
+      if (u >= x) {
+        a = x;
+      } else {
+        b = x;
+      }
+      v = w;
+      fv = fw;
+      w = x;
+      fw = fx;
+      x = u;
+      fx = fu;
     } else {
-      lo = x1;
-      x1 = x2;
-      f1 = f2;
-      x2 = lo + g * (hi - lo);
-      f2 = projection.at(x2);
-      if (better(f2, best)) best = f2;
+      if (u < x) {
+        a = u;
+      } else {
+        b = u;
+      }
+      if (fu <= fw || w == x) {
+        v = w;
+        fv = fw;
+        w = u;
+        fw = fu;
+      } else if (fu <= fv || v == x || v == w) {
+        v = u;
+        fv = fu;
+      }
     }
   }
   return score(samples, best.model);

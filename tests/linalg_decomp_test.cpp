@@ -17,8 +17,10 @@ Matrix random_matrix(Rng& rng, std::size_t rows, std::size_t cols) {
 
 TEST(QR, ExactSolveSquare) {
   const auto a = Matrix::from_rows({{2.0, 1.0}, {1.0, 3.0}});
-  QR qr(a);
-  const auto x = qr.solve(std::vector<double>{5.0, 10.0});
+  QR qr;
+  qr.factor(a);
+  Vector b{5.0, 10.0}, x(2);
+  qr.solve(b, x);
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 3.0, 1e-12);
 }
@@ -26,23 +28,29 @@ TEST(QR, ExactSolveSquare) {
 TEST(QR, LeastSquaresOverdetermined) {
   // Fit y = p0 + p1*t through (0,1),(1,3),(2,5): exact line 1 + 2t.
   const auto a = Matrix::from_rows({{1.0, 0.0}, {1.0, 1.0}, {1.0, 2.0}});
-  const auto x = lstsq(a, std::vector<double>{1.0, 3.0, 5.0});
+  QR qr;
+  qr.factor(a);
+  Vector b{1.0, 3.0, 5.0}, x(2);
+  qr.solve(b, x);
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
 
 TEST(QR, LeastSquaresResidualOrthogonal) {
+  // One object refactored for every draw, larger and smaller than the last.
   Rng rng(7);
+  QR qr;
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t rows = static_cast<std::size_t>(rng.uniform_int(3, 10));
     const std::size_t cols = static_cast<std::size_t>(
         rng.uniform_int(1, static_cast<std::int64_t>(rows)));
     const auto a = random_matrix(rng, rows, cols);
-    QR qr(a);
+    qr.factor(a);
     if (qr.min_abs_diag_r() < 1e-6) continue;  // skip near-singular draws
     Vector b(rows);
     for (auto& v : b) v = rng.uniform(-3.0, 3.0);
-    const auto x = qr.solve(b);
+    Vector work = b, x(cols);
+    qr.solve(work, x);
     // Normal equations: A^T (A x - b) = 0.
     auto r = a.mul(x);
     for (std::size_t i = 0; i < rows; ++i) r[i] -= b[i];
@@ -53,8 +61,10 @@ TEST(QR, LeastSquaresResidualOrthogonal) {
 
 TEST(QR, RankDeficientThrows) {
   const auto a = Matrix::from_rows({{1.0, 2.0}, {2.0, 4.0}, {3.0, 6.0}});
-  QR qr(a);
-  EXPECT_THROW(qr.solve(std::vector<double>{1.0, 2.0, 3.0}), ContractViolation);
+  QR qr;
+  qr.factor(a);
+  Vector b{1.0, 2.0, 3.0}, x(2);
+  EXPECT_THROW(qr.solve(b, x), ContractViolation);
 }
 
 TEST(LU, SolvesKnownSystem) {
