@@ -68,12 +68,11 @@ namespace {
 /// run, chunk by chunk, as Execute.
 class CesmApplication final : public Application, public BaselineReporter {
  public:
-  CesmApplication(Resolution r, long long total_nodes,
-                  const PipelineOptions& options)
+  CesmApplication(Resolution r, long long total_nodes, PipelineOptions options)
       : resolution_(r),
         total_nodes_(total_nodes),
-        options_(options),
-        sim_(r, options.sim) {}
+        options_(std::move(options)),
+        sim_(r, options_.sim) {}
 
   std::string name() const override {
     return std::string("cesm/") + to_string(resolution_);
@@ -259,7 +258,7 @@ class CesmApplication final : public Application, public BaselineReporter {
 
   Resolution resolution_;
   long long total_nodes_;
-  const PipelineOptions& options_;
+  PipelineOptions options_;
   Simulator sim_;
   std::unique_ptr<CoupledChunkRunner> runner_;
 };
@@ -269,16 +268,7 @@ class CesmApplication final : public Application, public BaselineReporter {
 std::shared_ptr<Application> make_application(Resolution r,
                                               long long total_nodes,
                                               PipelineOptions options) {
-  // CesmApplication holds a const reference to its options; the aliasing
-  // shared_ptr keeps one State alive that owns both.
-  struct State {
-    PipelineOptions options;
-    CesmApplication app;
-    State(Resolution res, long long nodes, PipelineOptions o)
-        : options(std::move(o)), app(res, nodes, options) {}
-  };
-  auto state = std::make_shared<State>(r, total_nodes, std::move(options));
-  return std::shared_ptr<Application>(state, &state->app);
+  return std::make_shared<CesmApplication>(r, total_nodes, std::move(options));
 }
 
 PipelineResult run_pipeline(Resolution r, long long total_nodes,

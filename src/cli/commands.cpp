@@ -9,8 +9,6 @@
 #include "common/contracts.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "fmo/driver.hpp"
-#include "fmo/scenario.hpp"
 #include "hslb/budget.hpp"
 #include "hslb/registry.hpp"
 #include "minlp/ampl.hpp"
@@ -51,7 +49,7 @@ void apply_bnb_args(const Args& args, minlp::BnbOptions& bnb) {
       "refactor-fill-ratio", bnb.kelley.lp.refactor_fill_ratio, 1.0);
 }
 
-/// Execute-step perturbation knobs shared by the cesm and fmo subcommands
+/// Execute-step perturbation knobs shared by the cesm and run subcommands
 /// (both option structs carry the same four fields).
 void apply_execution_args(const Args& args, double& straggler_cv,
                           long long& fail_node, double& fail_time,
@@ -77,7 +75,7 @@ void apply_execution_args(const Args& args, double& straggler_cv,
   fail_downtime = args.get_double("fail-downtime", fail_downtime, 0.0);
 }
 
-/// Closed-loop rebalancing knobs shared by the cesm and fmo subcommands.
+/// Closed-loop rebalancing knobs shared by the cesm and run subcommands.
 /// The sub-flags only make sense once --adaptive turns the controller on.
 void apply_rebalance_args(const Args& args, RebalancePolicy& rebalance) {
   rebalance.adaptive = args.flag("adaptive");
@@ -113,6 +111,63 @@ void maybe_save_trace(const Args& args, const sim::Trace& trace) {
   }
 }
 
+/// The scenario flags `hslb run` shares with its `hslb fmo` spelling:
+/// everything but the substrate, variant and size.
+ScenarioSpec scenario_args(const Args& args) {
+  ScenarioSpec spec;
+  spec.nodes = args.get_int("nodes", 0LL, 0);
+  spec.system_seed =
+      static_cast<std::uint64_t>(args.get_int("system-seed", 3LL, 0));
+  spec.bench_seed =
+      static_cast<std::uint64_t>(args.get_int("bench-seed", 42LL, 0));
+  spec.bench_noise_cv =
+      args.get_double("bench-noise-cv", spec.bench_noise_cv, 0.0);
+  spec.fit_points = args.get_int("fit-points", spec.fit_points, 2);
+  spec.objective = parse_objective(args.get("objective", "min-max"));
+  spec.noise_cv = args.get_double("noise-cv", spec.noise_cv, 0.0);
+  spec.run_seed = static_cast<std::uint64_t>(args.get_int("run-seed", 7LL, 0));
+  apply_execution_args(args, spec.straggler_cv, spec.fail_node, spec.fail_time,
+                       spec.fail_downtime);
+  apply_rebalance_args(args, spec.rebalance);
+  if (args.value("page-s-per-gb").has_value() &&
+      !args.value("mem-gb").has_value()) {
+    throw std::invalid_argument(
+        "--page-s-per-gb requires --mem-gb (paging needs a memory capacity)");
+  }
+  spec.link_gb_per_s = args.get_double("link-gb", spec.link_gb_per_s, 0.0);
+  spec.memory_gb_per_node = args.get_double("mem-gb", spec.memory_gb_per_node, 0.0);
+  spec.page_s_per_gb = args.get_double("page-s-per-gb", 0.0, 0.0);
+  spec.machine_cost_terms = !args.flag("compute-only-model");
+  return spec;
+}
+
+/// Runs `spec` through the substrate registry and prints the pipeline
+/// report, the HSLB vs DLB totals of substrates that track a baseline,
+/// and --trace.
+int run_scenario(const Args& args, const ScenarioSpec& spec) {
+  substrates::register_builtin_substrates();
+  const auto app = SubstrateRegistry::instance().make(spec);
+
+  const auto threads =
+      static_cast<std::size_t>(args.get_int("threads", 0LL, 0));
+  const auto run = Pipeline(spec.pipeline_options(threads)).run(*app);
+
+  std::printf("%s\n\n%s", spec.str().c_str(), run.report.str().c_str());
+  if (auto* baseline = dynamic_cast<BaselineReporter*>(app.get())) {
+    const double hslb = baseline->hslb_total_seconds();
+    const double dlb = baseline->dlb_total_seconds();
+    std::printf("HSLB %.3f s vs DLB %.3f s", hslb, dlb);
+    if (run.report.exec_completed)
+      std::printf("  =>  speedup %.2fx", dlb / hslb);
+    std::printf("\n");
+  }
+  if (!run.report.exec_completed)
+    std::printf("WARNING: the run could not complete (permanent node "
+                "failure under a static schedule)\n");
+  maybe_save_trace(args, run.trace);
+  return 0;
+}
+
 }  // namespace
 
 int usage(int code) {
@@ -135,25 +190,21 @@ int usage(int code) {
       "              [--rebalance-threshold X] [--refit-window K]\n"
       "              [--max-epochs N]\n"
       "                                 full simulated pipeline\n"
-      "  hslb fmo    --fragments F --nodes N [--peptide|--comm-bound]\n"
-      "              [--minlp] [--objective min-max] [--threads T]\n"
-      "              [--link-gb GB/s] [--mem-gb GB]\n"
-      "              [--page-s-per-gb S] [--compute-only-model]\n"
-      "              [--trace out.csv] [--straggler-cv CV] [--fail-node I]\n"
-      "              [--fail-time S] [--fail-downtime S] [--adaptive]\n"
-      "              [--rebalance-threshold X] [--refit-window K]\n"
-      "              [--max-epochs N]\n"
-      "                                 full simulated pipeline\n"
       "  hslb run    --substrate NAME [--variant V] [--tasks T] [--nodes N]\n"
-      "              [--minlp] [--objective min-max] [--threads T]\n"
+      "              [--objective min-max] [--threads T]\n"
       "              [--fit-points P] [--system-seed S] [--bench-seed S]\n"
       "              [--bench-noise-cv CV] [--noise-cv CV] [--run-seed S]\n"
       "              [--link-gb GB/s] [--mem-gb GB] [--page-s-per-gb S]\n"
+      "              [--compute-only-model]\n"
       "              [--trace out.csv] [--straggler-cv CV] [--fail-node I]\n"
       "              [--fail-time S] [--fail-downtime S] [--adaptive]\n"
       "              [--rebalance-threshold X] [--refit-window K]\n"
       "              [--max-epochs N]\n"
       "                                 any registered substrate, one engine\n"
+      "  hslb fmo    [--fragments F] [--peptide|--comm-bound] [run flags]\n"
+      "                                 hslb run --substrate fmo --tasks F\n"
+      "                                 (F defaults to 48; --variant peptide\n"
+      "                                 or comm)\n"
       "  hslb substrates                list registered substrates/variants\n"
       "\n"
       "  hslb advise --resolution 1|8 [--layout 1|2|3] [--efficiency 0.5]\n"
@@ -183,31 +234,35 @@ int usage(int code) {
       "  incrementally and replayed with serve.\n"
       "\n"
       "  --threads T parallelizes the Gather and Fit stages (0 = hardware\n"
-      "  concurrency; allocations are identical for any T).\n"
+      "  concurrency, the default of cesm, fmo and run; serve defaults to\n"
+      "  1; allocations are identical for any T).\n"
       "  --solver-threads S (cesm, serve) parallelizes the branch-and-bound\n"
       "  node re-solves (0 = hardware concurrency; results are bit-identical\n"
-      "  for any S). For fmo, --minlp proves the exact greedy optimal (no\n"
-      "  tree runs, so fmo takes no solver knobs) and reports the Solve as\n"
-      "  certified. fmo executes on the wave engine run uses for fmm and\n"
-      "  amrex: its SCC loop as waves, its dimer phase as one planned stage.\n"
+      "  for any S). On fmo, fmm and amrex the Solve is the exact greedy,\n"
+      "  certified optimal when the fitted models are convex, so no tree\n"
+      "  runs and run takes no solver knobs. fmo executes on the wave\n"
+      "  engine run uses for fmm and amrex: its SCC loop as waves, its dimer\n"
+      "  phase as one planned stage.\n"
       "  --no-presolve turns the LP presolve off for cold solver LPs;\n"
       "  --cut-age-limit K retires an OA cut after K consecutive slack\n"
       "  observations (0 keeps every cut forever).\n"
       "  --refactor-interval R caps basis updates between LP refactorizations\n"
       "  (>= 1); --refactor-fill-ratio F (>= 1.0) refactorizes earlier when\n"
       "  the Forrest-Tomlin updated factors grow past F times the fresh fill.\n"
-      "  For fmo, --comm-bound builds the communication-dominated cluster\n"
-      "  (fragments carry halo volume and working-set memory); --link-gb /\n"
-      "  --mem-gb / --page-s-per-gb give the machine a finite link and node\n"
-      "  memory so the run charges for halo exchange and paging, and the\n"
-      "  Solve step extends the fitted models with matching comm/memory\n"
-      "  terms; --compute-only-model suppresses those terms (the paper's\n"
-      "  compute-only regime) while the charges still apply at execution.\n"
-      "  run drives the same four-step engine over any substrate registered\n"
+      "  run drives the four-step engine over any substrate registered\n"
       "  with the SubstrateRegistry (fmo, cesm, fmm, amrex out of the box;\n"
       "  `hslb substrates` lists them with their variants). --tasks/--nodes\n"
       "  size the scenario (0 = the substrate's defaults); substrates that\n"
-      "  track a dynamic baseline also print HSLB vs DLB totals.\n"
+      "  track a dynamic baseline also print HSLB vs DLB totals. fmo is\n"
+      "  run --substrate fmo spelled with --fragments and a variant flag.\n"
+      "  The fmo variant comm is the communication-dominated cluster\n"
+      "  (fragments carry halo volume and working-set memory); --link-gb /\n"
+      "  --mem-gb / --page-s-per-gb give the machine a finite link and node\n"
+      "  memory so the run charges for halo exchange and paging, and on\n"
+      "  fmo, fmm and amrex the Solve step extends the fitted models with\n"
+      "  matching comm/memory terms; --compute-only-model suppresses those\n"
+      "  terms (the paper's compute-only regime) while the charges still\n"
+      "  apply at execution.\n"
       "  --trace exports the Execute step's per-task trace (CSV, or JSON\n"
       "  when the path ends in .json). --straggler-cv slows random nodes\n"
       "  down; --fail-node I --fail-time S [--fail-downtime S] injects a\n"
@@ -336,77 +391,6 @@ int cmd_cesm(const Args& args) {
   return 0;
 }
 
-int cmd_fmo(const Args& args) {
-  const long long fragments = args.get_int("fragments", 48LL, 1);
-  const long long nodes = args.get_int("nodes", fragments * 16, 1);
-  fmo::PipelineOptions opt;
-  opt.objective = parse_objective(args.get("objective", "min-max"));
-  // 0 = hardware concurrency for both thread counts.
-  opt.threads = static_cast<std::size_t>(args.get_int("threads", 0LL, 0));
-  opt.solve_with_minlp = args.flag("minlp");
-  apply_execution_args(args, opt.run.straggler_cv, opt.run.fail_node,
-                       opt.run.fail_time, opt.run.fail_downtime);
-  apply_rebalance_args(args, opt.rebalance);
-
-  // Machine extensions: finite link bandwidth / node memory make the run
-  // charge for halo exchange and paging; --compute-only-model keeps the
-  // Solve step blind to those charges (the paper's original model).
-  const bool has_link = args.value("link-gb").has_value();
-  const bool has_mem = args.value("mem-gb").has_value();
-  if (args.value("page-s-per-gb").has_value() && !has_mem) {
-    throw std::invalid_argument(
-        "--page-s-per-gb requires --mem-gb (paging needs a memory capacity)");
-  }
-  if (has_link || has_mem) {
-    sim::Machine m =
-        sim::Machine::intrepid_partition(static_cast<std::size_t>(nodes));
-    if (has_link) m.link_gb_per_s = args.get_double("link-gb", 0.0, 0.0);
-    if (has_mem) m.memory_gb_per_node = args.get_double("mem-gb", 0.0, 0.0);
-    m.page_s_per_gb = args.get_double("page-s-per-gb", 0.0, 0.0);
-    opt.run.machine = m;
-  }
-  opt.machine_cost_terms = !args.flag("compute-only-model");
-
-  if (args.flag("comm-bound") && args.flag("peptide")) {
-    throw std::invalid_argument(
-        "--comm-bound and --peptide are mutually exclusive (pick one system)");
-  }
-  const std::string variant =
-      args.flag("comm-bound") ? "comm" : args.flag("peptide") ? "peptide" : "water";
-  const auto sys =
-      fmo::make_system(variant, static_cast<std::size_t>(fragments));
-  fmo::CostModel cost;
-  const auto res = fmo::run_pipeline(sys, cost, nodes, opt);
-
-  std::printf("%s: %zu fragments on %lld nodes (%s objective)\n",
-              sys.name.c_str(), sys.num_fragments(), nodes,
-              to_string(opt.objective).c_str());
-  std::printf("fits: mean R^2 %.4f (min %.4f)\n", res.mean_r2, res.min_r2);
-  std::printf("HSLB: %.3f s total (SCC %.3f s pred %.3f, dimers %.3f s), "
-              "efficiency %.3f\n",
-              res.hslb.total_seconds, res.hslb.scc_seconds,
-              res.predicted_scc_seconds, res.hslb.dimer_seconds,
-              res.hslb.efficiency(nodes));
-  // A ratio against a run that did not finish is meaningless.
-  std::printf("DLB : %.3f s total, efficiency %.3f", res.dlb.total_seconds,
-              res.dlb.efficiency(nodes));
-  if (res.hslb.completed)
-    std::printf("  =>  HSLB speedup %.2fx",
-                res.dlb.total_seconds / res.hslb.total_seconds);
-  std::printf("\n");
-  if (res.hslb.comm_seconds > 0.0 || res.hslb.page_seconds > 0.0) {
-    std::printf("machine charges: comm %.3f s, paging %.3f s (task-seconds)\n",
-                res.hslb.comm_seconds, res.hslb.page_seconds);
-  }
-  std::printf("\n%s", res.report.str().c_str());
-  if (!res.hslb.completed)
-    std::printf("WARNING: the static HSLB run could not complete (permanent "
-                "node failure); DLB completed: %s\n",
-                res.dlb.completed ? "yes" : "no");
-  maybe_save_trace(args, res.hslb.trace);
-  return 0;
-}
-
 int cmd_substrates(const Args& args) {
   (void)args;
   substrates::register_builtin_substrates();
@@ -425,62 +409,29 @@ int cmd_substrates(const Args& args) {
 }
 
 int cmd_run(const Args& args) {
-  substrates::register_builtin_substrates();
   const auto substrate = args.value("substrate");
   if (!substrate.has_value()) {
     throw std::invalid_argument(
         "run requires --substrate NAME (list them with `hslb substrates`)");
   }
-
-  ScenarioSpec spec;
+  ScenarioSpec spec = scenario_args(args);
   spec.substrate = *substrate;
   spec.variant = args.get("variant", std::string());
   spec.tasks = args.get_int("tasks", 0LL, 0);
-  spec.nodes = args.get_int("nodes", 0LL, 0);
-  spec.system_seed =
-      static_cast<std::uint64_t>(args.get_int("system-seed", 3LL, 0));
-  spec.bench_seed =
-      static_cast<std::uint64_t>(args.get_int("bench-seed", 42LL, 0));
-  spec.bench_noise_cv =
-      args.get_double("bench-noise-cv", spec.bench_noise_cv, 0.0);
-  spec.fit_points = args.get_int("fit-points", spec.fit_points, 2);
-  spec.minlp = args.flag("minlp");
-  spec.objective = parse_objective(args.get("objective", "min-max"));
-  spec.noise_cv = args.get_double("noise-cv", spec.noise_cv, 0.0);
-  spec.run_seed = static_cast<std::uint64_t>(args.get_int("run-seed", 7LL, 0));
-  apply_execution_args(args, spec.straggler_cv, spec.fail_node, spec.fail_time,
-                       spec.fail_downtime);
-  apply_rebalance_args(args, spec.rebalance);
-  if (args.value("page-s-per-gb").has_value() &&
-      !args.value("mem-gb").has_value()) {
+  return run_scenario(args, spec);
+}
+
+int cmd_fmo(const Args& args) {
+  if (args.flag("comm-bound") && args.flag("peptide")) {
     throw std::invalid_argument(
-        "--page-s-per-gb requires --mem-gb (paging needs a memory capacity)");
+        "--comm-bound and --peptide are mutually exclusive (pick one system)");
   }
-  spec.link_gb_per_s = args.get_double("link-gb", spec.link_gb_per_s, 0.0);
-  spec.memory_gb_per_node = args.get_double("mem-gb", spec.memory_gb_per_node, 0.0);
-  spec.page_s_per_gb = args.get_double("page-s-per-gb", 0.0, 0.0);
-
-  const auto app = SubstrateRegistry::instance().make(spec);
-
-  PipelineOptions opt;
-  opt.threads = static_cast<std::size_t>(args.get_int("threads", 0LL, 0));
-  opt.rebalance = spec.rebalance;
-  const auto run = Pipeline(opt).run(*app);
-
-  std::printf("%s\n\n%s", spec.str().c_str(), run.report.str().c_str());
-  if (auto* baseline = dynamic_cast<BaselineReporter*>(app.get())) {
-    const double hslb = baseline->hslb_total_seconds();
-    const double dlb = baseline->dlb_total_seconds();
-    std::printf("HSLB %.3f s vs DLB %.3f s", hslb, dlb);
-    if (run.report.exec_completed)
-      std::printf("  =>  speedup %.2fx", dlb / hslb);
-    std::printf("\n");
-  }
-  if (!run.report.exec_completed)
-    std::printf("WARNING: the run could not complete (permanent node "
-                "failure under a static schedule)\n");
-  maybe_save_trace(args, run.trace);
-  return 0;
+  ScenarioSpec spec = scenario_args(args);
+  spec.substrate = "fmo";
+  spec.variant =
+      args.flag("comm-bound") ? "comm" : args.flag("peptide") ? "peptide" : "water";
+  spec.tasks = args.get_int("fragments", 48LL, 1);
+  return run_scenario(args, spec);
 }
 
 int cmd_advise(const Args& args) {

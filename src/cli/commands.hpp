@@ -10,7 +10,8 @@
 // Simulated end-to-end reproductions:
 //   hslb cesm   --resolution 1|8 --nodes N [--layout 1|2|3]
 //               [--unconstrained-ocean] [--tsync S] [--export-ampl f.mod]
-//   hslb fmo    --fragments F --nodes N [--peptide]
+//   hslb fmo    --fragments F --nodes N [--peptide|--comm-bound]
+//               (hslb run --substrate fmo, spelled for FMO)
 //   hslb advise --resolution 1|8 [--layout L] [--efficiency 0.5]
 #pragma once
 
@@ -21,11 +22,13 @@ namespace hslb::cli {
 int cmd_fit(const Args& args);
 int cmd_solve(const Args& args);
 int cmd_cesm(const Args& args);
-int cmd_fmo(const Args& args);
 /// Runs the four-step pipeline over any substrate registered with the
 /// hslb::SubstrateRegistry (--substrate NAME), replacing per-substrate
 /// dispatch chains with one registry lookup.
 int cmd_run(const Args& args);
+/// `hslb run --substrate fmo` with --fragments F (default 48) as the size
+/// and --peptide / --comm-bound as the variant.
+int cmd_fmo(const Args& args);
 /// Lists the registered substrates and their variants.
 int cmd_substrates(const Args& args);
 int cmd_advise(const Args& args);

@@ -1,6 +1,7 @@
 // Entry point of the `hslb` tool; see commands.hpp for the subcommands.
 #include <cstdio>
 #include <exception>
+#include <set>
 #include <string>
 
 #include "cli/commands.hpp"
@@ -30,25 +31,23 @@ int main(int argc, char** argv) {
                             "rebalance-threshold", "refit-window",
                             "max-epochs"}));
     }
-    if (cmd == "fmo") {
-      return cmd_fmo(Args(argc - 1, argv + 1,
-                          {"peptide", "comm-bound", "minlp",
-                           "compute-only-model", "adaptive"},
-                          {"fragments", "nodes", "objective", "threads",
-                           "trace", "straggler-cv", "fail-node", "fail-time",
-                           "fail-downtime", "link-gb", "mem-gb",
-                           "page-s-per-gb", "rebalance-threshold",
-                           "refit-window", "max-epochs"}));
-    }
-    if (cmd == "run") {
-      return cmd_run(Args(argc - 1, argv + 1, {"minlp", "adaptive"},
-                          {"substrate", "variant", "tasks", "nodes",
-                           "objective", "threads", "fit-points", "system-seed",
-                           "bench-seed", "bench-noise-cv", "noise-cv",
-                           "run-seed", "trace", "straggler-cv", "fail-node",
-                           "fail-time", "fail-downtime", "link-gb", "mem-gb",
-                           "page-s-per-gb", "rebalance-threshold",
-                           "refit-window", "max-epochs"}));
+    if (cmd == "run" || cmd == "fmo") {
+      // fmo spells run --substrate fmo: --fragments and a variant flag in
+      // place of --substrate/--variant/--tasks, every other flag shared.
+      std::set<std::string> flags{"adaptive", "compute-only-model"};
+      std::set<std::string> keys{
+          "nodes", "objective", "threads", "fit-points", "system-seed",
+          "bench-seed", "bench-noise-cv", "noise-cv", "run-seed", "trace",
+          "straggler-cv", "fail-node", "fail-time", "fail-downtime",
+          "link-gb", "mem-gb", "page-s-per-gb", "rebalance-threshold",
+          "refit-window", "max-epochs"};
+      if (cmd == "fmo") {
+        flags.insert({"peptide", "comm-bound"});
+        keys.insert("fragments");
+        return cmd_fmo(Args(argc - 1, argv + 1, flags, keys));
+      }
+      keys.insert({"substrate", "variant", "tasks"});
+      return cmd_run(Args(argc - 1, argv + 1, flags, keys));
     }
     if (cmd == "substrates") {
       return cmd_substrates(Args(argc - 1, argv + 1, {}, {}));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
@@ -35,15 +36,14 @@ WaveOptions wave_options(const PipelineOptions& options, long long nodes) {
   out.bench_noise_cv = options.bench_noise_cv;
   out.bench_seed = options.seed;
   out.objective = options.objective;
-  out.solve_with_minlp = options.solve_with_minlp;
   out.machine_cost_terms = options.machine_cost_terms;
   return out;
 }
 
 /// The FMO substrate: the wave engine over hslb_workload, plus what is
-/// FMO's — dimer probing before the dimer stage, the ExecutionResult, and
-/// the DLB baseline. Probe noise streams [0, F) are the monomer fragments
-/// (the engine's Gather), [F, F + #dimers) the probed dimers.
+/// FMO's — dimer probing before the dimer stage and the DLB baseline, run
+/// on first use. Probe noise streams [0, F) are the monomer fragments (the
+/// engine's Gather), [F, F + #dimers) the probed dimers.
 class FmoApplication final : public WaveApplication {
  public:
   FmoApplication(std::shared_ptr<DimerStage> stage, long long nodes,
@@ -72,22 +72,27 @@ class FmoApplication final : public WaveApplication {
   /// The SCC loop's seconds, the phase the allocation optimizes.
   double finish_epochs() override {
     WaveApplication::finish_epochs();
-    hslb_ = hslb_result(*this, options_.run, *stage_);
-    const System& sys = stage_->system();
-    const std::size_t dlb_groups =
-        options_.dlb_groups == 0 ? sys.num_fragments() : options_.dlb_groups;
-    dlb_ = run_dlb(sys, stage_->cost(),
-                   GroupLayout::uniform(nodes_, dlb_groups), options_.run);
-    return hslb_.scc_seconds;
+    return waves_seconds();
   }
 
-  double dlb_total_seconds() override { return dlb_.total_seconds; }
+  double dlb_total_seconds() override { return dlb().total_seconds; }
+
+  /// The DLB baseline on the same system and run options; it does not
+  /// depend on the HSLB run, so it runs once, on first use.
+  const ExecutionResult& dlb() {
+    if (!dlb_) {
+      const System& sys = stage_->system();
+      const std::size_t groups =
+          options_.dlb_groups == 0 ? sys.num_fragments() : options_.dlb_groups;
+      dlb_ = run_dlb(sys, stage_->cost(), GroupLayout::uniform(nodes_, groups),
+                     options_.run);
+    }
+    return *dlb_;
+  }
 
   // Substrate-specific outputs copied into PipelineResult by run_pipeline.
   DimerPredictions dimer_predictions_;
   double dimer_min_r2_ = 1.0;
-  ExecutionResult hslb_;
-  ExecutionResult dlb_;
   std::vector<SolverStats> resolve_stats_;
 
  private:
@@ -166,6 +171,7 @@ class FmoApplication final : public WaveApplication {
   std::shared_ptr<DimerStage> stage_;
   long long nodes_;
   PipelineOptions options_;
+  std::optional<ExecutionResult> dlb_;
 };
 
 }  // namespace
@@ -180,7 +186,8 @@ std::shared_ptr<Application> make_application(System sys, CostModel cost,
 
 PipelineResult run_pipeline(const System& sys, const CostModel& cost,
                             long long nodes, const PipelineOptions& options) {
-  FmoApplication app(std::make_shared<DimerStage>(sys, cost), nodes, options);
+  const auto stage = std::make_shared<DimerStage>(sys, cost);
+  FmoApplication app(stage, nodes, options);
   hslb::PipelineOptions engine_options;
   engine_options.threads = options.threads;
   engine_options.gather_repetitions = options.repetitions;
@@ -201,8 +208,8 @@ PipelineResult run_pipeline(const System& sys, const CostModel& cost,
   out.predicted_scc_seconds = run.solution.predicted_total;
   out.dimer_predictions = std::move(app.dimer_predictions_);
   out.dimer_min_r2 = app.dimer_min_r2_;
-  out.hslb = std::move(app.hslb_);
-  out.dlb = std::move(app.dlb_);
+  out.hslb = hslb_result(app, options.run, *stage);
+  out.dlb = app.dlb();
   out.report = std::move(run.report);
   out.resolve_stats = std::move(app.resolve_stats_);
   return out;

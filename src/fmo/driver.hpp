@@ -5,9 +5,8 @@
 //                (noisy observations of the ground-truth cost model);
 //   2. Fit     — per-fragment performance models (variable-projection
 //                least squares, R^2 diagnostics);
-//   3. Solve   — min-max node allocation over the fitted models (exact
-//                greedy; the MINLP path proves it with
-//                hslb::certify_budget);
+//   3. Solve   — min-max node allocation over the fitted models (the
+//                exact greedy, proved by hslb::certify_budget);
 //   4. Execute — run the simulated FMO2 calculation under the static
 //                allocation; run the DLB baseline on the same system.
 #pragma once
@@ -35,12 +34,6 @@ struct PipelineOptions {
   std::uint64_t seed = 42;
 
   Objective objective = Objective::MinMax;
-
-  /// Route the Solve step through the MINLP path (hslb::BudgetSolver):
-  /// the exact greedy, reported as certified when hslb::certify_budget
-  /// proves it, in place of the paper's §III-E branch-and-bound. Requires
-  /// objective != MaxMin (no MINLP encoding).
-  bool solve_with_minlp = false;
 
   /// Number of representative SCF dimers probed during Gather (spread over
   /// the combined-size range); models for the remaining dimers are scaled

@@ -441,14 +441,9 @@ bool seed_bnb_options(minlp::BnbOptions& bnb,
   return warm;
 }
 
-BudgetSolver::BudgetSolver(Objective objective, bool certify, double gap_tol,
-                           double waves, double sync)
-    : objective_(objective),
-      certify_(certify),
-      gap_tol_(gap_tol),
-      waves_(waves),
-      sync_(sync) {
-  HSLB_EXPECTS(!certify || objective != Objective::MaxMin);
+BudgetSolver::BudgetSolver(Objective objective, double gap_tol, double waves,
+                           double sync)
+    : objective_(objective), gap_tol_(gap_tol), waves_(waves), sync_(sync) {
   HSLB_EXPECTS(gap_tol >= 0.0);
 }
 
@@ -456,8 +451,8 @@ SolveOutcome BudgetSolver::search(std::span<const BudgetTask> tasks,
                                   long long budget, bool resolve) const {
   SolveOutcome out;
   out.allocation = solve_budget(tasks, budget, objective_);
-  if (certify_ && certify_budget(tasks, budget, objective_,
-                                 node_counts(out.allocation), gap_tol_)) {
+  if (certify_budget(tasks, budget, objective_, node_counts(out.allocation),
+                     gap_tol_)) {
     out.solver.certified = true;  // status "optimal", no tree
     return out;
   }

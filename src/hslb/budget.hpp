@@ -38,7 +38,7 @@
 // (bench/fmo_solver_crosscheck and the property tests do exactly that).
 //
 // BudgetSolver is the Solve step built on top: the greedy, proved by the
-// certificate on the MINLP path. It runs no tree.
+// certificate whenever it can be. It runs no tree.
 #pragma once
 
 #include <span>
@@ -163,17 +163,16 @@ bool seed_bnb_options(minlp::BnbOptions& bnb,
                       Objective objective, const SolveSeed& seed);
 
 /// The Solve step of substrates whose tasks run as barrier-closed waves
-/// (the FMO SCC loop, hslb::WaveApplication): the exact greedy, which the
-/// MINLP path (`certify`) proves with certify_budget and reports as
-/// certified. The greedy is exact for the convex models the Fit produces
-/// (Ibaraki & Katoh), so a refusal returns it as the exact greedy.
+/// (the FMO SCC loop, hslb::WaveApplication): the exact greedy, proved
+/// with certify_budget and reported as certified. The greedy is exact for
+/// the convex models the Fit produces (Ibaraki & Katoh), so a refusal, and
+/// every max-min Solve, returns it as the exact greedy.
 class BudgetSolver {
  public:
-  /// `certify` selects the MINLP path: the certificate at `gap_tol`
-  /// (min-max or min-sum only). A run is predicted as `waves` waves, each
-  /// its slowest task plus `sync`.
-  BudgetSolver(Objective objective, bool certify, double gap_tol,
-               double waves, double sync);
+  /// Certifies at `gap_tol`. A run is predicted as `waves` waves, each its
+  /// slowest task plus `sync`.
+  BudgetSolver(Objective objective, double gap_tol, double waves,
+               double sync);
 
   /// Solves `tasks` within `budget`: allocation, solver stats, waves x
   /// (slowest + sync) prediction, and term-wise predicted task-seconds.
@@ -190,7 +189,6 @@ class BudgetSolver {
                       bool resolve) const;
 
   Objective objective_;
-  bool certify_;
   double gap_tol_;
   double waves_;
   double sync_;

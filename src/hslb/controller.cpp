@@ -54,7 +54,6 @@ AdaptiveResult Controller::run(
   app.begin_epochs(out.solution);
 
   std::vector<perf::Observed> observations;
-  std::size_t next_allowed = policy_.min_epoch_gap;  // hysteresis gate
   for (std::size_t epoch = 0;; ++epoch) {
     // Backstop against an application that never reports done; any real
     // run is orders of magnitude below this.
@@ -78,7 +77,7 @@ AdaptiveResult Controller::run(
 
     const bool failure = eo.failure_detected;
     bool trip = failure;
-    if (!trip && monitored && epoch + 1 >= next_allowed) {
+    if (!trip && monitored) {
       trip = eo.imbalance > policy_.imbalance_threshold ||
              drift > policy_.drift_threshold;
     }
@@ -116,12 +115,8 @@ AdaptiveResult Controller::run(
     if (!accept && gain > 0.0 &&
         !same_allocation(proposal.solution.allocation,
                          out.solution.allocation)) {
-      accept = true;
-      if (policy_.migration_aware) {
-        const double stall =
-            app.migration_cost(out.solution, proposal.solution);
-        accept = gain * std::max(1.0, eo.epochs_remaining) > stall;
-      }
+      const double stall = app.migration_cost(out.solution, proposal.solution);
+      accept = gain * std::max(1.0, eo.epochs_remaining) > stall;
     }
     if (!accept) continue;
 
@@ -129,7 +124,6 @@ AdaptiveResult Controller::run(
     out.migration_seconds += app.apply_allocation(proposal.solution);
     out.solution = proposal.solution;
     ++out.rebalances;
-    next_allowed = epoch + 1 + policy_.min_epoch_gap;
   }
 
   out.actual_total = app.finish_epochs();

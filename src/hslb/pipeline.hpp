@@ -120,8 +120,8 @@ struct SolveOutcome {
 struct EpochOutcome {
   bool done = false;  ///< the run finished; no epochs remain
   /// A permanent node failure wedged the epoch: the controller must
-  /// reallocate over the surviving nodes (bypasses hysteresis and the
-  /// migration-aware accept test) and the application re-runs the epoch.
+  /// reallocate over the surviving nodes (bypasses the migration-aware
+  /// accept test) and the application re-runs the epoch.
   bool failure_detected = false;
   double epoch_seconds = 0.0;  ///< wall time this epoch added to the run clock
   /// Busy-time imbalance across groups this epoch (max/mean - 1), the
@@ -341,9 +341,6 @@ struct RebalancePolicy {
   /// ...or when the mean relative prediction error over the refit window
   /// exceeds this.
   double drift_threshold = 0.10;
-  /// Hysteresis: epochs that must pass after an accepted rebalance before
-  /// the monitor may trip again (failure triggers bypass the gate).
-  std::size_t min_epoch_gap = 1;
   /// Monitored-epoch cap: 0 monitors every epoch; otherwise triggers are
   /// only evaluated during the first max_epochs epochs (execution always
   /// continues to completion).
@@ -353,9 +350,6 @@ struct RebalancePolicy {
   /// Replication weight of one observed duration against one gather probe
   /// (perf::fold_observations).
   double observation_weight = 4.0;
-  /// Accept a proposal only when predicted gain x remaining epochs exceeds
-  /// its migration stall (failures bypass the test).
-  bool migration_aware = true;
 };
 
 struct PipelineOptions {

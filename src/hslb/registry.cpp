@@ -9,17 +9,26 @@
 
 namespace hslb {
 
+PipelineOptions ScenarioSpec::pipeline_options(std::size_t threads) const {
+  PipelineOptions opt;
+  opt.threads = threads;
+  opt.gather_repetitions = gather_repetitions;
+  opt.rebalance = rebalance;
+  return opt;
+}
+
 std::string ScenarioSpec::str() const {
   std::string s = strings::format(
       "%s/%s tasks=%lld nodes=%lld sys_seed=%llu bench_seed=%llu "
-      "fit_points=%lld %s %s noise_cv=%.3g run_seed=%llu",
+      "fit_points=%lld %s noise_cv=%.3g run_seed=%llu",
       substrate.c_str(), variant.empty() ? "default" : variant.c_str(),
       tasks, nodes, system_seed, bench_seed, fit_points,
-      minlp ? "minlp" : "greedy",
       objective == Objective::MinMax
           ? "minmax"
           : (objective == Objective::MaxMin ? "maxmin" : "minsum"),
       noise_cv, run_seed);
+  if (gather_repetitions != 1)
+    s += strings::format(" reps=%zu", gather_repetitions);
   if (straggler_cv > 0.0)
     s += strings::format(" straggler_cv=%.3g", straggler_cv);
   if (fail_node >= 0)
@@ -29,6 +38,7 @@ std::string ScenarioSpec::str() const {
     s += strings::format(" link_gb=%.3g", link_gb_per_s);
   if (std::isfinite(memory_gb_per_node))
     s += strings::format(" mem_gb=%.3g", memory_gb_per_node);
+  if (!machine_cost_terms) s += " compute_only_model";
   if (rebalance.adaptive) s += " adaptive";
   return s;
 }

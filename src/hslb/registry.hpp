@@ -49,6 +49,11 @@ struct ScenarioSpec {
   unsigned long long bench_seed = 42;
   double bench_noise_cv = 0.03;
   long long fit_points = 5;
+  /// Timed runs per (task, node count) in the Gather, and per probed size
+  /// of FMO's dimer probes.
+  std::size_t gather_repetitions = 1;
+  /// Read by nothing: every Solve that can be certified is. Kept for
+  /// callers that still set it.
   bool minlp = false;
   Objective objective = Objective::MinMax;
 
@@ -64,9 +69,17 @@ struct ScenarioSpec {
   double link_gb_per_s = std::numeric_limits<double>::infinity();
   double memory_gb_per_node = std::numeric_limits<double>::infinity();
   double page_s_per_gb = 0.0;
+  /// Pin those machine charges into the Solve's models (the wave
+  /// substrates: fmo, fmm, amrex); false = the compute-only model, while
+  /// the run still charges them.
+  bool machine_cost_terms = true;
 
   /// Adaptive-rebalance policy for the epoch path.
   RebalancePolicy rebalance;
+
+  /// The engine options a run of this scenario takes on `threads` workers:
+  /// its gather repetitions and rebalance policy.
+  PipelineOptions pipeline_options(std::size_t threads) const;
 
   /// Compact one-line rendering (used in fuzzer counterexample reports).
   std::string str() const;

@@ -45,8 +45,7 @@ WaveApplication::WaveApplication(WaveWorkload workload, long long nodes,
       options_(std::move(options)),
       mach_(wave_machine(options_, nodes_)),
       perturb_(wave_perturbation(options_, mach_.nodes)),
-      solver_(options_.objective, options_.solve_with_minlp,
-              minlp::BnbOptions{}.gap_tol,
+      solver_(options_.objective, minlp::BnbOptions{}.gap_tol,
               static_cast<double>(workload_.waves), workload_.sync_overhead),
       core_(mach_, perturb_, nodes_) {
   const auto tasks = static_cast<long long>(workload_.tasks.size());

@@ -9,8 +9,8 @@
 // its waves with planned stages, each one epoch on slots its planner
 // places on the surviving segment (its own allocation or the installed
 // blocks): FMO's dimer phase is one. WaveApplication implements the full
-// hslb::Application contract — Gather probes, Fit, budgeted Solve (greedy
-// or certified greedy), simulated Execute with noise/straggler/fail-stop
+// hslb::Application contract — Gather probes, Fit, budgeted Solve (the
+// certified greedy), simulated Execute with noise/straggler/fail-stop
 // perturbations through the epoch hooks (one wave or planned stage per
 // epoch) — over that declarative description, so a substrate only has to
 // *describe* its tasks (src/fmo, src/fmm, src/amrex) instead of
@@ -147,10 +147,8 @@ struct WaveOptions : ExecutionOptions {
   double bench_noise_cv = 0.03;
   std::uint64_t bench_seed = 42;
 
-  // Solve.
+  // Solve (the greedy, proved by hslb::certify_budget).
   Objective objective = Objective::MinMax;
-  /// The MINLP path: the greedy proved by hslb::certify_budget.
-  bool solve_with_minlp = false;
   /// Pin each task's machine charges (comm_gb over link bandwidth,
   /// memory_gb against node memory) into its fitted model before the
   /// Solve. False = the compute-only model, even on machines that charge

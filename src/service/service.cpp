@@ -6,11 +6,9 @@
 
 #include "common/contracts.hpp"
 #include "common/strings.hpp"
-#include "fmo/cost.hpp"
-#include "fmo/driver.hpp"
-#include "fmo/scenario.hpp"
 #include "hslb/budget.hpp"
-#include "sim/machine.hpp"
+#include "hslb/registry.hpp"
+#include "substrates/registry_builtins.hpp"
 
 namespace hslb::service {
 
@@ -89,6 +87,7 @@ std::string ServiceReport::str() const {
 AllocationService::AllocationService(ServiceOptions options)
     : opt_(options), pool_(options.threads), cache_(options.cache_capacity) {
   HSLB_EXPECTS(opt_.batch >= 1);
+  substrates::register_builtin_substrates();  // fmo-kind misses build there
 }
 
 Response AllocationService::handle(const Request& request) {
@@ -146,45 +145,38 @@ AllocationService::Solved AllocationService::solve_kind_solve(
 
 AllocationService::Solved AllocationService::solve_kind_fmo(
     const Request& canonical) const {
-  fmo::PipelineOptions popt;
-  popt.fit_points = static_cast<std::size_t>(canonical.fit_points);
-  popt.repetitions = static_cast<std::size_t>(canonical.repetitions);
-  popt.bench_noise_cv = canonical.noise_cv;
-  popt.seed = canonical.bench_seed;
-  popt.objective = canonical.objective;
-  // The MINLP path: the greedy, reported certified when proved optimal.
-  // Max-min has no certificate, so it takes the greedy alone, as its
-  // solve-kind requests do.
-  popt.solve_with_minlp = canonical.objective != Objective::MaxMin;
-  // Inner stages stay serial: batch-level parallelism owns the pool.
-  popt.threads = 1;
-  if (std::isfinite(canonical.link_gb) || std::isfinite(canonical.mem_gb)) {
-    sim::Machine m = sim::Machine::intrepid_partition(
-        static_cast<std::size_t>(canonical.budget));
-    m.link_gb_per_s = canonical.link_gb;
-    m.memory_gb_per_node = canonical.mem_gb;
-    m.page_s_per_gb = canonical.page_s_per_gb;
-    popt.run.machine = m;
-  }
+  ScenarioSpec spec;
+  spec.substrate = "fmo";
+  spec.variant = canonical.family;
+  spec.tasks = canonical.fragments;
+  spec.nodes = canonical.budget;
+  spec.system_seed = canonical.system_seed;
+  spec.bench_seed = canonical.bench_seed;
+  spec.bench_noise_cv = canonical.noise_cv;
+  spec.fit_points = canonical.fit_points;
+  spec.gather_repetitions = static_cast<std::size_t>(canonical.repetitions);
+  spec.objective = canonical.objective;
+  spec.link_gb_per_s = canonical.link_gb;
+  spec.memory_gb_per_node = canonical.mem_gb;
+  spec.page_s_per_gb = canonical.page_s_per_gb;
+  const auto app = SubstrateRegistry::instance().make(spec);
 
-  const fmo::System sys = fmo::make_system(
-      canonical.family, static_cast<std::size_t>(canonical.fragments),
-      canonical.system_seed);
-  const fmo::CostModel cost;
-  const auto res = fmo::run_pipeline(sys, cost, canonical.budget, popt);
+  // Inner stages stay serial: batch-level parallelism owns the pool.
+  const PipelineRun run = Pipeline(spec.pipeline_options(1)).run(*app);
 
   Solved out;
   Response& resp = out.response;
-  resp.allocation = res.allocation;
-  resp.status = res.report.solver.status;
-  resp.bnb_nodes = res.report.solver.nodes;
-  resp.bnb_cuts = res.report.solver.cuts;
-  resp.predicted_total = res.predicted_scc_seconds;
-  resp.actual_total = res.hslb.scc_seconds;
-  resp.percent_imbalance = res.report.exec.percent_imbalance;
+  resp.allocation = run.solution.allocation;
+  resp.status = run.report.solver.status;
+  resp.bnb_nodes = run.report.solver.nodes;
+  resp.bnb_cuts = run.report.solver.cuts;
+  resp.predicted_total = run.solution.predicted_total;
+  resp.actual_total = run.actual_total;
+  resp.percent_imbalance = run.report.exec.percent_imbalance;
   std::vector<double> times;
-  times.reserve(res.allocation.tasks.size());
-  for (const auto& t : res.allocation.tasks) times.push_back(t.predicted_seconds);
+  times.reserve(resp.allocation.tasks.size());
+  for (const auto& t : resp.allocation.tasks)
+    times.push_back(t.predicted_seconds);
   resp.objective_value = fold_objective(canonical.objective, times);
   return out;
 }

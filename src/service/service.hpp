@@ -13,9 +13,10 @@
 //   2. solve (parallel): unique misses solve concurrently on the pool,
 //      each branch-and-bound started from the exact greedy and seeded from
 //      its donor (re-linearization points and, when the task cost models
-//      match exactly, the cut pool). An fmo-kind miss is the certified
-//      greedy (hslb::BudgetSolver) and a max-min miss the greedy alone:
-//      they run no tree, so they select no donor;
+//      match exactly, the cut pool). An fmo-kind miss runs the substrate
+//      registry's fmo scenario through hslb::Pipeline, whose Solve is the
+//      certified greedy (hslb::BudgetSolver), and a max-min miss is the
+//      greedy alone: they run no tree, so they select no donor;
 //   3. commit (sequential, script order): warm results are audited —
 //      allocation complete, budget and bounds respected, finite
 //      predictions — and a failing result is replaced by a cold re-solve

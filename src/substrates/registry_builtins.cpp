@@ -53,12 +53,12 @@ std::shared_ptr<Application> make_fmo(const ScenarioSpec& spec) {
 
   fmo::PipelineOptions opt;
   opt.fit_points = static_cast<std::size_t>(spec.fit_points);
+  opt.repetitions = spec.gather_repetitions;
   opt.bench_noise_cv = spec.bench_noise_cv;
   opt.seed = spec.bench_seed;
   opt.objective = spec.objective;
-  opt.solve_with_minlp = spec.minlp;
+  opt.machine_cost_terms = spec.machine_cost_terms;
   static_cast<ExecutionOptions&>(opt.run) = execution_options(spec, nodes);
-  opt.rebalance = spec.rebalance;
   return fmo::make_application(std::move(sys), fmo::CostModel{}, nodes,
                                std::move(opt));
 }
@@ -84,7 +84,6 @@ std::shared_ptr<Application> make_cesm(const ScenarioSpec& spec) {
   opt.fail_time = spec.fail_time;
   opt.fail_downtime = spec.fail_downtime;
   opt.link_gb_per_s = spec.link_gb_per_s;
-  opt.rebalance = spec.rebalance;
   return cesm::make_application(cesm::Resolution::Deg1, nodes, std::move(opt));
 }
 
@@ -95,7 +94,7 @@ WaveOptions wave_options(const ScenarioSpec& spec, long long nodes) {
   opt.bench_noise_cv = spec.bench_noise_cv;
   opt.bench_seed = spec.bench_seed;
   opt.objective = spec.objective;
-  opt.solve_with_minlp = spec.minlp;
+  opt.machine_cost_terms = spec.machine_cost_terms;
   return opt;
 }
 

@@ -130,20 +130,13 @@ TEST(AmrexPipeline, AdaptiveRunRecoversFromFailStop) {
   EXPECT_GE(run.report.rebalances, 1u);
 }
 
-TEST(AmrexPipeline, MinlpSolvePathWorks) {
-  auto spec = base_spec();
-  spec.minlp = true;
-  const auto run = run_spec(spec);
+TEST(AmrexPipeline, SolveIsCertified) {
+  const auto run = run_spec(base_spec());
   EXPECT_TRUE(run.report.exec_completed);
   // The convex min-max greedy is proved by certificate: no tree runs.
   EXPECT_TRUE(run.report.solver.certified);
   EXPECT_EQ(run.report.solver.status, "optimal");
   EXPECT_EQ(run.report.solver.nodes, 0u);
-
-  // Greedy and MINLP agree on the min-max optimum's predicted value.
-  const auto greedy = run_spec(base_spec());
-  EXPECT_NEAR(run.report.predicted_total, greedy.report.predicted_total,
-              1e-6 * greedy.report.predicted_total);
 }
 
 TEST(AmrexWorkload, VariantsAndValidation) {
@@ -165,12 +158,10 @@ TEST(AmrexWorkload, VariantsAndValidation) {
   EXPECT_THROW(amrex::mesh_workload(opt), std::invalid_argument);
 }
 
-// Triggered and static runs through the MINLP path, pinned to captured
-// values. The wave engine's static path has no independent reference, so
+// Triggered and static runs, pinned to captured values. The wave engine's static path has no independent reference, so
 // it is pinned too. Every Solve and re-solve is certified, so no tree runs.
 TEST(AmrexPipeline, PinnedStaticRun) {
   auto spec = base_spec();
-  spec.minlp = true;
   const pinning::Pinned want{0, 0, 56, 0,
                              {},
                              {9, 11, 4, 2, 2, 2},
@@ -185,7 +176,6 @@ TEST(AmrexPipeline, PinnedStaticRun) {
 
 TEST(AmrexPipeline, PinnedFailStopRun) {
   auto spec = base_spec();
-  spec.minlp = true;
   spec.rebalance.adaptive = true;
   spec.fail_node = 0;
   spec.fail_time = 0.5;

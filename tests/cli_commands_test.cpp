@@ -12,17 +12,19 @@
 namespace hslb::cli {
 namespace {
 
-// Mirrors the fmo registration in main.cpp.
+// Mirrors the fmo registration in main.cpp: run's flags with --fragments
+// and the variant flags in place of --substrate, --variant and --tasks.
 Args fmo_args(std::vector<const char*> extra) {
-  std::vector<const char*> argv = {"fmo", "--fragments", "4", "--nodes", "32"};
+  std::vector<const char*> argv = {"fmo",   "--fragments", "4", "--nodes",
+                                   "32",    "--threads",   "1"};
   argv.insert(argv.end(), extra.begin(), extra.end());
   return Args(static_cast<int>(argv.size()), argv.data(),
-              {"peptide", "comm-bound", "minlp", "compute-only-model",
-               "adaptive"},
-              {"fragments", "nodes", "objective", "threads", "trace",
-               "straggler-cv", "fail-node", "fail-time", "fail-downtime",
-               "link-gb", "mem-gb", "page-s-per-gb", "rebalance-threshold",
-               "refit-window", "max-epochs"});
+              {"peptide", "comm-bound", "compute-only-model", "adaptive"},
+              {"fragments", "nodes", "objective", "threads", "fit-points",
+               "system-seed", "bench-seed", "bench-noise-cv", "noise-cv",
+               "run-seed", "trace", "straggler-cv", "fail-node", "fail-time",
+               "fail-downtime", "link-gb", "mem-gb", "page-s-per-gb",
+               "rebalance-threshold", "refit-window", "max-epochs"});
 }
 
 // Mirrors the cesm registration in main.cpp: its layout MINLP branches, so

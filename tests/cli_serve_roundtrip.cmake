@@ -1,6 +1,8 @@
 # CTest script: end-to-end `hslb client` -> `hslb serve` through a request
 # script, replayed under two thread counts; the response payload files must
-# be byte-identical (the service determinism contract).
+# be byte-identical (the service determinism contract). The script mixes
+# solve-kind requests with fmo-kind ones, which run the substrate
+# registry's fmo scenario through the pipeline on the service's batch pool.
 # Invoked as: cmake -DTOOL=<path-to-hslb> -DWORK=<scratch-dir> -P cli_serve_roundtrip.cmake
 if(NOT DEFINED TOOL OR NOT DEFINED WORK)
   message(FATAL_ERROR "TOOL and WORK must be defined")
@@ -12,44 +14,67 @@ file(REMOVE ${SCRIPT})
 
 # Build the script incrementally, the way a user would: one client call per
 # request. Two distinct instances, a perturbed neighbor, and an exact repeat.
-set(TASKS_A "atm:400:3:1:2:1:0\;ocn:250:2:1:1:1:0")
-set(TASKS_B "atm:408:3:1:2:1:0\;ocn:255:2:1:1:1:0")
-foreach(tasks ${TASKS_A} ${TASKS_B} ${TASKS_A})
+# The task lists hold a literal ';', so each is passed as one quoted
+# argument (unquoted, CMake would split it into two).
+set(TASKS_A "atm:400:3:1:2:1:0;ocn:250:2:1:1:1:0")
+set(TASKS_B "atm:408:3:1:2:1:0;ocn:255:2:1:1:1:0")
+foreach(tasks TASKS_A TASKS_B TASKS_A)
   execute_process(COMMAND ${TOOL} client --kind solve --nodes 64
-                          --tasks ${tasks} --out ${SCRIPT}
+                          --tasks "${${tasks}}" --out ${SCRIPT}
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "client failed (${rc}): ${out}${err}")
   endif()
 endforeach()
+function(client)
+  execute_process(COMMAND ${TOOL} client ${ARGN} --out ${SCRIPT}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "client failed (${rc}): ${out}${err}")
+  endif()
+endfunction()
+# Every fmo family, the comm family on a machine with a finite link, node
+# memory and paging, repeated gather probes under min-sum, max-min, and an
+# exact repeat.
+set(FMO --kind fmo --fragments 6 --nodes 48 --fit-points 4)
+client(${FMO} --family water)
+client(${FMO} --family peptide)
+client(${FMO} --family comm --link-gb 1 --mem-gb 1 --page-s-per-gb 0.5)
+client(${FMO} --family water --reps 2 --objective min-sum)
+client(${FMO} --family peptide --objective max-min)
+client(${FMO} --family water)
 
-execute_process(COMMAND ${TOOL} serve --script ${SCRIPT} --threads 1 --batch 1
-                        --responses ${WORK}/responses_t1.txt
-                RESULT_VARIABLE rc OUTPUT_VARIABLE out1 ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "serve --threads 1 failed (${rc}): ${out1}${err}")
-endif()
-if(NOT out1 MATCHES "service report")
-  message(FATAL_ERROR "serve output missing report: ${out1}")
-endif()
-# The exact repeat must hit the cache.
-if(NOT out1 MATCHES "HIT")
-  message(FATAL_ERROR "expected a cache HIT in: ${out1}")
-endif()
-
-execute_process(COMMAND ${TOOL} serve --script ${SCRIPT} --threads 4 --batch 1
-                        --responses ${WORK}/responses_t4.txt
-                RESULT_VARIABLE rc OUTPUT_VARIABLE out4 ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "serve --threads 4 failed (${rc}): ${out4}${err}")
-endif()
-
-file(READ ${WORK}/responses_t1.txt t1)
-file(READ ${WORK}/responses_t4.txt t4)
-if(NOT t1 STREQUAL t4)
-  message(FATAL_ERROR "response payloads differ across thread counts:\n"
-                      "--- threads 1 ---\n${t1}\n--- threads 4 ---\n${t4}")
-endif()
+# serve_pair(<batch>): replays the script at --threads 1 and 4 with that
+# batch width and checks the payload files are byte-identical.
+function(serve_pair batch)
+  foreach(threads 1 4)
+    execute_process(COMMAND ${TOOL} serve --script ${SCRIPT}
+                            --threads ${threads} --batch ${batch}
+                            --responses ${WORK}/responses_b${batch}_t${threads}.txt
+                    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "serve --threads ${threads} --batch ${batch} "
+                          "failed (${rc}): ${out}${err}")
+    endif()
+    if(NOT out MATCHES "service report")
+      message(FATAL_ERROR "serve output missing report: ${out}")
+    endif()
+    # The exact repeats must hit the cache.
+    if(NOT out MATCHES "HIT")
+      message(FATAL_ERROR "expected a cache HIT in: ${out}")
+    endif()
+  endforeach()
+  file(READ ${WORK}/responses_b${batch}_t1.txt t1)
+  file(READ ${WORK}/responses_b${batch}_t4.txt t4)
+  if(NOT t1 STREQUAL t4)
+    message(FATAL_ERROR "response payloads differ across thread counts "
+                        "(batch ${batch}):\n--- threads 1 ---\n${t1}\n"
+                        "--- threads 4 ---\n${t4}")
+  endif()
+endfunction()
+# One request per batch, then batches whose misses solve concurrently.
+serve_pair(1)
+serve_pair(8)
 
 # Extreme but representable measurement noise: every probe of these fmo
 # requests is scaled by a lognormal draw that is mostly below 1e-8, so the

@@ -167,13 +167,11 @@ TEST(FmmWorkload, VariantsAndValidation) {
   EXPECT_THROW(fmm::tree_workload(opt), std::invalid_argument);
 }
 
-// The MINLP path's Solve is the convex greedy proved by certificate: the
-// report's solver row says so and carries no tree or LP counters (CESM,
-// which still branches, carries those).
-TEST(FmmPipeline, MinlpReportShowsCertifiedSolve) {
-  auto spec = base_spec();
-  spec.minlp = true;
-  const auto run = run_spec(spec);
+// The Solve is the convex greedy proved by certificate: the report's
+// solver row says so and carries no tree or LP counters (CESM, which still
+// branches, carries those).
+TEST(FmmPipeline, ReportShowsCertifiedSolve) {
+  const auto run = run_spec(base_spec());
   EXPECT_TRUE(run.report.solver.certified);
   EXPECT_EQ(run.report.solver.status, "optimal");
   EXPECT_EQ(run.report.solver.nodes, 0u);
@@ -182,12 +180,10 @@ TEST(FmmPipeline, MinlpReportShowsCertifiedSolve) {
             std::string::npos);
 }
 
-// Triggered and static runs through the MINLP path, pinned to captured
-// values. The wave engine's static path has no independent reference, so
+// Triggered and static runs, pinned to captured values. The wave engine's static path has no independent reference, so
 // it is pinned too. Every Solve and re-solve is certified, so no tree runs.
 TEST(FmmPipeline, PinnedStaticRun) {
   auto spec = base_spec();
-  spec.minlp = true;
   const pinning::Pinned want{0, 0, 56, 0,
                              {},
                              {1, 5, 5, 1, 12, 6},
@@ -202,7 +198,6 @@ TEST(FmmPipeline, PinnedStaticRun) {
 
 TEST(FmmPipeline, PinnedFailStopRun) {
   auto spec = base_spec();
-  spec.minlp = true;
   spec.rebalance.adaptive = true;
   spec.fail_node = 0;
   spec.fail_time = 0.5;

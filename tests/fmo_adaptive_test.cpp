@@ -194,16 +194,9 @@ TEST(FmoAdaptive, DriftTriggersRebalance) {
             stat.hslb.total_seconds + res.report.migration_seconds + 1e-9);
 }
 
-// ADPT-6..8: triggered closed-loop runs through the MINLP path, pinned to
-// captured values — rebalances, restarts, trace events, the B&B nodes of
-// every warm re-solve (0: each one is certified), the final allocation,
-// and the makespan.
-PipelineOptions pinned_options() {
-  PipelineOptions opt;
-  opt.solve_with_minlp = true;
-  return opt;
-}
-
+// ADPT-6..8: triggered closed-loop runs pinned to captured values —
+// rebalances, restarts, trace events, the B&B nodes of every warm re-solve
+// (0: each one is certified), the final allocation, and the makespan.
 RebalancePolicy adaptive_policy() {
   RebalancePolicy policy;
   policy.adaptive = true;
@@ -211,7 +204,7 @@ RebalancePolicy adaptive_policy() {
 }
 
 TEST(FmoAdaptive, PinnedStragglerRun) {
-  PipelineOptions opt = pinned_options();
+  PipelineOptions opt;
   opt.run.straggler_cv = 0.4;
   const pinning::Pinned want{8, 0, 131, 0,
                              {0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
@@ -226,7 +219,7 @@ TEST(FmoAdaptive, PinnedStragglerRun) {
 
 TEST(FmoAdaptive, PinnedDriftRun) {
   const auto sys = small_system(54);
-  PipelineOptions opt = pinned_options();
+  PipelineOptions opt;
   opt.run.task_scale.assign(sys.fragments.size(), 1.0);
   opt.run.task_scale[0] = opt.run.task_scale[1] = opt.run.task_scale[2] = 4.0;
   opt.run.drift_onset = 3;
@@ -243,7 +236,7 @@ TEST(FmoAdaptive, PinnedDriftRun) {
 }
 
 TEST(FmoAdaptive, PinnedFailStopRun) {
-  PipelineOptions opt = pinned_options();
+  PipelineOptions opt;
   opt.run.fail_node = 0;
   opt.run.fail_time = 1.0;
   opt.run.machine = sim::Machine{"intrepid", 64, 4};
@@ -259,8 +252,7 @@ TEST(FmoAdaptive, PinnedFailStopRun) {
       adaptive_policy(), want);
 }
 
-// ADPT-9: static runs of every static setup through the MINLP path, pinned
-// to captured values — trace events, the B&B nodes of the Solve (0: it is
+// ADPT-9: static runs of every static setup, pinned to captured values — trace events, the B&B nodes of the Solve (0: it is
 // certified), the allocation, the makespan and the trace digest; no
 // rebalance, no restart.
 TEST(FmoAdaptive, PinnedStaticRuns) {
@@ -274,8 +266,7 @@ TEST(FmoAdaptive, PinnedStaticRuns) {
   };
   const auto setups = static_setups();
   for (std::size_t s = 0; s < setups.size(); ++s) {
-    PipelineOptions opt = setups[s].options;
-    opt.solve_with_minlp = true;
+    const PipelineOptions& opt = setups[s].options;
     pinning::expect_pinned(
         "fmo_static_" + setups[s].name,
         [&] {
@@ -315,7 +306,7 @@ TEST(FmoAdaptive, PinnedDimerPhaseFailStop) {
         6.4592930994508873, 0xdd8b480d3b05a5bfull}},
   };
   for (const auto& c : cases) {
-    PipelineOptions opt = pinned_options();
+    PipelineOptions opt;
     opt.dimer_probe_count = c.dimer_probes;
     opt.run.fail_node = 63;
     opt.run.fail_time = 4.7473;  // permanent (default downtime = infinity)

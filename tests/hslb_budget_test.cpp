@@ -274,8 +274,7 @@ TEST(BudgetVsBnb, GreedySeededAndUnseededSearchesAgree) {
       EXPECT_FALSE(seed_bnb_options(seeded_options, tasks, budget, obj, {}));
       const auto seeded = minlp::solve(model, seeded_options);
       ASSERT_EQ(seeded.status, minlp::BnbStatus::Optimal);
-      const BudgetSolver solver(obj, true, minlp::BnbOptions{}.gap_tol, 1.0,
-                                0.0);
+      const BudgetSolver solver(obj, minlp::BnbOptions{}.gap_tol, 1.0, 0.0);
       const auto certified = solver.solve(tasks, budget);
       EXPECT_TRUE(certified.solver.certified);
       EXPECT_EQ(certified.solver.status, "optimal");
@@ -532,12 +531,11 @@ TEST(BudgetSolverPaths, CertifiesTheGreedyOrReturnsItAsExact) {
   const std::vector<BudgetTask> tasks{task("a", 300, 1, 16),
                                       task("b", 100, 2, 16)};
   const auto greedy = nodes_of(solve_min_max(tasks, 16));
-  const BudgetSolver certifying(Objective::MinMax, true, 1e-9, 2.0, 0.5);
-  const BudgetSolver greedy_only(Objective::MinMax, false, 1e-9, 2.0, 0.5);
+  const BudgetSolver solver(Objective::MinMax, 1e-9, 2.0, 0.5);
 
-  // The MINLP path proves the greedy and says so; two waves of the
+  // The certificate proves the greedy and says so; two waves of the
   // slowest task plus sync.
-  const auto proved = certifying.solve(tasks, 16);
+  const auto proved = solver.solve(tasks, 16);
   EXPECT_TRUE(proved.solver.certified);
   EXPECT_EQ(proved.solver.status, "optimal");
   EXPECT_EQ(proved.solver.nodes, 0u);
@@ -545,15 +543,11 @@ TEST(BudgetSolverPaths, CertifiesTheGreedyOrReturnsItAsExact) {
   EXPECT_DOUBLE_EQ(proved.predicted_total,
                    2.0 * (proved.allocation.predicted_total + 0.5));
 
-  // The greedy path, and the MINLP path on a model the certificate refuses
-  // (b > 0, c < 1), return the greedy as the exact greedy.
-  const auto plain = greedy_only.solve(tasks, 16);
-  EXPECT_FALSE(plain.solver.certified);
-  EXPECT_EQ(plain.solver.status, "min-max exact greedy");
-  EXPECT_EQ(nodes_of(plain.allocation), greedy);
+  // On a model the certificate refuses (b > 0, c < 1) the greedy comes
+  // back as the exact greedy.
   std::vector<BudgetTask> concave = tasks;
   concave[1].model = perf::Model{100, 2.0, 0.5, 2};
-  const auto refused = certifying.solve(concave, 16);
+  const auto refused = solver.solve(concave, 16);
   EXPECT_FALSE(refused.solver.certified);
   EXPECT_EQ(refused.solver.status, "min-max exact greedy");
   EXPECT_EQ(nodes_of(refused.allocation),
@@ -562,23 +556,22 @@ TEST(BudgetSolverPaths, CertifiesTheGreedyOrReturnsItAsExact) {
   // A re-solve predicts one epoch (objective + sync) for the proposal and
   // for the installed allocation.
   const Allocation installed = solve_min_max(tasks, 12);
-  const auto re = certifying.resolve(tasks, 16, installed);
+  const auto re = solver.resolve(tasks, 16, installed);
   EXPECT_TRUE(re.solution.solver.certified);
   EXPECT_EQ(nodes_of(re.solution.allocation), greedy);
   EXPECT_DOUBLE_EQ(re.solution.predicted_total,
                    proved.allocation.predicted_total + 0.5);
   EXPECT_DOUBLE_EQ(re.incumbent_predicted, installed.predicted_total + 0.5);
-  EXPECT_EQ(greedy_only.resolve(tasks, 16, installed).solution.solver.status,
+  EXPECT_EQ(solver.resolve(concave, 16, installed).solution.solver.status,
             "min-max exact greedy (warm)");
-}
 
-TEST(BudgetSolverPaths, MinlpPathRejectsMaxMin) {
-  EXPECT_THROW(BudgetSolver(Objective::MaxMin, true, 1e-9, 1.0, 0.0),
-               ContractViolation);
-  const BudgetSolver greedy_only(Objective::MaxMin, false, 1e-9, 1.0, 0.0);
-  const std::vector<BudgetTask> tasks{task("a", 10, 0, 8), task("b", 10, 0, 8)};
-  EXPECT_EQ(nodes_of(greedy_only.solve(tasks, 8).allocation),
-            nodes_of(solve_max_min(tasks, 8)));
+  // Max-min has no certificate: its Solve is the exact greedy.
+  const BudgetSolver max_min(Objective::MaxMin, 1e-9, 1.0, 0.0);
+  const std::vector<BudgetTask> even{task("a", 10, 0, 8), task("b", 10, 0, 8)};
+  const auto spread = max_min.solve(even, 8);
+  EXPECT_FALSE(spread.solver.certified);
+  EXPECT_EQ(spread.solver.status, "max-min exact greedy");
+  EXPECT_EQ(nodes_of(spread.allocation), nodes_of(solve_max_min(even, 8)));
 }
 
 TEST(BudgetMinlp, RejectsMaxMin) {

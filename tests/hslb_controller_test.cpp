@@ -1,6 +1,6 @@
 // hslb::Controller decision logic against a scripted fake application:
-// trigger thresholds, hysteresis, the migration-aware accept test, the
-// failure bypass, and the refit-on-drift path — all without a simulator,
+// trigger thresholds, the migration-aware accept test, the failure bypass,
+// and the refit-on-drift path — all without a simulator,
 // so each rule is pinned in isolation.
 #include "hslb/controller.hpp"
 
@@ -187,23 +187,6 @@ TEST(Controller, MigrationAwareAcceptRejectsUnprofitableMove) {
   EXPECT_EQ(r.migration_seconds, 0.0);
 }
 
-TEST(Controller, MigrationAwareOffAcceptsAnyImprovement) {
-  FakeApp app;
-  app.script.resize(2);
-  app.script[0].imbalance = 0.5;
-  app.script[0].epochs_remaining = 2.0;
-  app.incumbent_predicted = 1.0;
-  app.proposal_predicted = 0.9;
-  app.migration_stall = 0.5;
-  const World w = make_world();
-  RebalancePolicy policy{.adaptive = true};
-  policy.migration_aware = false;
-  const Controller ctl(policy, {});
-  const AdaptiveResult r = ctl.run(app, w.bench, w.fits, w.solution, serial);
-  EXPECT_EQ(r.rebalances, 1u);
-  EXPECT_EQ(r.migration_seconds, 0.5);  // the stall is still charged
-}
-
 TEST(Controller, FailureBypassesAcceptTest) {
   FakeApp app;
   app.script.resize(2);
@@ -222,7 +205,7 @@ TEST(Controller, FailureBypassesAcceptTest) {
   EXPECT_EQ(r.migration_seconds, 10.0);
 }
 
-TEST(Controller, HysteresisGatesBothFirstAndRepeatTriggers) {
+TEST(Controller, EveryViolatingEpochMayTrigger) {
   FakeApp app;
   app.script.resize(6);
   for (auto& e : app.script) {
@@ -230,15 +213,13 @@ TEST(Controller, HysteresisGatesBothFirstAndRepeatTriggers) {
     e.epochs_remaining = 5.0;
   }
   const World w = make_world();
-  RebalancePolicy policy{.adaptive = true};
-  policy.min_epoch_gap = 3;
-  const Controller ctl(policy, {});
+  const Controller ctl({.adaptive = true}, {});
   const AdaptiveResult r = ctl.run(app, w.bench, w.fits, w.solution, serial);
 
-  // Epochs 0-5 all violate the threshold; the gap admits only epochs 2
-  // (first allowed: epoch + 1 >= 3) and 5 (3 epochs after the accept).
-  EXPECT_EQ(r.triggers, 2u);
-  EXPECT_EQ(r.rebalances, 2u);
+  // No hysteresis: each of the six violating epochs trips the monitor and
+  // its profitable proposal is accepted, the epoch after a rebalance too.
+  EXPECT_EQ(r.triggers, 6u);
+  EXPECT_EQ(r.rebalances, 6u);
 }
 
 TEST(Controller, MaxEpochsStopsMonitoringNotExecution) {

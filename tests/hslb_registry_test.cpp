@@ -128,10 +128,9 @@ TEST_F(RegistryTest, FmoRegistryAppMatchesRunPipeline) {
   EXPECT_EQ(baseline->dlb_total_seconds(), classic.dlb.total_seconds);
 }
 
-TEST_F(RegistryTest, FmoMinlpPathMatchesCertified) {
+TEST_F(RegistryTest, FmoBothPathsCertifyTheGreedy) {
   const auto sys = fmo::make_system("water", 6);
-  auto opt = small_fmo_options();
-  opt.solve_with_minlp = true;
+  const auto opt = small_fmo_options();
   const auto classic = fmo::run_pipeline(sys, fmo::CostModel{}, 24, opt);
 
   ScenarioSpec spec;
@@ -139,7 +138,6 @@ TEST_F(RegistryTest, FmoMinlpPathMatchesCertified) {
   spec.variant = "water";
   spec.tasks = 6;
   spec.nodes = 24;
-  spec.minlp = true;
   const auto app = SubstrateRegistry::instance().make(spec);
   const auto run = Pipeline(single_thread()).run(*app);
 

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "minlp/cuts.hpp"
@@ -304,6 +305,80 @@ TEST(AllocationService, FmoRequestsRunTheFullPipelineWithoutADonor) {
   const Response cold_f2 = cold.handle(f2);
   EXPECT_NEAR(out[2].objective_value, cold_f2.objective_value,
               1e-9 * std::abs(cold_f2.objective_value));
+}
+
+// Fmo-kind payloads, pinned verbatim: every family, a machine with a
+// finite link, node memory and paging, repeated gather probes under
+// min-sum, and max-min (the greedy alone). Captured from the service's
+// earlier hand-built fmo pipeline; the substrate registry's fmo scenario
+// must reproduce them byte for byte.
+TEST(AllocationService, FmoPayloadsArePinned) {
+  const auto request = [](std::string family) {
+    Request r = fmo_request(48, 6);
+    r.family = std::move(family);
+    return r;
+  };
+  Request machine = request("comm");
+  machine.link_gb = 1.0;
+  machine.mem_gb = 1.0;
+  machine.page_s_per_gb = 0.5;
+  // Large enough that the dimer probes' repetitions move lambda.
+  Request reps = fmo_request(112, 16, 18);
+  reps.family = "peptide";
+  reps.fit_points = 5;
+  reps.repetitions = 2;
+  reps.objective = Objective::MinSum;
+  Request max_min = request("peptide");
+  max_min.objective = Objective::MaxMin;
+  const std::vector<Request> script{request("water"), request("peptide"),
+                                    request("comm"),  machine,
+                                    reps,             max_min};
+  const std::vector<std::string> want{
+      "sig=6395686c6c9cc540 status=optimal objective=0.36142618074284233 "
+          "predicted=4.1142618074284236 actual=4.1733647106431988 "
+          "lambda=9.3850103574182988 warm=0 fallback=0 bnb_nodes=0 "
+          "bnb_cuts=0 "
+          "alloc=w0(x2):7;w1(x3):25;w2(x1):1;w3(x2):7;w4(x1):1;w5(x2):7",
+      "sig=5a0d06c385ab5c40 status=optimal objective=5.6247302037584745 "
+          "predicted=56.747302037584745 actual=58.789874097067802 "
+          "lambda=6.7770241912007867 warm=0 fallback=0 bnb_nodes=0 "
+          "bnb_cuts=0 alloc=res0:1;res1:8;res2:15;res3:15;res4:8;res5:1",
+      "sig=2da3d80b726517c8 status=optimal objective=0.36142618074284233 "
+          "predicted=4.1142618074284236 actual=4.1733647106431988 "
+          "lambda=7.1212711584738964 warm=0 fallback=0 bnb_nodes=0 "
+          "bnb_cuts=0 "
+          "alloc=w0(x2):7;w1(x3):25;w2(x1):1;w3(x2):7;w4(x1):1;w5(x2):7",
+      "sig=102dbe4d76e4a565 status=optimal objective=1.6094216101555934 "
+          "predicted=16.594216101555933 actual=16.549030937239209 "
+          "lambda=133.12581247894744 warm=0 fallback=0 bnb_nodes=0 "
+          "bnb_cuts=0 "
+          "alloc=w0(x2):2;w1(x3):11;w2(x1):1;w3(x2):2;w4(x1):1;w5(x2):2",
+      "sig=a6839720df696417 status=optimal objective=49.103653378453643 "
+          "predicted=63.669193858966572 actual=63.387810189867373 "
+          "lambda=40.505233159475381 warm=0 fallback=0 bnb_nodes=0 "
+          "bnb_cuts=0 alloc=res0:2;res1:10;res2:14;res3:13;res4:10;res5:3;"
+          "res6:3;res7:10;res8:9;res9:2;res10:9;res11:4;res12:6;res13:7;"
+          "res14:2;res15:8",
+      "sig=1a6cfc27e9e98480 status=max-min exact greedy "
+          "objective=1.981217533441735 predicted=56.747302037584745 "
+          "actual=58.789874097067802 lambda=6.7770241912007867 warm=0 "
+          "fallback=0 bnb_nodes=0 bnb_cuts=0 "
+          "alloc=res0:1;res1:8;res2:15;res3:15;res4:8;res5:1",
+  };
+
+  // One request per batch, then all six misses solving concurrently: an
+  // fmo-kind miss takes no donor, so the batch width cannot move it.
+  for (const auto& [threads, batch] : {std::pair{1, 1}, std::pair{4, 6}}) {
+    ServiceOptions opt;
+    opt.threads = static_cast<std::size_t>(threads);
+    opt.batch = static_cast<std::size_t>(batch);
+    AllocationService srv(opt);
+    const auto out = srv.run_script(script);
+    ASSERT_EQ(out.size(), want.size());
+    for (std::size_t i = 0; i < out.size(); ++i)
+      EXPECT_EQ(out[i].to_line(), want[i])
+          << "request " << i << ", threads " << threads;
+  }
 }
 
 }  // namespace
