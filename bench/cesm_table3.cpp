@@ -6,7 +6,7 @@
 //   * the paper's published numbers (transcribed in cesm/data.cpp), and
 //   * our reproduction: the paper's manual allocation evaluated on the
 //     simulated substrate, and our own HSLB pipeline's predicted/actual
-//     results (gather -> fit -> MINLP solve -> execute).
+//     results (gather -> fit -> exact layout solve -> execute).
 //
 // Absolute seconds agree closely because the simulator is calibrated
 // through the published observations; the claims to check are the shapes:
@@ -65,12 +65,8 @@ void run_case(const PublishedCase& pub) {
              Table::num(pub.hslb_actual_total, 1),
              Table::num(res.actual_total, 1)});
   std::printf("%s", t.str().c_str());
-  std::printf(
-      "  solver: %zu nodes, %zu LPs, %zu OA cuts, %.3f s, status=%s, gap=%g\n\n",
-      res.solution.stats.nodes, res.solution.stats.lp_solves,
-      res.solution.stats.cuts, res.solution.stats.seconds,
-      minlp::to_string(res.solution.stats.status).c_str(),
-      res.solution.stats.gap);
+  std::printf("  solver: exact layout solve, certified optimal, %.3f ms\n\n",
+              1e3 * res.solution.seconds);
 }
 
 }  // namespace

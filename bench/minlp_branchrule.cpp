@@ -6,6 +6,7 @@
 
 #include "cesm/layouts.hpp"
 #include "common/table.hpp"
+#include "minlp/bnb.hpp"
 
 int main() {
   using namespace hslb;
@@ -20,23 +21,23 @@ int main() {
   Table t({"total nodes", "rule", "bnb nodes", "LP solves", "seconds",
            "objective"});
   for (long long n : {8192LL, 32768LL}) {
-    auto p = make_problem(Resolution::EighthDeg, Layout::Hybrid, n, models,
-                          /*ocean_constrained=*/false);
+    const auto model = build_layout_minlp(
+        make_problem(Resolution::EighthDeg, Layout::Hybrid, n, models,
+                     /*ocean_constrained=*/false));
     double objectives[2] = {0.0, 0.0};
     int idx = 0;
     for (auto rule :
          {minlp::BranchRule::MostFractional, minlp::BranchRule::PseudoCost}) {
       minlp::BnbOptions opt;
       opt.branch_rule = rule;
-      const auto sol = solve_layout(p, opt);
-      objectives[idx++] = sol.predicted_total;
+      const auto bnb = minlp::solve(model, opt);
+      objectives[idx++] = bnb.objective;
       t.add_row({Table::num(static_cast<long long>(n)),
                  rule == minlp::BranchRule::MostFractional ? "most-fractional"
                                                            : "pseudocost",
-                 Table::num(static_cast<long long>(sol.stats.nodes)),
-                 Table::num(static_cast<long long>(sol.stats.lp_solves)),
-                 Table::num(sol.stats.seconds, 3),
-                 Table::num(sol.predicted_total, 3)});
+                 Table::num(static_cast<long long>(bnb.nodes)),
+                 Table::num(static_cast<long long>(bnb.lp_solves)),
+                 Table::num(bnb.seconds, 3), Table::num(bnb.objective, 3)});
     }
     t.add_rule();
     // Both rules must find the same (global) optimum.

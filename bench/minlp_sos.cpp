@@ -13,6 +13,7 @@
 
 #include "cesm/layouts.hpp"
 #include "common/table.hpp"
+#include "minlp/bnb.hpp"
 
 int main() {
   using namespace hslb;
@@ -30,19 +31,19 @@ int main() {
   double speedup_sum = 0.0;
   int speedup_count = 0;
   for (long long n : {512LL, 1024LL, 2048LL}) {
-    auto p = make_problem(Resolution::Deg1, Layout::Hybrid, n, models);
+    const auto model =
+        build_layout_minlp(make_problem(Resolution::Deg1, Layout::Hybrid, n, models));
     double secs[2];
     for (int pass = 0; pass < 2; ++pass) {
       minlp::BnbOptions opt;
       opt.use_sos_branching = pass == 0;
-      const auto sol = solve_layout(p, opt);
-      secs[pass] = sol.stats.seconds;
+      const auto bnb = minlp::solve(model, opt);
+      secs[pass] = bnb.seconds;
       t.add_row({Table::num(static_cast<long long>(n)),
                  pass == 0 ? "SOS sets" : "binaries",
-                 Table::num(static_cast<long long>(sol.stats.nodes)),
-                 Table::num(static_cast<long long>(sol.stats.lp_solves)),
-                 Table::num(sol.stats.seconds, 3),
-                 Table::num(sol.predicted_total, 3)});
+                 Table::num(static_cast<long long>(bnb.nodes)),
+                 Table::num(static_cast<long long>(bnb.lp_solves)),
+                 Table::num(bnb.seconds, 3), Table::num(bnb.objective, 3)});
     }
     t.add_rule();
     if (secs[0] > 0.0) {

@@ -20,7 +20,7 @@ NodeCountAdvice advise_node_count(Resolution r, Layout layout,
   double base_cost = 0.0;  // T_0 * N_0 (node-seconds at the smallest size)
   for (long long n : counts) {
     const auto problem = make_problem(r, layout, n, models, ocean_constrained);
-    const auto sol = solve_layout(problem, options.bnb);
+    const auto sol = solve_layout(problem);
     SweepPoint pt;
     pt.nodes = n;
     pt.predicted_seconds = sol.predicted_total;
@@ -50,12 +50,11 @@ NodeCountAdvice advise_node_count(Resolution r, Layout layout,
 }
 
 Solution predict_component_swap(const LayoutProblem& base, Component which,
-                                const perf::Model& replacement,
-                                const minlp::BnbOptions& options) {
+                                const perf::Model& replacement) {
   HSLB_EXPECTS(replacement.is_convex());
   LayoutProblem swapped = base;
   swapped.models[index(which)] = replacement;
-  return solve_layout(swapped, options);
+  return solve_layout(swapped);
 }
 
 }  // namespace hslb::cesm

@@ -43,10 +43,9 @@ struct AdvisorOptions {
   long long max_nodes = 40960;        ///< all of Intrepid by default
   std::size_t sweep_points = 8;       ///< geometric sweep resolution
   double efficiency_floor = 0.5;      ///< the "predefined limit" of §IV-C
-  minlp::BnbOptions bnb;
 };
 
-/// Sweeps the node count, solving the layout MINLP at each size, and
+/// Sweeps the node count, solving the layout exactly at each size, and
 /// recommends both a cost-efficient and a fastest node count.
 NodeCountAdvice advise_node_count(Resolution r, Layout layout,
                                   const std::array<perf::Model, 4>& models,
@@ -57,7 +56,6 @@ NodeCountAdvice advise_node_count(Resolution r, Layout layout,
 /// a faster ocean model, or a component moved to different physics).
 /// Returns the new solution at the same node count.
 Solution predict_component_swap(const LayoutProblem& base, Component which,
-                                const perf::Model& replacement,
-                                const minlp::BnbOptions& options = {});
+                                const perf::Model& replacement);
 
 }  // namespace hslb::cesm

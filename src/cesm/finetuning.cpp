@@ -87,11 +87,12 @@ minlp::Model build_finetuned_minlp(const LayoutProblem& p,
   return m;
 }
 
-Solution solve_finetuned(const LayoutProblem& p, const MinorComponents& minor,
-                         const minlp::BnbOptions& options) {
+FinetunedSolution solve_finetuned(const LayoutProblem& p,
+                                  const MinorComponents& minor,
+                                  const minlp::BnbOptions& options) {
   std::array<std::size_t, 4> n_vars{};
   const auto model = build_finetuned_minlp(p, minor, &n_vars);
-  Solution sol;
+  FinetunedSolution sol;
   sol.stats = minlp::solve(model, options);
   HSLB_EXPECTS(sol.stats.has_solution);
   for (Component c : kComponents) {
@@ -101,6 +102,7 @@ Solution solve_finetuned(const LayoutProblem& p, const MinorComponents& minor,
         p.models[i].eval(static_cast<double>(sol.nodes[i]));
   }
   sol.predicted_total = sol.stats.objective;
+  sol.seconds = sol.stats.seconds;
   return sol;
 }
 

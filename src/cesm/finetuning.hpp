@@ -20,6 +20,7 @@
 #pragma once
 
 #include "cesm/layouts.hpp"
+#include "minlp/bnb.hpp"
 
 namespace hslb::cesm {
 
@@ -41,11 +42,18 @@ minlp::Model build_finetuned_minlp(const LayoutProblem& problem,
                                    const MinorComponents& minor,
                                    std::array<std::size_t, 4>* n_vars_out = nullptr);
 
-/// Solves the fine-tuned model; predicted_seconds still reports the four
-/// major components, predicted_total includes the minor contributions.
-Solution solve_finetuned(const LayoutProblem& problem,
-                         const MinorComponents& minor,
-                         const minlp::BnbOptions& options = {});
+/// A fine-tuned solve: the allocation and the branch-and-bound run.
+struct FinetunedSolution : Solution {
+  minlp::BnbResult stats;
+};
+
+/// Solves the fine-tuned model by branch-and-bound (the extra terms break
+/// the layout structure solve_layout relies on); predicted_seconds still
+/// reports the four major components, predicted_total includes the minor
+/// contributions.
+FinetunedSolution solve_finetuned(const LayoutProblem& problem,
+                                  const MinorComponents& minor,
+                                  const minlp::BnbOptions& options = {});
 
 /// Total time of an allocation under the fine-tuned layout-1 semantics.
 double finetuned_total(const LayoutProblem& problem,

@@ -64,8 +64,8 @@ namespace {
 
 /// The CESM substrate behind the hslb::Pipeline engine: gather_plan's
 /// per-component node counts, order-independent simulator probes, the
-/// Table I layout MINLP as the Solve step, and a full simulated coupled
-/// run, chunk by chunk, as Execute.
+/// exact Table I layout solve as the Solve step, and a full simulated
+/// coupled run, chunk by chunk, as Execute.
 class CesmApplication final : public Application, public BaselineReporter {
  public:
   CesmApplication(Resolution r, long long total_nodes, PipelineOptions options)
@@ -94,7 +94,7 @@ class CesmApplication final : public Application, public BaselineReporter {
                                          total_nodes_, models_from(fits),
                                          options_.ocean_constrained);
     problem.tsync = options_.tsync;
-    solution_ = solve_layout(problem, options_.bnb);
+    solution_ = solve_layout(problem);
     return outcome_from(solution_);
   }
 
@@ -124,9 +124,7 @@ class CesmApplication final : public Application, public BaselineReporter {
         make_problem(resolution_, options_.layout, runner_->budget(), models,
                      options_.ocean_constrained);
     problem.tsync = options_.tsync;
-    // Cold re-solve: the four-variable layout MINLP is small enough that
-    // warm seeding buys nothing (the FMO substrate exercises that path).
-    const Solution proposal = solve_layout(problem, options_.bnb);
+    const Solution proposal = solve_layout(problem);
     ResolveOutcome out;
     out.solution = outcome_from(proposal);
     // Re-predict the incumbent under the same refitted models so the
@@ -250,7 +248,9 @@ class CesmApplication final : public Application, public BaselineReporter {
     }
     out.allocation.predicted_total = s.predicted_total;
     out.predicted_total = s.predicted_total;
-    out.solver = SolverStats::from_bnb(s.stats, options_.bnb.solver_threads);
+    out.solver.certified = true;  // status "optimal", no tree
+    out.solver.proof = "certified exact layout solve";
+    out.solver.seconds = s.seconds;
     // The CESM layout model is compute-only: one aggregate term.
     out.term_predictions.push_back({"compute", s.predicted_total, 0.0});
     return out;

@@ -4,7 +4,8 @@
 //   1. Gather  — run the simulated model at ~5 node counts per component
 //                (ocean probes only its sweet-spot counts);
 //   2. Fit     — per-component performance models with R^2 diagnostics;
-//   3. Solve   — the layout MINLP of Table I via LP/NLP branch-and-bound;
+//   3. Solve   — the layout model of Table I, solved exactly without a
+//                tree (solve_layout: certified optimal, 0 nodes);
 //   4. Execute — a full simulated coupled run at the chosen allocation
 //                (CoupledChunkRunner in intervals_per_epoch chunks),
 //                reported next to the prediction exactly like Table III's
@@ -26,7 +27,6 @@ struct PipelineOptions {
   bool ocean_constrained = true;
   std::size_t fit_points = 5;
   std::size_t repetitions = 1;
-  minlp::BnbOptions bnb;
   SimulatorOptions sim;
   /// lnd/ice synchronization tolerance (seconds); infinity = off.
   double tsync = std::numeric_limits<double>::infinity();

@@ -35,7 +35,7 @@ cesm::Resolution parse_resolution(long long r) {
   return r == 1 ? cesm::Resolution::Deg1 : cesm::Resolution::EighthDeg;
 }
 
-/// Branch-and-bound knobs shared by the cesm and serve subcommands.
+/// Branch-and-bound knobs of the serve subcommand (its solve-kind misses).
 void apply_bnb_args(const Args& args, minlp::BnbOptions& bnb) {
   bnb.solver_threads =
       static_cast<std::size_t>(args.get_int("solver-threads", 1LL, 0));
@@ -182,9 +182,7 @@ int usage(int code) {
       "                                 budgeted node allocation\n"
       "  hslb cesm   --resolution 1|8 --nodes N [--layout 1|2|3]\n"
       "              [--unconstrained-ocean] [--tsync S] [--threads T]\n"
-      "              [--solver-threads S] [--no-presolve]\n"
-      "              [--cut-age-limit K] [--refactor-interval R]\n"
-      "              [--refactor-fill-ratio F] [--export-ampl out.mod]\n"
+      "              [--export-ampl out.mod]\n"
       "              [--trace out.csv] [--straggler-cv CV] [--fail-node I]\n"
       "              [--fail-time S] [--fail-downtime S] [--adaptive]\n"
       "              [--rebalance-threshold X] [--refit-window K]\n"
@@ -212,7 +210,9 @@ int usage(int code) {
       "\n"
       "  hslb serve  --script reqs.txt [--threads T] [--batch B]\n"
       "              [--cache-capacity N] [--no-warm-start]\n"
-      "              [--solver-threads S] [--responses out.txt]\n"
+      "              [--solver-threads S] [--no-presolve]\n"
+      "              [--cut-age-limit K] [--refactor-interval R]\n"
+      "              [--refactor-fill-ratio F] [--responses out.txt]\n"
       "                                 allocation service (batched, cached)\n"
       "  hslb client --kind solve|fmo [--objective O] [--nodes N]\n"
       "              [--tasks name:a:b:c:d:min:max;...]\n"
@@ -236,14 +236,16 @@ int usage(int code) {
       "  --threads T parallelizes the Gather and Fit stages (0 = hardware\n"
       "  concurrency, the default of cesm, fmo and run; serve defaults to\n"
       "  1; allocations are identical for any T).\n"
-      "  --solver-threads S (cesm, serve) parallelizes the branch-and-bound\n"
-      "  node re-solves (0 = hardware concurrency; results are bit-identical\n"
-      "  for any S). On fmo, fmm and amrex the Solve is the exact greedy,\n"
-      "  certified optimal when the fitted models are convex, so no tree\n"
-      "  runs and run takes no solver knobs. fmo executes on the wave\n"
-      "  engine run uses for fmm and amrex: its SCC loop as waves, its dimer\n"
-      "  phase as one planned stage.\n"
-      "  --no-presolve turns the LP presolve off for cold solver LPs;\n"
+      "  --solver-threads S (serve) parallelizes the branch-and-bound of\n"
+      "  solve-kind misses (0 = hardware concurrency; results are\n"
+      "  bit-identical for any S). No other command runs a tree: on fmo,\n"
+      "  fmm and amrex the Solve is the exact greedy, certified optimal when\n"
+      "  the fitted models are convex, and cesm solves its Table I layouts\n"
+      "  exactly (certified optimal, 0 nodes; --export-ampl writes the MINLP\n"
+      "  the paper hands to branch-and-bound), so run and cesm take no\n"
+      "  solver knobs. fmo executes on the wave engine run uses for fmm and\n"
+      "  amrex: its SCC loop as waves, its dimer phase as one planned stage.\n"
+      "  serve's --no-presolve turns the LP presolve off for cold solver LPs;\n"
       "  --cut-age-limit K retires an OA cut after K consecutive slack\n"
       "  observations (0 keeps every cut forever).\n"
       "  --refactor-interval R caps basis updates between LP refactorizations\n"
@@ -333,9 +335,7 @@ int cmd_cesm(const Args& args) {
   opt.ocean_constrained = !args.flag("unconstrained-ocean");
   opt.tsync = args.get_double(
       "tsync", std::numeric_limits<double>::infinity(), 0.0);
-  // 0 = hardware concurrency for both thread counts.
   opt.threads = static_cast<std::size_t>(args.get_int("threads", 0LL, 0));
-  apply_bnb_args(args, opt.bnb);
   apply_execution_args(args, opt.straggler_cv, opt.fail_node, opt.fail_time,
                        opt.fail_downtime);
   apply_rebalance_args(args, opt.rebalance);
@@ -359,12 +359,9 @@ int cmd_cesm(const Args& args) {
               opt.ocean_constrained ? "" : " (unconstrained ocean)",
               t.str().c_str());
   std::printf("total: predicted %.2f s, actual %.2f s%s "
-              "(bnb: %zu nodes, %zu cuts, %.3f s, %s)\n",
+              "(exact layout solve: certified optimal, %.3f ms)\n",
               res.solution.predicted_total, res.actual_total,
-              partial ? " partial" : "",
-              res.solution.stats.nodes, res.solution.stats.cuts,
-              res.solution.stats.seconds,
-              minlp::to_string(res.solution.stats.status).c_str());
+              partial ? " partial" : "", 1e3 * res.solution.seconds);
   std::printf("\n%s", res.report.str().c_str());
   if (!res.coupled.completed)
     std::printf("WARNING: the coupled run could not complete (permanent node "

@@ -22,11 +22,9 @@ int main(int argc, char** argv) {
     }
     if (cmd == "cesm") {
       return cmd_cesm(Args(argc - 1, argv + 1,
-                           {"unconstrained-ocean", "no-presolve", "adaptive"},
+                           {"unconstrained-ocean", "adaptive"},
                            {"resolution", "nodes", "layout", "tsync",
-                            "export-ampl", "threads", "solver-threads",
-                            "cut-age-limit", "refactor-interval",
-                            "refactor-fill-ratio", "trace", "straggler-cv",
+                            "export-ampl", "threads", "trace", "straggler-cv",
                             "fail-node", "fail-time", "fail-downtime",
                             "rebalance-threshold", "refit-window",
                             "max-epochs"}));

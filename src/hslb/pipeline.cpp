@@ -7,7 +7,6 @@
 #include "common/parallel.hpp"
 #include "common/strings.hpp"
 #include "hslb/controller.hpp"
-#include "minlp/bnb.hpp"
 
 namespace hslb {
 
@@ -19,43 +18,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }
 
 }  // namespace
-
-SolverStats SolverStats::from_bnb(const minlp::BnbResult& bnb,
-                                  std::size_t solver_threads) {
-  SolverStats out;
-  out.status = minlp::to_string(bnb.status);
-  out.nodes = bnb.nodes;
-  out.cuts = bnb.cuts;
-  out.gap = bnb.gap;
-  out.rel_gap = bnb.rel_gap;
-  out.seconds = bnb.seconds;
-  out.threads =
-      solver_threads == 0 ? ThreadPool::hardware_threads() : solver_threads;
-  out.lp_solves = bnb.lp_solves;
-  out.lp_pivots = bnb.lp_pivots;
-  out.warm_solves = bnb.warm_solves;
-  out.waves = bnb.waves;
-  const lp::SolveStats& lp = bnb.lp_stats;
-  out.flop_reduction = lp.flop_reduction();
-  out.refactorizations = lp.refactorizations;
-  out.basis_nnz = lp.basis_nnz;
-  out.lu_fill = lp.lu_fill;
-  out.ft_updates = lp.ft_updates;
-  out.ft_fill_nnz = lp.ft_fill_nnz;
-  out.refactor_interval_hits = lp.refactor_interval_hits;
-  out.refactor_fill_hits = lp.refactor_fill_hits;
-  out.refactor_drift_hits = lp.refactor_drift_hits;
-  out.dual_pivots = lp.dual_pivots;
-  out.phase1_pivots = lp.phase1_pivots;
-  out.dual_phase1_avoided = lp.dual_phase1_avoided;
-  out.presolve_rows_removed = lp.presolve_rows_removed;
-  out.presolve_cols_removed = lp.presolve_cols_removed;
-  out.bounds_tightened = bnb.bounds_tightened;
-  out.nodes_propagated_infeasible = bnb.nodes_propagated_infeasible;
-  out.cuts_retired = bnb.cuts_retired;
-  out.cuts_reactivated = bnb.cuts_reactivated;
-  return out;
-}
 
 double Application::execute(const SolveOutcome& solution) {
   HSLB_EXPECTS(supports_epochs());
@@ -111,10 +73,11 @@ std::string PipelineReport::str() const {
       "  fit      %8.3f s  (%zu tasks, R^2 min %.4f mean %.4f)\n", fit_seconds,
       fits.size(), min_r2(), mean_r2());
   out += strings::format(
-      "  solve    %8.3f s  (%s%s: %zu nodes, %zu cuts, gap %g (rel %g), "
+      "  solve    %8.3f s  (%s%s%s: %zu nodes, %zu cuts, gap %g (rel %g), "
       "%.3f s)\n",
       solve_seconds, solver.status.c_str(),
-      solver.certified ? ", greedy certified" : "", solver.nodes, solver.cuts,
+      solver.certified ? ", " : "", solver.certified ? solver.proof : "",
+      solver.nodes, solver.cuts,
       solver.gap, solver.rel_gap, solver.seconds);
   if (solver.lp_solves > 0) {
     out += strings::format(

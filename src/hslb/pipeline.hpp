@@ -29,10 +29,6 @@
 #include "sim/machine.hpp"
 #include "sim/trace.hpp"
 
-namespace hslb::minlp {
-struct BnbResult;
-}
-
 namespace hslb::perf {
 /// Return type of the unread Application::fit_spec hook (see there).
 struct CostModelSpec {};
@@ -43,9 +39,10 @@ namespace hslb {
 /// Per-task benchmark node counts, in the order tasks are fitted/reported.
 using GatherPlan = std::vector<std::pair<std::string, std::vector<long long>>>;
 
-/// Solver diagnostics surfaced in the report. The branch-and-bound path
-/// fills node/cut counts and the bound gap; the closed-form greedy solvers
-/// report zeros with their own status string.
+/// Solver diagnostics surfaced in the report. A branch-and-bound run fills
+/// node/cut counts, the bound gap and the LP counters; a Solve proved
+/// without a tree (the certified greedy, CESM's exact layout solve) leaves
+/// them at zero.
 struct SolverStats {
   std::string status = "optimal";
   std::size_t nodes = 0;  ///< B&B nodes explored
@@ -81,15 +78,12 @@ struct SolverStats {
   std::size_t nodes_propagated_infeasible = 0;  ///< nodes pruned pre-LP
   std::size_t cuts_retired = 0;           ///< pool cuts aged out of node LPs
   std::size_t cuts_reactivated = 0;       ///< retired cuts pulled back
-  /// The exact greedy was proved optimal by hslb::certify_budget, so no
-  /// tree ran: status "optimal" and zero nodes, cuts and LP counters.
+  /// The Solve was proved optimal without a tree: status "optimal" and
+  /// zero nodes, cuts and LP counters. `proof` names the proof as the
+  /// report prints it: the exact greedy checked by hslb::certify_budget, or
+  /// CESM's exact layout solve (cesm::solve_layout).
   bool certified = false;
-
-  /// A branch-and-bound run in report shape — the one conversion every
-  /// substrate's MINLP path uses. `solver_threads` is the BnbOptions value
-  /// the search ran with (0 = hardware concurrency).
-  static SolverStats from_bnb(const minlp::BnbResult& bnb,
-                              std::size_t solver_threads);
+  const char* proof = "greedy certified";
 };
 
 /// Predicted-vs-actual seconds attributed to one cost term (powerlaw /

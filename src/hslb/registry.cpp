@@ -18,11 +18,16 @@ PipelineOptions ScenarioSpec::pipeline_options(std::size_t threads) const {
 }
 
 std::string ScenarioSpec::str() const {
+  // tasks and nodes of 0 leave the size to the factory; the report's
+  // machine line states what it resolved, so the placeholders stay out.
   std::string s = strings::format(
-      "%s/%s tasks=%lld nodes=%lld sys_seed=%llu bench_seed=%llu "
-      "fit_points=%lld %s noise_cv=%.3g run_seed=%llu",
-      substrate.c_str(), variant.empty() ? "default" : variant.c_str(),
-      tasks, nodes, system_seed, bench_seed, fit_points,
+      "%s/%s", substrate.c_str(), variant.empty() ? "default" : variant.c_str());
+  if (tasks > 0) s += strings::format(" tasks=%lld", tasks);
+  if (nodes > 0) s += strings::format(" nodes=%lld", nodes);
+  s += strings::format(
+      " sys_seed=%llu bench_seed=%llu fit_points=%lld %s noise_cv=%.3g "
+      "run_seed=%llu",
+      system_seed, bench_seed, fit_points,
       objective == Objective::MinMax
           ? "minmax"
           : (objective == Objective::MaxMin ? "maxmin" : "minsum"),
@@ -38,6 +43,8 @@ std::string ScenarioSpec::str() const {
     s += strings::format(" link_gb=%.3g", link_gb_per_s);
   if (std::isfinite(memory_gb_per_node))
     s += strings::format(" mem_gb=%.3g", memory_gb_per_node);
+  if (page_s_per_gb > 0.0)
+    s += strings::format(" page_s_per_gb=%.3g", page_s_per_gb);
   if (!machine_cost_terms) s += " compute_only_model";
   if (rebalance.adaptive) s += " adaptive";
   return s;

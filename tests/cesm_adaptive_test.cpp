@@ -110,8 +110,9 @@ TEST(CesmAdaptive, DecisionsDeterministicAcrossThreads) {
 }
 
 // ADPT-C5: the fail-stop recovery of ADPT-C3 pinned to captured values —
-// rebalances, restarts, trace events, the B&B nodes of every re-solve, the
-// final layout, the makespan and the trace digest.
+// rebalances, restarts, trace events, the tree nodes of the Solve and every
+// re-solve (0: the layout solve is exact), the final layout, the makespan
+// and the trace digest.
 TEST(CesmAdaptive, PinnedFailStopRun) {
   PipelineOptions opt;
   opt.fail_node = 0;
@@ -120,8 +121,8 @@ TEST(CesmAdaptive, PinnedFailStopRun) {
   opt.migrate_gb_per_node = 0.5;
   RebalancePolicy policy;
   policy.adaptive = true;
-  const pinning::Pinned want{1, 1, 98, 9,
-                             {5, 7},
+  const pinning::Pinned want{1, 1, 98, 0,
+                             {0, 0},
                              {14, 91, 105, 22},
                              535.91326602556649,
                              0xbe5c74383ce02506ull};
@@ -145,13 +146,13 @@ TEST(CesmAdaptive, PinnedStaticRuns) {
                           {"layout3", Layout::FullySequential, -1},
                           {"transient", Layout::Hybrid, 0}};
   const pinning::Pinned want[] = {
-      {0, 0, 96, 9, {}, {14, 94, 108, 20}, 793.16800642973067,
+      {0, 0, 96, 0, {}, {14, 94, 108, 20}, 793.16800642973067,
        0xc087683492027ee0ull},
-      {0, 0, 96, 5, {}, {108, 108, 108, 20}, 794.85872322364264,
+      {0, 0, 96, 0, {}, {108, 108, 108, 20}, 794.85872322364264,
        0xfe5b41e1226e196dull},
-      {0, 0, 96, 1, {}, {128, 128, 128, 128}, 893.65789063259126,
+      {0, 0, 96, 0, {}, {128, 128, 128, 128}, 893.65789063259126,
        0xe59fd514f57d6b3aull},
-      {0, 1, 97, 9, {}, {14, 94, 108, 20}, 824.47807501938519,
+      {0, 1, 97, 0, {}, {14, 94, 108, 20}, 824.47807501938519,
        0xdf3977a77c84f558ull},
   };
   for (std::size_t s = 0; s < std::size(setups); ++s) {
@@ -175,7 +176,7 @@ TEST(CesmAdaptive, PinnedStaticFailStopRun) {
   PipelineOptions opt;
   opt.fail_node = 0;
   opt.fail_time = 200.0;
-  const pinning::Pinned want{0, 1, 45, 9, {}, {14, 94, 108, 20}, 200.0,
+  const pinning::Pinned want{0, 1, 45, 0, {}, {14, 94, 108, 20}, 200.0,
                              0x8caaa30762dc19c0ull};
   pinning::expect_pinned(
       "cesm_static_failstop",

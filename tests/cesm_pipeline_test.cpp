@@ -139,15 +139,18 @@ TEST(CesmPipeline, ReportMatchesResult) {
   EXPECT_DOUBLE_EQ(res.report.min_r2(), res.min_r2());
   EXPECT_DOUBLE_EQ(res.report.predicted_total, res.solution.predicted_total);
   EXPECT_DOUBLE_EQ(res.report.actual_total, res.actual_total);
+  // The exact layout solve runs no tree: certified, 0 nodes, no LPs.
   EXPECT_EQ(res.report.solver.status, "optimal");
-  EXPECT_GT(res.report.solver.nodes, 0u);
-  // CESM's coupled layouts branch, so the report carries the LP counters.
-  EXPECT_FALSE(res.report.solver.certified);
-  EXPECT_GT(res.report.solver.lp_solves, 0u);
-  EXPECT_GT(res.report.solver.refactorizations, 0u);
-  EXPECT_GT(res.report.solver.basis_nnz, 0u);
-  EXPECT_GT(res.report.solver.lu_fill, 0u);
-  EXPECT_NE(res.report.str().find("solve"), std::string::npos);
+  EXPECT_TRUE(res.report.solver.certified);
+  EXPECT_EQ(res.report.solver.nodes, 0u);
+  EXPECT_EQ(res.report.solver.cuts, 0u);
+  EXPECT_EQ(res.report.solver.lp_solves, 0u);
+  EXPECT_EQ(res.report.solver.refactorizations, 0u);
+  const std::string report = res.report.str();
+  EXPECT_NE(report.find("(optimal, certified exact layout solve: 0 nodes"),
+            std::string::npos)
+      << report;
+  EXPECT_EQ(report.find("greedy"), std::string::npos) << report;
 }
 
 TEST(CesmPipeline, MinR2Diagnostic) {

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -27,19 +29,30 @@ Args fmo_args(std::vector<const char*> extra) {
                "rebalance-threshold", "refit-window", "max-epochs"});
 }
 
-// Mirrors the cesm registration in main.cpp: its layout MINLP branches, so
-// it is the subcommand that reads the branch-and-bound knobs.
-Args cesm_args(std::vector<const char*> extra) {
-  std::vector<const char*> argv = {"cesm", "--resolution", "1", "--nodes",
-                                   "128", "--threads", "1"};
+// Mirrors the serve registration in main.cpp: serve is the subcommand that
+// reads the branch-and-bound knobs (its solve-kind misses branch), over a
+// one-request script written by cmd_client (registered as in main.cpp).
+Args serve_args(std::vector<const char*> extra) {
+  static const std::string script = [] {
+    const std::string path = ::testing::TempDir() + "/hslb_cli_serve.txt";
+    std::remove(path.c_str());
+    std::vector<const char*> argv = {
+        "client", "--kind", "solve", "--nodes", "64", "--tasks",
+        "atm:400:3:1:2:1:0;ocn:250:2:1:1:1:0", "--out", path.c_str()};
+    cmd_client(Args(static_cast<int>(argv.size()), argv.data(), {},
+                    {"kind", "objective", "nodes", "tasks", "family",
+                     "fragments", "system-seed", "bench-seed", "noise-cv",
+                     "fit-points", "reps", "link-gb", "mem-gb",
+                     "page-s-per-gb", "out"}));
+    return path;
+  }();
+  std::vector<const char*> argv = {"serve", "--script", script.c_str()};
   argv.insert(argv.end(), extra.begin(), extra.end());
   return Args(static_cast<int>(argv.size()), argv.data(),
-              {"unconstrained-ocean", "no-presolve", "adaptive"},
-              {"resolution", "nodes", "layout", "tsync", "export-ampl",
-               "threads", "solver-threads", "cut-age-limit",
-               "refactor-interval", "refactor-fill-ratio", "trace",
-               "straggler-cv", "fail-node", "fail-time", "fail-downtime",
-               "rebalance-threshold", "refit-window", "max-epochs"});
+              {"no-warm-start", "no-presolve"},
+              {"script", "threads", "batch", "cache-capacity",
+               "solver-threads", "cut-age-limit", "refactor-interval",
+               "refactor-fill-ratio", "responses"});
 }
 
 TEST(CliCommands, FailNodeWithoutFailTimeRejected) {
@@ -72,18 +85,18 @@ TEST(CliCommands, CommBoundAndPeptideRejected) {
 }
 
 TEST(CliCommands, RefactorIntervalBelowOneRejected) {
-  EXPECT_THROW(cmd_cesm(cesm_args({"--refactor-interval", "0"})),
+  EXPECT_THROW(cmd_serve(serve_args({"--refactor-interval", "0"})),
                std::invalid_argument);
 }
 
 TEST(CliCommands, RefactorFillRatioBelowOneRejected) {
-  EXPECT_THROW(cmd_cesm(cesm_args({"--refactor-fill-ratio", "0.5"})),
+  EXPECT_THROW(cmd_serve(serve_args({"--refactor-fill-ratio", "0.5"})),
                std::invalid_argument);
 }
 
 TEST(CliCommands, RefactorKnobsAccepted) {
-  EXPECT_EQ(cmd_cesm(cesm_args({"--refactor-interval", "16",
-                                "--refactor-fill-ratio", "1.5"})),
+  EXPECT_EQ(cmd_serve(serve_args({"--refactor-interval", "16",
+                                  "--refactor-fill-ratio", "1.5"})),
             0);
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "cesm/pipeline.hpp"
@@ -62,6 +63,32 @@ TEST_F(RegistryTest, UnknownVariantThrows) {
   spec.variant = "protein-ligand";
   EXPECT_THROW(SubstrateRegistry::instance().make(spec),
                std::invalid_argument);
+}
+
+TEST_F(RegistryTest, SpecStringStatesWhatWasSet) {
+  // The spec of hslb fmo --comm-bound --link-gb 1 --mem-gb 1
+  // --page-s-per-gb 0.5: no nodes=0 placeholder (the factory sizes the
+  // machine, and the report's machine line states it), and the paging rate
+  // shown.
+  ScenarioSpec spec;
+  spec.substrate = "fmo";
+  spec.variant = "comm";
+  spec.tasks = 48;
+  spec.link_gb_per_s = 1.0;
+  spec.memory_gb_per_node = 1.0;
+  spec.page_s_per_gb = 0.5;
+  const std::string s = spec.str();
+  EXPECT_EQ(s.rfind("fmo/comm tasks=48 sys_seed=3 ", 0), 0u) << s;
+  EXPECT_EQ(s.find("nodes="), std::string::npos) << s;
+  EXPECT_NE(s.find(" link_gb=1 mem_gb=1 page_s_per_gb=0.5"), std::string::npos)
+      << s;
+  // A size left to the factory is left out; a size set is stated.
+  spec.tasks = 0;
+  spec.nodes = 768;
+  spec.page_s_per_gb = 0.0;
+  const std::string sized = spec.str();
+  EXPECT_EQ(sized.rfind("fmo/comm nodes=768 sys_seed=3 ", 0), 0u) << sized;
+  EXPECT_EQ(sized.find("page_s_per_gb"), std::string::npos) << sized;
 }
 
 /// Byte-identical report/trace comparison between a registry-built run and
