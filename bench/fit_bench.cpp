@@ -1,7 +1,12 @@
 // Microbenchmarks of the Fit step: the variable-projection fit (exponent
 // grid and Brent refinement over exact box least squares) on the paper's
-// performance-function family.
+// performance-function family and on the recorded sets of the fit sweep.
 #include <benchmark/benchmark.h>
+
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "perf/fit.hpp"
@@ -67,6 +72,50 @@ void BM_FitManyFragments(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FitManyFragments)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
+
+/// The sets of one kind in tests/data/fit_sse_sweep.txt: "gathered" (1,152
+/// Gather sample sets over all four substrates), "folded" (288 controller
+/// refit sets) or "calibration" (the 8 CESM calibration sets).
+std::vector<perf::SampleSet> sweep_sets(const std::string& kind) {
+  std::ifstream in(HSLB_TEST_DATA_DIR "/fit_sse_sweep.txt");
+  std::vector<perf::SampleSet> sets;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string set_kind, label;
+    double reference_sse = 0.0;
+    std::size_t count = 0;
+    fields >> set_kind >> label >> reference_sse >> count;
+    if (set_kind != kind) continue;
+    perf::SampleSet samples(count);
+    for (auto& s : samples) fields >> s.nodes >> s.seconds;
+    sets.push_back(std::move(samples));
+  }
+  return sets;
+}
+
+void BM_FitSweep(benchmark::State& state, const std::string& kind) {
+  // The Fit on its recorded traffic: each iteration fits every set of the
+  // kind once; per_fit is the time per fit.
+  const auto sets = sweep_sets(kind);
+  if (sets.empty()) {
+    state.SkipWithError("no sweep sets of this kind");
+    return;
+  }
+  for (auto _ : state)
+    for (const auto& samples : sets)
+      benchmark::DoNotOptimize(perf::fit(samples).sse);
+  state.counters["per_fit"] = benchmark::Counter(
+      static_cast<double>(sets.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_FitSweep, gathered, std::string("gathered"))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_FitSweep, folded, std::string("folded"))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_FitSweep, calibration, std::string("calibration"));
 
 }  // namespace
 

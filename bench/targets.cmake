@@ -66,3 +66,6 @@ hslb_add_bench(scenario_fuzz hslb_substrates hslb_benchjson)
 hslb_add_bench(minlp_solvetime hslb_cesm hslb_benchjson benchmark::benchmark)
 hslb_add_bench(lp_simplex_bench hslb_core hslb_benchjson benchmark::benchmark)
 hslb_add_bench(fit_bench hslb_perf benchmark::benchmark)
+# BM_FitSweep reads the recorded fit sets the tests use.
+target_compile_definitions(fit_bench PRIVATE
+                           HSLB_TEST_DATA_DIR="${CMAKE_SOURCE_DIR}/tests/data")

@@ -101,7 +101,7 @@ FinetunedSolution solve_finetuned(const LayoutProblem& p,
     sol.predicted_seconds[i] =
         p.models[i].eval(static_cast<double>(sol.nodes[i]));
   }
-  sol.predicted_total = sol.stats.objective;
+  sol.predicted_total = finetuned_total(p, minor, sol.nodes);
   sol.seconds = sol.stats.seconds;
   return sol;
 }

@@ -49,8 +49,9 @@ struct FinetunedSolution : Solution {
 
 /// Solves the fine-tuned model by branch-and-bound (the extra terms break
 /// the layout structure solve_layout relies on); predicted_seconds still
-/// reports the four major components, predicted_total includes the minor
-/// contributions.
+/// reports the four major components, predicted_total is finetuned_total of
+/// the allocation, so it includes the minor contributions (not the
+/// branch-and-bound's objective, which may sit slightly below it).
 FinetunedSolution solve_finetuned(const LayoutProblem& problem,
                                   const MinorComponents& minor,
                                   const minlp::BnbOptions& options = {});

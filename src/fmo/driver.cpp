@@ -6,7 +6,6 @@
 #include <optional>
 
 #include "common/contracts.hpp"
-#include "common/parallel.hpp"
 
 namespace hslb::fmo {
 
@@ -120,15 +119,16 @@ class FmoApplication final : public WaveApplication {
         probes.push_back(by_size[pos]);
     }
 
-    // Probe + fit each selected dimer at the same node counts (independent
-    // per dimer, so this parallelizes like the monomer Gather/Fit stages).
+    // Probe + fit each selected dimer at the same node counts. At most
+    // dimer_probe_count fits of a few microseconds each: a thread pool would
+    // cost more to start and join than they do, so they run serially.
     struct Probed {
       double nbf;
       perf::Model model;
       double r2;
     };
     std::vector<Probed> fitted(probes.size());
-    parallel_for(options_.threads, probes.size(), [&](std::size_t k) {
+    for (std::size_t k = 0; k < probes.size(); ++k) {
       const std::size_t d = probes[k];
       const auto& pair = sys.scf_dimers[d];
       const auto true_model =
@@ -144,7 +144,7 @@ class FmoApplication final : public WaveApplication {
       }
       const auto fit = perf::fit(samples);
       fitted[k] = Probed{static_cast<double>(size_of(d)), fit.model, fit.r2};
-    });
+    }
     for (const auto& p : fitted)
       dimer_min_r2_ = std::min(dimer_min_r2_, p.r2);
 

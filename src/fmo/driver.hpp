@@ -55,9 +55,10 @@ struct PipelineOptions {
   /// DLB baseline group count; 0 means one group per fragment.
   std::size_t dlb_groups = 0;
 
-  /// Worker threads for the Gather and Fit stages (0 = hardware
-  /// concurrency). Allocations are identical for every thread count:
-  /// probe noise is derived per (fragment, node count, repetition).
+  /// Worker threads for the monomer Gather and Fit stages (0 = hardware
+  /// concurrency); the dimer probes and their fits always run serially.
+  /// Allocations are identical for every thread count: probe noise is
+  /// derived per (fragment, node count, repetition).
   std::size_t threads = 1;
 
   /// Closed-loop rebalancing (hslb::Controller): when `rebalance.adaptive`

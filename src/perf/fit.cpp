@@ -53,15 +53,38 @@ bool better(const Candidate& x, const Candidate& y) {
 /// distinct count, scaled by sqrt(w_k), and compares SSEs without the
 /// constant; fit() scores the winner on the raw samples.
 ///
-/// Every one of the 27 active sets (each coefficient free, at 0 or at its
-/// upper bound) is solved by QR on its unit-norm free columns, and the
-/// feasible solution with the least SSE wins. A rank-deficient free set is
-/// skipped: the box is bounded, so its minimizers include one on a smaller
-/// face. Only the n^c column depends on c, so the 9 active sets with b at 0
-/// are solved once, in the constructor, and so are the factorizations of
-/// the free sets without b; each exponent refactors the 4 free sets with b
-/// and solves the active sets that depend on c (see per_exponent()).
-/// Nothing is allocated per exponent.
+/// At a fixed c the SSE is a convex quadratic over a box, so a point is a
+/// box optimum exactly when it meets the KKT conditions (Lawson & Hanson
+/// 1974, ch. 23): per coefficient, dSSE/dθ >= 0 at 0, <= 0 at its upper
+/// bound and = 0 strictly inside. Each exponent is decided in up to three
+/// steps:
+///
+///  1. The b = 0 face. Only the n^c column depends on c, so the best
+///     (a, 0, d), fixed_best_, is solved once, in the constructor, over the
+///     9 active sets with b at 0. With >= 2 distinct counts the columns 1/n
+///     and 1 are independent, so it is the face's unique minimizer and meets
+///     the conditions in a and d. Its residual r0 does not depend on c
+///     either, and there dSSE/db = -2 sum_k r0_k sqrt(w_k) n_k^c. When that
+///     is >= 0, b at 0 meets its condition too: fixed_best_ is the box
+///     optimum, for one pow per row and a dot product.
+///  2. The all-free set. Otherwise {a, b, d} is factored. When it has full
+///     rank and its solution lies in the box, that solution is the
+///     unconstrained minimizer of a strictly convex SSE, so it is the unique
+///     box optimum.
+///  3. The enumeration, reached with fewer than 3 distinct counts, a
+///     rank-deficient {a, b, d} or an unconstrained solution outside the
+///     box. Every other active set that depends on c (each coefficient free,
+///     at 0 or at its upper bound; see per_exponent()) is solved by QR on its
+///     unit-norm free columns, and the feasible solution with the least SSE
+///     wins. A rank-deficient free set is skipped: the box is bounded, so its
+///     minimizers include one on a smaller face. The free sets without b are
+///     factored once, in the constructor; this step refactors the other 3
+///     free sets with b.
+///
+/// Steps 2 and 3 replace fixed_best_ only with a strictly lower SSE, so a
+/// fit with b = 0 scores fixed_best_'s SSE, bit for bit, at every exponent.
+/// Nothing is allocated per exponent, apart from a free set's first
+/// factorization, which sizes its QR storage.
 class Projection {
  public:
   /// Validates the samples, collapses them to one row per distinct node
@@ -141,29 +164,38 @@ class Projection {
 
   /// The least-SSE (a, b, d) in the box at exponent c.
   Candidate at(double c) {
-    for (std::size_t i = 0; i < rows_; ++i)
+    // Step 1: -dSSE/db / 2 at fixed_best_ (r0 costs two multiply-adds a row,
+    // so it is recomputed rather than stored).
+    const Model& fixed = fixed_best_.model;
+    double descent = 0.0;
+    for (std::size_t i = 0; i < rows_; ++i) {
       cols_[1][i] = cols_[2][i] * std::pow(nodes_[i], c);
-    norms_[1] = linalg::norm2(cols_[1]);
-    for (std::size_t mask = 1; mask < 8; ++mask) {
-      FreeSet& set = free_[mask];
-      if ((mask & kB) == 0 || set.k > rows_) continue;
-      for (std::size_t f = 0; f < set.k; ++f)
-        if (set.cols[f] == 1)
-          for (std::size_t i = 0; i < rows_; ++i)
-            set.a(i, f) = cols_[1][i] / norms_[1];
-      factor(set);
+      const double r0 =
+          target_[i] - fixed.a * cols_[0][i] - fixed.d * cols_[2][i];
+      descent += r0 * cols_[1][i];
     }
     Candidate best = fixed_best_;
     best.model.c = c;
+    if (descent <= 0.0) return best;
+
+    // Step 2: a feasible all-free solution is the box optimum.
+    norms_[1] = linalg::norm2(cols_[1]);
+    refactor(kA | kB | kD);
+    if (solve(kAllFree, c, best)) return best;
+
+    // Step 3: every other active set that depends on c.
+    for (std::size_t mask : {kB, kA | kB, kB | kD}) refactor(mask);
     for (int code = 0; code < 27; ++code)
-      if (per_exponent(code, c)) solve(code, c, best);
+      if (code != kAllFree && per_exponent(code, c)) solve(code, c, best);
     return best;
   }
 
  private:
-  /// Coefficient states of an active set, and the n^c column's mask bit.
+  /// Coefficient states of an active set, the code of the set with every
+  /// coefficient free, and the columns' mask bits.
   static constexpr int kFree = 0, kAtZero = 1, kAtHi = 2;
-  static constexpr std::size_t kB = 2;
+  static constexpr int kAllFree = 0;
+  static constexpr std::size_t kA = 1, kB = 2, kD = 4;
 
   /// One set of free columns (by bit mask over a, b, d) and its QR.
   struct FreeSet {
@@ -194,9 +226,22 @@ class Projection {
     set.full_rank = set.qr.min_abs_diag_r() > kRankTolerance;
   }
 
+  /// Refills free set `mask`'s unit-norm n^c column from cols_[1] and
+  /// norms_[1], and refactors it.
+  void refactor(std::size_t mask) {
+    FreeSet& set = free_[mask];
+    if (set.k > rows_) return;
+    for (std::size_t f = 0; f < set.k; ++f)
+      if (set.cols[f] == 1)
+        for (std::size_t i = 0; i < rows_; ++i)
+          set.a(i, f) = cols_[1][i] / norms_[1];
+    factor(set);
+  }
+
   /// Solves active set `code` at exponent c (the n^c column must hold c's)
   /// and replaces `best` when its solution is feasible with a lower SSE.
-  void solve(int code, double c, Candidate& best) {
+  /// Returns whether it was solvable and feasible.
+  bool solve(int code, double c, Candidate& best) {
     std::array<double, 3> theta{};
     std::size_t mask = 0;
     for (std::size_t j = 0; j < 3; ++j) {
@@ -205,7 +250,7 @@ class Projection {
     }
     if (mask != 0) {
       const FreeSet& set = free_[mask];
-      if (set.k > rows_ || !set.full_rank) return;
+      if (set.k > rows_ || !set.full_rank) return false;
       for (std::size_t i = 0; i < rows_; ++i) {
         rhs_[i] = target_[i];
         for (std::size_t j = 0; j < 3; ++j)
@@ -216,7 +261,7 @@ class Projection {
       for (std::size_t f = 0; f < set.k; ++f) {
         const std::size_t j = set.cols[f];
         theta[j] = x[f] / norms_[j];
-        if (!(theta[j] >= 0.0 && theta[j] <= hi_[j])) return;
+        if (!(theta[j] >= 0.0 && theta[j] <= hi_[j])) return false;
       }
     }
     double sse = 0.0;
@@ -226,6 +271,7 @@ class Projection {
       sse += r * r;
     }
     if (sse < best.sse) best = {Model{theta[0], theta[1], c, theta[2]}, sse};
+    return true;
   }
 
   std::size_t rows_ = 0;  ///< distinct node counts

@@ -6,16 +6,20 @@
 // solved by variable projection (Golub & Pereyra 1973). The model is linear
 // in a, b and d, so for a fixed exponent c the best (a, b, d) inside a
 // data-driven box is a 3-variable bounded least-squares problem, solved
-// exactly on one weighted row per distinct node count; the fit is then a
-// 1-D search over c (a fixed grid, then Brent's method inside the best grid
-// point's bracket). Each fit allocates only while it sets up and scores;
-// the exponent search itself touches no heap. The paper instead
-// tries several starting points of a local solver (§III-C); this search
-// needs none and is deterministic. By default c >= 1, so the fitted model
-// is convex and the allocation MINLP is solved to proven global optimality
-// (§III-E); the paper observed b, c "almost equal to zero" on Intrepid,
-// which the convex fit reproduces with b ~ 0. The machine charges of
-// perf::CostModel are pinned, never fitted.
+// exactly on one weighted row per distinct node count. That problem is
+// convex, so its KKT conditions prove an optimum: most exponents are settled
+// by the b = 0 face passing them or by the unconstrained solution lying in
+// the box, and only the rest enumerate the active sets (fit.cpp has the
+// proof sketch). The fit is then a 1-D search over c (a fixed grid, then
+// Brent's method inside the best grid point's bracket). A fit allocates a
+// bounded amount whatever the number of exponents it tries: its rows and
+// free-column matrices once, and each QR's storage the first time that set
+// is factored. The paper instead tries several starting points of a local
+// solver (§III-C); this search needs none and is deterministic. By default
+// c >= 1, so the fitted model is convex and the allocation MINLP is solved
+// to proven global optimality (§III-E); the paper observed b, c "almost
+// equal to zero" on Intrepid, which the convex fit reproduces with b ~ 0.
+// The machine charges of perf::CostModel are pinned, never fitted.
 #pragma once
 
 #include "perf/benchdata.hpp"

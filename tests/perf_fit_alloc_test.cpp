@@ -1,8 +1,8 @@
 // Heap traffic of one perf::fit, counted by replacing the global operator
 // new (hence a test binary of its own). The fit sets up its rows, free-column
-// matrices and QR storage once, searches about 44 exponents without touching
-// the heap, and scores the winner: a bounded number of allocations per fit,
-// whatever the number of exponents it tries.
+// matrices and QR storage once, searches its exponents (about 37 per fit on
+// the fit sweep) without touching the heap, and scores the winner: a bounded
+// number of allocations per fit, whatever the number of exponents it tries.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -218,6 +221,69 @@ TEST(FitSweep, SseNeverAboveTheExactFitItReplaces) {
         << kind << " " << label;
   }
   EXPECT_EQ(next, sets.size());
+}
+
+// A certificate of each fit's (a, b, d) that uses nothing of fit.cpp. At
+// the returned exponent c the SSE is a convex quadratic in (a, b, d) over
+// the box fit.hpp documents, so they are its minimizer exactly when the
+// KKT conditions hold (Lawson & Hanson 1974, ch. 23): dSSE/dθ >= 0 for a
+// coefficient at 0, <= 0 at its upper bound and = 0 strictly inside.
+// Returns, per coefficient, how far dSSE/dθ over the raw samples lies
+// outside that sign, relative to ||φ|| ||y|| (φ its column 1/n, n^c or 1
+// over the samples), or infinity outside the box: 0 at a box optimum, up to
+// rounding.
+std::array<double, 3> kkt_residuals(const SampleSet& samples, const Model& m) {
+  double max_y = 0.0, min_y = samples.front().seconds, max_yn = 0.0;
+  double y2 = 0.0;
+  for (const Sample& s : samples) {
+    max_y = std::max(max_y, s.seconds);
+    min_y = std::min(min_y, s.seconds);
+    max_yn = std::max(max_yn, s.seconds * s.nodes);
+    y2 += s.seconds * s.seconds;
+  }
+  const std::array<double, 3> theta{m.a, m.b, m.d};
+  const std::array<double, 3> hi{50.0 * max_yn, std::max(max_y, 1.0),
+                                 2.0 * min_y};
+  std::array<double, 3> grad{}, phi2{};
+  for (const Sample& s : samples) {
+    const std::array<double, 3> phi{1.0 / s.nodes, std::pow(s.nodes, m.c),
+                                    1.0};
+    const double r = s.seconds - (m.a * phi[0] + m.b * phi[1] + m.d * phi[2]);
+    for (std::size_t j = 0; j < 3; ++j) {
+      grad[j] -= 2.0 * r * phi[j];
+      phi2[j] += phi[j] * phi[j];
+    }
+  }
+  std::array<double, 3> out{};
+  for (std::size_t j = 0; j < 3; ++j) {
+    const double off =
+        !(theta[j] >= 0.0 && theta[j] <= hi[j])
+            ? std::numeric_limits<double>::infinity()
+        : theta[j] == 0.0   ? -grad[j]
+        : theta[j] == hi[j] ? grad[j]
+                            : std::fabs(grad[j]);
+    out[j] = std::max(off, 0.0) / std::sqrt(phi2[j] * y2);
+  }
+  return out;
+}
+
+// Every sweep set at min_c 1 and at 0.1. The largest residual on the sweep
+// is about 2e-15; a search that settles for b = 0 where b > 0 fits better
+// leaves residuals up to 0.17.
+TEST(FitSweep, EveryFitPassesItsKktCertificate) {
+  for (const SweepSet& set : load_sweep()) {
+    for (double min_c : {1.0, 0.1}) {
+      FitOptions opt;
+      opt.min_c = min_c;
+      const Model m = fit(set.samples, opt).model;
+      const std::array<double, 3> res = kkt_residuals(set.samples, m);
+      for (std::size_t j = 0; j < 3; ++j)
+        EXPECT_LE(res[j], 1e-11)
+            << set.kind << " " << set.label << " min_c " << min_c << ": d/d"
+            << "abd"[j] << " at (" << m.a << ", " << m.b << ", " << m.c
+            << ", " << m.d << ")";
+    }
+  }
 }
 
 TEST(FitAll, FitsEveryTask) {
